@@ -228,6 +228,25 @@ def _scenario_hydrogen(
     return resolved, ["hydrogen_shifts.json"]
 
 
+def _scenario_qpot(
+    cfg: Mapping[str, str], outdir: Path, seed: int
+) -> tuple[dict, list[str]]:
+    spec, params = spec_from_config(dict(cfg))
+    input_path = serialize.require(cfg, "input")
+    f = read_gridfunction(input_path)
+    q = eval_complete_q(f, params, spec)
+    units = serialize.get_str(cfg, "units", "electron")
+    write_gridfunction(outdir / "qpotential.csv", q, units=units)
+    print(
+        f"qpot: evaluated {len(spec.orders)} term(s) on {f.grid.n} points "
+        f"(orders {', '.join(str(o) for o in spec.orders)})"
+    )
+    resolved = {**_spec_subset(cfg), "input": input_path}
+    if "spec" in cfg:
+        resolved["spec"] = cfg["spec"]
+    return resolved, ["qpotential.csv", "qpotential.csv.json"]
+
+
 def _initial_field(cfg: Mapping[str, str], g: Grid, L: float) -> WaveField:
     initial = serialize.get_str(cfg, "initial", "gaussian")
     if initial == "gaussian":
@@ -285,7 +304,6 @@ def _scenario_evolve(
         dt=serialize.get_float(cfg, "dt"),
         steps=steps,
         scheme=scheme,
-        corrector_iterations=serialize.get_int(cfg, "corrector_iterations", 2),
         q_cap=serialize.get_float(cfg, "q_cap") if "q_cap" in cfg else None,
         store_every=serialize.get_int(cfg, "store_every", max(1, steps // 10)),
     )
@@ -341,7 +359,6 @@ def _scenario_evolve(
         "dt": serialize.fmt_float(run_cfg.dt),
         "steps": str(steps),
         "store_every": str(run_cfg.store_every),
-        "corrector_iterations": str(run_cfg.corrector_iterations),
     }
     if "q_cap" in cfg:
         resolved["q_cap"] = serialize.fmt_float(run_cfg.q_cap)
@@ -409,6 +426,7 @@ def _scenario_ratios(
 _SCENARIOS: dict[str, Callable] = {
     "verify-el": _scenario_verify_el,
     "coefficients": _scenario_coefficients,
+    "qpot": _scenario_qpot,
     "box": _scenario_box,
     "hydrogen": _scenario_hydrogen,
     "evolve": _scenario_evolve,
@@ -521,41 +539,9 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
 
 
 def _cmd_qpot(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    spec_cfg = serialize.load_config(args.spec)
-    spec, params = spec_from_config(spec_cfg)
-    f = read_gridfunction(args.input)
-    q = eval_complete_q(f, params, spec)
-    units = serialize.get_str(spec_cfg, "units", "electron")
-    write_gridfunction(outdir / "qpotential.csv", q, units=units)
-    elapsed = time.perf_counter() - t0
-    resolved = {
-        **_spec_subset(spec_cfg),
-        "spec": str(args.spec),
-        "input": str(args.input),
-    }
-    manifest = {
-        "scenario": "qpot",
-        "config": dict(sorted(resolved.items())),
-        "config_hash": serialize.config_hash(resolved),
-        "seed": 0,
-        "versions": {
-            "qpotlab": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "outputs": ["qpotential.csv", "qpotential.csv.json"],
-        "timings": {"total_seconds": elapsed},
-    }
-    serialize.write_json(outdir / "manifest.json", manifest)
-    print(
-        f"qpot: evaluated {len(spec.orders)} term(s) on {f.grid.n} points "
-        f"(orders {', '.join(str(o) for o in spec.orders)})"
-    )
-    return 0
+    cfg = dict(serialize.load_config(args.spec))
+    cfg.update(spec=str(args.spec), input=str(args.input))
+    return _run_scenario("qpot", cfg, Path(args.out), 0)
 
 
 def _cmd_spectra(args: argparse.Namespace) -> int:

@@ -12,11 +12,11 @@ other than 0 and 2 is present.
 
 Integration is Strang splitting: half-step phase rotation by V + W, full
 kinetic step (Fourier exponential on periodic grids, unitary Crank-Nicolson
-on Dirichlet grids), then the closing half-step rotation recomputed from
-the updated amplitude with a fixed-point corrector loop.  Phase rotations
-leave |psi| untouched, so the corrector converges in one pass; the
-configured number of passes is still honored.  Rotations by a real W and
-the unitary kinetic step conserve the norm to roundoff.
+on Dirichlet grids), then the closing half-step rotation by V + W with W
+evaluated from the updated amplitude.  A phase rotation leaves |psi|
+unchanged, so that closing W is also the next step's opening W: a run of
+N steps evaluates W N + 1 times.  Rotations by a real W and the unitary
+kinetic step conserve the norm to roundoff.
 
 Near wavefunction nodes the higher-order terms diverge; they are zeroed
 below the amplitude floor and clamped at ``q_cap``, with clamp events
@@ -48,6 +48,7 @@ from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
     dimensional_coefficient,
+    validate_order2,
 )
 
 SPLIT_STEP = "split-step-spectral"
@@ -101,7 +102,6 @@ class EvolutionConfig:
     dt: float
     steps: int
     scheme: str = SPLIT_STEP
-    corrector_iterations: int = 2
     q_cap: float | None = None  # default: 1e3 * eps0 * (lambda_c/L)^4
     store_every: int = 1
 
@@ -112,8 +112,6 @@ class EvolutionConfig:
             raise ValueError("steps must be >= 1")
         if self.scheme not in (SPLIT_STEP, CRANK_NICOLSON):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.corrector_iterations < 1:
-            raise ValueError("corrector_iterations must be >= 1")
         if self.q_cap is not None and self.q_cap <= 0:
             raise ValueError("q_cap must be positive")
         if self.store_every < 1:
@@ -122,7 +120,8 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
-    """Stored frames plus per-frame diagnostics and the clamp-event count."""
+    """Stored frames plus per-frame diagnostics and the clamp-event count,
+    summed over the steps + 1 W evaluations of the run."""
 
     frames: list[WaveField]
     times: np.ndarray
@@ -174,18 +173,6 @@ class _ExtraPotential:
         return total + spikes, clamps
 
 
-def _validate_order2(spec: QuantumPotentialSpec, params: PhysicalParams) -> None:
-    if not spec.has_order(2):
-        return
-    c2 = params.hbar**2 / (2.0 * params.mass)
-    A2 = dimensional_coefficient(spec.term(2), params)
-    if abs(A2 + c2) > 1e-12 * c2:
-        raise ValueError(
-            f"order-2 coefficient {A2!r} conflicts with the kinetic operator "
-            f"-hbar^2/2m = {-c2!r}; the order-2 term lives in the kinetic step"
-        )
-
-
 class _KineticStep:
     """Full-dt kinetic propagator: Fourier exponential or Crank-Nicolson."""
 
@@ -206,9 +193,10 @@ class _KineticStep:
             alpha = 1j * dt / (2.0 * params.hbar)
             self.h_diag = -c2 * (-2.0 / h**2)
             self.h_off = -c2 * (1.0 / h**2)
-            self.d = np.full(m, 1.0 + alpha * self.h_diag, np.complex128)
-            self.dl = np.full(m - 1, alpha * self.h_off, np.complex128)
-            self.du = self.dl.copy()
+            off = np.full(m - 1, alpha * self.h_off, np.complex128)
+            self.factors = kernels.factor_tridiagonal(
+                off, np.full(m, 1.0 + alpha * self.h_diag, np.complex128), off
+            )
             self.alpha = alpha
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
@@ -219,7 +207,7 @@ class _KineticStep:
         rhs[1:] -= self.alpha * self.h_off * inner_vals[:-1]
         rhs[:-1] -= self.alpha * self.h_off * inner_vals[1:]
         out = np.zeros_like(psi)
-        out[1:-1] = kernels.solve_tridiagonal(self.dl, self.d, self.du, rhs)
+        out[1:-1] = kernels.solve_tridiagonal(self.factors, rhs)
         return out
 
 
@@ -241,7 +229,7 @@ def evolve(
         raise GridError("evolution runs on uniform grids")
     if not V.grid.same_as(g):
         raise GridError("potential grid does not match the field grid")
-    _validate_order2(spec, params)
+    validate_order2(spec, params)
     if cfg.q_cap is not None:
         q_cap = cfg.q_cap
     else:
@@ -256,22 +244,17 @@ def evolve(
         psi[-1] = 0.0
 
     norm0 = norm(WaveField(g, psi))
-    clamp_count = 0
+    W, clamp_count = extra(np.abs(psi))
     frames = [WaveField(g, psi.copy())]
     times = [0.0]
     steps_stored = [0]
 
     for step in range(1, cfg.steps + 1):
-        W, c1 = extra(np.abs(psi))
-        clamp_count += c1
         psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * hbar))
         psi = kinetic(psi)
-        W2, c2n = W, 0
-        for _ in range(cfg.corrector_iterations):
-            trial = psi * np.exp(-1j * (V.values + W2) * cfg.dt / (2.0 * hbar))
-            W2, c2n = extra(np.abs(trial))
-        clamp_count += c2n
-        psi = psi * np.exp(-1j * (V.values + W2) * cfg.dt / (2.0 * hbar))
+        W, clamps = extra(np.abs(psi))
+        clamp_count += clamps
+        psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * hbar))
 
         if not np.all(np.isfinite(psi.view(np.float64))):
             raise RuntimeError(f"non-finite field at step {step} (dt too large?)")

@@ -1,79 +1,48 @@
-"""Hot numerical kernels: numba-jitted with pure-numpy/scipy fallbacks.
+"""Numerical kernels: the tridiagonal solve and trajectory advection.
 
-Two inner loops dominate runtimes that are not already vectorized library
-calls: the complex tridiagonal (Thomas) solve inside each Crank-Nicolson
-step, and per-seed RK4 trajectory advection through stored velocity frames.
-Both carry ``@njit`` kernels here.  Set the environment variable
-``QPOTLAB_NO_NUMBA=1`` before import to force the pure-numpy path (useful
-for debugging and for the benchmark in ``benchmarks/bench_kernels.py``).
+The Crank-Nicolson matrix is the same at every step of a run, so it is
+LU-factored once with LAPACK ``zgttrf`` (:func:`factor_tridiagonal`) and
+each step costs one ``zgttrs`` back-substitution
+(:func:`solve_tridiagonal`).  Trajectory advection moves every seed at once
+with vectorised numpy RK4 through stored velocity frames.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NUMBA_DISABLED = os.environ.get("QPOTLAB_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by QPOTLAB_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
+from scipy.linalg import lapack
 
 # --------------------------------------------------------------------------
-# Complex tridiagonal solve (Thomas algorithm)
+# Complex tridiagonal solve (LAPACK gttrf / gttrs)
 # --------------------------------------------------------------------------
 
 
-def _thomas_impl(dl, d, du, b):
-    n = d.shape[0]
-    cp = np.empty(n - 1, np.complex128)
-    dp = np.empty(n, np.complex128)
-    cp[0] = du[0] / d[0]
-    dp[0] = b[0] / d[0]
-    for i in range(1, n - 1):
-        den = d[i] - dl[i - 1] * cp[i - 1]
-        cp[i] = du[i] / den
-        dp[i] = (b[i] - dl[i - 1] * dp[i - 1]) / den
-    den = d[n - 1] - dl[n - 2] * cp[n - 2]
-    dp[n - 1] = (b[n - 1] - dl[n - 2] * dp[n - 2]) / den
-    x = np.empty(n, np.complex128)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """LU factors of the matrix with subdiagonal dl, diagonal d and
+    superdiagonal du, for any number of :func:`solve_tridiagonal` calls.
+
+    Raises numpy.linalg.LinAlgError if the matrix is singular.
+    """
+    *factors, info = lapack.zgttrf(
+        np.asarray(dl, np.complex128),
+        np.asarray(d, np.complex128),
+        np.asarray(du, np.complex128),
+    )
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular tridiagonal matrix: zero pivot in row {info}"
+        )
+    if info < 0:
+        raise ValueError(f"zgttrf: argument {-info} is invalid")
+    return tuple(factors)
+
+
+def solve_tridiagonal(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given the factors of A from :func:`factor_tridiagonal`."""
+    x, info = lapack.zgttrs(*factors, np.asarray(b, np.complex128))
+    if info != 0:
+        raise ValueError(f"zgttrs: argument {-info} is invalid")
     return x
-
-
-if USING_NUMBA:
-    _thomas_jit = njit(cache=True)(_thomas_impl)
-
-
-def _thomas_fallback(dl, d, du, b):
-    from scipy.linalg import solve_banded
-
-    n = d.shape[0]
-    ab = np.zeros((3, n), np.complex128)
-    ab[0, 1:] = du
-    ab[1, :] = d
-    ab[2, :-1] = dl
-    return solve_banded((1, 1), ab, b)
-
-
-def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with subdiagonal dl, diagonal d, superdiagonal du."""
-    dl = np.ascontiguousarray(dl, np.complex128)
-    d = np.ascontiguousarray(d, np.complex128)
-    du = np.ascontiguousarray(du, np.complex128)
-    b = np.ascontiguousarray(b, np.complex128)
-    if USING_NUMBA:
-        return _thomas_jit(dl, d, du, b)
-    return _thomas_fallback(dl, d, du, b)
 
 
 # --------------------------------------------------------------------------
@@ -86,81 +55,8 @@ def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarr
 # grid are frozen at the boundary and flagged; periodic ones wrap.
 
 
-def _advect_impl(vframes, x0, h, dt_frame, seeds, substeps, periodic, length):
-    nframes, npts = vframes.shape
-    nseeds = seeds.shape[0]
-    paths = np.empty((nframes, nseeds), np.float64)
-    exited = np.zeros(nseeds, np.uint8)
-    xmax = x0 + h * (npts - 1)
-    for s in range(nseeds):
-        x = seeds[s]
-        paths[0, s] = x
-        for f in range(nframes - 1):
-            if exited[s] == 1:
-                paths[f + 1, s] = x
-                continue
-            for m in range(substeps):
-                dt = dt_frame / substeps
-                w0 = m / substeps
-                wh = (m + 0.5) / substeps
-                w1 = (m + 1.0) / substeps
-                k1 = _vel(vframes, f, w0, x, x0, h, npts, periodic)
-                k2 = _vel(vframes, f, wh, x + 0.5 * dt * k1, x0, h, npts, periodic)
-                k3 = _vel(vframes, f, wh, x + 0.5 * dt * k2, x0, h, npts, periodic)
-                k4 = _vel(vframes, f, w1, x + dt * k3, x0, h, npts, periodic)
-                x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                if periodic == 1:
-                    x = x0 + ((x - x0) % length)
-                elif x < x0 or x > xmax:
-                    x = x0 if x < x0 else xmax
-                    exited[s] = 1
-                    break
-            paths[f + 1, s] = x
-    return paths, exited
-
-
-def _vel_impl(vframes, f, tw, x, x0, h, npts, periodic):
-    va = _interp_impl(vframes[f], x, x0, h, npts, periodic)
-    vb = _interp_impl(vframes[f + 1], x, x0, h, npts, periodic)
-    return (1.0 - tw) * va + tw * vb
-
-
-def _interp_impl(row, x, x0, h, npts, periodic):
-    u = (x - x0) / h
-    if periodic == 1:
-        u = u % npts
-        i = int(u)
-        w = u - i
-        j = i + 1
-        if j >= npts:
-            j -= npts
-        return (1.0 - w) * row[i] + w * row[j]
-    if u <= 0.0:
-        return row[0]
-    if u >= npts - 1:
-        return row[npts - 1]
-    i = int(u)
-    w = u - i
-    return (1.0 - w) * row[i] + w * row[i + 1]
-
-
-if USING_NUMBA:
-    _interp = njit(cache=True)(_interp_impl)
-
-    @njit(cache=True)
-    def _vel(vframes, f, tw, x, x0, h, npts, periodic):
-        va = _interp(vframes[f], x, x0, h, npts, periodic)
-        vb = _interp(vframes[f + 1], x, x0, h, npts, periodic)
-        return (1.0 - tw) * va + tw * vb
-
-    _advect_jit = njit(cache=True)(_advect_impl)
-else:
-    _interp = _interp_impl
-    _vel = _vel_impl
-
-
 def _interp_many(row, xs, x0, h, npts, periodic):
-    """Vectorized linear interpolation of one frame at many positions."""
+    """Linear interpolation of one frame at many positions."""
     u = (xs - x0) / h
     if periodic:
         u = np.mod(u, npts)
@@ -172,44 +68,6 @@ def _interp_many(row, xs, x0, h, npts, periodic):
     i = np.minimum(u.astype(np.int64), npts - 2)
     w = u - i
     return (1.0 - w) * row[i] + w * row[i + 1]
-
-
-def _advect_fallback(vframes, x0, h, dt_frame, seeds, substeps, periodic, length):
-    nframes, npts = vframes.shape
-    nseeds = seeds.shape[0]
-    paths = np.empty((nframes, nseeds), np.float64)
-    exited = np.zeros(nseeds, np.uint8)
-    xmax = x0 + h * (npts - 1)
-    x = seeds.astype(np.float64).copy()
-    paths[0] = x
-    for f in range(nframes - 1):
-        active = exited == 0
-        for m in range(substeps):
-            dt = dt_frame / substeps
-            w0 = m / substeps
-            wh = (m + 0.5) / substeps
-            w1 = (m + 1.0) / substeps
-
-            def vel(tw, pos):
-                va = _interp_many(vframes[f], pos, x0, h, npts, periodic)
-                vb = _interp_many(vframes[f + 1], pos, x0, h, npts, periodic)
-                return (1.0 - tw) * va + tw * vb
-
-            k1 = vel(w0, x)
-            k2 = vel(wh, x + 0.5 * dt * k1)
-            k3 = vel(wh, x + 0.5 * dt * k2)
-            k4 = vel(w1, x + dt * k3)
-            step = dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            x = np.where(active, x + step, x)
-            if periodic:
-                x = x0 + np.mod(x - x0, length)
-            else:
-                out = active & ((x < x0) | (x > xmax))
-                x = np.clip(x, x0, xmax)
-                exited[out] = 1
-                active = exited == 0
-        paths[f + 1] = x
-    return paths, exited
 
 
 def advect_seeds(
@@ -234,10 +92,37 @@ def advect_seeds(
         raise ValueError("need at least two velocity frames")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    if USING_NUMBA:
-        return _advect_jit(
-            vframes, x0, h, dt_frame, seeds, substeps, 1 if periodic else 0, length
-        )
-    return _advect_fallback(
-        vframes, x0, h, dt_frame, seeds, substeps, 1 if periodic else 0, length
-    )
+    nframes, npts = vframes.shape
+    paths = np.empty((nframes, seeds.shape[0]), np.float64)
+    exited = np.zeros(seeds.shape[0], np.uint8)
+    xmax = x0 + h * (npts - 1)
+    x = seeds.copy()
+    paths[0] = x
+    for f in range(nframes - 1):
+        active = exited == 0
+
+        def vel(tw, pos):
+            va = _interp_many(vframes[f], pos, x0, h, npts, periodic)
+            vb = _interp_many(vframes[f + 1], pos, x0, h, npts, periodic)
+            return (1.0 - tw) * va + tw * vb
+
+        for m in range(substeps):
+            dt = dt_frame / substeps
+            w0 = m / substeps
+            wh = (m + 0.5) / substeps
+            w1 = (m + 1.0) / substeps
+            k1 = vel(w0, x)
+            k2 = vel(wh, x + 0.5 * dt * k1)
+            k3 = vel(wh, x + 0.5 * dt * k2)
+            k4 = vel(w1, x + dt * k3)
+            step = dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            x = np.where(active, x + step, x)
+            if periodic:
+                x = x0 + np.mod(x - x0, length)
+            else:
+                out = active & ((x < x0) | (x > xmax))
+                x = np.clip(x, x0, xmax)
+                exited[out] = 1
+                active = exited == 0
+        paths[f + 1] = x
+    return paths, exited

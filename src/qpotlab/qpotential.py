@@ -194,6 +194,24 @@ def dimensional_coefficient(term: QTerm, params: PhysicalParams) -> float:
     return float(term.a) * (-1.0) ** n * params.rest_energy * scale
 
 
+def validate_order2(spec: QuantumPotentialSpec, params: PhysicalParams) -> None:
+    """Reject an order-2 term whose coefficient is not -hbar^2/2m.
+
+    The order-2 term is the kinetic operator itself, and the evolution and
+    the assembled eigenproblem apply it as such, so any other coefficient
+    would be silently ignored.
+    """
+    if not spec.has_order(2):
+        return
+    c2 = params.hbar**2 / (2.0 * params.mass)
+    A2 = dimensional_coefficient(spec.term(2), params)
+    if abs(A2 + c2) > 1e-12 * c2:
+        raise ValueError(
+            f"order-2 coefficient {A2!r} conflicts with the kinetic operator "
+            f"-hbar^2/2m = {-c2!r}"
+        )
+
+
 # --------------------------------------------------------------------------
 # Grid evaluation
 # --------------------------------------------------------------------------

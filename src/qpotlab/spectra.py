@@ -42,6 +42,7 @@ from .qpotential import (
     QuantumPotentialSpec,
     QTerm,
     dimensional_coefficient,
+    validate_order2,
 )
 
 
@@ -301,22 +302,15 @@ def _operator_coefficients(
 ) -> tuple[float, float]:
     """(A0, A4) for the assembled operator; validates the order cap and that
     any order-2 term matches the kinetic coefficient -hbar^2/2m exactly."""
-    c2 = params.hbar**2 / (2.0 * params.mass)
+    validate_order2(spec, params)
     A0 = 0.0
     A4 = 0.0
     for t in spec.terms:
         if t.order == 0:
             A0 = dimensional_coefficient(t, params)
-        elif t.order == 2:
-            A2 = dimensional_coefficient(t, params)
-            if abs(A2 + c2) > 1e-12 * c2:
-                raise ValueError(
-                    f"order-2 coefficient {A2!r} conflicts with the kinetic "
-                    f"operator -hbar^2/2m = {-c2!r}"
-                )
         elif t.order == 4:
             A4 = dimensional_coefficient(t, params)
-        else:
+        elif t.order != 2:
             raise ValueError(
                 f"assembled-matrix path caps at order 4; spec has order {t.order}"
             )

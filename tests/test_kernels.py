@@ -1,9 +1,4 @@
-"""Numerical kernels: tridiagonal solves, seed advection, and backend flags."""
-
-import json
-import os
-import subprocess
-import sys
+"""Numerical kernels: tridiagonal solves and seed advection."""
 
 import numpy as np
 import pytest
@@ -32,25 +27,26 @@ class TestTridiagonal:
     def test_matches_dense_solve(self, n):
         rng = np.random.default_rng(11)
         dl, d, du, b = random_tridiagonal(n, rng)
-        x = kernels.solve_tridiagonal(dl, d, du, b)
+        x = kernels.solve_tridiagonal(kernels.factor_tridiagonal(dl, d, du), b)
         A = dense_from_bands(dl, d, du)
         expected = np.linalg.solve(A, b)
         assert np.max(np.abs(x - expected)) < 1e-10 * np.max(np.abs(expected))
 
-    def test_backends_agree(self):
+    def test_one_factorization_many_right_hand_sides(self):
         rng = np.random.default_rng(3)
-        dl, d, du, b = random_tridiagonal(200, rng)
-        a = kernels.solve_tridiagonal(dl, d, du, b)
-        backend = kernels._thomas_jit if kernels.USING_NUMBA else None
-        fallback = kernels._thomas_fallback(
-            np.ascontiguousarray(dl, np.complex128),
-            np.ascontiguousarray(d, np.complex128),
-            np.ascontiguousarray(du, np.complex128),
-            np.ascontiguousarray(b, np.complex128),
-        )
-        assert np.max(np.abs(a - fallback)) < 1e-12 * np.max(np.abs(fallback))
-        if backend is None:
-            pytest.skip("numba backend inactive in this process")
+        dl, d, du, _ = random_tridiagonal(200, rng)
+        factors = kernels.factor_tridiagonal(dl, d, du)
+        A = dense_from_bands(dl, d, du)
+        for _ in range(5):
+            b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+            x = kernels.solve_tridiagonal(factors, b)
+            expected = np.linalg.solve(A, b)
+            assert np.max(np.abs(x - expected)) < 1e-10 * np.max(np.abs(expected))
+
+    def test_singular_matrix_raises(self):
+        # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 1, 2]] are equal
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            kernels.factor_tridiagonal([1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 0.0])
 
     def test_real_input_promoted(self):
         n = 16
@@ -58,7 +54,7 @@ class TestTridiagonal:
         du = np.zeros(n - 1)
         d = np.full(n, 2.0)
         b = np.arange(n, dtype=float)
-        x = kernels.solve_tridiagonal(dl, d, du, b)
+        x = kernels.solve_tridiagonal(kernels.factor_tridiagonal(dl, d, du), b)
         assert np.allclose(x, b / 2.0)
         assert x.dtype == np.complex128
 
@@ -130,45 +126,3 @@ class TestAdvectSeeds:
             kernels.advect_seeds(
                 vframes, 0.0, 0.1, 0.1, np.array([0.5]), 0, False, 1.0
             )
-
-
-class TestBackendFlag:
-    def test_flags_consistent(self):
-        assert kernels.USING_NUMBA != kernels.NUMBA_DISABLED or not kernels.USING_NUMBA
-
-    def test_env_flag_disables_numba_in_subprocess(self):
-        code = (
-            "import json\n"
-            "from qpotlab import kernels\n"
-            "import numpy as np\n"
-            "rng = np.random.default_rng(5)\n"
-            "n = 64\n"
-            "d = 4.0 + rng.standard_normal(n)\n"
-            "dl = rng.standard_normal(n - 1)\n"
-            "du = rng.standard_normal(n - 1)\n"
-            "b = rng.standard_normal(n)\n"
-            "x = kernels.solve_tridiagonal(dl, d, du, b)\n"
-            "print(json.dumps({'using_numba': kernels.USING_NUMBA,"
-            " 'disabled': kernels.NUMBA_DISABLED,"
-            " 'checksum': float(np.abs(x).sum())}))\n"
-        )
-        env = dict(os.environ, QPOTLAB_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        info = json.loads(out.stdout.strip().splitlines()[-1])
-        assert info["disabled"] is True
-        assert info["using_numba"] is False
-        # the same solve in this process must agree with the fallback result
-        rng = np.random.default_rng(5)
-        n = 64
-        d = 4.0 + rng.standard_normal(n)
-        dl = rng.standard_normal(n - 1)
-        du = rng.standard_normal(n - 1)
-        b = rng.standard_normal(n)
-        x = kernels.solve_tridiagonal(dl, d, du, b)
-        assert float(np.abs(x).sum()) == pytest.approx(info["checksum"], rel=1e-12)
