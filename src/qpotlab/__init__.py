@@ -9,9 +9,9 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
   certification that a candidate potential is a stationary point of the
   density-weighted Euler-Lagrange expression;
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
-- ``grid``/``qpotential`` — grid functions, high-order Laplacian powers
+- ``grid``/``qpotential`` — grid functions, Laplacian series sum c_n lap^n
   (finite-difference and transform backends), and evaluation of the
-  potential hierarchy with floor regularization;
+  potential hierarchy as one such series, with floor regularization;
 - ``spectra`` — box and hydrogen stationary states, perturbative energy
   shifts with an independent cross-check path, and a nonperturbative
   modified eigensolver;
@@ -72,6 +72,8 @@ from .grid import (  # noqa: F401
     inner,
     integrate,
     laplacian,
+    laplacian_series,
+    laplacian_symbol,
     power_laplacian,
     read_gridfunction,
     write_gridfunction,
@@ -84,6 +86,7 @@ from .qpotential import (  # noqa: F401
     electron_params,
     eval_complete_q,
     eval_q2n,
+    expectation,
     load_spec,
     natural_params,
     params_by_name,

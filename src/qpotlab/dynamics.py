@@ -40,14 +40,14 @@ from .grid import (
     GridError,
     GridFunction,
     gradient,
-    inner,
     integrate,
-    power_laplacian,
 )
 from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
     dimensional_coefficient,
+    eval_complete_q,
+    expectation,
     validate_order2,
 )
 
@@ -142,35 +142,22 @@ class _ExtraPotential:
     def __init__(self, grid, spec, params, q_cap):
         self.grid = grid
         self.params = params
-        self.floor = spec.regularization_floor
         self.q_cap = q_cap
         self.constant = sum(
             dimensional_coefficient(t, params) for t in spec.terms if t.order == 0
         )
-        self.terms = [
-            (t.order // 2, dimensional_coefficient(t, params))
-            for t in spec.terms
-            if t.order not in (0, 2)
-        ]
+        self.spec = spec.without_order(0).without_order(2)
         self.method = "spectral" if grid.boundary == PERIODIC else "fd"
 
     def __call__(self, absvals: np.ndarray) -> tuple[np.ndarray, int]:
-        total = np.full(self.grid.n, self.constant)
-        if not self.terms:
-            return total, 0
-        rmax = float(np.max(absvals))
-        mask = absvals <= self.floor * rmax
+        if not self.spec.terms:
+            return np.full(self.grid.n, self.constant), 0
         Rf = GridFunction(self.grid, absvals)
-        spikes = np.zeros(self.grid.n)
-        for n, A in self.terms:
-            D = power_laplacian(Rf, n, self.method).values
-            contrib = np.zeros_like(spikes)
-            np.divide(A * D, absvals, out=contrib, where=~mask)
-            spikes += contrib
+        spikes = eval_complete_q(Rf, self.params, self.spec, self.method).values
         clamps = int(np.count_nonzero(np.abs(spikes) > self.q_cap))
         if clamps:
             spikes = np.clip(spikes, -self.q_cap, self.q_cap)
-        return total + spikes, clamps
+        return self.constant + spikes, clamps
 
 
 class _KineticStep:
@@ -320,8 +307,6 @@ def quantum_force(
     method: str = "fd",
 ) -> GridFunction:
     """Newtonian force -grad(V + Q[R]) along the grid."""
-    from .qpotential import eval_complete_q
-
     q = eval_complete_q(R, params, spec, method)
     total = GridFunction(R.grid, V.values + q.values)
     return GridFunction(R.grid, -gradient(total, "fd").values)
@@ -336,8 +321,9 @@ def energy_functional(
     """Conserved energy: kinetic + potential + non-kinetic family terms.
 
     The kinetic integrand hbar^2/2m |grad psi|^2 carries both the amplitude
-    and phase gradients (the order-2 term); order-0 adds A0 * norm, and each
-    order-2n >= 4 term adds A_{2n} * integral(lap^p R lap^q R), p + q = n.
+    and phase gradients (the order-2 term); every other term adds its
+    split-form expectation A_{2n} <lap^p R, lap^q R>, p + q = n (order 0
+    gives A0 * norm).
     """
     g = psi.grid
     dpsi = _complex_gradient(g, psi.values)
@@ -347,20 +333,7 @@ def energy_functional(
         GridFunction(g, c2 * np.abs(dpsi) ** 2 + V.values * dens)
     )
     method = "spectral" if g.boundary == PERIODIC else "fd"
-    R = psi.amplitude()
-    for t in spec.terms:
-        if t.order == 2:
-            continue  # realized by the kinetic integrand
-        A = dimensional_coefficient(t, params)
-        if t.order == 0:
-            total += A * integrate(GridFunction(g, dens))
-            continue
-        n = t.order // 2
-        p = (n + 1) // 2
-        q = n - p
-        left = power_laplacian(R, p, method)
-        right = R if q == 0 else power_laplacian(R, q, method)
-        total += A * inner(left, right)
+    total += expectation(psi.amplitude(), params, spec.without_order(2), method)
     return float(total)
 
 
@@ -403,12 +376,16 @@ def sample_from_density(
     Stratified mode places one draw per equal-probability stratum (jittered
     when an rng is supplied, midpoints otherwise), which removes the
     N^(-1/2) histogram noise of iid sampling while keeping the marginal
-    distribution exactly proportional to R0^2.
+    distribution exactly proportional to R0^2.  Periodic grids include the
+    wrap cell [x_{n-1}, x0 + L).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     pts = R0.grid.points
     w = R0.values**2
+    if R0.grid.boundary == PERIODIC:
+        pts = np.append(pts, pts[0] + R0.grid.length)
+        w = np.append(w, w[0])
     cell = 0.5 * (w[1:] + w[:-1]) * np.diff(pts)
     cdf = np.concatenate(([0.0], np.cumsum(cell)))
     if cdf[-1] <= 0:

@@ -11,10 +11,12 @@ Two grid kinds cover everything downstream:
 
 Derivative operators come in two backends: 4th-order finite differences
 (general) and sine/Fourier spectral transforms (uniform grids, exact mode
-actions).  Dirichlet finite-difference ghosts are the point reflection
-through the boundary value, g(-h) = 2f(0) - f(h): for fields vanishing at
-the wall this is the classic odd reflection (exact for sine modes) and it
-makes the wall rows of the discrete Laplacian identically zero.
+actions).  A Laplacian series sum c_n lap^n (a power is one term) costs one
+transform pair with the symbol sum c_n (-k^2)^n, or one stencil per power.
+Dirichlet finite-difference ghosts are the point reflection through the
+boundary value, g(-h) = 2f(0) - f(h): for fields vanishing at the wall
+this is the classic odd reflection (exact for sine modes) and it makes
+the wall rows of the discrete Laplacian identically zero.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import scipy.fft
@@ -267,19 +270,53 @@ def laplacian(f: GridFunction, method: str = "fd") -> GridFunction:
 
 def power_laplacian(f: GridFunction, n: int, method: str = "fd") -> GridFunction:
     """n-fold Laplacian (the order-2n operator in the potential hierarchy)."""
-    if n < 1:
-        raise GridError(f"power must be >= 1, got {n}")
+    return laplacian_series(f, {n: 1.0}, method)
+
+
+def laplacian_symbol(coeffs: Mapping[int, float], k):
+    """Fourier/sine symbol of sum_n c_n lap^n: sum_n c_n (-k^2)^n."""
+    mk2 = -(k**2)
+    return sum(c * mk2**n for n, c in coeffs.items())
+
+
+def laplacian_series(
+    f: GridFunction, coeffs: Mapping[int, float], method: str = "fd"
+) -> GridFunction:
+    """sum_n c_n lap^n f for a mapping {power n >= 1: c_n}.
+
+    Spectral: one transform pair with the whole symbol, whatever the highest
+    power (the largest c_n is factored out, so one term gives exactly
+    c lap^n f).  Finite differences apply the stencil once per power.
+    """
+    if not coeffs or min(coeffs) < 1:
+        raise GridError(f"powers must be >= 1, got {sorted(coeffs)}")
     g = f.grid
-    if g.n < 2 * n + 1:
-        raise GridError(f"grid with {g.n} points is under-resolved for order {2 * n}")
+    top = max(coeffs)
+    if g.n < 2 * top + 1:
+        raise GridError(f"grid with {g.n} points is under-resolved for order {2 * top}")
     if method == "spectral":
-        return _spectral_power_laplacian(f, n)
+        if g.kind != UNIFORM:
+            raise GridError("spectral backend requires a uniform grid")
+        scale = max(coeffs.values(), key=abs) or 1.0
+        unit = {n: c / scale for n, c in coeffs.items()}
+        if g.boundary == PERIODIC:
+            k = 2.0 * np.pi * scipy.fft.fftfreq(g.n, d=g.spacing)
+            coef = scipy.fft.fft(f.values) * laplacian_symbol(unit, k)
+            return GridFunction(g, scale * scipy.fft.ifft(coef).real)
+        k = np.arange(1, g.n - 1) * np.pi / g.length
+        coef = scipy.fft.dst(f.values[1:-1], type=1, norm="ortho")
+        coef *= laplacian_symbol(unit, k)
+        out = np.zeros(g.n)
+        out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
+        return GridFunction(g, out)
     if method != "fd":
         raise GridError(f"unknown method {method!r}")
-    vals = f.values
-    for _ in range(n):
+    vals, out = f.values, np.zeros(g.n)
+    for n in range(1, top + 1):
         vals = _laplacian_fd(g, vals)
-    return GridFunction(g, vals)
+        if n in coeffs:
+            out += coeffs[n] * vals
+    return GridFunction(g, out)
 
 
 def _laplacian_fd(g: Grid, vals: np.ndarray) -> np.ndarray:
@@ -294,26 +331,6 @@ def _laplacian_fd(g: Grid, vals: np.ndarray) -> np.ndarray:
     if g.boundary == PERIODIC:
         return _periodic_derivative(vals, g.spacing, 2)
     return _dirichlet_second_derivative(vals, g.spacing)
-
-
-def _spectral_power_laplacian(f: GridFunction, n: int) -> GridFunction:
-    g = f.grid
-    if g.kind != UNIFORM:
-        raise GridError("spectral backend requires a uniform grid")
-    if g.boundary == PERIODIC:
-        k = 2.0 * np.pi * scipy.fft.fftfreq(g.n, d=g.spacing)
-        coef = scipy.fft.fft(f.values)
-        out = scipy.fft.ifft(coef * (-(k**2)) ** n).real
-        return GridFunction(g, out)
-    interior = f.values[1:-1]
-    m = interior.size
-    coef = scipy.fft.dst(interior, type=1, norm="ortho")
-    tau = np.arange(1, m + 1)
-    k = tau * np.pi / g.length
-    sym = (-(k**2)) ** n
-    out = np.zeros(g.n)
-    out[1:-1] = scipy.fft.idst(coef * sym, type=1, norm="ortho")
-    return GridFunction(g, out)
 
 
 def gradient(f: GridFunction, method: str = "fd") -> GridFunction:
@@ -371,8 +388,9 @@ def read_gridfunction(path: str | Path) -> GridFunction:
 
     path = Path(path)
     rows = path.read_text(encoding="utf-8").strip().splitlines()
-    if not rows or rows[0].split(",")[0] != "coordinate":
-        raise GridError(f"{path}: expected a 'coordinate,value' CSV header")
+    header = rows[0].strip() if rows else ""
+    if header != "coordinate,value":
+        raise GridError(f"{path}: expected a 'coordinate,value' header, got {header!r}")
     data = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
     sidecar_path = path.with_name(path.name + ".json")
     if not sidecar_path.exists():

@@ -10,9 +10,12 @@ gives the rest energy eps0.  A :class:`QuantumPotentialSpec` selects which
 orders are present and with which coefficients (exact-rational dimensionless
 a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
 
-Division by R diverges at wavefunction nodes; orders >= 2 are zeroed where
-|R| falls below ``regularization_floor * max|R|``.  The order-0 term is
-R/R = 1 identically and is never floored.
+The orders >= 2 act as one operator, the Laplacian series sum A_2n lap^n
+with symbol sum A_2n (-k^2)^n: :func:`eval_complete_q` applies it once and
+:func:`expectation` is the one split-form energy sum, shared by the energy
+functional and the perturbative shifts.  Division by R diverges at nodes, so
+the quotient is zeroed where |R| falls below ``regularization_floor *
+max|R|``.  The order-0 term is R/R = 1 identically and is never floored.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import serialize
 from .coeffs import a2n
-from .grid import UNIFORM, GridFunction, power_laplacian
+from .grid import UNIFORM, GridFunction, inner, laplacian_series, power_laplacian
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 7.2973525693e-3
@@ -232,22 +235,11 @@ def eval_q2n(
 ) -> GridFunction:
     """Evaluate the order-2n term on a grid function.
 
-    ``n`` is the half-order (n=1 is the Bohmian term).  The coefficient and
-    regularization floor come from the spec, which must contain an order-2n
-    term.  ``method='auto'`` picks the spectral backend on uniform grids and
-    finite differences on radial grids.
+    ``n`` is the half-order (n=1 is the Bohmian term); the spec must contain
+    an order-2n term, which is evaluated as a one-term spec.
     """
-    term = spec.term(2 * n)
-    A = dimensional_coefficient(term, params)
-    if n == 0:
-        return GridFunction(R.grid, np.full(R.grid.n, A))
-    D = power_laplacian(R, n, _resolve_method(R, method)).values
-    r = R.values
-    floor = spec.regularization_floor * float(np.max(np.abs(r)))
-    mask = np.abs(r) <= floor
-    out = np.zeros_like(r)
-    np.divide(A * D, r, out=out, where=~mask)
-    return GridFunction(R.grid, out)
+    one = QuantumPotentialSpec((spec.term(2 * n),), spec.regularization_floor)
+    return eval_complete_q(R, params, one, method)
 
 
 def eval_complete_q(
@@ -256,11 +248,41 @@ def eval_complete_q(
     spec: QuantumPotentialSpec,
     method: str = "auto",
 ) -> GridFunction:
-    """Pointwise sum of every term in the spec (zero field for an empty spec)."""
-    total = np.zeros(R.grid.n)
+    """Pointwise sum of every term in the spec (zero field for an empty spec):
+    one Laplacian series sum A_2n lap^n R, floored and divided by R once, plus
+    the unfloored order-0 constant.  ``method='auto'`` is spectral on uniform
+    grids and finite differences on radial grids."""
+    coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
+    constant = coeffs.pop(0, 0.0)
+    out = np.zeros(R.grid.n)
+    if coeffs:
+        D = laplacian_series(R, coeffs, _resolve_method(R, method)).values
+        r = R.values
+        mask = np.abs(r) <= spec.regularization_floor * float(np.max(np.abs(r)))
+        np.divide(D, r, out=out, where=~mask)
+    return GridFunction(R.grid, out + constant)
+
+
+def expectation(
+    R: GridFunction,
+    params: PhysicalParams,
+    spec: QuantumPotentialSpec,
+    method: str = "auto",
+) -> float:
+    """sum_2n A_2n <lap^p R, lap^q R>, p = ceil(n/2), q = n - p: the Hermitian
+    split form of sum A_2n <R, lap^n R> (equal by parts for fields vanishing
+    at the boundary, better behaved near the hydrogen cusp).  When p == q
+    one Laplacian power serves both sides."""
+    method = _resolve_method(R, method)
+    total = 0.0
     for t in spec.terms:
-        total = total + eval_q2n(R, t.order // 2, params, spec, method).values
-    return GridFunction(R.grid, total)
+        n = t.order // 2
+        p = (n + 1) // 2
+        q = n - p
+        left = R if p == 0 else power_laplacian(R, p, method)
+        right = left if q == p else R if q == 0 else power_laplacian(R, q, method)
+        total += dimensional_coefficient(t, params) * inner(left, right)
+    return total
 
 
 # --------------------------------------------------------------------------

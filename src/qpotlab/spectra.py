@@ -6,12 +6,13 @@ order-2n term reduces to the real integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
-evaluated in the Hermitian split form integral(lap^p R0 * lap^q R0) with
-p + q = n (equal by parts for boundary-vanishing states, and much better
-behaved numerically near the hydrogen cusp).  The order-4 shift is the
-kinetic relativistic correction; :func:`relativistic_reference_shift`
-recomputes it through a deliberately separate code path (its own transforms,
-stencils and quadrature) as a cross-check oracle.
+evaluated by :func:`qpotential.expectation` in the Hermitian split form.
+Box modes diagonalize every Laplacian power, so the box closed forms and the
+spectral eigenvalues are ``grid.laplacian_symbol`` at k = tau pi / L.  The
+order-4 shift is the kinetic relativistic correction;
+:func:`relativistic_reference_shift` recomputes it through a deliberately
+separate code path (its own transforms, stencils and quadrature) as a
+cross-check oracle.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
 including the order-4 operator nonperturbatively.
@@ -33,8 +34,7 @@ from .grid import (
     Grid,
     GridError,
     GridFunction,
-    inner,
-    power_laplacian,
+    laplacian_symbol,
 )
 from .qpotential import (
     FINE_STRUCTURE,
@@ -42,6 +42,7 @@ from .qpotential import (
     QuantumPotentialSpec,
     QTerm,
     dimensional_coefficient,
+    expectation,
     validate_order2,
 )
 
@@ -138,8 +139,13 @@ def hydrogen_radial_state(
 # --------------------------------------------------------------------------
 
 
-def _state_method(state: StationaryState) -> str:
-    return "spectral" if state.R0.grid.kind == UNIFORM else "fd"
+def _shift_term(order: int, spec: QuantumPotentialSpec | None) -> QTerm:
+    """The spec's order-``order`` term, else the relativistic one."""
+    if order < 0 or order % 2 != 0:
+        raise ValueError(f"order must be even and >= 0, got {order}")
+    if spec is not None and spec.has_order(order):
+        return spec.term(order)
+    return QTerm.relativistic(order)
 
 
 def perturbative_shift(
@@ -153,22 +159,8 @@ def perturbative_shift(
     The coefficient comes from the spec's matching term when given, else
     from the relativistic coefficient family.
     """
-    if order < 0 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 0, got {order}")
-    if spec is not None and spec.has_order(order):
-        term = spec.term(order)
-    else:
-        term = QTerm.relativistic(order)
-    A = dimensional_coefficient(term, params)
-    if order == 0:
-        return A  # constant term times unit normalization
-    n = order // 2
-    p = (n + 1) // 2
-    q = n - p
-    method = _state_method(state)
-    left = power_laplacian(state.R0, p, method)
-    right = state.R0 if q == 0 else power_laplacian(state.R0, q, method)
-    return A * inner(left, right)
+    term = QuantumPotentialSpec((_shift_term(order, spec),))
+    return expectation(state.R0, params, term)
 
 
 def relativistic_reference_shift(state: StationaryState, params: PhysicalParams) -> float:
@@ -254,17 +246,10 @@ def box_shift_closed_form(
     relativistic family this equals a_2n eps0 (pc/eps0)^2n — the matching
     term of the energy expansion with pc = tau pi hbar c / L.
     """
-    if order < 0 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 0, got {order}")
     if tau < 1:
         raise ValueError(f"mode index tau must be >= 1, got {tau}")
-    if spec is not None and spec.has_order(order):
-        term = spec.term(order)
-    else:
-        term = QTerm.relativistic(order)
-    A = dimensional_coefficient(term, params)
-    k = tau * math.pi / L
-    return A * (-1.0) ** (order // 2) * k**order
+    A = dimensional_coefficient(_shift_term(order, spec), params)
+    return float(laplacian_symbol({order // 2: A}, tau * math.pi / L))
 
 
 def hydrogen_shift_closed_form(
@@ -299,22 +284,15 @@ def _interior_laplacian_matrix(g: Grid) -> np.ndarray:
 
 def _operator_coefficients(
     spec: QuantumPotentialSpec, params: PhysicalParams
-) -> tuple[float, float]:
-    """(A0, A4) for the assembled operator; validates the order cap and that
-    any order-2 term matches the kinetic coefficient -hbar^2/2m exactly."""
+) -> dict[int, float]:
+    """{n: c_n} of the assembled operator sum c_n lap^n, c_1 = -hbar^2/2m;
+    validates the order cap and that any order-2 term matches c_1 exactly."""
     validate_order2(spec, params)
-    A0 = 0.0
-    A4 = 0.0
-    for t in spec.terms:
-        if t.order == 0:
-            A0 = dimensional_coefficient(t, params)
-        elif t.order == 4:
-            A4 = dimensional_coefficient(t, params)
-        elif t.order != 2:
-            raise ValueError(
-                f"assembled-matrix path caps at order 4; spec has order {t.order}"
-            )
-    return A0, A4
+    top = spec.truncation_order
+    if top > 4:
+        raise ValueError(f"assembled-matrix path caps at order 4; spec has order {top}")
+    coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
+    return {0: 0.0, 2: 0.0, **coeffs, 1: -params.hbar**2 / (2.0 * params.mass)}
 
 
 def solve_modified_eigenproblem(
@@ -345,8 +323,7 @@ def solve_modified_eigenproblem(
         raise GridError("eigenproblem requires a uniform Dirichlet grid")
     if count < 1 or count > g.n - 2:
         raise ValueError(f"count must be in [1, {g.n - 2}], got {count}")
-    A0, A4 = _operator_coefficients(spec, params)
-    c2 = params.hbar**2 / (2.0 * params.mass)
+    coeffs = _operator_coefficients(spec, params)
     if method == "auto":
         method = "spectral" if not np.any(V.values) else "fd"
     L = g.length
@@ -354,19 +331,18 @@ def solve_modified_eigenproblem(
     if method == "spectral":
         if np.any(V.values):
             raise GridError("spectral eigenproblem path requires V identically zero")
-        out = []
-        for tau in range(1, count + 1):
-            k = tau * np.pi / L
-            energy = c2 * k**2 + A4 * k**4 + A0
-            vec = GridFunction(
-                g, np.sin(tau * np.pi * (g.points - x0) / L)
-            ).normalized()
-            out.append((float(energy), vec))
-        return out
+        k = np.arange(1, count + 1) * np.pi / L
+        energies = laplacian_symbol(coeffs, k)
+        modes = [np.sin(tau * np.pi * (g.points - x0) / L) for tau in range(1, count + 1)]
+        return [
+            (float(e), GridFunction(g, mode).normalized())
+            for e, mode in zip(energies, modes)
+        ]
     if method != "fd":
         raise GridError(f"unknown method {method!r}")
     M2 = _interior_laplacian_matrix(g)
-    H = -c2 * M2 + np.diag(V.values[1:-1])
+    A0, A4 = coeffs[0], coeffs[2]
+    H = coeffs[1] * M2 + np.diag(V.values[1:-1])
     if A4 != 0.0:
         H = H + A4 * (M2 @ M2)
     if A0 != 0.0:

@@ -124,6 +124,22 @@ class TestQpot:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_evolve_frame_input_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 64\ninitial = eigenmode\ndt = 1e-7\nsteps = 2\n"
+        )
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "ev")]) == 0
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("units = electron\nmax_order = 4\n")
+        frame = tmp_path / "ev" / "frame_000000.csv"
+        rc = main(
+            ["qpot", "--spec", str(spec_path), "--input", str(frame),
+             "--out", str(tmp_path / "q")]
+        )
+        assert rc == 1
+        assert "coordinate,real,imag" in capsys.readouterr().err
+
 
 class TestSpectraBox:
     def test_box_artifacts(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpotlab import dynamics
+from qpotlab import dynamics, grid
 from qpotlab.dynamics import (
     CRANK_NICOLSON,
     SPLIT_STEP,
@@ -22,7 +22,7 @@ from qpotlab.dynamics import (
     quantum_force,
     sample_from_density,
 )
-from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridError, GridFunction
+from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridError, GridFunction, integrate
 from qpotlab.qpotential import (
     QTerm,
     QuantumPotentialSpec,
@@ -334,6 +334,25 @@ class TestDerivedFields:
         assert E == pytest.approx(expected, rel=1e-6)
 
 
+class TestEnergyFunctional:
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_orders_024_apply_one_laplacian(self, monkeypatch, boundary):
+        # order 4 is A4 <lap R, lap R>: one Laplacian serves both sides
+        g = Grid.uniform(0.0, 1.0, 128, boundary)
+        psi = WaveField.gaussian(g, 0.5, 0.05, 20.0)
+        calls = []
+        original = grid.laplacian_series
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(grid, "laplacian_series", counted)
+        spec = QuantumPotentialSpec.relativistic(4)
+        energy_functional(psi, zero_potential(g), spec, ELECTRON)
+        assert calls == [{1: 1.0}]
+
+
 class TestSampling:
     def setup_method(self):
         self.g = Grid.uniform(0.0, 1.0, 513)
@@ -371,6 +390,21 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_from_density(self.R, 0)
+
+    def test_periodic_wrap_cell_is_sampled(self):
+        # A packet centred on the wrap point: the cell [x_{n-1}, x0 + L)
+        # holds about a quarter of the trapezoid density.
+        g = periodic_grid(64)
+        h = g.spacing
+        d = np.mod(g.points - (1.0 - 0.5 * h) + 0.5, 1.0) - 0.5
+        R = GridFunction(g, np.exp(-(d**2) / (4.0 * h**2)))
+        w = R.values**2
+        wrap_share = 0.5 * (w[-1] + w[0]) * h / integrate(GridFunction(g, w))
+        assert wrap_share > 0.2
+        seeds = sample_from_density(R, 10_000, np.random.default_rng(3))
+        assert np.all((seeds >= 0.0) & (seeds < 1.0))
+        share = np.mean(seeds >= g.points[-1])
+        assert share == pytest.approx(wrap_share, abs=2e-4)
 
 
 def _plane_wave_evolution(n=128, mode=2, steps=40, dt=1e-6):

@@ -17,6 +17,8 @@ from qpotlab.grid import (
     inner,
     integrate,
     laplacian,
+    laplacian_series,
+    laplacian_symbol,
     power_laplacian,
     read_gridfunction,
     write_gridfunction,
@@ -157,6 +159,82 @@ class TestLaplacian:
             laplacian(f, "magic")
 
 
+EPS = np.finfo(np.float64).eps
+SERIES = {1: -0.5, 2: -0.125, 3: -0.0625}
+
+# (grid, field, method) for every backend of laplacian_series.
+BACKENDS = {
+    "spectral-periodic": (
+        Grid.uniform(0.0, 1.0, 64, PERIODIC),
+        lambda x: np.exp(np.cos(2.0 * np.pi * x)),
+        "spectral",
+    ),
+    "spectral-dirichlet": (
+        Grid.uniform(0.0, 1.0, 65),
+        lambda x: np.sin(np.pi * x) ** 3,
+        "spectral",
+    ),
+    "fd-dirichlet": (Grid.uniform(0.0, 1.0, 65), lambda x: np.sin(np.pi * x) ** 3, "fd"),
+    "fd-periodic": (
+        Grid.uniform(0.0, 1.0, 64, PERIODIC),
+        lambda x: np.exp(np.cos(2.0 * np.pi * x)),
+        "fd",
+    ),
+    "fd-radial": (Grid.radial_log(1e-3, 20.0, 256), lambda r: np.exp(-r), "fd"),
+}
+
+
+class TestLaplacianSeries:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_matches_per_order_loop(self, backend):
+        g, fn, method = BACKENDS[backend]
+        f = GridFunction(g, fn(g.points))
+        terms = [c * power_laplacian(f, n, method).values for n, c in SERIES.items()]
+        reference = sum(terms)
+        got = laplacian_series(f, SERIES, method).values
+        # Each side is a float64 evaluation of the same linear operator, so
+        # they agree to a few hundred ulps of the largest term.
+        scale = max(np.max(np.abs(t)) for t in terms)
+        assert np.max(np.abs(got - reference)) <= 256 * EPS * scale
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_one_term_is_exactly_c_times_power(self, backend):
+        g, fn, method = BACKENDS[backend]
+        f = GridFunction(g, fn(g.points))
+        got = laplacian_series(f, {2: -0.3}, method).values
+        assert np.array_equal(got, -0.3 * power_laplacian(f, 2, method).values)
+
+    def test_symbol_on_sine_modes(self):
+        # The symbol is the eigenvalue of the series on each sine mode.
+        g = Grid.uniform(0.0, 1.0, 33)
+        k = 3.0 * np.pi
+        f = GridFunction(g, np.sin(k * g.points))
+        out = laplacian_series(f, SERIES, "spectral").values
+        sym = laplacian_symbol(SERIES, k)
+        assert sym == pytest.approx(-0.5 * -(k**2) - 0.125 * k**4 - 0.0625 * -(k**6))
+        # roundoff in the highest retained mode is amplified by the symbol there
+        k_max = (g.n - 2) * np.pi
+        amplification = sum(abs(c) * k_max ** (2 * n) for n, c in SERIES.items())
+        assert np.max(np.abs(out - sym * f.values)) <= 16 * EPS * amplification
+
+    def test_symbol_power_zero_is_constant(self):
+        k = np.array([0.0, 1.0, 2.0])
+        assert np.array_equal(laplacian_symbol({0: 2.5}, k), np.full(3, 2.5))
+
+    @pytest.mark.parametrize("coeffs", [{}, {0: 1.0}, {-1: 1.0, 1: 1.0}])
+    def test_rejects_empty_or_nonpositive_powers(self, coeffs):
+        g = Grid.uniform(0.0, 1.0, 32)
+        f = GridFunction(g, np.sin(np.pi * g.points))
+        for method in ("fd", "spectral"):
+            with pytest.raises(GridError):
+                laplacian_series(f, coeffs, method)
+
+    def test_spectral_rejects_radial_grid(self):
+        g = Grid.radial_log(1e-3, 5.0, 64)
+        with pytest.raises(GridError, match="uniform"):
+            laplacian_series(GridFunction(g, np.exp(-g.points)), {1: 1.0}, "spectral")
+
+
 class TestGradient:
     def test_uniform_fd(self):
         g = Grid.uniform(0.0, 1.0, 513)
@@ -238,4 +316,16 @@ class TestFileRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(GridError, match="header"):
+            read_gridfunction(path)
+
+    @pytest.mark.parametrize(
+        "header", ["coordinate,real,imag", "coordinate", "coordinate,values", ""]
+    )
+    def test_header_must_be_coordinate_value(self, tmp_path, header):
+        g = Grid.uniform(0.0, 1.0, 32)
+        path = tmp_path / "f.csv"
+        write_gridfunction(path, GridFunction(g, np.cos(g.points)))
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + rows[1:]) + "\n")
+        with pytest.raises(GridError, match="coordinate,value"):
             read_gridfunction(path)

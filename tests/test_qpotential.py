@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from qpotlab.coeffs import a2n
-from qpotlab.grid import Grid, GridFunction
+from qpotlab.grid import PERIODIC, Grid, GridFunction, inner, power_laplacian
 from qpotlab.qpotential import (
     FINE_STRUCTURE,
     PhysicalParams,
@@ -16,6 +17,7 @@ from qpotlab.qpotential import (
     electron_params,
     eval_complete_q,
     eval_q2n,
+    expectation,
     load_spec,
     natural_params,
     params_by_name,
@@ -199,6 +201,62 @@ class TestEvalOnGrid:
         spec = QuantumPotentialSpec(())
         total = eval_complete_q(self.R, self.params, spec)
         assert np.all(total.values == 0.0)
+
+    @pytest.mark.parametrize(
+        "boundary, transforms",
+        [(PERIODIC, ("fft", "ifft")), ("dirichlet", ("dst", "idst"))],
+    )
+    def test_one_transform_pair_per_evaluation(self, monkeypatch, boundary, transforms):
+        g = Grid.uniform(0.0, 1.0, 129, boundary)
+        R = GridFunction(g, np.exp(-((g.points - 0.5) ** 2) / 0.02))
+        calls = {name: 0 for name in ("fft", "ifft", "dst", "idst")}
+        for name in calls:
+            original = getattr(scipy.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        spec = QuantumPotentialSpec.relativistic(8)
+        eval_complete_q(R, electron_params(), spec, method="spectral")
+        assert calls == {name: int(name in transforms) for name in calls}
+
+    def test_order0_constant_is_not_floored(self):
+        spec = QuantumPotentialSpec.relativistic(4, floor=1e-3)
+        q = eval_complete_q(self.R, self.params, spec, method="spectral")
+        # R vanishes at the walls: the quotient terms are floored there,
+        # the rest energy is not
+        assert q.values[0] == q.values[-1] == self.params.rest_energy
+
+
+class TestExpectation:
+    def setup_method(self):
+        self.params = electron_params()
+        g = Grid.uniform(0.0, 1e-2, 129)
+        self.R = GridFunction(g, np.sin(3.0 * np.pi * g.points / 1e-2)).normalized()
+
+    def test_split_form_matches_direct_form(self):
+        spec = QuantumPotentialSpec.relativistic(8)
+        got = expectation(self.R, self.params, spec)
+        direct = sum(
+            dimensional_coefficient(t, self.params)
+            * (inner(self.R, self.R) if t.order == 0
+               else inner(self.R, power_laplacian(self.R, t.order // 2, "spectral")))
+            for t in spec.terms
+        )
+        assert got == pytest.approx(direct, rel=1e-12)
+
+    def test_sine_mode_gives_the_symbol(self):
+        # <R, lap^n R> = (-k^2)^n on a normalized sine mode
+        spec = QuantumPotentialSpec((QTerm.relativistic(4), QTerm.relativistic(6)))
+        k = 3.0 * np.pi / 1e-2
+        want = sum(dimensional_coefficient(t, self.params) * (-(k**2)) ** (t.order // 2)
+                   for t in spec.terms)
+        assert expectation(self.R, self.params, spec) == pytest.approx(want, rel=1e-10)
+
+    def test_empty_spec_is_zero(self):
+        assert expectation(self.R, self.params, QuantumPotentialSpec(())) == 0.0
 
 
 class TestScaleRatios:
