@@ -1,15 +1,19 @@
 """Command-line interface.
 
-Every invocation writes its artifacts into an output directory together
-with a ``manifest.json`` recording the resolved configuration, its hash,
-the seed, package/library versions, wall-clock timings, and the list of
-artifacts.  All numbers are serialized at 17 significant digits, so a rerun
-with the same inputs reproduces every artifact byte for byte (the manifest
-timings are the one intentionally non-deterministic field).
+Every subcommand runs one scenario through one path.  Its configuration is
+the ``--spec`` file, then the ``--config`` file, then the subcommand's
+flags, each overriding the one before; defaults live in the scenario.  The
+scenario reads every key through :func:`serialize.get`, which records the
+value it used, defaults included.  That record is the ``config`` of the
+run's ``manifest.json`` and the input of its ``config_hash``.  A key that
+no reader consumed is an error, so a misspelt key cannot run silently with
+a default; such a run writes no manifest.
 
-Subcommands either take explicit flags (``verify-el``, ``coefficients``,
-``qpot``, ``spectra``, ``evolve``) or run a named scenario from a key=value
-config file (``run``); flags override config values.
+The manifest also records the seed (``--seed``, else the config key
+``seed``, else 0), package/library versions, wall-clock timings and the
+list of artifacts.  All numbers are serialized at 17 significant digits,
+so a rerun with the same inputs reproduces every artifact byte for byte
+(the manifest timings are the one intentionally non-deterministic field).
 """
 
 from __future__ import annotations
@@ -64,18 +68,6 @@ from .spectra import (
     solve_modified_eigenproblem,
 )
 
-_SPEC_KEYS = ("units", "c", "floor", "source", "max_order", "orders")
-
-
-def _spec_subset(cfg: Mapping[str, str]) -> dict[str, str]:
-    """The spec-defining keys present in a config, for manifest echoing."""
-    out = {k: cfg[k] for k in _SPEC_KEYS if k in cfg}
-    for k in cfg:
-        if k.startswith(("a_", "A_")):
-            out[k] = cfg[k]
-    return out
-
-
 # --------------------------------------------------------------------------
 # Scenarios (shared by the dedicated subcommands and ``run``)
 # --------------------------------------------------------------------------
@@ -83,11 +75,11 @@ def _spec_subset(cfg: Mapping[str, str]) -> dict[str, str]:
 
 def _scenario_verify_el(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    q_text = serialize.require(cfg, "q")
-    dim = serialize.get_int(cfg, "dim", 1)
-    trials = serialize.get_int(cfg, "trials", 100)
-    tol = serialize.get_float(cfg, "tol", 1e-10)
+) -> list[str]:
+    q_text = serialize.get(cfg, "q")
+    dim = serialize.get(cfg, "dim", int, 1)
+    trials = serialize.get(cfg, "trials", int, 100)
+    tol = serialize.get(cfg, "tol", float, 1e-10)
     report = certify(parse_q_expression(q_text, dim), dim, trials, tol, seed)
     serialize.write_json(outdir / "residual_report.json", report.to_dict())
     print(
@@ -95,19 +87,13 @@ def _scenario_verify_el(
         f"(max relative residual {serialize.fmt_float(report.max_abs_residual)}, "
         f"{report.samples_used} samples)"
     )
-    resolved = {
-        "q": q_text,
-        "dim": str(dim),
-        "trials": str(trials),
-        "tol": serialize.fmt_float(tol),
-    }
-    return resolved, ["residual_report.json"]
+    return ["residual_report.json"]
 
 
 def _scenario_coefficients(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    max_n = serialize.get_int(cfg, "max_n", 20)
+) -> list[str]:
+    max_n = serialize.get(cfg, "max_n", int, 20)
     table = coefficient_table(max_n)
     rows = table.rows()
     serialize.write_csv(
@@ -119,17 +105,17 @@ def _scenario_coefficients(
     print(
         f"coefficients: n = 0..{max_n}, reference match: {'all' if ok else 'MISMATCH'}"
     )
-    return {"max_n": str(max_n)}, ["coefficients.csv"]
+    return ["coefficients.csv"]
 
 
 def _scenario_box(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    spec, params = spec_from_config(dict(cfg))
-    L = serialize.get_float(cfg, "L", 1.0)
-    tau = serialize.get_int(cfg, "tau", 1)
-    points = serialize.get_int(cfg, "points", 513)
-    count = serialize.get_int(cfg, "count", 5)
+) -> list[str]:
+    spec, params = spec_from_config(cfg)
+    L = serialize.get(cfg, "L", float, 1.0)
+    tau = serialize.get(cfg, "tau", int, 1)
+    points = serialize.get(cfg, "points", int, 513)
+    count = serialize.get(cfg, "count", int, 5)
     state = box_eigenstate(L, tau, points, params)
     pc = tau * np.pi * params.hbar * params.c / L
 
@@ -184,21 +170,14 @@ def _scenario_box(
         f"box: tau={tau}, E0 = {serialize.fmt_float(state.E0)}, "
         f"{len(shifts)} shift term(s)"
     )
-    resolved = {
-        **_spec_subset(cfg),
-        "L": serialize.fmt_float(L),
-        "tau": str(tau),
-        "points": str(points),
-        "count": str(count),
-    }
-    return resolved, outputs
+    return outputs
 
 
 def _scenario_hydrogen(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    spec, params = spec_from_config(dict(cfg))
-    radial_points = serialize.get_int(cfg, "radial_points", 2048)
+) -> list[str]:
+    spec, params = spec_from_config(cfg)
+    radial_points = serialize.get(cfg, "radial_points", int, 2048)
     grid = hydrogen_default_grid(params, points=radial_points)
     states = []
     for n in (1, 2):
@@ -224,38 +203,33 @@ def _scenario_hydrogen(
         f"hydrogen: 1s/2s shifts on {radial_points} radial points, "
         f"worst relative error vs analytic {serialize.fmt_float(worst)}"
     )
-    resolved = {**_spec_subset(cfg), "radial_points": str(radial_points)}
-    return resolved, ["hydrogen_shifts.json"]
+    return ["hydrogen_shifts.json"]
 
 
 def _scenario_qpot(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    spec, params = spec_from_config(dict(cfg))
-    input_path = serialize.require(cfg, "input")
-    f = read_gridfunction(input_path)
+) -> list[str]:
+    spec, params = spec_from_config(cfg)
+    f = read_gridfunction(serialize.get(cfg, "input"))
     q = eval_complete_q(f, params, spec)
-    units = serialize.get_str(cfg, "units", "electron")
+    units = serialize.get(cfg, "units", str, "electron")
     write_gridfunction(outdir / "qpotential.csv", q, units=units)
     print(
         f"qpot: evaluated {len(spec.orders)} term(s) on {f.grid.n} points "
         f"(orders {', '.join(str(o) for o in spec.orders)})"
     )
-    resolved = {**_spec_subset(cfg), "input": input_path}
-    if "spec" in cfg:
-        resolved["spec"] = cfg["spec"]
-    return resolved, ["qpotential.csv", "qpotential.csv.json"]
+    return ["qpotential.csv", "qpotential.csv.json"]
 
 
 def _initial_field(cfg: Mapping[str, str], g: Grid, L: float) -> WaveField:
-    initial = serialize.get_str(cfg, "initial", "gaussian")
+    initial = serialize.get(cfg, "initial", str, "gaussian")
     if initial == "gaussian":
-        center = serialize.get_float(cfg, "center_frac", 0.5) * L
-        width = serialize.get_float(cfg, "width_frac", 0.05) * L
-        k0 = serialize.get_float(cfg, "k0", 0.0)
+        center = serialize.get(cfg, "center_frac", float, 0.5) * L
+        width = serialize.get(cfg, "width_frac", float, 0.05) * L
+        k0 = serialize.get(cfg, "k0", float, 0.0)
         return WaveField.gaussian(g, center, width, k0)
     if initial == "eigenmode":
-        tau = serialize.get_int(cfg, "tau", 1)
+        tau = serialize.get(cfg, "tau", int, 1)
         if g.boundary == DIRICHLET:
             vals = np.sin(tau * np.pi * g.points / L).astype(np.complex128)
         else:
@@ -288,32 +262,32 @@ def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
 
 def _scenario_evolve(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    spec, params = spec_from_config(dict(cfg))
-    points = serialize.get_int(cfg, "points", 1024)
-    L = serialize.get_float(cfg, "L", 1.0)
-    boundary = serialize.get_str(cfg, "boundary", PERIODIC)
+) -> list[str]:
+    spec, params = spec_from_config(cfg)
+    points = serialize.get(cfg, "points", int, 1024)
+    L = serialize.get(cfg, "L", float, 1.0)
+    boundary = serialize.get(cfg, "boundary", str, PERIODIC)
     if boundary not in (PERIODIC, DIRICHLET):
         raise serialize.ConfigError(f"key 'boundary': unknown value {boundary!r}")
     g = Grid.uniform(0.0, L, points, boundary)
     psi0 = _initial_field(cfg, g, L)
     default_scheme = SPLIT_STEP if boundary == PERIODIC else CRANK_NICOLSON
-    scheme = serialize.get_str(cfg, "scheme", default_scheme)
-    steps = serialize.get_int(cfg, "steps")
+    scheme = serialize.get(cfg, "scheme", str, default_scheme)
+    steps = serialize.get(cfg, "steps", int)
     run_cfg = EvolutionConfig(
-        dt=serialize.get_float(cfg, "dt"),
+        dt=serialize.get(cfg, "dt", float),
         steps=steps,
         scheme=scheme,
-        q_cap=serialize.get_float(cfg, "q_cap") if "q_cap" in cfg else None,
-        store_every=serialize.get_int(cfg, "store_every", max(1, steps // 10)),
+        q_cap=serialize.get(cfg, "q_cap", float, None),
+        store_every=serialize.get(cfg, "store_every", int, max(1, steps // 10)),
     )
-    potential = serialize.get_str(cfg, "potential", "none")
+    potential = serialize.get(cfg, "potential", str, "none")
     if potential != "none":
         raise serialize.ConfigError(
             f"key 'potential': unsupported value {potential!r}"
         )
     V = GridFunction(g, np.zeros(points))
-    units = serialize.get_str(cfg, "units", "electron")
+    units = serialize.get(cfg, "units", str, "electron")
 
     result = evolve(psi0, V, spec, params, run_cfg)
 
@@ -349,31 +323,18 @@ def _scenario_evolve(
         f"({scheme}), norm drift {serialize.fmt_float(drift)}, "
         f"{result.clamp_count} clamp event(s)"
     )
-    resolved = {
-        **_spec_subset(cfg),
-        "points": str(points),
-        "L": serialize.fmt_float(L),
-        "boundary": boundary,
-        "initial": serialize.get_str(cfg, "initial", "gaussian"),
-        "scheme": scheme,
-        "dt": serialize.fmt_float(run_cfg.dt),
-        "steps": str(steps),
-        "store_every": str(run_cfg.store_every),
-    }
-    if "q_cap" in cfg:
-        resolved["q_cap"] = serialize.fmt_float(run_cfg.q_cap)
-    return resolved, outputs
+    return outputs
 
 
 def _scenario_ratios(
     cfg: Mapping[str, str], outdir: Path, seed: int
-) -> tuple[dict, list[str]]:
-    tau = serialize.get_int(cfg, "tau", 1)
-    points = serialize.get_int(cfg, "points", 257)
-    half_order = serialize.get_int(cfg, "half_order", 1)
+) -> list[str]:
+    tau = serialize.get(cfg, "tau", int, 1)
+    points = serialize.get(cfg, "points", int, 257)
+    half_order = serialize.get(cfg, "half_order", int, 1)
     regimes = (
-        ("atomic", "electron", serialize.get_float(cfg, "L_atomic", 1.0)),
-        ("nuclear", "proton", serialize.get_float(cfg, "L_nuclear", 1e-5)),
+        ("atomic", "electron", serialize.get(cfg, "L_atomic", float, 1.0)),
+        ("nuclear", "proton", serialize.get(cfg, "L_nuclear", float, 1e-5)),
     )
     rows = []
     for label, particle, L in regimes:
@@ -413,14 +374,7 @@ def _scenario_ratios(
             for (label, _, _, _, _, r, _, _) in rows
         )
     )
-    resolved = {
-        "tau": str(tau),
-        "points": str(points),
-        "half_order": str(half_order),
-        "L_atomic": serialize.fmt_float(regimes[0][2]),
-        "L_nuclear": serialize.fmt_float(regimes[1][2]),
-    }
-    return resolved, ["ratios.csv"]
+    return ["ratios.csv"]
 
 
 _SCENARIOS: dict[str, Callable] = {
@@ -439,13 +393,19 @@ def _run_scenario(
 ) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    cfg = serialize.RecordingConfig(cfg)
     t0 = time.perf_counter()
-    resolved, outputs = _SCENARIOS[scenario](cfg, outdir, seed)
+    outputs = _SCENARIOS[scenario](cfg, outdir, seed)
     elapsed = time.perf_counter() - t0
+    unread = cfg.unread()
+    if unread:
+        raise serialize.ConfigError(
+            f"scenario {scenario!r} does not read key(s): {', '.join(unread)}"
+        )
     manifest = {
         "scenario": scenario,
-        "config": dict(sorted(resolved.items())),
-        "config_hash": serialize.config_hash(resolved),
+        "config": dict(sorted(cfg.read.items())),
+        "config_hash": serialize.config_hash(cfg.read),
         "seed": seed,
         "versions": {
             "qpotlab": __version__,
@@ -464,9 +424,8 @@ def _run_scenario(
 # Argument parsing
 # --------------------------------------------------------------------------
 
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="out", help="output directory (default: out)")
+# Argument dests that are not config keys; every other flag's dest is one.
+_NOT_CONFIG = ("command", "scenario", "spec", "config", "seed", "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,94 +438,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify-el", help="certify stationarity of a candidate expression"
-    )
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--out", default="out", help="output directory (default: out)")
+        if name in _SCENARIOS:
+            p.set_defaults(scenario=name)
+        return p
+
+    p = add("verify-el", "certify stationarity of a candidate expression")
     p.add_argument("--q", required=True, help="candidate expression, e.g. 'A2 * lap(R) / R'")
-    p.add_argument("--dim", default="1", help="spatial dimension (1-3)")
-    p.add_argument("--trials", default="100", help="random jet samples")
-    p.add_argument("--tol", default="1e-10", help="pass threshold on the relative residual")
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-    p.set_defaults(func=_cmd_verify_el)
+    p.add_argument("--dim", help="spatial dimension (1-3)")
+    p.add_argument("--trials", help="random jet samples")
+    p.add_argument("--tol", help="pass threshold on the relative residual")
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("coefficients", help="tabulate the coefficient family")
-    p.add_argument("--max-n", default="20", help="largest half-order n")
-    _add_out(p)
-    p.set_defaults(func=_cmd_coefficients)
+    p = add("coefficients", "tabulate the coefficient family")
+    p.add_argument("--max-n", help="largest half-order n")
 
-    p = sub.add_parser("qpot", help="evaluate the potential family on a grid function")
+    p = add("qpot", "evaluate the potential family on a grid function")
     p.add_argument("--spec", required=True, help="spec file (key = value)")
     p.add_argument("--input", required=True, help="grid-function CSV (with sidecar)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_qpot)
 
-    p = sub.add_parser("spectra", help="stationary-state energy shifts")
-    p.add_argument("--problem", required=True, choices=("box", "hydrogen"))
+    p = add("spectra", "stationary-state energy shifts")
+    p.add_argument("--problem", dest="scenario", required=True, choices=("box", "hydrogen"))
     p.add_argument("--spec", help="spec file (default: relativistic through order 4)")
     p.add_argument("--L", help="box length")
     p.add_argument("--tau", help="box mode index")
     p.add_argument("--points", help="box grid points")
     p.add_argument("--count", help="eigenvalues to solve for")
     p.add_argument("--radial-points", help="hydrogen radial grid points")
-    _add_out(p)
-    p.set_defaults(func=_cmd_spectra)
 
-    p = sub.add_parser("evolve", help="integrate the modified wave equation")
+    p = add("evolve", "integrate the modified wave equation")
     p.add_argument("--spec", help="spec file (default: relativistic through order 4)")
     p.add_argument("--config", required=True, help="evolution config (key = value)")
     p.add_argument("--initial", choices=("gaussian", "eigenmode"))
-    _add_out(p)
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("run", help="run a named scenario from a config file")
+    p = add("run", "run a named scenario from a config file")
     p.add_argument("--config", required=True, help="scenario config (key = value)")
     p.add_argument("--scenario", choices=sorted(_SCENARIOS))
     p.add_argument("--seed", type=int)
-    _add_out(p)
-    p.set_defaults(func=_cmd_run)
 
     return parser
 
 
-def _cmd_verify_el(args: argparse.Namespace) -> int:
-    cfg = {"q": args.q, "dim": args.dim, "trials": args.trials, "tol": args.tol}
-    return _run_scenario("verify-el", cfg, Path(args.out), args.seed)
-
-
-def _cmd_coefficients(args: argparse.Namespace) -> int:
-    return _run_scenario("coefficients", {"max_n": args.max_n}, Path(args.out), 0)
-
-
-def _cmd_qpot(args: argparse.Namespace) -> int:
-    cfg = dict(serialize.load_config(args.spec))
-    cfg.update(spec=str(args.spec), input=str(args.input))
-    return _run_scenario("qpot", cfg, Path(args.out), 0)
-
-
-def _cmd_spectra(args: argparse.Namespace) -> int:
-    cfg = dict(serialize.load_config(args.spec)) if args.spec else {}
-    overrides = {
-        "L": args.L,
-        "tau": args.tau,
-        "points": args.points,
-        "count": args.count,
-        "radial_points": args.radial_points,
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return _run_scenario(args.problem, cfg, Path(args.out), 0)
-
-
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = dict(serialize.load_config(args.spec)) if args.spec else {}
-    cfg.update(serialize.load_config(args.config))
-    if args.initial is not None:
-        cfg["initial"] = args.initial
-    return _run_scenario("evolve", cfg, Path(args.out), 0)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = dict(serialize.load_config(args.config))
+def _cmd(args: argparse.Namespace) -> int:
+    """--spec, then --config, then the flags given; scenario and seed from
+    their flags, else from the config."""
+    cfg: dict[str, str] = {}
+    for path in (getattr(args, "spec", None), getattr(args, "config", None)):
+        if path is not None:
+            cfg.update(serialize.load_config(path))
+    cfg.update(
+        (k, v) for k, v in vars(args).items() if k not in _NOT_CONFIG and v is not None
+    )
     scenario = args.scenario or cfg.get("scenario")
     if scenario is None:
         raise serialize.ConfigError(
@@ -574,11 +498,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if scenario not in _SCENARIOS:
         raise serialize.ConfigError(f"unknown scenario {scenario!r}")
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        seed = serialize.get(cfg, "seed", int, 0)
     cfg.pop("scenario", None)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = serialize.get_int(cfg, "seed", 0)
     cfg.pop("seed", None)
     return _run_scenario(scenario, cfg, Path(args.out), seed)
 
@@ -587,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _cmd(args)
     except (
         serialize.ConfigError,
         ExprError,

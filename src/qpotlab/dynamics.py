@@ -131,6 +131,12 @@ class EvolutionResult:
     clamp_count: int
 
 
+def _method(g: Grid) -> str:
+    """Derivative backend of the evolution: spectral on periodic grids, fd
+    on Dirichlet ones."""
+    return "spectral" if g.boundary == PERIODIC else "fd"
+
+
 class _ExtraPotential:
     """Evaluator for W = sum of non-kinetic terms, with floor and clamp.
 
@@ -147,7 +153,7 @@ class _ExtraPotential:
             dimensional_coefficient(t, params) for t in spec.terms if t.order == 0
         )
         self.spec = spec.without_order(0).without_order(2)
-        self.method = "spectral" if grid.boundary == PERIODIC else "fd"
+        self.method = _method(grid)
 
     def __call__(self, absvals: np.ndarray) -> tuple[np.ndarray, int]:
         if not self.spec.terms:
@@ -275,9 +281,8 @@ def evolve(
 
 
 def _complex_gradient(g: Grid, values: np.ndarray) -> np.ndarray:
-    method = "spectral" if g.boundary == PERIODIC else "fd"
-    re = gradient(GridFunction(g, values.real), method).values
-    im = gradient(GridFunction(g, values.imag), method).values
+    re = gradient(GridFunction(g, values.real), _method(g)).values
+    im = gradient(GridFunction(g, values.imag), _method(g)).values
     return re + 1j * im
 
 
@@ -332,8 +337,7 @@ def energy_functional(
     total = integrate(
         GridFunction(g, c2 * np.abs(dpsi) ** 2 + V.values * dens)
     )
-    method = "spectral" if g.boundary == PERIODIC else "fd"
-    total += expectation(psi.amplitude(), params, spec.without_order(2), method)
+    total += expectation(psi.amplitude(), params, spec.without_order(2), _method(g))
     return float(total)
 
 

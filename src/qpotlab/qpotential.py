@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -336,36 +337,37 @@ def term_ratio_on_grid(
 # --------------------------------------------------------------------------
 
 
-def spec_from_config(cfg: dict[str, str]) -> tuple[QuantumPotentialSpec, PhysicalParams]:
+def spec_from_config(cfg: Mapping[str, str]) -> tuple[QuantumPotentialSpec, PhysicalParams]:
     """Build (spec, params) from parsed key-value configuration.
 
     Keys: ``units`` (electron|proton|natural, default electron), ``c``
     (natural units only), ``floor``, and either ``source = relativistic``
-    with ``max_order`` (or an explicit ``orders`` list), or explicit
-    per-order coefficients ``a_<order> = <fraction>`` /
-    ``A_<order> = <float>``.
+    with ``max_order`` or an explicit ``orders`` list, or ``source =
+    explicit`` with per-order coefficients ``a_<order> = <fraction>`` /
+    ``A_<order> = <float>``.  Only the keys that apply are read.
     """
-    units = serialize.get_str(cfg, "units", "electron")
-    cval = serialize.get_float(cfg, "c", 1.0)
+    units = serialize.get(cfg, "units", str, "electron")
+    cval = serialize.get(cfg, "c", float, 1.0) if units == "natural" else 1.0
     params = params_by_name(units, cval)
-    floor = serialize.get_float(cfg, "floor", 1e-8)
-    source = serialize.get_str(cfg, "source", "relativistic")
+    floor = serialize.get(cfg, "floor", float, 1e-8)
+    source = serialize.get(cfg, "source", str, "relativistic")
     if source == "relativistic":
-        if "orders" in cfg:
-            orders = [int(tok) for tok in cfg["orders"].split(",") if tok.strip()]
-            terms = tuple(QTerm.relativistic(k) for k in orders)
-        else:
-            max_order = serialize.get_int(cfg, "max_order", 4)
+        orders = serialize.get(cfg, "orders", str, None)
+        if orders is None:
+            max_order = serialize.get(cfg, "max_order", int, 4)
             return QuantumPotentialSpec.relativistic(max_order, floor), params
+        terms = tuple(
+            QTerm.relativistic(int(tok)) for tok in orders.split(",") if tok.strip()
+        )
         return QuantumPotentialSpec(terms, floor), params
     if source != "explicit":
         raise serialize.ConfigError(f"key 'source': unknown value {source!r}")
     terms = []
-    for key, value in cfg.items():
+    for key in cfg:
         if key.startswith("a_"):
-            terms.append(QTerm.rational(int(key[2:]), Fraction(value)))
+            terms.append(QTerm.rational(int(key[2:]), Fraction(serialize.get(cfg, key))))
         elif key.startswith("A_"):
-            terms.append(QTerm.dimensional(int(key[2:]), float(value)))
+            terms.append(QTerm.dimensional(int(key[2:]), serialize.get(cfg, key, float)))
     if not terms:
         raise serialize.ConfigError(
             "explicit spec needs at least one a_<order> or A_<order> key"

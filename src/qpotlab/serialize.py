@@ -42,41 +42,43 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def require(cfg: Mapping[str, str], key: str) -> str:
-    try:
-        return cfg[key]
-    except KeyError:
-        raise ConfigError(f"missing required key '{key}'") from None
+class RecordingConfig(dict):
+    """A config that records, in ``read``, the text of every value that
+    :func:`get` returns from it, defaults included."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read: dict[str, str] = {}
+
+    def unread(self) -> list[str]:
+        return sorted(set(self) - set(self.read))
 
 
-def get_str(cfg: Mapping[str, str], key: str, default: str | None = None) -> str:
+_REQUIRED = object()
+_EXPECTED = {int: "an integer", float: "a finite number"}
+
+
+def get(cfg: Mapping[str, str], key: str, kind: type = str, default: Any = _REQUIRED) -> Any:
+    """Read ``key`` as ``kind`` (str, int or float), or return ``default``.
+
+    Without a default the key is required; a default of None makes it
+    optional.  On a :class:`RecordingConfig` the value returned, unless
+    None, is recorded as text: ``fmt_float`` for floats, ``str`` otherwise.
+    """
     if key in cfg:
-        return cfg[key]
-    if default is None:
-        return require(cfg, key)
-    return default
-
-
-def get_int(cfg: Mapping[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            require(cfg, key)
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {cfg[key]!r}") from None
-
-
-def get_float(cfg: Mapping[str, str], key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        if default is None:
-            require(cfg, key)
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {cfg[key]!r}") from None
+        try:
+            value = kind(cfg[key])
+        except ValueError:
+            value = None
+        if value is None or (kind is float and not math.isfinite(value)):
+            raise ConfigError(f"key '{key}': expected {_EXPECTED[kind]}, got {cfg[key]!r}")
+    elif default is _REQUIRED:
+        raise ConfigError(f"missing required key '{key}'")
+    else:
+        value = default
+    if value is not None and isinstance(cfg, RecordingConfig):
+        cfg.read[key] = fmt_float(value) if kind is float else str(value)
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -337,6 +337,168 @@ class TestRun:
         assert report["seed"] == 7
 
 
+def small_field(tmp_path):
+    g = Grid.uniform(0.0, 1.0, 65)
+    path = tmp_path / "field.csv"
+    write_gridfunction(path, GridFunction(g, np.sin(np.pi * g.points)).normalized())
+    return path
+
+
+class TestUnreadKeys:
+    """A key that no reader of the scenario consumed is an error, and the
+    run writes no manifest."""
+
+    def assert_rejected(self, rc, out, capsys, *keys):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for key in keys:
+            assert key in err
+        assert not (out / "manifest.json").exists()
+
+    def test_misspelt_evolve_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 64\ninitial = eigenmode\n"
+            "dt = 1e-7\nsteps = 2\nstore_evry = 1\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "store_evry")
+
+    def test_explicit_coefficient_in_relativistic_spec(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("source = relativistic\nmax_order = 4\na_4 = -1/8\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["qpot", "--spec", str(spec_path), "--input", str(small_field(tmp_path)),
+             "--out", str(out)]
+        )
+        self.assert_rejected(rc, out, capsys, "a_4")
+
+    def test_orders_and_max_order(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\nmax_order = 4\npoints = 64\ninitial = eigenmode\n"
+            "dt = 1e-7\nsteps = 2\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "max_order")
+
+    def test_box_flag_on_hydrogen(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(
+            ["spectra", "--problem", "hydrogen", "--radial-points", "512",
+             "--points", "100", "--out", str(out)]
+        )
+        self.assert_rejected(rc, out, capsys, "points")
+
+    def test_every_unread_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = ratios\npoints = 65\nk0 = 5\nc = 2\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "k0", "c")
+
+
+class TestManifestConfig:
+    """The manifest config is every key the scenario read, with the value
+    it used, defaults included."""
+
+    def evolve(self, tmp_path, name, text):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("orders = 2\npoints = 64\ndt = 1e-7\nsteps = 2\n" + text)
+        out = tmp_path / name
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        return read_json(out / "manifest.json")
+
+    def test_gaussian_keys_enter_the_hash(self, tmp_path):
+        a = self.evolve(tmp_path, "a", "k0 = 10\n")
+        b = self.evolve(tmp_path, "b", "k0 = 20\n")
+        assert a["config_hash"] != b["config_hash"]
+        assert a["config"]["k0"] == "10" and b["config"]["k0"] == "20"
+        for key, value in (
+            ("center_frac", "0.5"),
+            ("width_frac", "0.050000000000000003"),
+            ("units", "electron"),
+            ("floor", "1e-08"),
+            ("initial", "gaussian"),
+            ("store_every", "1"),
+        ):
+            assert a["config"][key] == value
+        assert "tau" not in a["config"]
+
+    def test_eigenmode_records_tau(self, tmp_path):
+        m = self.evolve(tmp_path, "e", "initial = eigenmode\n")
+        assert m["config"]["tau"] == "1"
+        assert "k0" not in m["config"]
+
+    def test_qpot_records_input_not_spec_path(self, tmp_path):
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("source = explicit\na_2 = 1/2\nA_4 = -0.25\n")
+        field = small_field(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["qpot", "--spec", str(spec_path), "--input", str(field), "--out", str(out)])
+        assert rc == 0
+        assert read_json(out / "manifest.json")["config"] == {
+            "A_4": "-0.25",
+            "a_2": "1/2",
+            "floor": "1e-08",
+            "input": str(field),
+            "source": "explicit",
+            "units": "electron",
+        }
+
+
+class TestOnePath:
+    def test_spectra_flags_equal_run_config(self, tmp_path):
+        flags = tmp_path / "flags"
+        rc = main(
+            ["spectra", "--problem", "box", "--points", "257", "--count", "3",
+             "--out", str(flags)]
+        )
+        assert rc == 0
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("points = 257\ncount = 3\n")
+        run = tmp_path / "run"
+        rc = main(["run", "--scenario", "box", "--config", str(cfg), "--out", str(run)])
+        assert rc == 0
+        for name in ("box_shifts.json", "eigenvalues.csv"):
+            assert (flags / name).read_bytes() == (run / name).read_bytes()
+        mf, mr = read_json(flags / "manifest.json"), read_json(run / "manifest.json")
+        assert mf["config"] == mr["config"]
+        assert mf["config_hash"] == mr["config_hash"]
+
+    def test_spec_then_config_then_flags(self, tmp_path):
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("orders = 2,4\npoints = 16\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 64\ninitial = eigenmode\ndt = 1e-7\nsteps = 2\n"
+        )
+        out = tmp_path / "out"
+        rc = main(
+            ["evolve", "--spec", str(spec_path), "--config", str(cfg),
+             "--initial", "gaussian", "--out", str(out)]
+        )
+        assert rc == 0
+        config = read_json(out / "manifest.json")["config"]
+        assert (config["orders"], config["points"], config["initial"]) == (
+            "2", "64", "gaussian"
+        )
+
+    def test_seed_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = verify-el\nq = A2 * lap(R) / R\nseed = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["seed"] == 5
+        assert "seed" not in manifest["config"]
+        assert read_json(out / "residual_report.json")["seed"] == 5
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         outs = []

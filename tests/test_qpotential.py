@@ -28,7 +28,7 @@ from qpotlab.qpotential import (
     term_ratio,
     term_ratio_on_grid,
 )
-from qpotlab.serialize import ConfigError
+from qpotlab.serialize import ConfigError, RecordingConfig
 
 
 class TestPhysicalParams:
@@ -323,6 +323,32 @@ class TestSpecConfig:
         )
         assert params == proton_params()
         assert spec.regularization_floor == 1e-6
+
+    def test_records_values_used(self):
+        cfg = RecordingConfig({"orders": "2,4", "floor": "1e-6"})
+        spec_from_config(cfg)
+        assert cfg.read == {
+            "units": "electron",
+            "floor": "9.9999999999999995e-07",
+            "source": "relativistic",
+            "orders": "2,4",
+        }
+        assert cfg.unread() == []
+
+    def test_c_read_only_in_natural_units(self):
+        cfg = RecordingConfig({"units": "electron", "c": "2"})
+        spec_from_config(cfg)
+        assert cfg.unread() == ["c"]
+        cfg = RecordingConfig({"units": "natural", "c": "2"})
+        _, params = spec_from_config(cfg)
+        assert params.c == 2.0
+        assert cfg.read["c"] == "2"
+
+    def test_orders_take_precedence_over_max_order(self):
+        cfg = RecordingConfig({"orders": "2", "max_order": "6"})
+        spec, _ = spec_from_config(cfg)
+        assert spec.orders == (2,)
+        assert cfg.unread() == ["max_order"]
 
     def test_save_load_round_trip_relativistic(self, tmp_path):
         spec = QuantumPotentialSpec.relativistic(6, floor=1e-7)
