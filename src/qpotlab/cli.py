@@ -399,6 +399,10 @@ def _run_scenario(
     elapsed = time.perf_counter() - t0
     unread = cfg.unread()
     if unread:
+        # the run is rejected: leave no artifact, nor a manifest of an
+        # earlier run, that could pass for its result
+        for name in [*outputs, "manifest.json"]:
+            (outdir / name).unlink(missing_ok=True)
         raise serialize.ConfigError(
             f"scenario {scenario!r} does not read key(s): {', '.join(unread)}"
         )

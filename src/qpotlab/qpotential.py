@@ -337,6 +337,16 @@ def term_ratio_on_grid(
 # --------------------------------------------------------------------------
 
 
+def _order(token: str, key: str) -> int:
+    """An order written as ``token`` in config key ``key``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise serialize.ConfigError(
+            f"key '{key}': expected an integer order, got {token.strip()!r}"
+        ) from None
+
+
 def spec_from_config(cfg: Mapping[str, str]) -> tuple[QuantumPotentialSpec, PhysicalParams]:
     """Build (spec, params) from parsed key-value configuration.
 
@@ -357,7 +367,9 @@ def spec_from_config(cfg: Mapping[str, str]) -> tuple[QuantumPotentialSpec, Phys
             max_order = serialize.get(cfg, "max_order", int, 4)
             return QuantumPotentialSpec.relativistic(max_order, floor), params
         terms = tuple(
-            QTerm.relativistic(int(tok)) for tok in orders.split(",") if tok.strip()
+            QTerm.relativistic(_order(tok, "orders"))
+            for tok in orders.split(",")
+            if tok.strip()
         )
         return QuantumPotentialSpec(terms, floor), params
     if source != "explicit":
@@ -365,9 +377,18 @@ def spec_from_config(cfg: Mapping[str, str]) -> tuple[QuantumPotentialSpec, Phys
     terms = []
     for key in cfg:
         if key.startswith("a_"):
-            terms.append(QTerm.rational(int(key[2:]), Fraction(serialize.get(cfg, key))))
+            order = _order(key[2:], key)
+            text = serialize.get(cfg, key)
+            try:
+                a = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                raise serialize.ConfigError(
+                    f"key '{key}': expected a fraction, got {text!r}"
+                ) from None
+            terms.append(QTerm.rational(order, a))
         elif key.startswith("A_"):
-            terms.append(QTerm.dimensional(int(key[2:]), serialize.get(cfg, key, float)))
+            order = _order(key[2:], key)
+            terms.append(QTerm.dimensional(order, serialize.get(cfg, key, float)))
     if not terms:
         raise serialize.ConfigError(
             "explicit spec needs at least one a_<order> or A_<order> key"

@@ -15,7 +15,10 @@ separate code path (its own transforms, stencils and quadrature) as a
 cross-check oracle.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
-including the order-4 operator nonperturbatively.
+including the order-4 operator nonperturbatively.  Its finite-difference
+path assembles the 9-banded operator in LAPACK band storage and tracks
+each unperturbed level from its sine mode by shift-invert iteration with
+banded solves; no dense matrix is formed and no full spectrum is computed.
 """
 
 from __future__ import annotations
@@ -267,19 +270,10 @@ def hydrogen_shift_closed_form(
 # Nonperturbative linear eigenproblem
 # --------------------------------------------------------------------------
 
-
-def _interior_laplacian_matrix(g: Grid) -> np.ndarray:
-    """Dense symmetric 4th-order Laplacian on interior nodes (zero walls)."""
-    m = g.n - 2
-    h = g.spacing
-    A = np.zeros((m, m))
-    for off, w in ((0, -30.0), (1, 16.0), (-1, 16.0), (2, -1.0), (-2, -1.0)):
-        idx = np.arange(max(0, -off), min(m, m - off))
-        A[idx, idx + off] = w
-    # ghost across the zero wall reflects to -f(first interior node)
-    A[0, 0] += 1.0
-    A[m - 1, m - 1] += 1.0
-    return A / (12.0 * h * h)
+# Half-bandwidth of the assembled operator: the 4th-order stencil reaches
+# two nodes, its square four.
+_BAND = 4
+_MAX_TRACKING_ITERATIONS = 30
 
 
 def _operator_coefficients(
@@ -293,6 +287,70 @@ def _operator_coefficients(
         raise ValueError(f"assembled-matrix path caps at order 4; spec has order {top}")
     coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
     return {0: 0.0, 2: 0.0, **coeffs, 1: -params.hbar**2 / (2.0 * params.mass)}
+
+
+def _banded_operator(g: Grid, coeffs: dict[int, float], V_int: np.ndarray) -> np.ndarray:
+    """c_1 M2 + c_2 M2^2 + diag(V_int) + c_0 on the interior nodes, in LAPACK
+    band storage with ``_BAND`` sub- and superdiagonals:
+    ``ab[_BAND + i - j, j] = H[i, j]`` (the layout of
+    ``scipy.linalg.solve_banded``).
+
+    M2 is the 4th-order Laplacian stencil with zero walls; the ghost node
+    across a wall reflects to minus the first interior node, which adds 1
+    to the corner diagonal entries.  M2^2 is formed diagonal by diagonal.
+    """
+    m = g.n - 2
+    M2 = np.zeros((5, m))  # the same layout: M2[2 + i - j, j]
+    for d, w in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
+        M2[2 - d, max(0, d) : m + min(0, d)] = w
+    M2[2, 0] += 1.0
+    M2[2, m - 1] += 1.0
+    M2 /= 12.0 * g.spacing**2
+    ab = np.zeros((2 * _BAND + 1, m))
+    ab[_BAND - 2 : _BAND + 3] = coeffs[1] * M2
+    # (M2 M2)[i, j] = sum_k M2[i, k] M2[k, j] with k - i = a, j - k = b
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            lo, hi = max(0, b), m + min(0, b)
+            ab[_BAND - a - b, lo:hi] += (
+                coeffs[2] * M2[2 - a, lo - b : hi - b] * M2[2 - b, lo:hi]
+            )
+    ab[_BAND] += V_int + coeffs[0]
+    return ab
+
+
+def _track_level(
+    ab: np.ndarray, target: np.ndarray, tol: float, tau: int
+) -> tuple[float, np.ndarray]:
+    """Eigenpair of the banded H continuing the unit vector ``target``.
+
+    Rayleigh-quotient iteration from the target, each step one banded
+    solve with H shifted by the current Rayleigh quotient, until the
+    residual |H y - lam y| is at most ``tol``.  The result is accepted only
+    when (y . target)^2 > 1/2: eigenvectors are orthonormal, so at most one
+    of them can overlap a unit vector that much.  It is then the
+    eigenvector of largest overlap, and distinct (orthogonal) targets can
+    never select the same one.  Returns (lam, y) with y . target > 0.
+    """
+    m = target.size
+    y = target
+    for _ in range(_MAX_TRACKING_ITERATIONS):
+        Hy = scipy.linalg.blas.dgbmv(m, m, _BAND, _BAND, 1.0, ab, y)
+        lam = float(y @ Hy)
+        residual = float(np.linalg.norm(Hy - lam * y))
+        if residual <= tol:
+            break
+        shifted = ab.copy()
+        shifted[_BAND] -= lam
+        z = scipy.linalg.solve_banded((_BAND, _BAND), shifted, y, check_finite=False)
+        y = z / np.linalg.norm(z)
+    overlap = float(y @ target)
+    if residual > tol or overlap**2 <= 0.5:
+        raise RuntimeError(
+            f"no continuation of mode tau={tau}: overlap^2 {overlap**2:.3g} with "
+            f"the sine mode (needs > 0.5), residual {residual:.3g} (tol {tol:.3g})"
+        )
+    return lam, math.copysign(1.0, overlap) * y
 
 
 def solve_modified_eigenproblem(
@@ -309,14 +367,19 @@ def solve_modified_eigenproblem(
     unbounded below: modes beyond k* = sqrt(c2/|A4|) ~ mc/hbar dive to
     large negative energies, so "the lowest eigenvalues" is dominated by
     unphysical short-wavelength artifacts of the truncation.  What is
-    well defined is the continuation of each unperturbed level, so the
-    spectral path returns modes tau = 1..count and the finite-difference
-    path assigns eigenvectors greedily by overlap with those sine modes.
+    well defined is the continuation of each unperturbed level, so both
+    paths return modes tau = 1..count.
 
     On a uniform Dirichlet grid with V identically zero the sine modes
-    diagonalize the operator exactly (spectral path); otherwise a dense
-    symmetric finite-difference assembly is solved.  Eigenfunctions are
-    normalized over the grid measure.
+    diagonalize the operator exactly (spectral path).  Otherwise the
+    finite-difference operator is assembled in band storage and each level
+    is tracked from its sine mode by shift-invert (Rayleigh-quotient)
+    iteration; the eigenvector is accepted only when its squared overlap
+    with the normalized sine mode exceeds 1/2, which makes it the unique
+    eigenvector of largest overlap.  A level with no such continuation (for
+    example when V mixes the sine modes strongly) raises RuntimeError
+    naming tau.  Eigenfunctions are normalized over the grid measure and
+    signed so that their overlap with the sine mode is positive.
     """
     g = V.grid
     if g.kind != UNIFORM or g.boundary != DIRICHLET:
@@ -340,30 +403,21 @@ def solve_modified_eigenproblem(
         ]
     if method != "fd":
         raise GridError(f"unknown method {method!r}")
-    M2 = _interior_laplacian_matrix(g)
-    A0, A4 = coeffs[0], coeffs[2]
-    H = coeffs[1] * M2 + np.diag(V.values[1:-1])
-    if A4 != 0.0:
-        H = H + A4 * (M2 @ M2)
-    if A0 != 0.0:
-        H = H + A0 * np.eye(H.shape[0])
-    asym = np.max(np.abs(H - H.T))
-    if asym > 1e-12 * max(1.0, np.max(np.abs(H))):
-        raise RuntimeError(f"non-symmetric operator assembly (defect {asym:g})")
-    evals, evecs = scipy.linalg.eigh(H)
-    x_int = g.points[1:-1]
-    used: set[int] = set()
+    ab = _banded_operator(g, coeffs, V.values[1:-1])
+    h_max = float(np.max(np.abs(ab)))
+    m = ab.shape[1]
+    for d in range(1, _BAND + 1):
+        # superdiagonal d, H[i, i + d], against subdiagonal d, H[i + d, i]
+        asym = np.max(np.abs(ab[_BAND - d, d:] - ab[_BAND + d, : m - d]))
+        if asym > 1e-12 * max(1.0, h_max):
+            raise RuntimeError(f"non-symmetric operator assembly (defect {asym:g})")
+    tol = 64.0 * np.finfo(float).eps * h_max
+    x_int = g.points[1:-1] - x0
     out = []
     for tau in range(1, count + 1):
-        target = np.sin(tau * np.pi * (x_int - x0) / L)
-        overlaps = np.abs(evecs.T @ target)
-        for j in np.argsort(overlaps)[::-1]:
-            if int(j) not in used:
-                used.add(int(j))
-                break
+        target = np.sin(tau * np.pi * x_int / L)
+        energy, vec = _track_level(ab, target / np.linalg.norm(target), tol, tau)
         full = np.zeros(g.n)
-        full[1:-1] = evecs[:, j]
-        if full[np.argmax(np.abs(full))] < 0:
-            full = -full
-        out.append((float(evals[j]), GridFunction(g, full).normalized()))
+        full[1:-1] = vec
+        out.append((energy, GridFunction(g, full).normalized()))
     return out

@@ -394,6 +394,19 @@ class TestUnreadKeys:
         )
         self.assert_rejected(rc, out, capsys, "points")
 
+    def test_rejected_run_leaves_no_artifacts(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 64\ninitial = eigenmode\n"
+            "dt = 1e-7\nsteps = 2\nstore_every = 1\nstore_evry = 1\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "store_evry")
+        assert list(out.glob("frame_*.csv")) == []
+        for name in ("series.csv", "evolve_summary.json"):
+            assert not (out / name).exists()
+
     def test_every_unread_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = ratios\npoints = 65\nk0 = 5\nc = 2\n")
@@ -522,3 +535,30 @@ class TestDeterminism:
             main(["--version"])
         assert exc.value.code == 0
         assert "qpotlab" in capsys.readouterr().out
+
+
+class TestSpecParsing:
+    """A malformed order or coefficient exits 1 naming its key."""
+
+    def run(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_evolve_bad_orders_token(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("orders = 2,x\npoints = 64\ndt = 1e-7\nsteps = 2\n")
+        self.run(tmp_path, capsys, ["evolve", "--config", str(cfg)], "orders")
+
+    def test_explicit_spec_bad_order_suffix(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("source = explicit\na_x = 1/2\n")
+        self.run(
+            tmp_path,
+            capsys,
+            ["qpot", "--spec", str(spec_path), "--input", str(small_field(tmp_path))],
+            "a_x",
+        )

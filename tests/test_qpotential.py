@@ -309,6 +309,21 @@ class TestSpecConfig:
         assert spec.term(2).a == Fraction(1, 2)
         assert spec.term(4).A == -0.03
 
+    @pytest.mark.parametrize(
+        "cfg, key, token",
+        [
+            ({"orders": "2,x"}, "orders", "x"),
+            ({"orders": "2, 4.0"}, "orders", "4.0"),
+            ({"source": "explicit", "a_x": "1/2"}, "a_x", "x"),
+            ({"source": "explicit", "A_": "1.0"}, "A_", ""),
+            ({"source": "explicit", "a_2": "1/0"}, "a_2", "1/0"),
+            ({"source": "explicit", "a_2": "half"}, "a_2", "half"),
+        ],
+    )
+    def test_bad_order_or_fraction_names_key_and_token(self, cfg, key, token):
+        with pytest.raises(ConfigError, match=f"key '{key}'.*'{token}'"):
+            spec_from_config(cfg)
+
     def test_explicit_requires_terms(self):
         with pytest.raises(ConfigError):
             spec_from_config({"source": "explicit"})

@@ -1,10 +1,12 @@
 """Stationary states, perturbative shifts, closed forms, and the eigensolver."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qpotlab.grid import Grid, GridError, GridFunction
 from qpotlab.qpotential import (
@@ -14,6 +16,7 @@ from qpotlab.qpotential import (
     electron_params,
     natural_params,
 )
+from qpotlab import spectra
 from qpotlab.spectra import (
     StationaryState,
     bohr_radius,
@@ -305,3 +308,118 @@ class TestEigenproblem:
         assert np.allclose(got, expected, rtol=1e-12)
         # tracked energies are not monotone in tau here, by design
         assert got[4] < got[0]
+
+
+# --------------------------------------------------------------------------
+# Dense oracle for the banded eigensolver: dense assembly, full eigh, then
+# greedy assignment of eigenvectors to sine modes by overlap.
+# --------------------------------------------------------------------------
+
+
+def dense_laplacian(g):
+    """Dense 4th-order Laplacian on interior nodes; the ghost across each
+    zero wall reflects to minus the first interior node."""
+    m = g.n - 2
+    A = np.zeros((m, m))
+    for off, w in ((0, -30.0), (1, 16.0), (-1, 16.0), (2, -1.0), (-2, -1.0)):
+        idx = np.arange(max(0, -off), min(m, m - off))
+        A[idx, idx + off] = w
+    A[0, 0] += 1.0
+    A[m - 1, m - 1] += 1.0
+    return A / (12.0 * g.spacing**2)
+
+
+def dense_operator(g, coeffs, V_int):
+    M2 = dense_laplacian(g)
+    return coeffs[1] * M2 + coeffs[2] * (M2 @ M2) + np.diag(V_int + coeffs[0])
+
+
+def band_to_dense(ab):
+    bw = (ab.shape[0] - 1) // 2
+    m = ab.shape[1]
+    H = np.zeros((m, m))
+    for i in range(m):
+        for j in range(max(0, i - bw), min(m, i + bw + 1)):
+            H[i, j] = ab[bw + i - j, j]
+    return H
+
+
+def greedy_oracle(V, spec, params, count):
+    g = V.grid
+    coeffs = spectra._operator_coefficients(spec, params)
+    evals, evecs = scipy.linalg.eigh(dense_operator(g, coeffs, V.values[1:-1]))
+    x = g.points[1:-1] - g.points[0]
+    used, out = set(), []
+    for tau in range(1, count + 1):
+        overlaps = np.abs(evecs.T @ np.sin(tau * np.pi * x / g.length))
+        j = next(int(j) for j in np.argsort(overlaps)[::-1] if int(j) not in used)
+        used.add(j)
+        out.append((evals[j], evecs[:, j]))
+    return out
+
+
+POTENTIALS = {
+    "offset": lambda x: np.full(x.size, 3.7),
+    "square_well": lambda x: np.where(np.abs(x - 0.5) < 0.125, -5.0, 0.0),
+    "cosine": lambda x: 300.0 * np.cos(6.0 * np.pi * x),
+    "harmonic": lambda x: 2000.0 * (x - 0.5) ** 2,
+}
+
+
+class TestBandedEigensolver:
+    spec024 = QuantumPotentialSpec.relativistic(4)
+
+    def potential(self, name, n):
+        g = Grid.uniform(0.0, 1.0, n)
+        return GridFunction(g, POTENTIALS[name](g.points))
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    @pytest.mark.parametrize(
+        "spec",
+        [spec024, QuantumPotentialSpec((QTerm.relativistic(2),))],
+        ids=["orders024", "orders2"],
+    )
+    def test_band_assembly_equals_dense(self, name, spec):
+        V = self.potential(name, 129)
+        coeffs = spectra._operator_coefficients(spec, ELECTRON)
+        ab = spectra._banded_operator(V.grid, coeffs, V.values[1:-1])
+        H = dense_operator(V.grid, coeffs, V.values[1:-1])
+        assert np.max(np.abs(band_to_dense(ab) - H)) <= 1e-15 * np.max(np.abs(H))
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_matches_dense_oracle(self, name):
+        V = self.potential(name, 513)
+        got = solve_modified_eigenproblem(V, self.spec024, ELECTRON, 10, method="fd")
+        ref = greedy_oracle(V, self.spec024, ELECTRON, 10)
+        for (energy, vec), (e_ref, u_ref) in zip(got, ref):
+            assert abs(energy - e_ref) <= 1e-10 * abs(e_ref)
+            interior = vec.values[1:-1]
+            overlap = interior @ u_ref / np.linalg.norm(interior)
+            assert abs(overlap) >= 1.0 - 1e-8
+
+    def test_untrackable_mode_raises(self):
+        # a steep well mixes the sine modes: mode 1 keeps overlap^2 0.20
+        g = Grid.uniform(0.0, 1.0, 1025)
+        V = GridFunction(g, 1e5 * (g.points - 0.5) ** 2)
+        with pytest.raises(RuntimeError, match="tau=1"):
+            solve_modified_eigenproblem(V, self.spec024, ELECTRON, 3)
+
+    def test_sign_follows_the_sine_mode(self):
+        g = Grid.uniform(0.0, 1.0, 2049)
+        V0 = GridFunction(g, np.zeros(g.n))
+        spectral = solve_modified_eigenproblem(V0, self.spec024, ELECTRON, 10)
+        fd = solve_modified_eigenproblem(V0, self.spec024, ELECTRON, 10, method="fd")
+        for (_, vs), (_, vf) in zip(spectral, fd):
+            assert np.max(np.abs(vs.values - vf.values)) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["offset", "harmonic"])
+    def test_peak_allocation_is_banded(self, name):
+        # the dense assembly allocates 134.7 MB here
+        V = self.potential(name, 2049)
+        tracemalloc.start()
+        try:
+            solve_modified_eigenproblem(V, self.spec024, ELECTRON, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
