@@ -7,7 +7,8 @@ scenario reads every key through :func:`serialize.get`, which records the
 value it used, defaults included.  That record is the ``config`` of the
 run's ``manifest.json`` and the input of its ``config_hash``.  A key that
 no reader consumed is an error, so a misspelt key cannot run silently with
-a default; such a run writes no manifest.
+a default: each scenario calls ``cfg.reject_unread()`` after its last read,
+and such a run stops before it computes or writes anything.
 
 The manifest also records the seed (``--seed``, else the config key
 ``seed``, else 0), package/library versions, wall-clock timings and the
@@ -74,12 +75,13 @@ from .spectra import (
 
 
 def _scenario_verify_el(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     q_text = serialize.get(cfg, "q")
     dim = serialize.get(cfg, "dim", int, 1)
     trials = serialize.get(cfg, "trials", int, 100)
     tol = serialize.get(cfg, "tol", float, 1e-10)
+    cfg.reject_unread()
     report = certify(parse_q_expression(q_text, dim), dim, trials, tol, seed)
     serialize.write_json(outdir / "residual_report.json", report.to_dict())
     print(
@@ -91,9 +93,10 @@ def _scenario_verify_el(
 
 
 def _scenario_coefficients(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     max_n = serialize.get(cfg, "max_n", int, 20)
+    cfg.reject_unread()
     table = coefficient_table(max_n)
     rows = table.rows()
     serialize.write_csv(
@@ -109,13 +112,14 @@ def _scenario_coefficients(
 
 
 def _scenario_box(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     spec, params = spec_from_config(cfg)
     L = serialize.get(cfg, "L", float, 1.0)
     tau = serialize.get(cfg, "tau", int, 1)
     points = serialize.get(cfg, "points", int, 513)
     count = serialize.get(cfg, "count", int, 5)
+    cfg.reject_unread()
     state = box_eigenstate(L, tau, points, params)
     pc = tau * np.pi * params.hbar * params.c / L
 
@@ -174,10 +178,11 @@ def _scenario_box(
 
 
 def _scenario_hydrogen(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     spec, params = spec_from_config(cfg)
     radial_points = serialize.get(cfg, "radial_points", int, 2048)
+    cfg.reject_unread()
     grid = hydrogen_default_grid(params, points=radial_points)
     states = []
     for n in (1, 2):
@@ -207,12 +212,14 @@ def _scenario_hydrogen(
 
 
 def _scenario_qpot(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     spec, params = spec_from_config(cfg)
-    f = read_gridfunction(serialize.get(cfg, "input"))
-    q = eval_complete_q(f, params, spec)
+    path = serialize.get(cfg, "input")
     units = serialize.get(cfg, "units", str, "electron")
+    cfg.reject_unread()
+    f = read_gridfunction(path)
+    q = eval_complete_q(f, params, spec)
     write_gridfunction(outdir / "qpotential.csv", q, units=units)
     print(
         f"qpot: evaluated {len(spec.orders)} term(s) on {f.grid.n} points "
@@ -244,11 +251,7 @@ def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
     serialize.write_csv(
         path,
         ("coordinate", "real", "imag"),
-        zip(
-            field.grid.points.tolist(),
-            field.values.real.tolist(),
-            field.values.imag.tolist(),
-        ),
+        np.column_stack((field.grid.points, field.values.real, field.values.imag)),
     )
     sidecar = {
         "kind": field.grid.kind,
@@ -261,7 +264,7 @@ def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
 
 
 def _scenario_evolve(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     spec, params = spec_from_config(cfg)
     points = serialize.get(cfg, "points", int, 1024)
@@ -288,6 +291,7 @@ def _scenario_evolve(
         )
     V = GridFunction(g, np.zeros(points))
     units = serialize.get(cfg, "units", str, "electron")
+    cfg.reject_unread()
 
     result = evolve(psi0, V, spec, params, run_cfg)
 
@@ -327,7 +331,7 @@ def _scenario_evolve(
 
 
 def _scenario_ratios(
-    cfg: Mapping[str, str], outdir: Path, seed: int
+    cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
     tau = serialize.get(cfg, "tau", int, 1)
     points = serialize.get(cfg, "points", int, 257)
@@ -336,6 +340,7 @@ def _scenario_ratios(
         ("atomic", "electron", serialize.get(cfg, "L_atomic", float, 1.0)),
         ("nuclear", "proton", serialize.get(cfg, "L_nuclear", float, 1e-5)),
     )
+    cfg.reject_unread()
     rows = []
     for label, particle, L in regimes:
         params = params_by_name(particle)
@@ -397,15 +402,6 @@ def _run_scenario(
     t0 = time.perf_counter()
     outputs = _SCENARIOS[scenario](cfg, outdir, seed)
     elapsed = time.perf_counter() - t0
-    unread = cfg.unread()
-    if unread:
-        # the run is rejected: leave no artifact, nor a manifest of an
-        # earlier run, that could pass for its result
-        for name in [*outputs, "manifest.json"]:
-            (outdir / name).unlink(missing_ok=True)
-        raise serialize.ConfigError(
-            f"scenario {scenario!r} does not read key(s): {', '.join(unread)}"
-        )
     manifest = {
         "scenario": scenario,
         "config": dict(sorted(cfg.read.items())),

@@ -15,8 +15,14 @@ kinetic step (Fourier exponential on periodic grids, unitary Crank-Nicolson
 on Dirichlet grids), then the closing half-step rotation by V + W with W
 evaluated from the updated amplitude.  A phase rotation leaves |psi|
 unchanged, so that closing W is also the next step's opening W: a run of
-N steps evaluates W N + 1 times.  Rotations by a real W and the unitary
-kinetic step conserve the norm to roundoff.
+N steps evaluates W N + 1 times, and the closing half-rotation of one step
+and the opening one of the next are applied as one full rotation
+exp(-i (V + W) dt / hbar) (Bao, Jin & Markowich, J. Comput. Phys. 175
+(2002) 487).  The rotation is split into its two halves only at stored
+frames, so a stored frame is psi after the closing half-rotation.  The
+finite-value and norm checks run on psi after every step's rotation.
+Rotations by a real W and the unitary kinetic step conserve the norm to
+roundoff.
 
 Near wavefunction nodes the higher-order terms diverge; they are zeroed
 below the amplitude floor and clamped at ``q_cap``, with clamp events
@@ -236,30 +242,40 @@ def evolve(
         psi[0] = 0.0
         psi[-1] = 0.0
 
-    norm0 = norm(WaveField(g, psi))
+    def rotation(W: np.ndarray, fraction: float) -> np.ndarray:
+        return np.exp(-1j * (V.values + W) * (fraction * cfg.dt / hbar))
+
+    # psi is zero at both ends of a Dirichlet grid, so h * sum |psi|^2 is
+    # the grid quadrature on either boundary
+    norm0 = g.spacing * np.vdot(psi, psi).real
     W, clamp_count = extra(np.abs(psi))
     frames = [WaveField(g, psi.copy())]
     times = [0.0]
     steps_stored = [0]
 
+    psi *= rotation(W, 0.5)
     for step in range(1, cfg.steps + 1):
-        psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * hbar))
         psi = kinetic(psi)
         W, clamps = extra(np.abs(psi))
         clamp_count += clamps
-        psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * hbar))
+        stored = step % cfg.store_every == 0 or step == cfg.steps
+        # the closing half-rotation of this step and the opening one of the
+        # next use the same W: one full rotation, split only at stored frames
+        psi *= rotation(W, 0.5 if stored else 1.0)
 
         if not np.all(np.isfinite(psi.view(np.float64))):
             raise RuntimeError(f"non-finite field at step {step} (dt too large?)")
-        nrm = norm(WaveField(g, psi))
+        nrm = g.spacing * np.vdot(psi, psi).real
         if abs(nrm - norm0) > 1e-4 * norm0:
             raise RuntimeError(
                 f"norm drifted to {nrm:.6g} at step {step}; aborting"
             )
-        if step % cfg.store_every == 0 or step == cfg.steps:
+        if stored:
             frames.append(WaveField(g, psi.copy()))
             times.append(step * cfg.dt)
             steps_stored.append(step)
+            if step < cfg.steps:
+                psi *= rotation(W, 0.5)
 
     energies = np.array(
         [energy_functional(f, V, spec, params) for f in frames], dtype=np.float64

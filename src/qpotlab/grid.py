@@ -376,7 +376,7 @@ def write_gridfunction(path: str | Path, f: GridFunction, units: str | None = No
     """Write (coordinate, value) CSV with a JSON sidecar at ``path + '.json'``."""
     path = Path(path)
     serialize.write_csv(
-        path, ("coordinate", "value"), zip(f.grid.points.tolist(), f.values.tolist())
+        path, ("coordinate", "value"), np.column_stack((f.grid.points, f.values))
     )
     sidecar = {"kind": f.grid.kind, "boundary": f.grid.boundary, "units": units}
     serialize.write_json(path.with_name(path.name + ".json"), sidecar)

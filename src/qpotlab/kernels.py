@@ -4,7 +4,8 @@ The Crank-Nicolson matrix is the same at every step of a run, so it is
 LU-factored once with LAPACK ``zgttrf`` (:func:`factor_tridiagonal`) and
 each step costs one ``zgttrs`` back-substitution
 (:func:`solve_tridiagonal`).  Trajectory advection moves every seed at once
-with vectorised numpy RK4 through stored velocity frames.
+with vectorised numpy RK4 through stored velocity frames, one gather per
+RK4 stage.
 """
 
 from __future__ import annotations
@@ -51,21 +52,20 @@ def solve_tridiagonal(factors: tuple, b: np.ndarray) -> np.ndarray:
 #
 # Velocity fields are sampled per stored frame on a uniform grid; between
 # frames the velocity is interpolated linearly in time, and linearly in
-# space at each evaluation point.  Dirichlet trajectories that leave the
-# grid are frozen at the boundary and flagged; periodic ones wrap.
+# space at each evaluation point.  Both are linear, so each RK4 stage blends
+# the two frame rows on the grid (O(points)) and then interpolates that one
+# row at the seeds.  Dirichlet trajectories that leave the grid are frozen
+# at the boundary and flagged; periodic ones wrap.
 
 
-def _interp_many(row, xs, x0, h, npts, periodic):
-    """Linear interpolation of one frame at many positions."""
+def _interp_many(row, xs, x0, h, periodic):
+    """Linear interpolation of one row at many positions.  A periodic row
+    repeats its first value at the end, so the wrap cell is an ordinary one
+    and a position that rounds onto x0 + length stays in range."""
+    last = row.size - 1
     u = (xs - x0) / h
-    if periodic:
-        u = np.mod(u, npts)
-        i = u.astype(np.int64)
-        w = u - i
-        j = np.where(i + 1 >= npts, i + 1 - npts, i + 1)
-        return (1.0 - w) * row[i] + w * row[j]
-    u = np.clip(u, 0.0, npts - 1.0)
-    i = np.minimum(u.astype(np.int64), npts - 2)
+    u = np.mod(u, last) if periodic else np.clip(u, 0.0, last)
+    i = np.minimum(u.astype(np.int64), last - 1)
     w = u - i
     return (1.0 - w) * row[i] + w * row[i + 1]
 
@@ -96,15 +96,16 @@ def advect_seeds(
     paths = np.empty((nframes, seeds.shape[0]), np.float64)
     exited = np.zeros(seeds.shape[0], np.uint8)
     xmax = x0 + h * (npts - 1)
+    if periodic:
+        vframes = np.concatenate((vframes, vframes[:, :1]), axis=1)
     x = seeds.copy()
     paths[0] = x
     for f in range(nframes - 1):
         active = exited == 0
+        va, vb = vframes[f], vframes[f + 1]
 
         def vel(tw, pos):
-            va = _interp_many(vframes[f], pos, x0, h, npts, periodic)
-            vb = _interp_many(vframes[f + 1], pos, x0, h, npts, periodic)
-            return (1.0 - tw) * va + tw * vb
+            return _interp_many((1.0 - tw) * va + tw * vb, pos, x0, h, periodic)
 
         for m in range(substeps):
             dt = dt_frame / substeps

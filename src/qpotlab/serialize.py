@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 class ConfigError(Exception):
     """Malformed configuration text; messages carry 1-based line numbers."""
@@ -52,6 +54,15 @@ class RecordingConfig(dict):
 
     def unread(self) -> list[str]:
         return sorted(set(self) - set(self.read))
+
+    def reject_unread(self) -> None:
+        """Raise ConfigError naming every key that no :func:`get` has read.
+
+        A scenario calls this after its last read and before it computes or
+        writes anything, so a misspelt key stops the run at once."""
+        unread = self.unread()
+        if unread:
+            raise ConfigError(f"the scenario does not read key(s): {', '.join(unread)}")
 
 
 _REQUIRED = object()
@@ -104,14 +115,36 @@ def _fmt_cell(value: Any) -> str:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text with one formatted cell at a time: int, bool, Fraction, str
+    and float cells each keep their own text."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt_cell(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    Path(path).write_text(csv_text(header, rows), encoding="utf-8")
+def _float_table_text(table: np.ndarray) -> str:
+    """The rows of a 2-D float64 table in one C-level ``%`` format; the
+    text is that of :func:`fmt_float` cell by cell."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        raise ValueError(f"refusing to serialize non-finite value {float(table[bad][0])!r}")
+    nrows, ncols = table.shape
+    row = ",".join(["%.17g"] * ncols) + "\n"
+    return (row * nrows) % tuple(table.ravel().tolist())
+
+
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]] | np.ndarray
+) -> None:
+    """Write ``header`` and ``rows``.  A 2-D float64 array is formatted as
+    one table (the fast path for grid functions and frames); any other rows
+    go through :func:`csv_text`.  Both give the same bytes."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        text = ",".join(header) + "\n" + _float_table_text(rows)
+    else:
+        text = csv_text(header, rows)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def json_text(obj: Any) -> str:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qpotlab import cli
 from qpotlab.cli import main
 from qpotlab.grid import Grid, GridFunction, write_gridfunction
 
@@ -346,15 +347,16 @@ def small_field(tmp_path):
 
 class TestUnreadKeys:
     """A key that no reader of the scenario consumed is an error, and the
-    run writes no manifest."""
+    run stops before it computes, prints or writes anything."""
 
     def assert_rejected(self, rc, out, capsys, *keys):
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
         for key in keys:
-            assert key in err
-        assert not (out / "manifest.json").exists()
+            assert key in captured.err
+        assert captured.out == ""
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_misspelt_evolve_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -394,7 +396,9 @@ class TestUnreadKeys:
         )
         self.assert_rejected(rc, out, capsys, "points")
 
-    def test_rejected_run_leaves_no_artifacts(self, tmp_path, capsys):
+    def test_rejected_run_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "orders = 2\npoints = 64\ninitial = eigenmode\n"
@@ -403,9 +407,20 @@ class TestUnreadKeys:
         out = tmp_path / "out"
         rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
         self.assert_rejected(rc, out, capsys, "store_evry")
-        assert list(out.glob("frame_*.csv")) == []
-        for name in ("series.csv", "evolve_summary.json"):
-            assert not (out / name).exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("scenario", sorted(cli._SCENARIOS))
+    def test_every_scenario_rejects_before_writing(self, tmp_path, capsys, scenario):
+        required = {
+            "verify-el": "q = A2 * lap(R) / R\n",
+            "qpot": f"input = {small_field(tmp_path)}\n",
+            "evolve": "dt = 1e-7\nsteps = 2\n",
+        }
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = {scenario}\n{required.get(scenario, '')}bogus = 1\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "does not read key(s): bogus")
 
     def test_every_unread_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -279,6 +279,74 @@ class TestEvolveNonlinear:
         assert len(calls) == cfg.steps + 1
 
 
+def strang_reference(psi0, V, spec, params, cfg):
+    """The unfused Strang loop: every step opens and closes with its own
+    half-rotation by V + W.  Returns the stored frames."""
+    g = psi0.grid
+    extra = dynamics._ExtraPotential(g, spec, params, q_cap=np.inf)
+    kinetic = dynamics._KineticStep(g, params, cfg.dt, cfg.scheme)
+    psi = psi0.values.copy()
+    if cfg.scheme == CRANK_NICOLSON:
+        psi[0] = psi[-1] = 0.0
+    W, _ = extra(np.abs(psi))
+    frames = [WaveField(g, psi.copy())]
+    for step in range(1, cfg.steps + 1):
+        psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * params.hbar))
+        psi = kinetic(psi)
+        W, _ = extra(np.abs(psi))
+        psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * params.hbar))
+        if step % cfg.store_every == 0 or step == cfg.steps:
+            frames.append(WaveField(g, psi.copy()))
+    return frames
+
+
+class TestFusedRotation:
+    """One full rotation between kinetic steps, split into halves only at
+    stored frames, gives the frames and energies of the unfused loop."""
+
+    SPEC02 = QuantumPotentialSpec((QTerm.relativistic(0), QTerm.relativistic(2)))
+
+    @pytest.mark.parametrize("scheme", [SPLIT_STEP, CRANK_NICOLSON])
+    @pytest.mark.parametrize("store_every", [1, 3, 10])
+    def test_matches_unfused_strang_loop(self, scheme, store_every):
+        g = periodic_grid(128) if scheme == SPLIT_STEP else dirichlet_grid(129)
+        psi0 = WaveField.gaussian(g, center=0.45, width=0.08, k0=20.0)
+        # harmonic well, about 1e5 eV at the walls
+        V = GridFunction(g, 4e5 * (g.points - 0.5) ** 2)
+        cfg = EvolutionConfig(dt=2e-2, steps=10, scheme=scheme, store_every=store_every)
+        res = evolve(psi0, V, self.SPEC02, ELECTRON, cfg)
+        ref = strang_reference(psi0, V, self.SPEC02, ELECTRON, cfg)
+        assert len(res.frames) == len(ref)
+        for got, want in zip(res.frames, ref):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+        ref_energies = [energy_functional(f, V, self.SPEC02, ELECTRON) for f in ref]
+        assert np.allclose(res.energies, ref_energies, rtol=1e-12, atol=0)
+        # the packet moves, so the test is not one of global phases
+        moved = np.abs(ref[-1].values) - np.abs(ref[0].values)
+        assert np.max(np.abs(moved)) > 0.05 * np.max(np.abs(ref[0].values))
+
+    @pytest.mark.parametrize("store_every", [1, 5])
+    def test_nan_in_w_stops_at_its_step(self, monkeypatch, store_every):
+        calls = []
+        original = dynamics._ExtraPotential.__call__
+
+        def turns_nan(self, absvals):
+            calls.append(1)
+            W, clamps = original(self, absvals)
+            if len(calls) == 5:  # the W of step 4
+                W = W.copy()
+                W[7] = np.nan
+            return W, clamps
+
+        monkeypatch.setattr(dynamics._ExtraPotential, "__call__", turns_nan)
+        g = periodic_grid(64)
+        psi0, _ = plane_wave(g, 1)
+        cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=store_every)
+        with pytest.raises(RuntimeError, match="non-finite field at step 4 "):
+            evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
+
+
 class TestDerivedFields:
     def test_plane_wave_velocity(self):
         g = periodic_grid(128)
