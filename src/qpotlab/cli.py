@@ -86,7 +86,8 @@ def _scenario_verify_el(
     serialize.write_json(outdir / "residual_report.json", report.to_dict())
     print(
         f"verify-el: {report.verdict} "
-        f"(max relative residual {serialize.fmt_float(report.max_abs_residual)}, "
+        f"(max relative residual {serialize.fmt_float(report.max_abs_residual)} "
+        f"at trial {report.worst_trial} [{', '.join(report.worst_families)}], "
         f"{report.samples_used} samples)"
     )
     return ["residual_report.json"]

@@ -35,19 +35,24 @@ def a2n(n: int) -> Fraction:
     return Fraction(sign * math.comb(2 * n, n), (2 * n - 1) * 4**n)
 
 
-def sqrt_binomial_coeff(n: int) -> Fraction:
-    """Coefficient of x^n in the Maclaurin series of (1+x)^(1/2).
+def sqrt_binomial_series(max_n: int) -> list[Fraction]:
+    """Coefficients of x^0..x^max_n in the Maclaurin series of (1+x)^(1/2).
 
     Computed by the recurrence c_0 = 1, c_{k+1} = c_k * (1/2 - k)/(k + 1),
     independently of :func:`a2n`; the two agree exactly for every n.
     """
-    if n < 0:
-        raise ValueError(f"series index must be nonnegative, got {n}")
-    c = Fraction(1)
-    for k in range(n):
-        c *= Fraction(1, 2) - k
-        c /= k + 1
-    return c
+    if max_n < 0:
+        raise ValueError(f"series index must be nonnegative, got {max_n}")
+    series = [Fraction(1)]
+    for k in range(max_n):
+        series.append(series[-1] * (Fraction(1, 2) - k) / (k + 1))
+    return series
+
+
+def sqrt_binomial_coeff(n: int) -> Fraction:
+    """Coefficient of x^n in the Maclaurin series of (1+x)^(1/2)
+    (the last entry of :func:`sqrt_binomial_series`)."""
+    return sqrt_binomial_series(n)[n]
 
 
 @dataclass(frozen=True)
@@ -68,12 +73,16 @@ class CoefficientTable:
                 raise ValueError(f"sign of a_{2*n} breaks the alternation rule")
 
     def rows(self) -> list[tuple[int, str, float, str, bool]]:
-        """CSV-ready rows: (n, exact fraction, float value, oracle, match)."""
-        out = []
-        for n, value in self.entries:
-            oracle = sqrt_binomial_coeff(n)
-            out.append((n, str(value), float(value), str(oracle), value == oracle))
-        return out
+        """CSV-ready rows: (n, exact fraction, float value, oracle, match).
+
+        The oracle column is :func:`sqrt_binomial_series`, run once up to the
+        largest n, so the table costs O(max_n) rational operations.
+        """
+        oracle = sqrt_binomial_series(max((n for n, _ in self.entries), default=0))
+        return [
+            (n, str(value), float(value), str(oracle[n]), value == oracle[n])
+            for n, value in self.entries
+        ]
 
 
 def coefficient_table(max_n: int) -> CoefficientTable:

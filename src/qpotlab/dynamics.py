@@ -182,8 +182,7 @@ class _KineticStep:
         if scheme == SPLIT_STEP:
             if grid.boundary != PERIODIC:
                 raise GridError("split-step-spectral requires a periodic grid")
-            k = 2.0 * np.pi * scipy.fft.fftfreq(grid.n, d=grid.spacing)
-            self.phase = np.exp(-1j * (c2 * k**2 / params.hbar) * dt)
+            self.phase = np.exp(-1j * (c2 * grid.wavenumbers**2 / params.hbar) * dt)
         else:
             if grid.boundary != DIRICHLET:
                 raise GridError("crank-nicolson-fd requires a Dirichlet grid")

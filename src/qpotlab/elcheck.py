@@ -10,20 +10,25 @@ multi-indices J whose jet variables actually appear in Q (J = () meaning
 R itself).  The residual is formed symbolically; certification then
 evaluates it on randomized smooth jet samples and compares against the
 magnitude of the individual Euler-Lagrange terms, so the reported number
-is a relative one.
+is a relative one.  The report names the trial with the largest relative
+residual and the profile family of each axis there.
 
 Sample jets come from three closed-form families per axis — rational
-polynomials (derivatives exact), offset sinusoids, and offset Gaussians —
-combined as tensor products in higher dimension.  Samples with |R| < 0.1
-are redrawn so quotient forms stay well conditioned; the redraw count is
-reported.
+polynomials, offset sinusoids, and offset Gaussians — combined as tensor
+products in higher dimension.  Polynomial derivatives are exact: integer
+numerators over one common denominator, rounded once.  Samples with
+|R| < 0.1 are redrawn so quotient forms stay well conditioned; the redraw
+count is reported.
+
+Each residual term and the residual are compiled once per :func:`certify`
+call by :func:`expr.compile_float`, so a trial does only float work; the
+values are those of the exact-rational :func:`expr.evaluate`, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,10 +36,9 @@ from . import serialize
 from .expr import (
     Expression,
     Jet,
-    JetPoint,
     JetVariable,
     canonical,
-    evaluate,
+    compile_float,
     is_zero,
     jet_variables,
     make_pow,
@@ -100,6 +104,8 @@ class ResidualReport:
     resamples: int
     seed: int
     dimension: int
+    worst_trial: int
+    worst_families: tuple[str, ...]  # profile family of each axis at worst_trial
 
     def passed(self) -> bool:
         return self.verdict == PASSES
@@ -115,6 +121,8 @@ class ResidualReport:
             "resamples": self.resamples,
             "seed": self.seed,
             "dimension": self.dimension,
+            "worst_trial": self.worst_trial,
+            "worst_families": list(self.worst_families),
         }
 
     def to_json(self) -> str:
@@ -126,26 +134,36 @@ class ResidualReport:
 # --------------------------------------------------------------------------
 
 
+def _sign(rng: np.random.Generator) -> float:
+    """-1.0 or 1.0 with the draw ``rng.choice((-1.0, 1.0))`` makes."""
+    return (-1.0, 1.0)[int(rng.integers(0, 2))]
+
+
 def _poly_profile(rng: np.random.Generator, max_order: int) -> list[float]:
-    """Degree-5 rational polynomial evaluated with exact arithmetic."""
-    coeffs = [
-        Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
-        for _ in range(6)
+    """Degree-5 polynomial with rational coefficients n_k/d_k (d_k <= 4) at a
+    rational point p/q (q <= 3), derivatives exact.
+
+    Each derivative is an integer numerator over the common denominator
+    12 q^5; the one int / int division is correctly rounded, so the float is
+    the one the exact rational rounds to.
+    """
+    scaled = []
+    for _ in range(6):
+        num = int(rng.integers(-9, 10))
+        scaled.append(num * (12 // int(rng.integers(1, 5))))
+    p, q = int(rng.integers(-6, 7)), int(rng.integers(1, 4))
+    powers = [p**m * q ** (5 - m) for m in range(6)]  # x0^m * q^5
+    den = 12 * q**5
+    return [
+        sum(scaled[k] * math.perm(k, j) * powers[k - j] for k in range(j, 6)) / den
+        for j in range(max_order + 1)
     ]
-    x0 = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
-    derivs = []
-    for j in range(max_order + 1):
-        val = Fraction(0)
-        for k in range(j, 6):
-            val += coeffs[k] * math.perm(k, j) * x0 ** (k - j)
-        derivs.append(float(val))
-    return derivs
 
 
 def _sine_profile(rng: np.random.Generator, max_order: int) -> list[float]:
     """b + a sin(k x + phi); the offset keeps the profile away from zero."""
-    b = float(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0))
-    a = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0))
+    b = _sign(rng) * float(rng.uniform(1.0, 2.0))
+    a = _sign(rng) * float(rng.uniform(0.3, 1.0))
     k = float(rng.uniform(0.5, 2.0))
     phase = float(rng.uniform(0.0, 2.0 * math.pi) + rng.uniform(-1.0, 1.0) * k)
     derivs = [b + a * math.sin(phase)]
@@ -157,8 +175,8 @@ def _sine_profile(rng: np.random.Generator, max_order: int) -> list[float]:
 def _gauss_profile(rng: np.random.Generator, max_order: int) -> list[float]:
     """b + a exp(-(x-c)^2 / 2 sigma^2), derivatives by the two-term
     recurrence g^(j+1) = -((x-c)/s^2) g^(j) - (j/s^2) g^(j-1)."""
-    b = float(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0))
-    a = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5))
+    b = _sign(rng) * float(rng.uniform(1.0, 2.0))
+    a = _sign(rng) * float(rng.uniform(0.5, 1.5))
     s2 = float(rng.uniform(0.7, 1.5)) ** 2
     u = float(rng.uniform(-1.0, 1.0))  # x - c at the sample point
     g = [a * math.exp(-(u**2) / (2.0 * s2))]
@@ -170,28 +188,29 @@ def _gauss_profile(rng: np.random.Generator, max_order: int) -> list[float]:
 
 
 _FAMILIES = (_poly_profile, _sine_profile, _gauss_profile)
+FAMILY_NAMES = ("poly", "sine", "gauss")
 
 
 def _sample_point(
     rng: np.random.Generator,
     trial: int,
-    needed: dict[int, int],
-    variables: set[JetVariable],
-    dimension: int,
-) -> tuple[JetPoint, bool]:
-    """One tensor-product jet sample; flags |R| < 0.1 for redraw."""
-    profiles = {}
-    for axis, order in needed.items():
-        family = _FAMILIES[(trial + axis) % len(_FAMILIES)]
-        profiles[axis] = family(rng, order)
-    values = {}
-    for v in variables:
+    needed: list[int],
+    counts: list[tuple[int, ...]],
+) -> tuple[list[float], bool]:
+    """One tensor-product jet sample, one value per entry of ``counts`` (the
+    per-axis derivative counts of each variable, R first); flags |R| < 0.1
+    for redraw."""
+    profiles = [
+        _FAMILIES[(trial + axis) % len(_FAMILIES)](rng, order)
+        for axis, order in enumerate(needed)
+    ]
+    values = []
+    for count in counts:
         val = 1.0
-        for axis, order in needed.items():
-            val *= profiles[axis][v.axes.count(axis)]
-        values[v] = val
-    r_value = values[JetVariable(())]
-    return JetPoint(values, dimension), abs(r_value) < 0.1
+        for profile, c in zip(profiles, count):
+            val *= profile[c]
+        values.append(val)
+    return values, abs(values[0]) < 0.1
 
 
 def certify(
@@ -215,35 +234,36 @@ def certify(
     for _, t in terms:
         variables |= set(jet_variables(t))
     variables |= set(jet_variables(residual))
-    needed = {
-        axis: max((v.axes.count(axis) for v in variables), default=0)
-        for axis in range(dimension)
-    }
+    order = sorted(variables, key=lambda v: (v.order, v.axes))  # R first
+    counts = [tuple(v.axes.count(axis) for axis in range(dimension)) for v in order]
+    needed = [max(c[axis] for c in counts) for axis in range(dimension)]
     names = set(symbol_names(q)) | set(symbol_names(residual))
     for _, t in terms:
         names |= set(symbol_names(t))
+    names = sorted(names)
+    term_fns = [compile_float(t, order, names) for _, t in terms]
+    residual_fn = compile_float(residual, order, names)
 
     rng = np.random.default_rng(seed)
     max_rel = 0.0
+    worst = 0
     resamples = 0
     for trial in range(trials):
         for _ in range(200):
-            point, reject = _sample_point(rng, trial, needed, variables, dimension)
+            jets, reject = _sample_point(rng, trial, needed, counts)
             if not reject:
                 break
             resamples += 1
         else:
             raise RuntimeError("could not draw a well-conditioned jet sample")
-        symbols = {
-            name: float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0))
-            for name in sorted(names)
-        }
+        symbols = [_sign(rng) * float(rng.uniform(0.5, 2.0)) for _ in names]
         scale = 0.0
-        for _, t in terms:
-            scale = max(scale, abs(evaluate(t, point, symbols)))
-        value = abs(evaluate(residual, point, symbols))
+        for fn in term_fns:
+            scale = max(scale, abs(fn(jets, symbols)))
+        value = abs(residual_fn(jets, symbols))
         rel = value / scale if scale > 0.0 else (0.0 if value == 0.0 else math.inf)
-        max_rel = max(max_rel, rel)
+        if rel > max_rel:
+            max_rel, worst = rel, trial
 
     return ResidualReport(
         candidate=to_text(q),
@@ -255,4 +275,8 @@ def certify(
         resamples=resamples,
         seed=seed,
         dimension=dimension,
+        worst_trial=worst,
+        worst_families=tuple(
+            FAMILY_NAMES[(worst + axis) % len(_FAMILIES)] for axis in range(dimension)
+        ),
     )

@@ -5,7 +5,10 @@ derivatives (R_x, R_xx, R_xy, ...), treated as an independent coordinate.
 Candidate quantum-potential forms Q are expressions in these coordinates,
 e.g. ``A2 * lap(R) / R``.  This module provides the expression tree, a small
 infix parser for the grammar documented in the README, exact-rational
-evaluation, and the two derivative operations everything downstream needs:
+evaluation (:func:`evaluate_exact`, :func:`evaluate`), a float evaluator
+compiled once per expression that reproduces :func:`evaluate` bit for bit on
+float inputs (:func:`compile_float`), and the two derivative operations
+everything downstream needs:
 
 * :func:`partial_wrt_jet` — differentiate treating jet variables as
   independent coordinates,
@@ -23,7 +26,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 AXIS_LETTERS = "xyz"
 
@@ -445,6 +448,123 @@ def evaluate(
 ) -> float:
     """Evaluate to an IEEE double (exact subtrees folded first)."""
     return float(evaluate_exact(e, point, constants))
+
+
+def compile_float(
+    e: Expression,
+    variables: Sequence[JetVariable] | None = None,
+    names: Sequence[str] | None = None,
+) -> Callable[[Sequence[float], Sequence[float]], float]:
+    """Compile ``e`` once into ``f(jets, symbols) -> float`` for float inputs.
+
+    ``jets[i]`` is the value of ``variables[i]`` and ``symbols[i]`` that of
+    ``names[i]`` (by default the expression's own jet variables in
+    (order, axes) order and its symbol names sorted).  For float values the
+    result is bit for bit ``evaluate(e, point, constants)``: the compiled
+    code performs the same IEEE operations in the same order as
+    :func:`evaluate_exact` does on floats.
+
+    * Subtrees free of symbols and jet variables are folded to exact
+      ``Fraction`` s here, as the tree walk does on every call.
+    * A sum is ``float(prefix) + t_k + ...``, where ``prefix`` is
+      ``Fraction(0)`` plus the leading exact terms; later exact terms enter
+      as ``float(c)``.  A product is the same with ``Fraction(1)`` and ``*``.
+    * A power is float ``**`` with the integer exponent.
+
+    Repeated subtrees are computed once.  A division by zero at a point
+    raises the :class:`EvaluationError` that :func:`evaluate` raises there.
+    An unbound name, or an exact subtree that cannot be evaluated, raises
+    here instead of at every call.
+    """
+    if variables is None:
+        variables = sorted(jet_variables(e), key=lambda v: (v.order, v.axes))
+    if names is None:
+        names = sorted(symbol_names(e))
+    variables, names = tuple(variables), tuple(names)
+    slot = {v: i for i, v in enumerate(variables)}
+    name_slot = {n: i for i, n in enumerate(names)}
+    loads: dict[str, str] = {}  # local -> load statement
+    lines: list[str] = []
+    memo: dict[Expression, str | Fraction] = {}
+
+    def literal(c: Fraction) -> str:
+        return f"({float(c)!r})"
+
+    def fold(node: Expression, kind) -> str | Fraction:
+        parts = node.terms if kind is Sum else node.factors
+        acc = Fraction(0) if kind is Sum else Fraction(1)
+        op = " + " if kind is Sum else " * "
+        code = None
+        for part in parts:
+            r = emit(part)
+            if code is None:
+                if isinstance(r, Fraction):
+                    acc = acc + r if kind is Sum else acc * r
+                    continue
+                code = literal(acc) + op + r
+            else:
+                code += op + (literal(r) if isinstance(r, Fraction) else r)
+        if code is None:
+            return acc
+        local = f"t{len(lines)}"
+        lines.append(f"{local} = {code}")
+        return local
+
+    def emit(node: Expression) -> str | Fraction:
+        if node in memo:
+            return memo[node]
+        if isinstance(node, Const):
+            out = node.value
+        elif isinstance(node, Sym):
+            if node.name not in name_slot:
+                raise EvaluationError(f"unbound constant '{node.name}'")
+            out = f"s{name_slot[node.name]}"
+            loads[out] = f"{out} = symbols[{name_slot[node.name]}]"
+        elif isinstance(node, Jet):
+            if node.var not in slot:
+                raise EvaluationError(f"unbound jet variable '{node.var.name}'")
+            out = f"v{slot[node.var]}"
+            loads[out] = f"{out} = jets[{slot[node.var]}]"
+        elif isinstance(node, (Sum, Prod)):
+            out = fold(node, type(node))
+        else:
+            base = emit(node.base)
+            if isinstance(base, Fraction):
+                try:
+                    out = base**node.exponent
+                except ZeroDivisionError:
+                    raise EvaluationError(
+                        f"division by zero: base {to_text(node.base)} is zero"
+                    ) from None
+            else:
+                out = f"t{len(lines)}"
+                lines.append(f"{out} = {base} ** ({node.exponent})")
+        memo[node] = out
+        return out
+
+    result = emit(e)
+    if isinstance(result, Fraction):
+        value = float(result)
+        return lambda jets, symbols: value
+    def reraise(jets, symbols):
+        # The tree walk raises the same error, worded as evaluate words it.
+        point = JetPoint(dict(zip(variables, jets)))
+        evaluate_exact(e, point, dict(zip(names, symbols)))
+
+    body = "\n        ".join([*loads.values(), *lines, f"return {result}"])
+    source = (
+        "def compiled(jets, symbols):\n"
+        "    try:\n"
+        f"        {body}\n"
+        "    except (ZeroDivisionError, OverflowError):\n"
+        "        reraise(jets, symbols)\n"
+        "        raise\n"
+    )
+    # The source holds only slot indices and float literals, never a name
+    # taken from the expression.
+    namespace = {"reraise": reraise}
+    exec(compile(source, "<compile_float>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 # --------------------------------------------------------------------------

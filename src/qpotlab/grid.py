@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -196,6 +197,14 @@ class Grid:
         span = float(self.points[-1] - self.points[0])
         return span + self.spacing if self.boundary == PERIODIC else span
 
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """Angular FFT wavenumbers 2 pi fftfreq(n, h), built once per grid
+        (read-only); uniform grids only."""
+        k = 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.spacing)
+        k.flags.writeable = False
+        return k
+
     @property
     def log_step(self) -> float:
         if self.kind != RADIAL_LOG:
@@ -300,8 +309,7 @@ def laplacian_series(
         scale = max(coeffs.values(), key=abs) or 1.0
         unit = {n: c / scale for n, c in coeffs.items()}
         if g.boundary == PERIODIC:
-            k = 2.0 * np.pi * scipy.fft.fftfreq(g.n, d=g.spacing)
-            coef = scipy.fft.fft(f.values) * laplacian_symbol(unit, k)
+            coef = scipy.fft.fft(f.values) * laplacian_symbol(unit, g.wavenumbers)
             return GridFunction(g, scale * scipy.fft.ifft(coef).real)
         k = np.arange(1, g.n - 1) * np.pi / g.length
         coef = scipy.fft.dst(f.values[1:-1], type=1, norm="ortho")
@@ -339,8 +347,8 @@ def gradient(f: GridFunction, method: str = "fd") -> GridFunction:
     if method == "spectral":
         if g.kind != UNIFORM or g.boundary != PERIODIC:
             raise GridError("spectral gradient requires a periodic uniform grid")
-        k = 2.0 * np.pi * scipy.fft.fftfreq(g.n, d=g.spacing)
-        return GridFunction(g, scipy.fft.ifft(1j * k * scipy.fft.fft(f.values)).real)
+        ik = 1j * g.wavenumbers
+        return GridFunction(g, scipy.fft.ifft(ik * scipy.fft.fft(f.values)).real)
     if method != "fd":
         raise GridError(f"unknown method {method!r}")
     if g.kind == RADIAL_LOG:

@@ -50,6 +50,19 @@ class TestVerifyEl:
         assert report["verdict"] == "fails"
         assert "verify-el: fails" in capsys.readouterr().out
 
+    def test_worst_sample_reported(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["verify-el", "--q", "C * dx(R)^2 / R", "--dim", "2", "--trials", "30"]
+        assert main([*argv, "--out", str(out)]) == 0
+        report = read_json(out / "residual_report.json")
+        worst, families = report["worst_trial"], report["worst_families"]
+        assert 0 <= worst < 30
+        assert len(families) == 2 and set(families) <= {"poly", "sine", "gauss"}
+        assert (
+            f"at trial {worst} [{', '.join(families)}], 30 samples)"
+            in capsys.readouterr().out
+        )
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         rc = main(["verify-el", "--q", "sin(R)", "--out", str(tmp_path / "o")])
         assert rc == 1

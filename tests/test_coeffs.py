@@ -11,6 +11,7 @@ from qpotlab.coeffs import (
     a2n,
     coefficient_table,
     sqrt_binomial_coeff,
+    sqrt_binomial_series,
     truncated_energy,
 )
 from qpotlab.qpotential import electron_params, natural_params, proton_params
@@ -51,6 +52,21 @@ class TestCoefficientTable:
             assert match is True
             assert frac == oracle
             assert value == pytest.approx(float(Fraction(frac)))
+
+    def test_rows_oracle_is_the_series_run_once(self):
+        def restarted(n):  # the recurrence run from c_0 for every n
+            c = Fraction(1)
+            for k in range(n):
+                c = c * (Fraction(1, 2) - k) / (k + 1)
+            return c
+
+        series = sqrt_binomial_series(60)
+        assert series == [restarted(n) for n in range(61)]
+        rows = coefficient_table(60).rows()
+        assert [r[3] for r in rows] == [str(restarted(n)) for n in range(61)]
+        assert all(r[4] is True for r in rows)
+        sparse = CoefficientTable(((0, a2n(0)), (7, a2n(7)), (3, a2n(3)))).rows()
+        assert [(r[0], r[3]) for r in sparse] == [(n, str(restarted(n))) for n in (0, 7, 3)]
 
     def test_validation_rejects_wrong_a2(self):
         with pytest.raises(ValueError, match="a_2 must be 1/2"):

@@ -1,13 +1,18 @@
 """Stationarity residual construction and randomized certification."""
 
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpotlab.elcheck import (
     FAILS,
+    FAMILY_NAMES,
     PASSES,
+    _poly_profile,
+    _sign,
     build_el_residual,
     certify,
     el_residual_terms,
@@ -142,3 +147,85 @@ class TestCertify:
         consts = {"C": 3.0}
         total = sum(evaluate(t, point, consts) for _, t in terms)
         assert total == pytest.approx(evaluate(residual, point, consts), rel=1e-12)
+
+
+def _poly_profile_oracle(rng, max_order):
+    """The polynomial family in exact rationals, drawing as the sampler does."""
+    coeffs = [
+        Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+        for _ in range(6)
+    ]
+    x0 = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
+    derivs = []
+    for j in range(max_order + 1):
+        val = Fraction(0)
+        for k in range(j, 6):
+            val += coeffs[k] * math.perm(k, j) * x0 ** (k - j)
+        derivs.append(float(val))
+    return derivs
+
+
+class TestSampling:
+    def test_poly_profile_matches_fraction_oracle(self):
+        for seed in range(300):
+            max_order = seed % 12
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = _poly_profile(fast, max_order), _poly_profile_oracle(slow, max_order)
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_sign_draw_consumes_the_choice_stream(self):
+        fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+        for i in range(20_000):
+            assert _sign(fast) == float(slow.choice((-1.0, 1.0)))
+            if i % 3 == 0:  # interleave the other draws the sampler makes
+                assert fast.uniform(0.5, 2.0) == slow.uniform(0.5, 2.0)
+            if i % 5 == 0:
+                assert fast.integers(-9, 10) == slow.integers(-9, 10)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestCertifyGolden:
+    # max_abs_residual (as float.hex) and redraw counts of the Fraction-based
+    # sampler and tree-walk evaluator, 300 trials at the default tolerance.
+    CASES = (
+        ("A2 * lap(R) / R", 2, 1, "0x1.0edbb0828f3f0p-52", 7),
+        ("A8 * lap2(lap2(R)) / R", 3, 1, "0x1.07e48f8a4d0dep-51", 6),
+        ("C * dx(R)^2 / R", 3, 1, "0x1.fb6fb34328570p+0", 6),
+        ("A2 * lap(R) / R + A4 * lap2(R) / R", 1, 2, "0x1.b4c1fe99f4f79p-52", 2),
+        ("C * dx(R)", 1, 3, "0x1.0000000000000p+0", 7),
+        ("A4 * lap2(R) / R", 3, 3, "0x1.c9467a26415a7p-52", 1),
+        ("A6 * lap(lap2(R)) / R", 2, 2, "0x1.7bbe7102506ebp-52", 5),
+    )
+
+    @pytest.mark.parametrize("text, dim, seed, max_hex, resamples", CASES)
+    def test_reports_match(self, text, dim, seed, max_hex, resamples):
+        report = certify(parse_q_expression(text, dim), dim, trials=300, seed=seed)
+        assert float.hex(report.max_abs_residual) == max_hex
+        assert report.resamples == resamples
+
+    @pytest.mark.parametrize("text, dim, seed", [c[:3] for c in CASES[:3]])
+    def test_worst_trial_attains_the_maximum(self, text, dim, seed):
+        q = parse_q_expression(text, dim)
+        full = certify(q, dim, trials=300, seed=seed)
+        worst = full.worst_trial
+        # The first worst_trial + 1 trials draw the same stream.
+        upto = certify(q, dim, trials=worst + 1, seed=seed)
+        assert upto.max_abs_residual == full.max_abs_residual
+        assert upto.worst_trial == worst
+        if worst > 0:
+            before = certify(q, dim, trials=worst, seed=seed)
+            assert before.max_abs_residual < full.max_abs_residual
+        assert full.worst_families == tuple(
+            FAMILY_NAMES[(worst + axis) % 3] for axis in range(dim)
+        )
+        payload = json.loads(full.to_json())
+        assert payload["worst_trial"] == worst
+        assert payload["worst_families"] == list(full.worst_families)
+
+    def test_worst_trial_is_the_first_to_attain_the_maximum(self):
+        # Every trial of a 1-D family member gives exactly 0.0.
+        report = certify(parse_q_expression("A2 * lap(R) / R", 1), 1, trials=50, seed=1)
+        assert report.max_abs_residual == 0.0
+        assert report.worst_trial == 0
+        assert report.worst_families == ("poly",)

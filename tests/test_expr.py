@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qpotlab.elcheck import el_residual_terms
 from qpotlab.expr import (
     Const,
     EvaluationError,
@@ -15,7 +17,9 @@ from qpotlab.expr import (
     Prod,
     Sym,
     ZERO,
+    Sum,
     canonical,
+    compile_float,
     evaluate,
     evaluate_exact,
     jet_order,
@@ -27,6 +31,7 @@ from qpotlab.expr import (
     parse_q_expression,
     partial_wrt_jet,
     quotient,
+    symbol_names,
     to_text,
     total_derivative,
 )
@@ -159,6 +164,127 @@ class TestEvaluation:
         point = JetPoint({JetVariable(): 0, JetVariable((0, 0)): Fraction(1)})
         with pytest.raises(EvaluationError, match="division by zero"):
             evaluate_exact(q, point)
+
+
+WORKLOAD = (
+    "A0",
+    "A2 * lap(R) / R",
+    "A4 * lap2(R) / R",
+    "A6 * lap(lap2(R)) / R",
+    "A8 * lap2(lap2(R)) / R",
+    "A2 * lap(R) / R + A4 * lap2(R) / R",
+    "C * dx(R)",
+    "C * dx(R)^2 / R",
+)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return type(a) is float and float.hex(a) == float.hex(b)
+
+
+def _compiled_and_reference(e, variables, names, jets, symbols):
+    point = JetPoint(dict(zip(variables, jets)), 3)
+    reference = evaluate(e, point, dict(zip(names, symbols)))
+    return compile_float(e, variables, names)(jets, symbols), reference
+
+
+class TestCompileFloat:
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    @pytest.mark.parametrize("text", WORKLOAD)
+    def test_matches_evaluate_on_residual_terms(self, text, dim):
+        q = parse_q_expression(text, dim)
+        terms = [t for _, t in el_residual_terms(q, dim)]
+        exprs = [q, canonical(make_sum(terms)), *terms]
+        variables = sorted(
+            set().union(*map(jet_variables, exprs)) | {JetVariable()},
+            key=lambda v: (v.order, v.axes),
+        )
+        names = sorted(set().union(*map(symbol_names, exprs)))
+        compiled = [compile_float(e, variables, names) for e in exprs]
+        rng = np.random.default_rng(sum(map(ord, text)) + dim)
+        for _ in range(200):
+            jets = [
+                float(rng.uniform(-3.0, 3.0) * 2.0 ** rng.integers(-6, 7))
+                for _ in variables
+            ]
+            symbols = [float(rng.uniform(-2.0, 2.0)) for _ in names]
+            point = JetPoint(dict(zip(variables, jets)), dim)
+            consts = dict(zip(names, symbols))
+            for e, fn in zip(exprs, compiled):
+                assert _same_bits(fn(jets, symbols), evaluate(e, point, consts))
+
+    def test_default_order_is_sorted_variables_and_names(self):
+        e = parse_q_expression("B * R_x + A * R_xx / R", 1)
+        fn = compile_float(e)
+        jets, symbols = [1.5, -0.25, 3.0], [0.75, -2.0]  # R, R_x, R_xx; A, B
+        point = JetPoint({R.var: 1.5, R_x.var: -0.25, R_xx.var: 3.0})
+        assert _same_bits(fn(jets, symbols), evaluate(e, point, {"A": 0.75, "B": -2.0}))
+
+    def test_constant_only_expression(self):
+        e = Sum((Const(Fraction(1, 3)), Prod((Const(Fraction(2, 7)), Const(5)))))
+        assert _same_bits(compile_float(e)([], []), evaluate(e, JetPoint({})))
+        assert compile_float(e)([], []) == float(Fraction(1, 3) + Fraction(10, 7))
+
+    def test_exact_prefix_is_folded_and_later_constants_rounded(self):
+        # 1/3 + 1/7 is folded exactly before R enters; the trailing 1/11 is
+        # added as float(1/11), as the tree walk does.
+        e = Sum((Const(Fraction(1, 3)), Const(Fraction(1, 7)), R, Const(Fraction(1, 11))))
+        for r in (1e-17, -0.47619047619047616, 3.0, 1e16):
+            got, want = _compiled_and_reference(e, [R.var], [], [r], [])
+            assert _same_bits(got, want)
+            assert got == float(Fraction(10, 21)) + r + float(Fraction(1, 11))
+        p = Prod((Const(Fraction(1, 3)), Const(Fraction(3, 5)), R, Const(Fraction(1, 7))))
+        got, want = _compiled_and_reference(p, [R.var], [], [0.1], [])
+        assert _same_bits(got, want)
+
+    def test_negative_zero_jets(self):
+        cases = (
+            Sum((R, R_x)),  # 0.0 + -0.0 + -0.0 = 0.0
+            Prod((R, R_x)),  # 1.0 * -0.0 * -0.0 = 0.0
+            Prod((Const(-1), R)),  # -1.0 * -0.0 = 0.0
+            Sum((Const(0), R)),
+            R,
+            Pow(R_x, 3),
+        )
+        for e in cases:
+            for r in (-0.0, 0.0):
+                got, want = _compiled_and_reference(e, [R.var, R_x.var], [], [r, -0.0], [])
+                assert _same_bits(got, want), (to_text(e), r)
+
+    def test_zero_base_negative_exponent_raises(self):
+        e = parse_q_expression("lap(R) / R", 1)
+        fn = compile_float(e, [R.var, R_xx.var], [])
+        for r in (0.0, -0.0):
+            point = JetPoint({R.var: r, R_xx.var: 1.0})
+            with pytest.raises(EvaluationError) as want:
+                evaluate(e, point)
+            with pytest.raises(EvaluationError) as got:
+                fn([r, 1.0], [])
+            assert str(got.value) == str(want.value)
+
+    def test_overflow_raises_as_evaluate_does(self):
+        e = Pow(R, 3)
+        with pytest.raises(OverflowError):
+            evaluate(e, JetPoint({R.var: 1e200}))
+        with pytest.raises(OverflowError):
+            compile_float(e)([1e200], [])
+
+    def test_unbound_names_rejected_at_compile_time(self):
+        e = parse_q_expression("A * R_x", 1)
+        with pytest.raises(EvaluationError, match="unbound constant 'A'"):
+            compile_float(e, [R.var, R_x.var], [])
+        with pytest.raises(EvaluationError, match="R_x"):
+            compile_float(e, [R.var], ["A"])
+        with pytest.raises(EvaluationError, match="division by zero"):
+            compile_float(Prod((R, Pow(Const(0), -1))))
+
+    def test_repeated_subtrees_give_the_same_bits(self):
+        inv = Pow(R, -1)
+        e = Sum((Prod((inv, R_x)), Prod((inv, R_xx)), Prod((inv, R_x))))
+        got, want = _compiled_and_reference(
+            e, [R.var, R_x.var, R_xx.var], [], [0.3, 1.7, -2.9], []
+        )
+        assert _same_bits(got, want)
 
 
 class TestParser:

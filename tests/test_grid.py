@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from qpotlab.grid import (
     DIRICHLET,
@@ -249,6 +250,20 @@ class TestGradient:
         f = GridFunction(g, np.sin(k * g.points))
         d = gradient(f, "spectral")
         assert np.allclose(d.values, k * np.cos(k * g.points), atol=1e-8 * k)
+
+    def test_wavenumbers_built_once_and_read_only(self):
+        g = Grid.uniform(0.0, 2.0, 96, PERIODIC)
+        k = g.wavenumbers
+        assert k is g.wavenumbers
+        assert not k.flags.writeable
+        assert np.array_equal(k, 2.0 * np.pi * scipy.fft.fftfreq(96, d=g.spacing))
+        f = GridFunction(g, np.cos(np.pi * g.points) + 0.3 * np.sin(3 * np.pi * g.points))
+        fhat = scipy.fft.fft(f.values)
+        assert np.array_equal(
+            gradient(f, "spectral").values, scipy.fft.ifft(1j * k * fhat).real
+        )
+        with pytest.raises(ValueError):
+            k[0] = 1.0
 
     def test_radial_gradient(self):
         g = Grid.radial_log(1e-2, 20.0, 1024)
