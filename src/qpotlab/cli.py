@@ -20,6 +20,7 @@ so a rerun with the same inputs reproduces every artifact byte for byte
 from __future__ import annotations
 
 import argparse
+import functools
 import platform
 import sys
 import time
@@ -507,9 +508,15 @@ def _cmd(args: argparse.Namespace) -> int:
     return _run_scenario(scenario, cfg, Path(args.out), seed)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: ``parse_args``
+    keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _cmd(args)
     except (

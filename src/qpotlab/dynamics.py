@@ -19,8 +19,10 @@ N steps evaluates W N + 1 times, and the closing half-rotation of one step
 and the opening one of the next are applied as one full rotation
 exp(-i (V + W) dt / hbar) (Bao, Jin & Markowich, J. Comput. Phys. 175
 (2002) 487).  The rotation is split into its two halves only at stored
-frames, so a stored frame is psi after the closing half-rotation.  The
-finite-value and norm checks run on psi after every step's rotation.
+frames, so a stored frame is psi after the closing half-rotation.  Each
+rotation is cos + i sin of one real phase, bit for bit the complex
+exponential (:func:`_phase_rotation`).  The finite-value and norm checks
+run on psi after every step's rotation.
 Rotations by a real W and the unitary kinetic step conserve the norm to
 roundoff.
 
@@ -209,6 +211,21 @@ class _KineticStep:
         return out
 
 
+def _phase_rotation(potential: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-1j * potential * scale), bit for bit, as cos + i sin of one real
+    phase written into the real and imaginary views of one complex buffer.
+
+    The complex product leaves a +0.0 phase where potential * scale is zero,
+    so theta += 0.0 turns -0.0 into +0.0 before sin keeps its sign.
+    """
+    theta = potential * -scale
+    theta += 0.0
+    rot = np.empty(theta.shape, np.complex128)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    return rot
+
+
 def evolve(
     psi0: WaveField,
     V: GridFunction,
@@ -242,7 +259,7 @@ def evolve(
         psi[-1] = 0.0
 
     def rotation(W: np.ndarray, fraction: float) -> np.ndarray:
-        return np.exp(-1j * (V.values + W) * (fraction * cfg.dt / hbar))
+        return _phase_rotation(V.values + W, fraction * cfg.dt / hbar)
 
     # psi is zero at both ends of a Dirichlet grid, so h * sum |psi|^2 is
     # the grid quadrature on either boundary

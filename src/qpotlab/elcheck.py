@@ -139,6 +139,14 @@ def _sign(rng: np.random.Generator) -> float:
     return (-1.0, 1.0)[int(rng.integers(0, 2))]
 
 
+# Bounds of the 14 draws of one polynomial profile, in draw order: six
+# (numerator in [-9, 9], denominator in [1, 4]) pairs, then p in [-6, 6] and
+# q in [1, 3].  One call with array bounds gives the values and generator
+# state of 14 scalar rng.integers calls in this order.
+_POLY_LOW = np.array([-9, 1] * 6 + [-6, 1])
+_POLY_HIGH = np.array([10, 5] * 6 + [7, 4])
+
+
 def _poly_profile(rng: np.random.Generator, max_order: int) -> list[float]:
     """Degree-5 polynomial with rational coefficients n_k/d_k (d_k <= 4) at a
     rational point p/q (q <= 3), derivatives exact.
@@ -147,11 +155,9 @@ def _poly_profile(rng: np.random.Generator, max_order: int) -> list[float]:
     12 q^5; the one int / int division is correctly rounded, so the float is
     the one the exact rational rounds to.
     """
-    scaled = []
-    for _ in range(6):
-        num = int(rng.integers(-9, 10))
-        scaled.append(num * (12 // int(rng.integers(1, 5))))
-    p, q = int(rng.integers(-6, 7)), int(rng.integers(1, 4))
+    draws = rng.integers(_POLY_LOW, _POLY_HIGH).tolist()
+    scaled = [num * (12 // d) for num, d in zip(draws[0:12:2], draws[1:12:2])]
+    p, q = draws[12], draws[13]
     powers = [p**m * q ** (5 - m) for m in range(6)]  # x0^m * q^5
     den = 12 * q**5
     return [

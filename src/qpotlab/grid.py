@@ -205,6 +205,31 @@ class Grid:
         k.flags.writeable = False
         return k
 
+    def series_symbol(self, unit: Mapping[int, float]) -> np.ndarray:
+        """:func:`laplacian_symbol` of ``unit`` at this grid's transform
+        wavenumbers (Fourier on periodic grids, DST-I sine modes on
+        Dirichlet ones), built once per grid and coefficient map and
+        read-only; uniform grids only.
+
+        The cache key is the ordered (power, coefficient bits) items: the
+        symbol is summed in item order, so a reordered map is a new entry.
+        """
+        key = tuple((n, float(c).hex()) for n, c in unit.items())
+        symbol = self._symbols.get(key)
+        if symbol is None:
+            if self.boundary == PERIODIC:
+                k = self.wavenumbers
+            else:
+                k = np.arange(1, self.n - 1) * np.pi / self.length
+            symbol = laplacian_symbol(unit, k)
+            symbol.flags.writeable = False
+            self._symbols[key] = symbol
+        return symbol
+
+    @cached_property
+    def _symbols(self) -> dict:
+        return {}
+
     @property
     def log_step(self) -> float:
         if self.kind != RADIAL_LOG:
@@ -309,11 +334,10 @@ def laplacian_series(
         scale = max(coeffs.values(), key=abs) or 1.0
         unit = {n: c / scale for n, c in coeffs.items()}
         if g.boundary == PERIODIC:
-            coef = scipy.fft.fft(f.values) * laplacian_symbol(unit, g.wavenumbers)
+            coef = scipy.fft.fft(f.values) * g.series_symbol(unit)
             return GridFunction(g, scale * scipy.fft.ifft(coef).real)
-        k = np.arange(1, g.n - 1) * np.pi / g.length
         coef = scipy.fft.dst(f.values[1:-1], type=1, norm="ortho")
-        coef *= laplacian_symbol(unit, k)
+        coef *= g.series_symbol(unit)
         out = np.zeros(g.n)
         out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
         return GridFunction(g, out)

@@ -5,7 +5,12 @@ LU-factored once with LAPACK ``zgttrf`` (:func:`factor_tridiagonal`) and
 each step costs one ``zgttrs`` back-substitution
 (:func:`solve_tridiagonal`).  Trajectory advection moves every seed at once
 with vectorised numpy RK4 through stored velocity frames, one gather per
-RK4 stage.
+RK4 stage.  The interpolation works in place (``take`` and ``out=``), the
+blended row at the end of a substep is reused as the next substep's first
+row, and periodic positions wrap with :func:`_wrap`, which gives the bits
+of ``np.mod`` with a min/max check instead of a division when every
+position is already in range.  Periodic seeds cannot exit, so only
+Dirichlet grids mask frozen seeds.
 """
 
 from __future__ import annotations
@@ -58,16 +63,47 @@ def solve_tridiagonal(factors: tuple, b: np.ndarray) -> np.ndarray:
 # at the boundary and flagged; periodic ones wrap.
 
 
+def _wrap(u, period):
+    """``np.mod(u, period)`` bit for bit, for ``period > 0``.
+
+    When every position already lies in [0, period), one min/max check
+    suffices and ``u + 0.0`` turns -0.0 into +0.0 as ``np.mod`` does.
+    Otherwise this is numpy's own definition: ``fmod``, then ``period``
+    added to negative remainders (a tiny negative rounds onto ``period``),
+    then +0.0 for zero remainders; NaN stays NaN.
+    """
+    if u.size and u.min() >= 0.0 and u.max() < period:
+        return u + 0.0
+    r = np.fmod(u, period)
+    np.add(r, period, out=r, where=r < 0.0)
+    r += 0.0
+    return r
+
+
 def _interp_many(row, xs, x0, h, periodic):
     """Linear interpolation of one row at many positions.  A periodic row
     repeats its first value at the end, so the wrap cell is an ordinary one
     and a position that rounds onto x0 + length stays in range."""
     last = row.size - 1
-    u = (xs - x0) / h
-    u = np.mod(u, last) if periodic else np.clip(u, 0.0, last)
-    i = np.minimum(u.astype(np.int64), last - 1)
-    w = u - i
-    return (1.0 - w) * row[i] + w * row[i + 1]
+    u = xs - x0
+    u /= h
+    if periodic:
+        u = _wrap(u, last)
+    else:
+        np.clip(u, 0.0, last, out=u)
+    i = u.astype(np.int64)
+    np.minimum(i, last - 1, out=i)
+    w = u
+    w -= i
+    lo = row.take(i)
+    i += 1
+    hi = row.take(i)
+    # (1 - w) * row[i] + w * row[i + 1]
+    hi *= w
+    np.subtract(1.0, w, out=w)
+    lo *= w
+    lo += hi
+    return lo
 
 
 def advect_seeds(
@@ -98,31 +134,42 @@ def advect_seeds(
     xmax = x0 + h * (npts - 1)
     if periodic:
         vframes = np.concatenate((vframes, vframes[:, :1]), axis=1)
+    dt = dt_frame / substeps
     x = seeds.copy()
     paths[0] = x
     for f in range(nframes - 1):
         active = exited == 0
         va, vb = vframes[f], vframes[f + 1]
 
-        def vel(tw, pos):
-            return _interp_many((1.0 - tw) * va + tw * vb, pos, x0, h, periodic)
+        def blend(tw):
+            return (1.0 - tw) * va + tw * vb
 
+        # the row at the end of one substep is the next one's first row
+        row1 = blend(0.0)
         for m in range(substeps):
-            dt = dt_frame / substeps
-            w0 = m / substeps
-            wh = (m + 0.5) / substeps
-            w1 = (m + 1.0) / substeps
-            k1 = vel(w0, x)
-            k2 = vel(wh, x + 0.5 * dt * k1)
-            k3 = vel(wh, x + 0.5 * dt * k2)
-            k4 = vel(w1, x + dt * k3)
-            step = dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            x = np.where(active, x + step, x)
+            row0 = row1
+            rowh = blend((m + 0.5) / substeps)
+            row1 = blend((m + 1.0) / substeps)
+            k1 = _interp_many(row0, x, x0, h, periodic)
+            k2 = _interp_many(rowh, x + 0.5 * dt * k1, x0, h, periodic)
+            k3 = _interp_many(rowh, x + 0.5 * dt * k2, x0, h, periodic)
+            k4 = _interp_many(row1, x + dt * k3, x0, h, periodic)
+            # dt * (k1 + 2 k2 + 2 k3 + k4) / 6, summed left to right
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt
+            k1 /= 6.0
             if periodic:
-                x = x0 + np.mod(x - x0, length)
+                # no seed can exit a periodic grid
+                x += k1
+                x = x0 + _wrap(x - x0, length)
             else:
+                x = np.where(active, x + k1, x)
                 out = active & ((x < x0) | (x > xmax))
-                x = np.clip(x, x0, xmax)
+                np.clip(x, x0, xmax, out=x)
                 exited[out] = 1
                 active = exited == 0
         paths[f + 1] = x

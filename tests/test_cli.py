@@ -565,6 +565,65 @@ class TestDeterminism:
         assert "qpotlab" in capsys.readouterr().out
 
 
+class TestParserOnce:
+    """main builds the argparse tree once per process; successive calls
+    with different subcommands behave as with a fresh parser each."""
+
+    ARGVS = (
+        ["coefficients", "--max-n", "3"],
+        ["spectra", "--problem", "box", "--points", "65", "--count", "2"],
+        ["verify-el", "--q", "A0", "--trials", "4", "--seed", "3"],
+        ["coefficients"],
+        ["run", "--config", "c.cfg"],
+        ["spectra", "--problem", "hydrogen"],
+    )
+
+    def test_namespaces_match_a_fresh_parser(self):
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            assert cli._parser().parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_successive_calls(self, tmp_path, capsys, monkeypatch):
+        from qpotlab import __version__
+
+        builds = []
+        original = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["coefficients", "--max-n", "3", "--out", str(tmp_path / "a")]) == 0
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"qpotlab {__version__}\n"
+            with pytest.raises(SystemExit) as exc:
+                main(["evolve", "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: qpotlab evolve")
+            assert "the following arguments are required: --config" in err
+            box = tmp_path / "box"
+            assert main(["spectra", "--problem", "box", "--points", "65", "--count", "2",
+                         "--out", str(box)]) == 0
+            assert read_json(box / "manifest.json")["scenario"] == "box"
+            assert main(["coefficients", "--max-n", "3", "--out", str(tmp_path / "b")]) == 0
+            assert builds == [1]
+        finally:
+            cli._parser.cache_clear()
+        ma = read_json(tmp_path / "a" / "manifest.json")
+        mb = read_json(tmp_path / "b" / "manifest.json")
+        ma.pop("timings")
+        mb.pop("timings")
+        assert ma == mb  # nothing of the spectra call leaked into the config
+        csv = "coefficients.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
 class TestSpecParsing:
     """A malformed order or coefficient exits 1 naming its key."""
 

@@ -347,6 +347,37 @@ class TestFusedRotation:
             evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
 
 
+class TestPhaseRotation:
+    """cos + i sin of one real phase is np.exp of the complex phase, bit
+    for bit, from zero through |theta| of 1e12."""
+
+    @staticmethod
+    def assert_same_bits(potential, scale):
+        got = dynamics._phase_rotation(potential, scale)
+        want = np.exp(-1j * potential * scale)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [1e-6 / ELECTRON.hbar, 0.5, 3.7e3])
+    def test_wide_theta_range(self, scale):
+        rng = np.random.default_rng(17)
+        magnitude = 10.0 ** rng.uniform(-20.0, 12.0, 200_000)
+        theta = rng.choice((-1.0, 1.0), magnitude.size) * magnitude
+        self.assert_same_bits(theta / scale, scale)
+
+    def test_zero_and_tiny_phases(self):
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0])
+        for scale in (0.5, 1e-300, 5e-324):
+            self.assert_same_bits(values, scale)
+
+    def test_workload_potentials(self):
+        # W about the electron rest energy, as in the benchmark's evolves
+        rng = np.random.default_rng(18)
+        W = 5.11e5 + rng.uniform(-2e3, 2e3, 4096)
+        for fraction in (0.5, 1.0):
+            self.assert_same_bits(W, fraction * 1e-6 / ELECTRON.hbar)
+
+
 class TestDerivedFields:
     def test_plane_wave_velocity(self):
         g = periodic_grid(128)

@@ -174,6 +174,30 @@ class TestSampling:
             assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
             assert fast.bit_generator.state == slow.bit_generator.state
 
+    def test_poly_draws_match_scalar_draws(self):
+        # the sampler with its 14 scalar rng.integers calls, in draw order
+        def oracle(rng, max_order):
+            scaled = []
+            for _ in range(6):
+                num = int(rng.integers(-9, 10))
+                scaled.append(num * (12 // int(rng.integers(1, 5))))
+            p, q = int(rng.integers(-6, 7)), int(rng.integers(1, 4))
+            powers = [p**m * q ** (5 - m) for m in range(6)]
+            return [
+                sum(scaled[k] * math.perm(k, j) * powers[k - j] for k in range(j, 6))
+                / (12 * q**5)
+                for j in range(max_order + 1)
+            ]
+
+        for seed in range(500):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for draw in range(3):
+                max_order = (seed + draw) % 12
+                got, want = _poly_profile(fast, max_order), oracle(slow, max_order)
+                assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+                assert fast.uniform(0.5, 2.0) == slow.uniform(0.5, 2.0)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
     def test_sign_draw_consumes_the_choice_stream(self):
         fast, slow = np.random.default_rng(11), np.random.default_rng(11)
         for i in range(20_000):

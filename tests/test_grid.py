@@ -265,6 +265,46 @@ class TestGradient:
         with pytest.raises(ValueError):
             k[0] = 1.0
 
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_series_symbol_built_once_and_read_only(self, boundary, monkeypatch):
+        import qpotlab.grid as grid_module
+
+        built = []
+        original = grid_module.laplacian_symbol
+
+        def counted(coeffs, k):
+            built.append(dict(coeffs))
+            return original(coeffs, k)
+
+        monkeypatch.setattr(grid_module, "laplacian_symbol", counted)
+        g = Grid.uniform(0.0, 1.5, 65, boundary)
+        if boundary == PERIODIC:
+            k = g.wavenumbers
+        else:
+            k = np.arange(1, g.n - 1) * np.pi / g.length  # DST-I sine modes
+        f = GridFunction(g, np.sin(2 * np.pi * g.points / 1.5) ** 3)
+        series = {1: 0.7, 2: -0.3, 3: 1e-3}
+        first = laplacian_series(f, series, "spectral").values
+        for _ in range(3):
+            assert np.array_equal(laplacian_series(f, series, "spectral").values, first)
+        assert built == [{1: 0.7 / 0.7, 2: -0.3 / 0.7, 3: 1e-3 / 0.7}]
+        unit = {1: 1.0, 2: -0.3 / 0.7, 3: 1e-3 / 0.7}
+        sym = g.series_symbol(unit)
+        assert sym is g.series_symbol(dict(unit))
+        assert len(built) == 1
+        assert np.array_equal(sym, original(unit, k))
+        assert not sym.flags.writeable
+        with pytest.raises(ValueError):
+            sym[0] = 1.0
+        # a different map, or the same items in another order (summed in
+        # that order), is a new symbol; another grid has its own cache
+        g.series_symbol({1: -1.0})
+        g.series_symbol(dict(reversed(unit.items())))
+        Grid.uniform(0.0, 1.5, 65, boundary).series_symbol(unit)
+        assert len(built) == 4
+        # -0.0 and 0.0 coefficients are different keys
+        assert g.series_symbol({1: 1.0, 2: -0.0}) is not g.series_symbol({1: 1.0, 2: 0.0})
+
     def test_radial_gradient(self):
         g = Grid.radial_log(1e-2, 20.0, 1024)
         f = GridFunction(g, np.exp(-g.points))

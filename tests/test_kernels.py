@@ -227,3 +227,120 @@ class TestAdvectionOracle:
         )
         end = paths[-1][0]
         assert 0.0 <= end <= 1.0 and min(end, 1.0 - end) < 1e-12
+
+
+class TestWrap:
+    """_wrap is np.mod for a positive period, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(u, period):
+        got, want = kernels._wrap(u, period), np.mod(u, period)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("period", [1.0, 3.0, 2048, 0.1])
+    def test_edge_values(self, period):
+        ulp = np.spacing(float(period))
+        values = [
+            -0.0, 0.0, -1e-300, -5e-324, -1e-17, 1e-300,
+            period - ulp, period, -period, 2 * period, -3 * period,
+            5 * period, -5 * period, 5.5 * period, -5.5 * period,
+        ]
+        self.assert_same_bits(np.array(values, np.float64), period)
+        # every value alone, so the in-range shortcut runs as well
+        for v in values:
+            self.assert_same_bits(np.array([v], np.float64), period)
+        self.assert_same_bits(np.array([0.5 * period, np.nan, -0.0]), period)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(8)
+        u = rng.uniform(-6.0, 6.0, 10_000) * 10.0 ** rng.integers(-20, 3, 10_000)
+        self.assert_same_bits(u, 1.0)
+        self.assert_same_bits(np.abs(u) % 0.75, 0.75)
+        self.assert_same_bits(np.array([], np.float64), 1.0)
+
+
+def parent_advect(vframes, x0, h, dt_frame, seeds, substeps, periodic, length):
+    """advect_seeds as it was before the in-place rewrite: np.mod wraps, one
+    blended row per RK4 stage, np.where on both boundaries."""
+
+    def interp(row, xs):
+        last = row.size - 1
+        u = (xs - x0) / h
+        u = np.mod(u, last) if periodic else np.clip(u, 0.0, last)
+        i = np.minimum(u.astype(np.int64), last - 1)
+        w = u - i
+        return (1.0 - w) * row[i] + w * row[i + 1]
+
+    nframes, npts = vframes.shape
+    paths = np.empty((nframes, seeds.shape[0]), np.float64)
+    exited = np.zeros(seeds.shape[0], np.uint8)
+    xmax = x0 + h * (npts - 1)
+    if periodic:
+        vframes = np.concatenate((vframes, vframes[:, :1]), axis=1)
+    x = seeds.copy()
+    paths[0] = x
+    for f in range(nframes - 1):
+        active = exited == 0
+        va, vb = vframes[f], vframes[f + 1]
+
+        def vel(tw, pos):
+            return interp((1.0 - tw) * va + tw * vb, pos)
+
+        for m in range(substeps):
+            dt = dt_frame / substeps
+            w0 = m / substeps
+            wh = (m + 0.5) / substeps
+            w1 = (m + 1.0) / substeps
+            k1 = vel(w0, x)
+            k2 = vel(wh, x + 0.5 * dt * k1)
+            k3 = vel(wh, x + 0.5 * dt * k2)
+            k4 = vel(w1, x + dt * k3)
+            step = dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            x = np.where(active, x + step, x)
+            if periodic:
+                x = x0 + np.mod(x - x0, length)
+            else:
+                out = active & ((x < x0) | (x > xmax))
+                x = np.clip(x, x0, xmax)
+                exited[out] = 1
+                active = exited == 0
+        paths[f + 1] = x
+    return paths, exited
+
+
+class TestSameBitsAsParent:
+    """The in-place advection gives the earlier implementation's bits."""
+
+    @pytest.mark.parametrize("substeps", [1, 3, 4])
+    def test_periodic_seeds_straddling_the_wrap(self, substeps):
+        rng = np.random.default_rng(31)
+        L, npts = 1.0, 256
+        points = np.linspace(0.0, L, npts, endpoint=False)
+        vframes = varying_frames(9, points, rng)
+        vframes[4:] *= -1.0  # flow back across x0 as well
+        # seeds at x0 and just below x0 + L, where stage positions leave
+        # [0, n) and the fmod branch of _wrap runs
+        seeds = np.concatenate(
+            ([0.0, -0.0, L - np.spacing(L), 1e-300], rng.uniform(0.0, L, 300),
+             L - rng.uniform(0.0, 1e-3, 50), rng.uniform(0.0, 1e-3, 50))
+        )
+        args = (vframes, 0.0, L / npts, 0.07, seeds, substeps, True, L)
+        paths, exited = kernels.advect_seeds(*args)
+        ref_paths, ref_exited = parent_advect(*args)
+        assert np.array_equal(paths.view(np.uint64), ref_paths.view(np.uint64))
+        assert np.array_equal(exited, ref_exited) and not exited.any()
+        assert np.any(paths[1:] < 0.01) and np.any(paths[1:] > L - 0.01)
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_dirichlet_seeds_that_exit(self, substeps):
+        rng = np.random.default_rng(32)
+        L, npts = 2.0, 301
+        points = np.linspace(-1.0, 1.0, npts)
+        vframes = 3.0 * varying_frames(7, points, rng) - 1.5
+        seeds = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 400)))
+        args = (vframes, -1.0, L / (npts - 1), 0.1, seeds, substeps, False, L)
+        paths, exited = kernels.advect_seeds(*args)
+        ref_paths, ref_exited = parent_advect(*args)
+        assert np.array_equal(paths.view(np.uint64), ref_paths.view(np.uint64))
+        assert np.array_equal(exited, ref_exited)
+        assert 0 < np.count_nonzero(exited) < seeds.size
