@@ -15,8 +15,9 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
 - ``spectra`` — box and hydrogen stationary states, perturbative energy
   shifts with an independent cross-check path, and a nonperturbative
   modified eigensolver;
-- ``dynamics`` — split-step / Crank-Nicolson integration of the modified
-  (nonlinear) wave equation plus guidance-velocity trajectories;
+- ``dynamics`` — integration of the modified (nonlinear) wave equation,
+  split-step on periodic grids and Crank-Nicolson on Dirichlet ones, plus
+  guidance-velocity trajectories;
 - ``cli`` — reproducible command-line scenarios with manifest output.
 """
 

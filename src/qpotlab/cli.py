@@ -47,6 +47,7 @@ from .grid import (
     Grid,
     GridError,
     GridFunction,
+    _write_table,
     read_gridfunction,
     write_gridfunction,
 )
@@ -188,7 +189,7 @@ def _scenario_hydrogen(
     grid = hydrogen_default_grid(params, points=radial_points)
     states = []
     for n in (1, 2):
-        state = hydrogen_radial_state(n, 0, params, grid)
+        state = hydrogen_radial_state(n, params, grid)
         res = compare_shifts(state, params, spec)
         analytic = hydrogen_shift_closed_form(n, params)
         states.append(
@@ -250,19 +251,10 @@ def _initial_field(cfg: Mapping[str, str], g: Grid, L: float) -> WaveField:
 
 
 def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
-    serialize.write_csv(
-        path,
-        ("coordinate", "real", "imag"),
-        np.column_stack((field.grid.points, field.values.real, field.values.imag)),
+    data = {"real": field.values.real, "imag": field.values.imag}
+    _write_table(
+        path, field.grid, data, units=units, time=t, columns=["coordinate", *data]
     )
-    sidecar = {
-        "kind": field.grid.kind,
-        "boundary": field.grid.boundary,
-        "units": units,
-        "time": t,
-        "columns": ["coordinate", "real", "imag"],
-    }
-    serialize.write_json(path.with_name(path.name + ".json"), sidecar)
 
 
 def _scenario_evolve(
@@ -276,21 +268,13 @@ def _scenario_evolve(
         raise serialize.ConfigError(f"key 'boundary': unknown value {boundary!r}")
     g = Grid.uniform(0.0, L, points, boundary)
     psi0 = _initial_field(cfg, g, L)
-    default_scheme = SPLIT_STEP if boundary == PERIODIC else CRANK_NICOLSON
-    scheme = serialize.get(cfg, "scheme", str, default_scheme)
     steps = serialize.get(cfg, "steps", int)
     run_cfg = EvolutionConfig(
         dt=serialize.get(cfg, "dt", float),
         steps=steps,
-        scheme=scheme,
         q_cap=serialize.get(cfg, "q_cap", float, None),
         store_every=serialize.get(cfg, "store_every", int, max(1, steps // 10)),
     )
-    potential = serialize.get(cfg, "potential", str, "none")
-    if potential != "none":
-        raise serialize.ConfigError(
-            f"key 'potential': unsupported value {potential!r}"
-        )
     V = GridFunction(g, np.zeros(points))
     units = serialize.get(cfg, "units", str, "electron")
     cfg.reject_unread()
@@ -313,6 +297,7 @@ def _scenario_evolve(
         ),
     )
     drift = float(np.max(np.abs(result.norms - result.norms[0])))
+    scheme = SPLIT_STEP if boundary == PERIODIC else CRANK_NICOLSON
     summary = {
         "scheme": scheme,
         "steps": steps,

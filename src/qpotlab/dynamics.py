@@ -11,8 +11,7 @@ Since W depends on |psi| the equation is nonlinear whenever any order
 other than 0 and 2 is present.
 
 Integration is Strang splitting: half-step phase rotation by V + W, full
-kinetic step (Fourier exponential on periodic grids, unitary Crank-Nicolson
-on Dirichlet grids), then the closing half-step rotation by V + W with W
+kinetic step, then the closing half-step rotation by V + W with W
 evaluated from the updated amplitude.  A phase rotation leaves |psi|
 unchanged, so that closing W is also the next step's opening W: a run of
 N steps evaluates W N + 1 times, and the closing half-rotation of one step
@@ -25,6 +24,12 @@ exponential (:func:`_phase_rotation`).  The finite-value and norm checks
 run on psi after every step's rotation.
 Rotations by a real W and the unitary kinetic step conserve the norm to
 roundoff.
+
+The grid's boundary picks the kinetic step, and nothing else can: the
+Fourier exponential (:data:`SPLIT_STEP`) on periodic grids, unitary
+Crank-Nicolson (:data:`CRANK_NICOLSON`) on Dirichlet grids, where psi is
+zeroed at both ends before the first step.  The two names are only the
+labels a run reports.
 
 Near wavefunction nodes the higher-order terms diverge; they are zeroed
 below the amplitude floor and clamped at ``q_cap``, with clamp events
@@ -61,6 +66,9 @@ from .qpotential import (
 
 SPLIT_STEP = "split-step-spectral"
 CRANK_NICOLSON = "crank-nicolson-fd"
+
+# Guidance velocities are zeroed where |psi| <= VELOCITY_FLOOR * max|psi|.
+VELOCITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +117,6 @@ def norm(psi: WaveField) -> float:
 class EvolutionConfig:
     dt: float
     steps: int
-    scheme: str = SPLIT_STEP
     q_cap: float | None = None  # default: 1e3 * eps0 * (lambda_c/L)^4
     store_every: int = 1
 
@@ -118,8 +125,6 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.scheme not in (SPLIT_STEP, CRANK_NICOLSON):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.q_cap is not None and self.q_cap <= 0:
             raise ValueError("q_cap must be positive")
         if self.store_every < 1:
@@ -175,32 +180,28 @@ class _ExtraPotential:
 
 
 class _KineticStep:
-    """Full-dt kinetic propagator: Fourier exponential or Crank-Nicolson."""
+    """Full-dt kinetic propagator of a uniform grid: the Fourier exponential
+    on periodic grids, Crank-Nicolson on Dirichlet ones."""
 
-    def __init__(self, grid: Grid, params: PhysicalParams, dt: float, scheme: str):
-        self.grid = grid
-        self.scheme = scheme
+    def __init__(self, grid: Grid, params: PhysicalParams, dt: float):
         c2 = params.hbar**2 / (2.0 * params.mass)
-        if scheme == SPLIT_STEP:
-            if grid.boundary != PERIODIC:
-                raise GridError("split-step-spectral requires a periodic grid")
+        self.periodic = grid.boundary == PERIODIC
+        if self.periodic:
             self.phase = np.exp(-1j * (c2 * grid.wavenumbers**2 / params.hbar) * dt)
-        else:
-            if grid.boundary != DIRICHLET:
-                raise GridError("crank-nicolson-fd requires a Dirichlet grid")
-            m = grid.n - 2
-            h = grid.spacing
-            alpha = 1j * dt / (2.0 * params.hbar)
-            self.h_diag = -c2 * (-2.0 / h**2)
-            self.h_off = -c2 * (1.0 / h**2)
-            off = np.full(m - 1, alpha * self.h_off, np.complex128)
-            self.factors = kernels.factor_tridiagonal(
-                off, np.full(m, 1.0 + alpha * self.h_diag, np.complex128), off
-            )
-            self.alpha = alpha
+            return
+        m = grid.n - 2
+        h = grid.spacing
+        alpha = 1j * dt / (2.0 * params.hbar)
+        self.h_diag = -c2 * (-2.0 / h**2)
+        self.h_off = -c2 * (1.0 / h**2)
+        off = np.full(m - 1, alpha * self.h_off, np.complex128)
+        self.factors = kernels.factor_tridiagonal(
+            off, np.full(m, 1.0 + alpha * self.h_diag, np.complex128), off
+        )
+        self.alpha = alpha
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        if self.scheme == SPLIT_STEP:
+        if self.periodic:
             return scipy.fft.ifft(scipy.fft.fft(psi) * self.phase)
         inner_vals = psi[1:-1]
         rhs = (1.0 - self.alpha * self.h_diag) * inner_vals
@@ -250,11 +251,11 @@ def evolve(
     else:
         q_cap = 1e3 * params.rest_energy * (params.compton_wavelength / g.length) ** 4
     extra = _ExtraPotential(g, spec, params, q_cap)
-    kinetic = _KineticStep(g, params, cfg.dt, cfg.scheme)
+    kinetic = _KineticStep(g, params, cfg.dt)
     hbar = params.hbar
 
     psi = psi0.values.copy()
-    if cfg.scheme == CRANK_NICOLSON:
+    if g.boundary == DIRICHLET:
         psi[0] = 0.0
         psi[-1] = 0.0
 
@@ -318,14 +319,13 @@ def _complex_gradient(g: Grid, values: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def bohmian_velocity(
-    psi: WaveField, params: PhysicalParams, floor: float = 1e-8
-) -> GridFunction:
-    """Guidance velocity v = (hbar/m) Im(grad psi / psi); zero below floor."""
+def bohmian_velocity(psi: WaveField, params: PhysicalParams) -> GridFunction:
+    """Guidance velocity v = (hbar/m) Im(grad psi / psi); zero where |psi| is
+    at most ``VELOCITY_FLOOR * max|psi|``."""
     vals = psi.values
     dpsi = _complex_gradient(psi.grid, vals)
     dens = np.abs(vals) ** 2
-    mask = np.abs(vals) <= floor * float(np.max(np.abs(vals)))
+    mask = np.abs(vals) <= VELOCITY_FLOOR * float(np.max(np.abs(vals)))
     v = np.zeros(psi.grid.n)
     np.divide(
         (params.hbar / params.mass) * np.imag(dpsi * np.conj(vals)),
@@ -341,10 +341,10 @@ def quantum_force(
     V: GridFunction,
     spec: QuantumPotentialSpec,
     params: PhysicalParams,
-    method: str = "fd",
 ) -> GridFunction:
-    """Newtonian force -grad(V + Q[R]) along the grid."""
-    q = eval_complete_q(R, params, spec, method)
+    """Newtonian force -grad(V + Q[R]) along the grid, finite differences
+    throughout."""
+    q = eval_complete_q(R, params, spec, "fd")
     total = GridFunction(R.grid, V.values + q.values)
     return GridFunction(R.grid, -gradient(total, "fd").values)
 
@@ -405,14 +405,14 @@ def sample_from_density(
     R0: GridFunction,
     count: int,
     rng: np.random.Generator | None = None,
-    stratified: bool = True,
 ) -> np.ndarray:
-    """Draw seed positions distributed as R0^2 by inverse-CDF sampling.
+    """Draw seed positions distributed as R0^2 by stratified inverse-CDF
+    sampling.
 
-    Stratified mode places one draw per equal-probability stratum (jittered
-    when an rng is supplied, midpoints otherwise), which removes the
-    N^(-1/2) histogram noise of iid sampling while keeping the marginal
-    distribution exactly proportional to R0^2.  Periodic grids include the
+    One draw falls in each equal-probability stratum (jittered when an rng
+    is supplied, midpoints otherwise), which removes the N^(-1/2) histogram
+    noise of iid sampling while keeping the marginal distribution exactly
+    proportional to R0^2.  Periodic grids include the
     wrap cell [x_{n-1}, x0 + L).
     """
     if count < 1:
@@ -427,13 +427,8 @@ def sample_from_density(
     if cdf[-1] <= 0:
         raise GridError("cannot sample from a zero density")
     cdf /= cdf[-1]
-    if stratified:
-        jitter = rng.random(count) if rng is not None else np.full(count, 0.5)
-        u = (np.arange(count) + jitter) / count
-    else:
-        if rng is None:
-            raise ValueError("iid sampling requires an rng")
-        u = rng.random(count)
+    jitter = rng.random(count) if rng is not None else np.full(count, 0.5)
+    u = (np.arange(count) + jitter) / count
     return np.interp(u, cdf, pts)
 
 
@@ -442,7 +437,6 @@ def integrate_trajectories(
     seeds: np.ndarray,
     params: PhysicalParams,
     substeps: int = 1,
-    floor: float = 1e-8,
 ) -> TrajectorySet:
     """RK4 advection of seeds through the stored frames' guidance velocity,
     linearly interpolated in space and time."""
@@ -461,9 +455,7 @@ def integrate_trajectories(
         seeds = x0 + np.mod(seeds - x0, g.length)
     elif np.any((seeds < x0) | (seeds > xmax)):
         raise ValueError("seeds must lie inside the grid")
-    vframes = np.stack(
-        [bohmian_velocity(f, params, floor).values for f in frames]
-    )
+    vframes = np.stack([bohmian_velocity(f, params).values for f in frames])
     paths, exited = kernels.advect_seeds(
         vframes,
         x0,

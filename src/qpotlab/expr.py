@@ -300,30 +300,26 @@ def canonical(e: Expression) -> Expression:
 # --------------------------------------------------------------------------
 
 
+def _leaves(e: Expression, kind) -> frozenset:
+    """Every leaf of type ``kind`` (Jet or Sym) in the expression."""
+    if isinstance(e, kind):
+        return frozenset((e,))
+    if isinstance(e, Pow):
+        return _leaves(e.base, kind)
+    if isinstance(e, (Prod, Sum)):
+        parts = e.factors if isinstance(e, Prod) else e.terms
+        return frozenset().union(*(_leaves(p, kind) for p in parts))
+    return frozenset()
+
+
 def jet_variables(e: Expression) -> frozenset[JetVariable]:
     """All jet variables appearing in the expression."""
-    if isinstance(e, Jet):
-        return frozenset((e.var,))
-    if isinstance(e, Pow):
-        return jet_variables(e.base)
-    if isinstance(e, Prod):
-        return frozenset().union(*(jet_variables(f) for f in e.factors))
-    if isinstance(e, Sum):
-        return frozenset().union(*(jet_variables(t) for t in e.terms))
-    return frozenset()
+    return frozenset(leaf.var for leaf in _leaves(e, Jet))
 
 
 def symbol_names(e: Expression) -> frozenset[str]:
     """All named constants appearing in the expression."""
-    if isinstance(e, Sym):
-        return frozenset((e.name,))
-    if isinstance(e, Pow):
-        return symbol_names(e.base)
-    if isinstance(e, Prod):
-        return frozenset().union(*(symbol_names(f) for f in e.factors))
-    if isinstance(e, Sum):
-        return frozenset().union(*(symbol_names(t) for t in e.terms))
-    return frozenset()
+    return frozenset(leaf.name for leaf in _leaves(e, Sym))
 
 
 def jet_order(e: Expression) -> int:
@@ -337,28 +333,35 @@ def jet_order(e: Expression) -> int:
 # --------------------------------------------------------------------------
 
 
-def partial_wrt_jet(e: Expression, v: JetVariable) -> Expression:
-    """d(e)/d(v) treating every jet variable as an independent coordinate."""
+def _derive(e: Expression, leaf) -> Expression:
+    """Derivative of ``e`` by the sum, product and chain rules, where
+    ``leaf(jet)`` is the derivative of one Jet leaf; constants and named
+    symbols map to zero."""
     if isinstance(e, (Const, Sym)):
         return ZERO
     if isinstance(e, Jet):
-        return ONE if e.var == v else ZERO
+        return leaf(e)
     if isinstance(e, Sum):
-        return make_sum(partial_wrt_jet(t, v) for t in e.terms)
+        return make_sum(_derive(t, leaf) for t in e.terms)
     if isinstance(e, Prod):
         pieces = []
         for i, f in enumerate(e.factors):
-            df = partial_wrt_jet(f, v)
+            df = _derive(f, leaf)
             if is_zero(df):
                 continue
             pieces.append(make_prod(e.factors[:i] + (df,) + e.factors[i + 1 :]))
         return make_sum(pieces)
-    df = partial_wrt_jet(e.base, v)
+    df = _derive(e.base, leaf)
     if is_zero(df):
         return ZERO
     return make_prod(
         (Const(Fraction(e.exponent)), make_pow(e.base, e.exponent - 1), df)
     )
+
+
+def partial_wrt_jet(e: Expression, v: JetVariable) -> Expression:
+    """d(e)/d(v) treating every jet variable as an independent coordinate."""
+    return _derive(e, lambda jet: ONE if jet.var == v else ZERO)
 
 
 def total_derivative(e: Expression, axis: int) -> Expression:
@@ -369,26 +372,7 @@ def total_derivative(e: Expression, axis: int) -> Expression:
     """
     if axis not in (0, 1, 2):
         raise ExprError(f"axis must be 0, 1 or 2, got {axis}")
-    if isinstance(e, (Const, Sym)):
-        return ZERO
-    if isinstance(e, Jet):
-        return Jet(e.var.promoted(axis))
-    if isinstance(e, Sum):
-        return make_sum(total_derivative(t, axis) for t in e.terms)
-    if isinstance(e, Prod):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            df = total_derivative(f, axis)
-            if is_zero(df):
-                continue
-            pieces.append(make_prod(e.factors[:i] + (df,) + e.factors[i + 1 :]))
-        return make_sum(pieces)
-    df = total_derivative(e.base, axis)
-    if is_zero(df):
-        return ZERO
-    return make_prod(
-        (Const(Fraction(e.exponent)), make_pow(e.base, e.exponent - 1), df)
-    )
+    return _derive(e, lambda jet: Jet(jet.var.promoted(axis)))
 
 
 def laplacian_expr(e: Expression, dimension: int) -> Expression:

@@ -267,10 +267,6 @@ class GridFunction:
             )
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray([fn(x) for x in grid.points], dtype=np.float64))
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
 
@@ -400,18 +396,27 @@ def inner(f: GridFunction, g: GridFunction) -> float:
 
 
 # --------------------------------------------------------------------------
-# Serialization: two-column CSV plus JSON sidecar
+# Serialization: coordinate CSV plus JSON sidecar
 # --------------------------------------------------------------------------
+
+
+def _write_table(
+    path: str | Path, grid: Grid, data: Mapping[str, np.ndarray], **meta
+) -> None:
+    """The one file format of fields on a grid: a CSV of the grid coordinate
+    and the ``data`` columns, and the sidecar ``{kind, boundary, **meta}``
+    at ``path + '.json'``."""
+    path = Path(path)
+    serialize.write_csv(
+        path, ("coordinate", *data), np.column_stack((grid.points, *data.values()))
+    )
+    sidecar = {"kind": grid.kind, "boundary": grid.boundary, **meta}
+    serialize.write_json(path.with_name(path.name + ".json"), sidecar)
 
 
 def write_gridfunction(path: str | Path, f: GridFunction, units: str | None = None) -> None:
     """Write (coordinate, value) CSV with a JSON sidecar at ``path + '.json'``."""
-    path = Path(path)
-    serialize.write_csv(
-        path, ("coordinate", "value"), np.column_stack((f.grid.points, f.values))
-    )
-    sidecar = {"kind": f.grid.kind, "boundary": f.grid.boundary, "units": units}
-    serialize.write_json(path.with_name(path.name + ".json"), sidecar)
+    _write_table(path, f.grid, {"value": f.values}, units=units)
 
 
 def read_gridfunction(path: str | Path) -> GridFunction:

@@ -4,14 +4,15 @@ Configs are flat ``key = value`` text with ``#`` comments.  Artifacts (CSV
 tables and JSON reports) print every float with 17 significant digits so
 that reruns with identical inputs are byte-identical and diffs are
 meaningful in regression tests.  The stdlib ``json`` module cannot control
-float formatting, hence the small serializer here.
+float formatting, hence the small serializer here.  JSON reports hold
+only None, bools, ints, floats, strings, mappings and lists; rational
+values reach artifacts only as CSV cells, written as their ``str``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -107,16 +108,15 @@ def fmt_float(x: float) -> str:
 def _fmt_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     if isinstance(value, float):
         return fmt_float(value)
     return str(value)
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """CSV text with one formatted cell at a time: int, bool, Fraction, str
-    and float cells each keep their own text."""
+    """CSV text with one formatted cell at a time: floats at 17 significant
+    digits, bools as true/false, every other cell (int, Fraction, str) as
+    its ``str``."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt_cell(cell) for cell in row))
@@ -148,7 +148,8 @@ def write_csv(
 
 
 def json_text(obj: Any) -> str:
-    """Serialize to JSON with %.17g floats; Fractions become strings."""
+    """Serialize None, bool, int, float, str, mappings and lists/tuples to
+    JSON with %.17g floats; any other type raises TypeError."""
     pieces: list[str] = []
     _json_into(obj, pieces, indent=0)
     return "".join(pieces) + "\n"
@@ -165,8 +166,6 @@ def _json_into(obj: Any, out: list[str], indent: int) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(fmt_float(obj))
-    elif isinstance(obj, Fraction):
-        out.append(f'"{obj}"')
     elif isinstance(obj, str):
         out.append(_json_string(obj))
     elif isinstance(obj, Mapping):

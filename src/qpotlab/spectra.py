@@ -1,8 +1,10 @@
 """Stationary states and the energy shifts induced by higher-order terms.
 
-Base eigenstates (particle in a box; hydrogen 1s/2s radial states) have a
-spatially constant phase, so first-order perturbation theory for an
-order-2n term reduces to the real integral
+Base eigenstates (particle in a box; the hydrogen 1s and 2s radial
+states, l = 0, at the physical fine-structure constant
+``qpotential.FINE_STRUCTURE``) have a spatially constant phase, so
+first-order perturbation theory for an order-2n term reduces to the real
+integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
@@ -100,40 +102,35 @@ def box_eigenstate(
     return StationaryState(R0=R0, S0=0.0, E0=E0, label=f"box tau={tau}")
 
 
-def bohr_radius(params: PhysicalParams, alpha: float = FINE_STRUCTURE) -> float:
-    return params.hbar / (params.mass * params.c * alpha)
+def bohr_radius(params: PhysicalParams) -> float:
+    """a = hbar / (m c alpha) with alpha = ``FINE_STRUCTURE``."""
+    return params.hbar / (params.mass * params.c * FINE_STRUCTURE)
 
 
-def hydrogen_default_grid(
-    params: PhysicalParams, alpha: float = FINE_STRUCTURE, points: int = 2048
-) -> Grid:
+def hydrogen_default_grid(params: PhysicalParams, points: int = 2048) -> Grid:
     """Log-radial grid resolving the cusp region: r in [1e-4 a, 50 a]."""
-    a = bohr_radius(params, alpha)
+    a = bohr_radius(params)
     return Grid.radial_log(1e-4 * a, 50.0 * a, points)
 
 
 def hydrogen_radial_state(
-    n: int,
-    l: int,
-    params: PhysicalParams,
-    grid: Grid | None = None,
-    alpha: float = FINE_STRUCTURE,
+    n: int, params: PhysicalParams, grid: Grid | None = None
 ) -> StationaryState:
-    """Analytic hydrogen s states (n = 1 or 2, l = 0) on a radial grid."""
-    if l != 0 or n not in (1, 2):
-        raise ValueError(f"unsupported state (n={n}, l={l}): only 1s and 2s")
+    """Analytic hydrogen s states (n = 1 or 2) on a radial grid."""
+    if n not in (1, 2):
+        raise ValueError(f"unsupported state n={n}: only 1s and 2s")
     if grid is None:
-        grid = hydrogen_default_grid(params, alpha)
+        grid = hydrogen_default_grid(params)
     if grid.kind != RADIAL_LOG:
         raise GridError("hydrogen states require a radial-log grid")
-    a = bohr_radius(params, alpha)
+    a = bohr_radius(params)
     r = grid.points
     if n == 1:
         values = np.exp(-r / a) / math.sqrt(math.pi * a**3)
     else:
         values = (2.0 - r / a) * np.exp(-r / (2.0 * a)) / math.sqrt(32.0 * math.pi * a**3)
     R0 = GridFunction(grid, values).normalized()
-    E0 = -0.5 * params.rest_energy * alpha**2 / n**2
+    E0 = -0.5 * params.rest_energy * FINE_STRUCTURE**2 / n**2
     return StationaryState(R0=R0, S0=0.0, E0=E0, label=f"hydrogen {n}s")
 
 
@@ -255,15 +252,13 @@ def box_shift_closed_form(
     return float(laplacian_symbol({order // 2: A}, tau * math.pi / L))
 
 
-def hydrogen_shift_closed_form(
-    n: int, params: PhysicalParams, alpha: float = FINE_STRUCTURE
-) -> float:
+def hydrogen_shift_closed_form(n: int, params: PhysicalParams) -> float:
     """Textbook momentum-quartic correction for s states:
     -eps0 alpha^4 / (2 n^4) * (2n - 3/4); -5/8 eps0 alpha^4 for 1s,
     -13/128 eps0 alpha^4 for 2s."""
     if n not in (1, 2):
         raise ValueError(f"unsupported principal quantum number {n}: only 1 or 2")
-    return -params.rest_energy * alpha**4 / (2.0 * n**4) * (2.0 * n - 0.75)
+    return -params.rest_energy * FINE_STRUCTURE**4 / (2.0 * n**4) * (2.0 * n - 0.75)
 
 
 # --------------------------------------------------------------------------

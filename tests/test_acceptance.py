@@ -13,7 +13,6 @@ import scipy.fft
 
 from qpotlab.coeffs import a2n, sqrt_binomial_coeff
 from qpotlab.dynamics import (
-    CRANK_NICOLSON,
     EvolutionConfig,
     WaveField,
     evolve,
@@ -147,7 +146,7 @@ class TestAcceptance:
         details = []
         ok = True
         for n in (1, 2):
-            st = hydrogen_radial_state(n, 0, ELECTRON)
+            st = hydrogen_radial_state(n, ELECTRON)
             de = perturbative_shift(st, 4, ELECTRON)
             exact = hydrogen_shift_closed_form(n, ELECTRON)
             rel = abs(de - exact) / abs(exact)
@@ -234,7 +233,7 @@ class TestAcceptance:
             psi0 = WaveField(g, vals).normalized()
             V = GridFunction(g, np.zeros(g.n))
             cfg = EvolutionConfig(
-                dt=2e-9, steps=1000, scheme=CRANK_NICOLSON, store_every=1000
+                dt=2e-9, steps=1000, store_every=1000
             )
             spec24 = QuantumPotentialSpec(
                 (QTerm.relativistic(2), QTerm.relativistic(4))

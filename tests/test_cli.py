@@ -401,6 +401,20 @@ class TestUnreadKeys:
         rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
         self.assert_rejected(rc, out, capsys, "max_order")
 
+    @pytest.mark.parametrize(
+        "line", ["scheme = crank-nicolson-fd", "potential = none"]
+    )
+    def test_evolve_reads_no_scheme_or_potential(self, tmp_path, capsys, line):
+        # the boundary picks the time stepper and V is always zero
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 65\nboundary = dirichlet\ninitial = eigenmode\n"
+            f"dt = 1e-8\nsteps = 2\n{line}\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, f"does not read key(s): {line.split()[0]}")
+
     def test_box_flag_on_hydrogen(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(
@@ -468,7 +482,9 @@ class TestManifestConfig:
             ("store_every", "1"),
         ):
             assert a["config"][key] == value
-        assert "tau" not in a["config"]
+        # the boundary picks the time stepper and V is zero: no such keys
+        for key in ("tau", "scheme", "potential"):
+            assert key not in a["config"]
 
     def test_eigenmode_records_tau(self, tmp_path):
         m = self.evolve(tmp_path, "e", "initial = eigenmode\n")

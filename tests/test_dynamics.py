@@ -91,14 +91,15 @@ class TestWaveField:
 class TestEvolutionConfig:
     def test_defaults(self):
         cfg = EvolutionConfig(dt=1e-6, steps=10)
-        assert cfg.scheme == SPLIT_STEP
+        assert cfg.q_cap is None
+        assert cfg.store_every == 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"dt": 0.0, "steps": 1},
             {"dt": 1e-6, "steps": 0},
-            {"dt": 1e-6, "steps": 1, "scheme": "verlet"},
+            {"dt": -1e-6, "steps": 1},
             {"dt": 1e-6, "steps": 1, "q_cap": -1.0},
             {"dt": 1e-6, "steps": 1, "store_every": 0},
         ],
@@ -149,7 +150,7 @@ class TestEvolveLinear:
         g = dirichlet_grid(257)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(dt=1e-7, steps=50, scheme=CRANK_NICOLSON)
+        cfg = EvolutionConfig(dt=1e-7, steps=50)
         res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
         assert np.max(np.abs(res.norms - res.norms[0])) < 1e-12
         # the sine mode is an exact eigenvector of the discrete operator,
@@ -170,22 +171,6 @@ class TestEvolveLinear:
 
 
 class TestEvolveValidation:
-    def test_scheme_boundary_mismatch(self):
-        gd = dirichlet_grid(65)
-        gp = periodic_grid(64)
-        psi_d = WaveField(gd, np.ones(gd.n, dtype=complex))
-        psi_p = WaveField(gp, np.ones(gp.n, dtype=complex))
-        with pytest.raises(GridError):
-            evolve(
-                psi_d, zero_potential(gd), SPEC2, ELECTRON,
-                EvolutionConfig(dt=1e-6, steps=1, scheme=SPLIT_STEP),
-            )
-        with pytest.raises(GridError):
-            evolve(
-                psi_p, zero_potential(gp), SPEC2, ELECTRON,
-                EvolutionConfig(dt=1e-6, steps=1, scheme=CRANK_NICOLSON),
-            )
-
     def test_potential_grid_mismatch(self):
         g = periodic_grid(64)
         other = periodic_grid(128)
@@ -231,7 +216,7 @@ class TestEvolveNonlinear:
         x = g.points / g.length
         R = GridFunction(g, np.sin(np.pi * x) + 0.5 * np.sin(2.0 * np.pi * x)).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(dt=2e-9, steps=40, scheme=CRANK_NICOLSON)
+        cfg = EvolutionConfig(dt=2e-9, steps=40)
         with_q = evolve(psi0, zero_potential(g), SPEC24, p, cfg)
         without = evolve(psi0, zero_potential(g), SPEC2, p, cfg)
         diff = np.max(np.abs(with_q.frames[-1].values - without.frames[-1].values))
@@ -246,7 +231,7 @@ class TestEvolveNonlinear:
             g, np.sin(np.pi * x) + 0.5 * np.sin(2.0 * np.pi * x)
         ).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(dt=2e-9, steps=40, scheme=CRANK_NICOLSON, store_every=10)
+        cfg = EvolutionConfig(dt=2e-9, steps=40, store_every=10)
         res = evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
         drift = np.max(np.abs(res.energies - res.energies[0]))
         assert drift / abs(res.energies[0]) < 1e-4
@@ -255,9 +240,7 @@ class TestEvolveNonlinear:
         g = dirichlet_grid(129)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(
-            dt=1e-9, steps=2, scheme=CRANK_NICOLSON, q_cap=1e-12
-        )
+        cfg = EvolutionConfig(dt=1e-9, steps=2, q_cap=1e-12)
         res = evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
         assert res.clamp_count > 0
 
@@ -274,7 +257,7 @@ class TestEvolveNonlinear:
         g = dirichlet_grid(129)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(dt=2e-9, steps=10, scheme=CRANK_NICOLSON)
+        cfg = EvolutionConfig(dt=2e-9, steps=10)
         evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
         assert len(calls) == cfg.steps + 1
 
@@ -284,9 +267,9 @@ def strang_reference(psi0, V, spec, params, cfg):
     half-rotation by V + W.  Returns the stored frames."""
     g = psi0.grid
     extra = dynamics._ExtraPotential(g, spec, params, q_cap=np.inf)
-    kinetic = dynamics._KineticStep(g, params, cfg.dt, cfg.scheme)
+    kinetic = dynamics._KineticStep(g, params, cfg.dt)
     psi = psi0.values.copy()
-    if cfg.scheme == CRANK_NICOLSON:
+    if g.boundary == DIRICHLET:
         psi[0] = psi[-1] = 0.0
     W, _ = extra(np.abs(psi))
     frames = [WaveField(g, psi.copy())]
@@ -306,6 +289,8 @@ class TestFusedRotation:
 
     SPEC02 = QuantumPotentialSpec((QTerm.relativistic(0), QTerm.relativistic(2)))
 
+    # the grid picks the scheme: split-step on periodic, Crank-Nicolson on
+    # Dirichlet grids
     @pytest.mark.parametrize("scheme", [SPLIT_STEP, CRANK_NICOLSON])
     @pytest.mark.parametrize("store_every", [1, 3, 10])
     def test_matches_unfused_strang_loop(self, scheme, store_every):
@@ -313,7 +298,7 @@ class TestFusedRotation:
         psi0 = WaveField.gaussian(g, center=0.45, width=0.08, k0=20.0)
         # harmonic well, about 1e5 eV at the walls
         V = GridFunction(g, 4e5 * (g.points - 0.5) ** 2)
-        cfg = EvolutionConfig(dt=2e-2, steps=10, scheme=scheme, store_every=store_every)
+        cfg = EvolutionConfig(dt=2e-2, steps=10, store_every=store_every)
         res = evolve(psi0, V, self.SPEC02, ELECTRON, cfg)
         ref = strang_reference(psi0, V, self.SPEC02, ELECTRON, cfg)
         assert len(res.frames) == len(ref)
@@ -477,10 +462,6 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_iid_requires_rng(self):
-        with pytest.raises(ValueError):
-            sample_from_density(self.R, 10, stratified=False)
-
     def test_zero_density(self):
         flat = GridFunction(self.g, np.zeros(self.g.n))
         with pytest.raises(GridError):
@@ -535,7 +516,7 @@ class TestTrajectories:
         g = dirichlet_grid(129)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(dt=1e-8, steps=10, scheme=CRANK_NICOLSON, store_every=5)
+        cfg = EvolutionConfig(dt=1e-8, steps=10, store_every=5)
         res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
         with pytest.raises(ValueError, match="seeds"):
             integrate_trajectories(res, np.array([1.5]), ELECTRON)
@@ -544,7 +525,7 @@ class TestTrajectories:
         g = dirichlet_grid(129)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
-        cfg = EvolutionConfig(dt=1e-8, steps=10, scheme=CRANK_NICOLSON, store_every=5)
+        cfg = EvolutionConfig(dt=1e-8, steps=10, store_every=5)
         res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
         seeds = np.array([0.25, 0.5, 0.75])
         traj = integrate_trajectories(res, seeds, ELECTRON)

@@ -82,9 +82,7 @@ def trajectory_endpoints(boundary):
         g = Grid.uniform(0.0, 1.0, 257, DIRICHLET)
         psi0 = dynamics.WaveField.gaussian(g, center=0.08, width=0.03, k0=-200.0)
         spec = relativistic(0, 2)
-        cfg = dynamics.EvolutionConfig(
-            dt=1e-3, steps=50, scheme=dynamics.CRANK_NICOLSON, store_every=5
-        )
+        cfg = dynamics.EvolutionConfig(dt=1e-3, steps=50, store_every=5)
     V = GridFunction(g, np.zeros(g.n))
     res = dynamics.evolve(psi0, V, spec, ELECTRON, cfg)
     rng = np.random.default_rng(1)
@@ -177,6 +175,26 @@ ENDPOINTS = {
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
 def test_evolve_artifacts(tmp_path, boundary):
     assert evolve_artifact_hashes(tmp_path, boundary) == EVOLVE_HASHES[boundary]
+
+
+# The frames of trajectory_endpoints' Dirichlet packet, every step stored,
+# as taken when Crank-Nicolson had to be requested by name.
+CRANK_NICOLSON_FRAMES = "742759a957427333505a3eef01131384f4a8b15c5ca2b10d1adc5850f4808038"
+
+
+def test_dirichlet_grid_steps_by_crank_nicolson():
+    g = Grid.uniform(0.0, 1.0, 257, DIRICHLET)
+    psi0 = dynamics.WaveField.gaussian(g, center=0.08, width=0.03, k0=-200.0)
+    res = dynamics.evolve(
+        psi0,
+        GridFunction(g, np.zeros(g.n)),
+        relativistic(0, 2),
+        ELECTRON,
+        dynamics.EvolutionConfig(dt=1e-3, steps=50),
+    )
+    frames = np.stack([f.values for f in res.frames])
+    assert len(frames) == 51
+    assert hashlib.sha256(frames.tobytes()).hexdigest() == CRANK_NICOLSON_FRAMES
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])

@@ -69,33 +69,31 @@ class TestHydrogenStates:
         assert a == pytest.approx(0.529177, rel=1e-5)
 
     def test_1s_energy(self):
-        st = hydrogen_radial_state(1, 0, ELECTRON)
+        st = hydrogen_radial_state(1, ELECTRON)
         assert st.E0 == pytest.approx(-13.6057, rel=1e-4)
 
     def test_2s_energy_quarter(self):
-        e1 = hydrogen_radial_state(1, 0, ELECTRON).E0
-        e2 = hydrogen_radial_state(2, 0, ELECTRON).E0
+        e1 = hydrogen_radial_state(1, ELECTRON).E0
+        e2 = hydrogen_radial_state(2, ELECTRON).E0
         assert e2 == pytest.approx(e1 / 4.0, rel=1e-12)
 
     def test_states_normalized(self):
         for n in (1, 2):
-            st = hydrogen_radial_state(n, 0, ELECTRON)
+            st = hydrogen_radial_state(n, ELECTRON)
             assert st.R0.is_normalized()
 
     def test_2s_has_radial_node(self):
-        st = hydrogen_radial_state(2, 0, ELECTRON)
+        st = hydrogen_radial_state(2, ELECTRON)
         assert np.min(st.R0.values) < 0 < np.max(st.R0.values)
 
     def test_unsupported_states(self):
         with pytest.raises(ValueError):
-            hydrogen_radial_state(3, 0, ELECTRON)
-        with pytest.raises(ValueError):
-            hydrogen_radial_state(2, 1, ELECTRON)
+            hydrogen_radial_state(3, ELECTRON)
 
     def test_requires_radial_grid(self):
         g = Grid.uniform(0.0, 10.0, 257)
         with pytest.raises(GridError):
-            hydrogen_radial_state(1, 0, ELECTRON, grid=g)
+            hydrogen_radial_state(1, ELECTRON, grid=g)
 
     def test_default_grid_spans_cusp_to_tail(self):
         g = hydrogen_default_grid(ELECTRON, points=512)
@@ -189,13 +187,13 @@ class TestReferencePath:
 
     def test_hydrogen_two_paths_agree(self):
         for n in (1, 2):
-            st = hydrogen_radial_state(n, 0, ELECTRON)
+            st = hydrogen_radial_state(n, ELECTRON)
             res = compare_shifts(st, ELECTRON)
             assert res.relative_gap < 1e-8
 
     def test_hydrogen_shift_near_analytic(self):
         for n in (1, 2):
-            st = hydrogen_radial_state(n, 0, ELECTRON)
+            st = hydrogen_radial_state(n, ELECTRON)
             de = perturbative_shift(st, 4, ELECTRON)
             exact = hydrogen_shift_closed_form(n, ELECTRON)
             assert abs(de - exact) / abs(exact) < 5e-3
