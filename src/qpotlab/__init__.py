@@ -10,8 +10,9 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
   density-weighted Euler-Lagrange expression;
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
 - ``grid``/``qpotential`` — grid functions, Laplacian series sum c_n lap^n
-  (finite-difference and transform backends), and evaluation of the
-  potential hierarchy as one such series, with floor regularization;
+  (the grid picks the transform or finite-difference backend), and
+  evaluation of the potential hierarchy as one such series, with floor
+  regularization;
 - ``spectra`` — box and hydrogen stationary states, perturbative energy
   shifts with an independent cross-check path, and a nonperturbative
   modified eigensolver;
@@ -72,7 +73,6 @@ from .grid import (  # noqa: F401
     gradient,
     inner,
     integrate,
-    laplacian,
     laplacian_series,
     laplacian_symbol,
     power_laplacian,

@@ -24,6 +24,7 @@ import functools
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -85,7 +86,7 @@ def _scenario_verify_el(
     tol = serialize.get(cfg, "tol", float, 1e-10)
     cfg.reject_unread()
     report = certify(parse_q_expression(q_text, dim), dim, trials, tol, seed)
-    serialize.write_json(outdir / "residual_report.json", report.to_dict())
+    serialize.write_json(outdir / "residual_report.json", asdict(report))
     print(
         f"verify-el: {report.verdict} "
         f"(max relative residual {serialize.fmt_float(report.max_abs_residual)} "
@@ -194,7 +195,7 @@ def _scenario_hydrogen(
         analytic = hydrogen_shift_closed_form(n, params)
         states.append(
             {
-                **res.to_dict(),
+                **asdict(res),
                 "E0": state.E0,
                 "analytic": analytic,
                 "relative_error": abs(res.delta_E - analytic) / abs(analytic),

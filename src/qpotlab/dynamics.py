@@ -145,8 +145,9 @@ class EvolutionResult:
 
 
 def _method(g: Grid) -> str:
-    """Derivative backend of the evolution: spectral on periodic grids, fd
-    on Dirichlet ones."""
+    """Laplacian backend of the evolution: the grid's Fourier transform on
+    periodic grids, and on Dirichlet ones finite differences, the one
+    override of the grid's rule (see :func:`grid.laplacian_series`)."""
     return "spectral" if g.boundary == PERIODIC else "fd"
 
 
@@ -314,8 +315,8 @@ def evolve(
 
 
 def _complex_gradient(g: Grid, values: np.ndarray) -> np.ndarray:
-    re = gradient(GridFunction(g, values.real), _method(g)).values
-    im = gradient(GridFunction(g, values.imag), _method(g)).values
+    re = gradient(GridFunction(g, values.real)).values
+    im = gradient(GridFunction(g, values.imag)).values
     return re + 1j * im
 
 
@@ -342,11 +343,12 @@ def quantum_force(
     spec: QuantumPotentialSpec,
     params: PhysicalParams,
 ) -> GridFunction:
-    """Newtonian force -grad(V + Q[R]) along the grid, finite differences
-    throughout."""
-    q = eval_complete_q(R, params, spec, "fd")
+    """Newtonian force -grad(V + Q[R]) along the grid, with the derivative
+    backend of the evolution: transforms on periodic grids, finite
+    differences on Dirichlet and radial ones."""
+    q = eval_complete_q(R, params, spec, _method(R.grid))
     total = GridFunction(R.grid, V.values + q.values)
-    return GridFunction(R.grid, -gradient(total, "fd").values)
+    return GridFunction(R.grid, -gradient(total).values)
 
 
 def energy_functional(

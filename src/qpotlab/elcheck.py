@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .expr import (
     Expression,
     Jet,
@@ -109,24 +108,6 @@ class ResidualReport:
 
     def passed(self) -> bool:
         return self.verdict == PASSES
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate,
-            "residual": self.residual,
-            "verdict": self.verdict,
-            "max_abs_residual": self.max_abs_residual,
-            "tolerance": self.tolerance,
-            "samples_used": self.samples_used,
-            "resamples": self.resamples,
-            "seed": self.seed,
-            "dimension": self.dimension,
-            "worst_trial": self.worst_trial,
-            "worst_families": list(self.worst_families),
-        }
-
-    def to_json(self) -> str:
-        return serialize.json_text(self.to_dict())
 
 
 # --------------------------------------------------------------------------

@@ -85,14 +85,11 @@ class JetVariable:
 
 @dataclass(frozen=True)
 class JetPoint:
-    """An evaluation point: values for jet variables, plus the dimension."""
+    """An evaluation point: values for jet variables."""
 
     values: Mapping[JetVariable, Number]
-    dimension: int = 1
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ExprError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         object.__setattr__(self, "values", dict(self.values))
 
 

@@ -9,10 +9,14 @@ Two grid kinds cover everything downstream:
   Laplacian is u''(r)/r, evaluated on the uniform log-radius auxiliary grid.
   The integration measure carries the 4*pi*r^2 weight.
 
-Derivative operators come in two backends: 4th-order finite differences
-(general) and sine/Fourier spectral transforms (uniform grids, exact mode
-actions).  A Laplacian series sum c_n lap^n (a power is one term) costs one
-transform pair with the symbol sum c_n (-k^2)^n, or one stencil per power.
+The grid picks the derivative backend: the Fourier transform on periodic
+grids, the sine (DST-I) transform on uniform Dirichlet grids (exact mode
+actions for fields vanishing at the walls) and 4th-order finite
+differences on radial grids.  ``method='fd'`` selects finite differences
+on a uniform Dirichlet grid and is the one override.  The gradient is the
+Fourier derivative on periodic grids and finite differences elsewhere.  A
+Laplacian series sum c_n lap^n (a power is one term) costs one transform
+pair with the symbol sum c_n (-k^2)^n, or one stencil per power.
 Dirichlet finite-difference ghosts are the point reflection through the
 boundary value, g(-h) = 2f(0) - f(h): for fields vanishing at the wall
 this is the classic odd reflection (exact for sine modes) and it makes
@@ -96,14 +100,6 @@ def _uniform_derivative(vals: np.ndarray, h: float, deriv: int) -> np.ndarray:
     for row, weights in enumerate(edges):
         out[row] = np.dot(weights, vals[:width])
         out[n - 1 - row] = (-1.0) ** deriv * np.dot(weights, vals[-1 : -width - 1 : -1])
-    return out / h**deriv
-
-
-def _periodic_derivative(vals: np.ndarray, h: float, deriv: int) -> np.ndarray:
-    center = _D1_CENTER if deriv == 1 else _D2_CENTER
-    out = np.zeros_like(vals)
-    for k, w in enumerate(center):
-        out += w * np.roll(vals, 2 - k)
     return out / h**deriv
 
 
@@ -286,19 +282,7 @@ class GridFunction:
 # --------------------------------------------------------------------------
 
 
-def laplacian(f: GridFunction, method: str = "fd") -> GridFunction:
-    """Discrete Laplacian of a grid function.
-
-    ``method='fd'`` applies 4th-order stencils (with reflected ghosts on
-    Dirichlet walls, wraparound on periodic grids, and the u = r*R mapped
-    stencil on radial grids).  ``method='spectral'`` uses the sine (DST-I)
-    basis on uniform Dirichlet grids — valid for fields vanishing at the
-    walls — and the Fourier basis on periodic grids.
-    """
-    return power_laplacian(f, 1, method)
-
-
-def power_laplacian(f: GridFunction, n: int, method: str = "fd") -> GridFunction:
+def power_laplacian(f: GridFunction, n: int, method: str | None = None) -> GridFunction:
     """n-fold Laplacian (the order-2n operator in the potential hierarchy)."""
     return laplacian_series(f, {n: 1.0}, method)
 
@@ -310,11 +294,15 @@ def laplacian_symbol(coeffs: Mapping[int, float], k):
 
 
 def laplacian_series(
-    f: GridFunction, coeffs: Mapping[int, float], method: str = "fd"
+    f: GridFunction, coeffs: Mapping[int, float], method: str | None = None
 ) -> GridFunction:
     """sum_n c_n lap^n f for a mapping {power n >= 1: c_n}.
 
-    Spectral: one transform pair with the whole symbol, whatever the highest
+    The grid picks the backend (``method=None``): the Fourier transform on
+    periodic grids, the sine transform on uniform Dirichlet grids (valid for
+    fields vanishing at the walls) and finite differences on radial grids;
+    ``method='fd'`` selects finite differences on a uniform Dirichlet grid.
+    A transform costs one pair with the whole symbol, whatever the highest
     power (the largest c_n is factored out, so one term gives exactly
     c lap^n f).  Finite differences apply the stencil once per power.
     """
@@ -324,9 +312,13 @@ def laplacian_series(
     top = max(coeffs)
     if g.n < 2 * top + 1:
         raise GridError(f"grid with {g.n} points is under-resolved for order {2 * top}")
-    if method == "spectral":
-        if g.kind != UNIFORM:
-            raise GridError("spectral backend requires a uniform grid")
+    own = "fd" if g.kind == RADIAL_LOG else "spectral"
+    if method not in (None, own) and not (method == "fd" and g.boundary == DIRICHLET):
+        raise GridError(
+            f"method {method!r} on a {g.boundary} {g.kind} grid: 'spectral' needs "
+            "a uniform grid and 'fd' a Dirichlet one"
+        )
+    if (method or own) == "spectral":
         scale = max(coeffs.values(), key=abs) or 1.0
         unit = {n: c / scale for n, c in coeffs.items()}
         if g.boundary == PERIODIC:
@@ -337,8 +329,6 @@ def laplacian_series(
         out = np.zeros(g.n)
         out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
         return GridFunction(g, out)
-    if method != "fd":
-        raise GridError(f"unknown method {method!r}")
     vals, out = f.values, np.zeros(g.n)
     for n in range(1, top + 1):
         vals = _laplacian_fd(g, vals)
@@ -356,25 +346,19 @@ def _laplacian_fd(g: Grid, vals: np.ndarray) -> np.ndarray:
         u_t = _uniform_derivative(u, dt, 1)
         u_tt = _uniform_derivative(u, dt, 2)
         return (u_tt - u_t) / r**3
-    if g.boundary == PERIODIC:
-        return _periodic_derivative(vals, g.spacing, 2)
     return _dirichlet_second_derivative(vals, g.spacing)
 
 
-def gradient(f: GridFunction, method: str = "fd") -> GridFunction:
-    """First spatial derivative (radial derivative on radial grids)."""
+def gradient(f: GridFunction) -> GridFunction:
+    """First spatial derivative: the Fourier derivative on periodic grids,
+    4th-order finite differences elsewhere (radial derivative on radial
+    grids)."""
     g = f.grid
-    if method == "spectral":
-        if g.kind != UNIFORM or g.boundary != PERIODIC:
-            raise GridError("spectral gradient requires a periodic uniform grid")
+    if g.boundary == PERIODIC:
         ik = 1j * g.wavenumbers
         return GridFunction(g, scipy.fft.ifft(ik * scipy.fft.fft(f.values)).real)
-    if method != "fd":
-        raise GridError(f"unknown method {method!r}")
     if g.kind == RADIAL_LOG:
         return GridFunction(g, _uniform_derivative(f.values, g.log_step, 1) / g.points)
-    if g.boundary == PERIODIC:
-        return GridFunction(g, _periodic_derivative(f.values, g.spacing, 1))
     return GridFunction(g, _uniform_derivative(f.values, g.spacing, 1))
 
 
@@ -428,7 +412,15 @@ def read_gridfunction(path: str | Path) -> GridFunction:
     header = rows[0].strip() if rows else ""
     if header != "coordinate,value":
         raise GridError(f"{path}: expected a 'coordinate,value' header, got {header!r}")
-    data = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
+    pairs = []
+    for line, row in enumerate(rows[1:], start=2):
+        cells = row.split(",")
+        if len(cells) != 2:
+            raise GridError(f"{path}: line {line} has {len(cells)} cell(s), expected 2")
+        pairs.append([float(c) for c in cells])
+    if not pairs:
+        raise GridError(f"{path}: no data rows after the header")
+    data = np.array(pairs)
     sidecar_path = path.with_name(path.name + ".json")
     if not sidecar_path.exists():
         raise GridError(f"missing sidecar {sidecar_path}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import serialize
 from .coeffs import a2n
-from .grid import UNIFORM, GridFunction, inner, laplacian_series, power_laplacian
+from .grid import GridFunction, inner, laplacian_series, power_laplacian
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 7.2973525693e-3
@@ -221,18 +221,11 @@ def validate_order2(spec: QuantumPotentialSpec, params: PhysicalParams) -> None:
 # --------------------------------------------------------------------------
 
 
-def _resolve_method(gridfn: GridFunction, method: str) -> str:
-    if method == "auto":
-        return "spectral" if gridfn.grid.kind == UNIFORM else "fd"
-    return method
-
-
 def eval_q2n(
     R: GridFunction,
     n: int,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
-    method: str = "auto",
 ) -> GridFunction:
     """Evaluate the order-2n term on a grid function.
 
@@ -240,24 +233,25 @@ def eval_q2n(
     an order-2n term, which is evaluated as a one-term spec.
     """
     one = QuantumPotentialSpec((spec.term(2 * n),), spec.regularization_floor)
-    return eval_complete_q(R, params, one, method)
+    return eval_complete_q(R, params, one)
 
 
 def eval_complete_q(
     R: GridFunction,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
-    method: str = "auto",
+    method: str | None = None,
 ) -> GridFunction:
     """Pointwise sum of every term in the spec (zero field for an empty spec):
     one Laplacian series sum A_2n lap^n R, floored and divided by R once, plus
-    the unfloored order-0 constant.  ``method='auto'`` is spectral on uniform
-    grids and finite differences on radial grids."""
+    the unfloored order-0 constant.  The grid picks the Laplacian backend
+    (see :func:`grid.laplacian_series`); ``method='fd'`` selects finite
+    differences on a uniform Dirichlet grid."""
     coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
     constant = coeffs.pop(0, 0.0)
     out = np.zeros(R.grid.n)
     if coeffs:
-        D = laplacian_series(R, coeffs, _resolve_method(R, method)).values
+        D = laplacian_series(R, coeffs, method).values
         r = R.values
         mask = np.abs(r) <= spec.regularization_floor * float(np.max(np.abs(r)))
         np.divide(D, r, out=out, where=~mask)
@@ -268,13 +262,12 @@ def expectation(
     R: GridFunction,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
-    method: str = "auto",
+    method: str | None = None,
 ) -> float:
     """sum_2n A_2n <lap^p R, lap^q R>, p = ceil(n/2), q = n - p: the Hermitian
     split form of sum A_2n <R, lap^n R> (equal by parts for fields vanishing
     at the boundary, better behaved near the hydrogen cusp).  When p == q
     one Laplacian power serves both sides."""
-    method = _resolve_method(R, method)
     total = 0.0
     for t in spec.terms:
         n = t.order // 2
@@ -326,8 +319,8 @@ def term_ratio_on_grid(
     spec = QuantumPotentialSpec(
         (QTerm.relativistic(2 * n), QTerm.relativistic(2 * n + 2))
     )
-    lo = eval_q2n(R, n, params, spec, method="spectral").values
-    hi = eval_q2n(R, n + 1, params, spec, method="spectral").values
+    lo = eval_q2n(R, n, params, spec).values
+    hi = eval_q2n(R, n + 1, params, spec).values
     idx = int(np.argmax(np.abs(R.values)))
     return float(hi[idx] / lo[idx])
 

@@ -57,7 +57,6 @@ class StationaryState:
     """A normalized real eigenstate with constant phase."""
 
     R0: GridFunction
-    S0: float
     E0: float
     label: str
 
@@ -75,14 +74,6 @@ class ShiftResult:
     delta_E_reference: float
     relative_gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "delta_E": self.delta_E,
-            "delta_E_reference": self.delta_E_reference,
-            "relative_gap": self.relative_gap,
-        }
-
 
 # --------------------------------------------------------------------------
 # Base eigenstates
@@ -99,7 +90,7 @@ def box_eigenstate(
     values = math.sqrt(2.0 / L) * np.sin(tau * np.pi * g.points / L)
     R0 = GridFunction(g, values).normalized()
     E0 = (tau * math.pi * params.hbar / L) ** 2 / (2.0 * params.mass)
-    return StationaryState(R0=R0, S0=0.0, E0=E0, label=f"box tau={tau}")
+    return StationaryState(R0=R0, E0=E0, label=f"box tau={tau}")
 
 
 def bohr_radius(params: PhysicalParams) -> float:
@@ -131,7 +122,7 @@ def hydrogen_radial_state(
         values = (2.0 - r / a) * np.exp(-r / (2.0 * a)) / math.sqrt(32.0 * math.pi * a**3)
     R0 = GridFunction(grid, values).normalized()
     E0 = -0.5 * params.rest_energy * FINE_STRUCTURE**2 / n**2
-    return StationaryState(R0=R0, S0=0.0, E0=E0, label=f"hydrogen {n}s")
+    return StationaryState(R0=R0, E0=E0, label=f"hydrogen {n}s")
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +344,6 @@ def solve_modified_eigenproblem(
     spec: QuantumPotentialSpec,
     params: PhysicalParams,
     count: int,
-    method: str = "auto",
 ) -> list[tuple[float, GridFunction]]:
     """Eigenpairs of  -hbar^2/2m lap + A4 lap^2 + V (+ A0)  for the first
     ``count`` modes, tracked by mode rather than sorted by energy.
@@ -365,11 +355,11 @@ def solve_modified_eigenproblem(
     well defined is the continuation of each unperturbed level, so both
     paths return modes tau = 1..count.
 
-    On a uniform Dirichlet grid with V identically zero the sine modes
-    diagonalize the operator exactly (spectral path).  Otherwise the
-    finite-difference operator is assembled in band storage and each level
-    is tracked from its sine mode by shift-invert (Rayleigh-quotient)
-    iteration; the eigenvector is accepted only when its squared overlap
+    V picks the path.  With V identically zero the sine modes diagonalize
+    the operator exactly (spectral path).  Otherwise the finite-difference
+    operator is assembled in band storage and each level is tracked from
+    its sine mode by shift-invert (Rayleigh-quotient) iteration; the
+    eigenvector is accepted only when its squared overlap
     with the normalized sine mode exceeds 1/2, which makes it the unique
     eigenvector of largest overlap.  A level with no such continuation (for
     example when V mixes the sine modes strongly) raises RuntimeError
@@ -382,13 +372,9 @@ def solve_modified_eigenproblem(
     if count < 1 or count > g.n - 2:
         raise ValueError(f"count must be in [1, {g.n - 2}], got {count}")
     coeffs = _operator_coefficients(spec, params)
-    if method == "auto":
-        method = "spectral" if not np.any(V.values) else "fd"
     L = g.length
     x0 = float(g.points[0])
-    if method == "spectral":
-        if np.any(V.values):
-            raise GridError("spectral eigenproblem path requires V identically zero")
+    if not np.any(V.values):
         k = np.arange(1, count + 1) * np.pi / L
         energies = laplacian_symbol(coeffs, k)
         modes = [np.sin(tau * np.pi * (g.points - x0) / L) for tau in range(1, count + 1)]
@@ -396,8 +382,6 @@ def solve_modified_eigenproblem(
             (float(e), GridFunction(g, mode).normalized())
             for e, mode in zip(energies, modes)
         ]
-    if method != "fd":
-        raise GridError(f"unknown method {method!r}")
     ab = _banded_operator(g, coeffs, V.values[1:-1])
     h_max = float(np.max(np.abs(ab)))
     m = ab.shape[1]

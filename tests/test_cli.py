@@ -138,6 +138,27 @@ class TestQpot:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, detail",
+        [("", "no data rows"), ("0.0\n0.5\n", "line 2 has 1 cell(s)")],
+        ids=["header-only", "one-column"],
+    )
+    def test_malformed_field_csv(self, tmp_path, capsys, body, detail):
+        field = tmp_path / "field.csv"
+        write_gridfunction(field, GridFunction(Grid.uniform(0.0, 1.0, 16), np.ones(16)))
+        field.write_text("coordinate,value\n" + body)
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("units = electron\nmax_order = 4\n")
+        rc = main(
+            ["qpot", "--spec", str(spec_path), "--input", str(field),
+             "--out", str(tmp_path / "q")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(field) in err and detail in err
+        assert "Traceback" not in err
+
     def test_evolve_frame_input_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -400,6 +400,16 @@ class TestDerivedFields:
         f = quantum_force(R, V, QuantumPotentialSpec(()), ELECTRON)
         assert np.allclose(f.values, -F0, rtol=1e-10)
 
+    def test_periodic_force_is_the_fourier_derivative(self):
+        # constant R: lap R = 0, so Q vanishes and the force is -dV/dx
+        g = periodic_grid(64)
+        F0 = 3.0
+        V = GridFunction(g, F0 * np.sin(2.0 * np.pi * g.points))
+        R = GridFunction(g, np.ones(g.n)).normalized()
+        f = quantum_force(R, V, SPEC24, ELECTRON)
+        want = -2.0 * np.pi * F0 * np.cos(2.0 * np.pi * g.points)
+        assert np.max(np.abs(f.values - want)) <= 1e-10 * 2.0 * np.pi * F0
+
     def test_box_mode_interior_force_vanishes(self):
         # Q is constant on an exact eigenmode, so the interior force is zero
         g = dirichlet_grid(513)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from qpotlab.expr import (
     parse_q_expression,
     to_text,
 )
+from qpotlab.serialize import json_text
 
 R_x = Jet(JetVariable((0,)))
 R_xx = Jet(JetVariable((0, 0)))
@@ -118,7 +120,7 @@ class TestCertify:
     def test_report_serialization(self):
         q = parse_q_expression("A2 * lap(R) / R", 1)
         report = certify(q, 1, trials=20, seed=1)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json_text(asdict(report)))
         assert payload["verdict"] == PASSES
         assert payload["candidate"] == to_text(canonical(q))
         assert payload["samples_used"] == 20
@@ -243,7 +245,7 @@ class TestCertifyGolden:
         assert full.worst_families == tuple(
             FAMILY_NAMES[(worst + axis) % 3] for axis in range(dim)
         )
-        payload = json.loads(full.to_json())
+        payload = json.loads(json_text(asdict(full)))
         assert payload["worst_trial"] == worst
         assert payload["worst_families"] == list(full.worst_families)
 

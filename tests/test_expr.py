@@ -183,7 +183,7 @@ def _same_bits(a: float, b: float) -> bool:
 
 
 def _compiled_and_reference(e, variables, names, jets, symbols):
-    point = JetPoint(dict(zip(variables, jets)), 3)
+    point = JetPoint(dict(zip(variables, jets)))
     reference = evaluate(e, point, dict(zip(names, symbols)))
     return compile_float(e, variables, names)(jets, symbols), reference
 
@@ -208,7 +208,7 @@ class TestCompileFloat:
                 for _ in variables
             ]
             symbols = [float(rng.uniform(-2.0, 2.0)) for _ in names]
-            point = JetPoint(dict(zip(variables, jets)), dim)
+            point = JetPoint(dict(zip(variables, jets)))
             consts = dict(zip(names, symbols))
             for e, fn in zip(exprs, compiled):
                 assert _same_bits(fn(jets, symbols), evaluate(e, point, consts))

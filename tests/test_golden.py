@@ -1,11 +1,14 @@
-"""Golden output bits of the time-stepping path.
+"""Golden output bits of the time-stepping path and of the other callers
+of the Laplacian backend.
 
 The sha256 of every artifact of two smoke-size CLI ``evolve`` runs
 (periodic split-step and Dirichlet Crank-Nicolson; ``manifest.json`` holds
 timings and is left out) and the bits of library ``integrate_trajectories``
-endpoints are pinned.  A change meant to make evolution or advection
-cheaper without changing its output must keep every one of them; a change
-that moves numbers on purpose re-pins them and says why.
+endpoints are pinned, and so are the artifacts of ``qpot`` on a periodic,
+a Dirichlet and a radial field, of the box and hydrogen spectra and of the
+ratios scenario.  A change meant to make a path cheaper or simpler without
+changing its output must keep every one of them; a change that moves
+numbers on purpose re-pins them and says why.
 
 Floats are written with 17 significant digits, so the pins depend on the
 numpy and scipy builds (FFT, exp, sin/cos) as well as on qpotlab; they were
@@ -20,7 +23,7 @@ import scipy
 
 from qpotlab import dynamics, qpotential
 from qpotlab.cli import main
-from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridFunction
+from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridFunction, write_gridfunction
 
 PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -204,3 +207,102 @@ def test_trajectory_endpoints(boundary):
     assert [float.hex(float(ends[i])) for i in (0, 1, 999, 1998, 1999)] == want["hex"]
     assert hashlib.sha256(ends.tobytes()).hexdigest() == want["sha256"]
     assert int(np.count_nonzero(exited)) == want["exited"]
+
+
+# --------------------------------------------------------------------------
+# Laplacian-backend callers outside the evolution: qpot on the three grid
+# kinds, the box and hydrogen spectra and the ratios scenario.
+# --------------------------------------------------------------------------
+
+QPOT_SPEC = "units = electron\nsource = relativistic\nmax_order = 4\n"
+
+
+def qpot_field(kind):
+    if kind == "periodic":
+        g = Grid.uniform(0.0, 1.0, 128, PERIODIC)
+        values = np.exp(np.cos(2.0 * np.pi * g.points))
+    elif kind == "dirichlet":
+        g = Grid.uniform(0.0, 1.0, 129, DIRICHLET)
+        values = np.sin(np.pi * g.points)
+    else:
+        g = Grid.radial_log(1e-3, 20.0, 512)
+        values = np.exp(-g.points)
+    return GridFunction(g, values).normalized()
+
+
+def cli_artifact_hashes(out, argv):
+    assert main([*argv, "--out", str(out)]) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+
+
+def qpot_artifact_hashes(tmp_path, kind):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(QPOT_SPEC)
+    field = tmp_path / f"{kind}.csv"
+    write_gridfunction(field, qpot_field(kind))
+    return cli_artifact_hashes(
+        tmp_path / "out", ["qpot", "--spec", str(spec), "--input", str(field)]
+    )
+
+
+def ratios_artifact_hashes(tmp_path):
+    cfg = tmp_path / "ratios.cfg"
+    cfg.write_text("")
+    return cli_artifact_hashes(
+        tmp_path / "out", ["run", "--scenario", "ratios", "--config", str(cfg)]
+    )
+
+
+BACKEND_ARGV = {
+    "box": ["spectra", "--problem", "box", "--points", "513"],
+    "hydrogen": ["spectra", "--problem", "hydrogen", "--radial-points", "2048"],
+}
+
+QPOT_HASHES = {
+    "periodic": {
+        "qpotential.csv": "d89900fc895d4a816b51ab7a92b33ffe12d7cd17e5c573e48f145360ca8998ab",
+        "qpotential.csv.json": "95df2f36540dc6721be6fc064b265b4d1d034ac82d947375252d6474d72d4f4c",
+    },
+    "dirichlet": {
+        "qpotential.csv": "e1c4af5cc6cb564751b7617637331afdb543038ee664e36e0a4721ee2505a46c",
+        "qpotential.csv.json": "13f76b59875852f6850f1f2799dfb224c4fef763683c88cc8b44addc22fede3d",
+    },
+    "radial": {
+        "qpotential.csv": "553c9de58e1368d495d3be6026747bf3bcc6488a31a3ca601db2fc4392253591",
+        "qpotential.csv.json": "97db172bf64a5a540170d289940c787a2935065b48d26841d2e9e98fc3383e86",
+    },
+}
+
+BACKEND_HASHES = {
+    "box": {
+        "box_shifts.json": "8bfb20c7c73a1b2fb37f97525853a26020bdaf77a25873d387c413715f0e099d",
+        "eigenvalues.csv": "9bc7e0f680523836869f34e2724e9296fda722ebf86b14e1ac3c9c360a19f48e",
+    },
+    "hydrogen": {
+        "hydrogen_shifts.json": "af5468ad2739e400280432cea564241c2bfef1e746a69021cb9adde667f4ce46",
+    },
+}
+
+RATIOS_HASHES = {
+    "ratios.csv": "9f1ecdd24d7cd2ebbdb713185d7b7c41abae42ffb2af58ed8923e55397e6bf1c",
+}
+
+
+@pytest.mark.parametrize("kind", ["periodic", "dirichlet", "radial"])
+def test_qpot_artifacts(tmp_path, kind):
+    assert qpot_artifact_hashes(tmp_path, kind) == QPOT_HASHES[kind]
+
+
+@pytest.mark.parametrize("problem", sorted(BACKEND_ARGV))
+def test_spectra_artifacts(tmp_path, problem):
+    assert cli_artifact_hashes(tmp_path / "out", BACKEND_ARGV[problem]) == (
+        BACKEND_HASHES[problem]
+    )
+
+
+def test_ratios_artifacts(tmp_path):
+    assert ratios_artifact_hashes(tmp_path) == RATIOS_HASHES

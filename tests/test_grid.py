@@ -17,7 +17,6 @@ from qpotlab.grid import (
     gradient,
     inner,
     integrate,
-    laplacian,
     laplacian_series,
     laplacian_symbol,
     power_laplacian,
@@ -95,7 +94,7 @@ class TestLaplacian:
         g = Grid.uniform(0.0, 1.0, 513)
         k = 3.0 * np.pi
         f = GridFunction(g, np.sin(k * g.points))
-        lap = laplacian(f, "fd")
+        lap = power_laplacian(f, 1, "fd")
         # interior relative accuracy of the 4th-order stencil
         err = np.max(np.abs(lap.values + k**2 * f.values)) / k**2
         assert err < 1e-8
@@ -129,8 +128,8 @@ class TestLaplacian:
     def test_fd_and_spectral_agree_on_smooth_field(self):
         g = Grid.uniform(0.0, 1.0, 1025)
         f = GridFunction(g, np.sin(np.pi * g.points) ** 3)
-        a = laplacian(f, "fd").values
-        b = laplacian(f, "spectral").values
+        a = power_laplacian(f, 1, "fd").values
+        b = power_laplacian(f, 1, "spectral").values
         interior = slice(4, -4)
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a[interior] - b[interior])) / scale < 1e-8
@@ -139,7 +138,7 @@ class TestLaplacian:
         # lap e^{-r} = e^{-r} - 2 e^{-r} / r
         g = Grid.radial_log(1e-3, 30.0, 2048)
         f = GridFunction(g, np.exp(-g.points))
-        lap = laplacian(f, "fd")
+        lap = power_laplacian(f, 1, "fd")
         r = g.points
         exact = np.exp(-r) * (1.0 - 2.0 / r)
         interior = slice(4, -4)
@@ -157,7 +156,7 @@ class TestLaplacian:
         g = Grid.uniform(0.0, 1.0, 32)
         f = GridFunction(g, np.zeros(32))
         with pytest.raises(GridError):
-            laplacian(f, "magic")
+            power_laplacian(f, 1, "magic")
 
 
 EPS = np.finfo(np.float64).eps
@@ -176,11 +175,6 @@ BACKENDS = {
         "spectral",
     ),
     "fd-dirichlet": (Grid.uniform(0.0, 1.0, 65), lambda x: np.sin(np.pi * x) ** 3, "fd"),
-    "fd-periodic": (
-        Grid.uniform(0.0, 1.0, 64, PERIODIC),
-        lambda x: np.exp(np.cos(2.0 * np.pi * x)),
-        "fd",
-    ),
     "fd-radial": (Grid.radial_log(1e-3, 20.0, 256), lambda r: np.exp(-r), "fd"),
 }
 
@@ -235,20 +229,38 @@ class TestLaplacianSeries:
         with pytest.raises(GridError, match="uniform"):
             laplacian_series(GridFunction(g, np.exp(-g.points)), {1: 1.0}, "spectral")
 
+    def test_fd_rejects_periodic_grid(self):
+        g = Grid.uniform(0.0, 1.0, 64, PERIODIC)
+        f = GridFunction(g, np.cos(2.0 * np.pi * g.points))
+        with pytest.raises(GridError, match="Dirichlet"):
+            laplacian_series(f, {1: 1.0}, "fd")
+        with pytest.raises(GridError, match="Dirichlet"):
+            power_laplacian(f, 2, "fd")
+
+    @pytest.mark.parametrize(
+        "backend", ["spectral-periodic", "spectral-dirichlet", "fd-radial"]
+    )
+    def test_grid_picks_the_backend(self, backend):
+        # the default is the transform on uniform grids, FD on radial ones
+        g, fn, method = BACKENDS[backend]
+        f = GridFunction(g, fn(g.points))
+        got = laplacian_series(f, SERIES).values
+        assert np.array_equal(got, laplacian_series(f, SERIES, method).values)
+
 
 class TestGradient:
     def test_uniform_fd(self):
         g = Grid.uniform(0.0, 1.0, 513)
         k = 2.0 * np.pi
         f = GridFunction(g, np.sin(k * g.points))
-        d = gradient(f, "fd")
+        d = gradient(f)
         assert np.max(np.abs(d.values - k * np.cos(k * g.points))) / k < 1e-8
 
     def test_periodic_spectral(self):
         g = Grid.uniform(0.0, 1.0, 128, PERIODIC)
         k = 2.0 * np.pi * 3
         f = GridFunction(g, np.sin(k * g.points))
-        d = gradient(f, "spectral")
+        d = gradient(f)
         assert np.allclose(d.values, k * np.cos(k * g.points), atol=1e-8 * k)
 
     def test_wavenumbers_built_once_and_read_only(self):
@@ -260,7 +272,7 @@ class TestGradient:
         f = GridFunction(g, np.cos(np.pi * g.points) + 0.3 * np.sin(3 * np.pi * g.points))
         fhat = scipy.fft.fft(f.values)
         assert np.array_equal(
-            gradient(f, "spectral").values, scipy.fft.ifft(1j * k * fhat).real
+            gradient(f).values, scipy.fft.ifft(1j * k * fhat).real
         )
         with pytest.raises(ValueError):
             k[0] = 1.0
@@ -308,7 +320,7 @@ class TestGradient:
     def test_radial_gradient(self):
         g = Grid.radial_log(1e-2, 20.0, 1024)
         f = GridFunction(g, np.exp(-g.points))
-        d = gradient(f, "fd")
+        d = gradient(f)
         interior = slice(4, -4)
         exact = -np.exp(-g.points)
         err = np.max(np.abs(d.values[interior] - exact[interior]))

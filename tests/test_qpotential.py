@@ -167,7 +167,7 @@ class TestEvalOnGrid:
         k2 = np.pi**2
         for n in (1, 2):
             A = dimensional_coefficient(spec.term(2 * n), self.params)
-            q = eval_q2n(R, n, self.params, spec, method="spectral")
+            q = eval_q2n(R, n, self.params, spec)
             interior = q.values[4:-4]
             assert np.allclose(interior, A * (-k2) ** n, rtol=1e-7)
 
@@ -178,7 +178,7 @@ class TestEvalOnGrid:
 
     def test_floor_masks_nodes(self):
         spec = QuantumPotentialSpec((QTerm.relativistic(2),), regularization_floor=1e-3)
-        q = eval_q2n(self.R, 1, self.params, spec, method="spectral")
+        q = eval_q2n(self.R, 1, self.params, spec)
         # wall points have R = 0 < floor, so the quotient is zeroed there
         assert q.values[0] == 0.0 and q.values[-1] == 0.0
         assert q.values[128] != 0.0
@@ -192,7 +192,7 @@ class TestEvalOnGrid:
         spec = QuantumPotentialSpec.relativistic(4)
         total = eval_complete_q(self.R, self.params, spec, method="spectral")
         parts = sum(
-            eval_q2n(self.R, t.order // 2, self.params, spec, "spectral").values
+            eval_q2n(self.R, t.order // 2, self.params, spec).values
             for t in spec.terms
         )
         assert np.allclose(total.values, parts, rtol=0, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,8 @@ from qpotlab.spectra import (
 )
 
 ELECTRON = electron_params()
+# A uniform potential: nonzero, so the eigensolver takes its FD path.
+OFFSET = 3.7
 
 
 class TestBoxEigenstate:
@@ -45,7 +48,6 @@ class TestBoxEigenstate:
     def test_normalized(self):
         st = box_eigenstate(2.0, 3, 257, ELECTRON)
         assert st.R0.is_normalized()
-        assert st.S0 == 0.0
 
     def test_energy_scales_with_mode(self):
         e1 = box_eigenstate(1.0, 1, 129, ELECTRON).E0
@@ -60,7 +62,7 @@ class TestBoxEigenstate:
         g = Grid.uniform(0.0, 1.0, 65)
         bad = GridFunction(g, 3.0 * np.sin(np.pi * g.points))
         with pytest.raises(ValueError, match="not normalized"):
-            StationaryState(R0=bad, S0=0.0, E0=1.0, label="bad")
+            StationaryState(R0=bad, E0=1.0, label="bad")
 
 
 class TestHydrogenStates:
@@ -204,7 +206,7 @@ class TestReferencePath:
 
     def test_shift_result_serializes(self):
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
-        d = compare_shifts(st, ELECTRON).to_dict()
+        d = asdict(compare_shifts(st, ELECTRON))
         assert set(d) == {"state", "delta_E", "delta_E_reference", "relative_gap"}
 
 
@@ -228,13 +230,14 @@ class TestEigenproblem:
             assert vec.is_normalized()
 
     def test_fd_matches_spectral_with_zero_potential(self):
+        # a uniform offset V takes the FD path and shifts every level by
+        # exactly the offset, leaving the eigenvectors as they are
         spectral = solve_modified_eigenproblem(self.V0, self.spec24, ELECTRON, 3)
-        fd = solve_modified_eigenproblem(
-            self.V0, self.spec24, ELECTRON, 3, method="fd"
-        )
+        V = GridFunction(self.g, np.full(self.g.n, OFFSET))
+        fd = solve_modified_eigenproblem(V, self.spec24, ELECTRON, 3)
         for (es, vs), (ef, vf) in zip(spectral, fd):
             # fd assembly carries O(h^4) discretization error
-            assert abs(ef - es) / abs(es) < 1e-6
+            assert abs(ef - (es + OFFSET)) / abs(es + OFFSET) < 1e-6
             overlap = abs(np.trapezoid(vs.values * vf.values, self.g.points))
             assert overlap > 1.0 - 1e-8
 
@@ -285,13 +288,6 @@ class TestEigenproblem:
             solve_modified_eigenproblem(self.V0, self.spec24, ELECTRON, 0)
         with pytest.raises(ValueError):
             solve_modified_eigenproblem(self.V0, self.spec24, ELECTRON, 10_000)
-
-    def test_spectral_path_needs_zero_potential(self):
-        V = GridFunction(self.g, np.ones(self.g.n))
-        with pytest.raises(GridError):
-            solve_modified_eigenproblem(
-                V, self.spec24, ELECTRON, 1, method="spectral"
-            )
 
     def test_natural_units_tracking_past_unbounded_region(self):
         # with A4 < 0 the operator is unbounded below beyond k*; tracked
@@ -387,7 +383,7 @@ class TestBandedEigensolver:
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
     def test_matches_dense_oracle(self, name):
         V = self.potential(name, 513)
-        got = solve_modified_eigenproblem(V, self.spec024, ELECTRON, 10, method="fd")
+        got = solve_modified_eigenproblem(V, self.spec024, ELECTRON, 10)
         ref = greedy_oracle(V, self.spec024, ELECTRON, 10)
         for (energy, vec), (e_ref, u_ref) in zip(got, ref):
             assert abs(energy - e_ref) <= 1e-10 * abs(e_ref)
@@ -406,7 +402,8 @@ class TestBandedEigensolver:
         g = Grid.uniform(0.0, 1.0, 2049)
         V0 = GridFunction(g, np.zeros(g.n))
         spectral = solve_modified_eigenproblem(V0, self.spec024, ELECTRON, 10)
-        fd = solve_modified_eigenproblem(V0, self.spec024, ELECTRON, 10, method="fd")
+        V = GridFunction(g, np.full(g.n, OFFSET))  # the FD path
+        fd = solve_modified_eigenproblem(V, self.spec024, ELECTRON, 10)
         for (_, vs), (_, vf) in zip(spectral, fd):
             assert np.max(np.abs(vs.values - vf.values)) <= 1e-6
 
