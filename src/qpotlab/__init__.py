@@ -38,7 +38,6 @@ from .dynamics import (  # noqa: F401
     TrajectorySet,
     WaveField,
     bohmian_velocity,
-    circulation,
     energy_functional,
     evolve,
     integrate_trajectories,
@@ -92,7 +91,6 @@ from .qpotential import (  # noqa: F401
     natural_params,
     params_by_name,
     proton_params,
-    save_spec,
     scale_ratio,
     term_ratio,
     term_ratio_on_grid,

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from . import kernels
 from .grid import (
@@ -310,7 +310,7 @@ def evolve(
 
 
 # --------------------------------------------------------------------------
-# Derived fields: velocity, force, energy, circulation
+# Derived fields: velocity, force, energy
 # --------------------------------------------------------------------------
 
 
@@ -345,8 +345,10 @@ def quantum_force(
 ) -> GridFunction:
     """Newtonian force -grad(V + Q[R]) along the grid, with the derivative
     backend of the evolution: transforms on periodic grids, finite
-    differences on Dirichlet and radial ones."""
-    q = eval_complete_q(R, params, spec, _method(R.grid))
+    differences on Dirichlet and radial ones.  The order-0 term is a
+    constant (eps0 for a relativistic spec): it exerts no force, but its
+    rounding would, so it is dropped before differentiating."""
+    q = eval_complete_q(R, params, spec.without_order(0), _method(R.grid))
     total = GridFunction(R.grid, V.values + q.values)
     return GridFunction(R.grid, -gradient(total).values)
 
@@ -373,16 +375,6 @@ def energy_functional(
     )
     total += expectation(psi.amplitude(), params, spec.without_order(2), _method(g))
     return float(total)
-
-
-def circulation(psi: WaveField, params: PhysicalParams) -> float:
-    """Line integral of the guidance velocity around a periodic grid:
-    (hbar/m) times the total phase winding, quantized at 2 pi k hbar/m."""
-    if psi.grid.boundary != PERIODIC:
-        raise GridError("circulation is defined on periodic grids")
-    vals = psi.values
-    dtheta = np.angle(np.roll(vals, -1) * np.conj(vals))
-    return float(params.hbar / params.mass * np.sum(dtheta))
 
 
 # --------------------------------------------------------------------------

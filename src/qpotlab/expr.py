@@ -319,12 +319,6 @@ def symbol_names(e: Expression) -> frozenset[str]:
     return frozenset(leaf.name for leaf in _leaves(e, Sym))
 
 
-def jet_order(e: Expression) -> int:
-    """Highest derivative order among the jet variables present (0 if none)."""
-    vs = jet_variables(e)
-    return max((v.order for v in vs), default=0)
-
-
 # --------------------------------------------------------------------------
 # Derivatives
 # --------------------------------------------------------------------------

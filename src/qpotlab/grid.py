@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from . import serialize
 

@@ -16,7 +16,7 @@ Dirichlet grids mask frozen seeds.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 # --------------------------------------------------------------------------
 # Complex tridiagonal solve (LAPACK gttrf / gttrs)
@@ -29,7 +29,7 @@ def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
 
     Raises numpy.linalg.LinAlgError if the matrix is singular.
     """
-    *factors, info = lapack.zgttrf(
+    *factors, info = scipy.linalg.lapack.zgttrf(
         np.asarray(dl, np.complex128),
         np.asarray(d, np.complex128),
         np.asarray(du, np.complex128),
@@ -45,7 +45,7 @@ def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
 
 def solve_tridiagonal(factors: tuple, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the factors of A from :func:`factor_tridiagonal`."""
-    x, info = lapack.zgttrs(*factors, np.asarray(b, np.complex128))
+    x, info = scipy.linalg.lapack.zgttrs(*factors, np.asarray(b, np.complex128))
     if info != 0:
         raise ValueError(f"zgttrs: argument {-info} is invalid")
     return x

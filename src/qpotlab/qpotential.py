@@ -392,20 +392,3 @@ def spec_from_config(cfg: Mapping[str, str]) -> tuple[QuantumPotentialSpec, Phys
 def load_spec(path: str | Path) -> tuple[QuantumPotentialSpec, PhysicalParams]:
     return spec_from_config(serialize.load_config(path))
 
-
-def save_spec(
-    path: str | Path, spec: QuantumPotentialSpec, units: str = "electron"
-) -> None:
-    """Write a spec file readable by :func:`load_spec`."""
-    lines = [f"units = {units}", f"floor = {serialize.fmt_float(spec.regularization_floor)}"]
-    if all(t.source == "relativistic" for t in spec.terms) and spec.terms:
-        lines.append("source = relativistic")
-        lines.append("orders = " + ",".join(str(t.order) for t in spec.terms))
-    else:
-        lines.append("source = explicit")
-        for t in spec.terms:
-            if t.a is not None:
-                lines.append(f"a_{t.order} = {t.a}")
-            else:
-                lines.append(f"A_{t.order} = {serialize.fmt_float(t.A)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

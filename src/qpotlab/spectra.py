@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
+import scipy
 
 from .grid import (
     DIRICHLET,

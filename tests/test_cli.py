@@ -1,6 +1,10 @@
 """Command-line interface: artifacts, manifests, determinism, and errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -600,6 +604,49 @@ class TestDeterminism:
             main(["--version"])
         assert exc.value.code == 0
         assert "qpotlab" in capsys.readouterr().out
+
+
+_COLD_IMPORTS = r"""
+import sys
+from pathlib import Path
+
+from qpotlab import cli
+
+out = Path(sys.argv[1])
+lazy = ("scipy.fft", "scipy.linalg")
+
+
+def loaded():
+    return [m for m in lazy if m in sys.modules]
+
+
+assert cli.main(["coefficients", "--max-n", "5", "--out", str(out / "c")]) == 0
+assert cli.main(["verify-el", "--q", "A2 * lap(R) / R", "--trials", "4",
+                 "--out", str(out / "v")]) == 0
+assert loaded() == [], loaded()
+assert cli.main(["spectra", "--problem", "box", "--points", "65", "--count", "2",
+                 "--out", str(out / "b")]) == 0
+assert loaded() == ["scipy.fft"], loaded()
+cfg = out / "dirichlet.cfg"
+cfg.write_text("orders = 2\npoints = 65\nboundary = dirichlet\n"
+               "initial = eigenmode\ndt = 1e-8\nsteps = 2\n")
+assert cli.main(["evolve", "--config", str(cfg), "--out", str(out / "e")]) == 0
+assert loaded() == list(lazy), loaded()
+"""
+
+
+class TestColdImport:
+    def test_scipy_submodules_load_on_first_use(self, tmp_path):
+        """verify-el and coefficients never load scipy.fft or scipy.linalg;
+        the box spectrum loads scipy.fft and the Dirichlet evolve
+        scipy.linalg when they first need them."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_IMPORTS, str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParserOnce:

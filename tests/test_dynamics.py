@@ -14,7 +14,6 @@ from qpotlab.dynamics import (
     TrajectorySet,
     WaveField,
     bohmian_velocity,
-    circulation,
     energy_functional,
     evolve,
     integrate_trajectories,
@@ -378,20 +377,6 @@ class TestDerivedFields:
         v = bohmian_velocity(psi, ELECTRON)
         assert np.max(np.abs(v.values)) < 1e-12
 
-    def test_circulation_quantized(self):
-        g = periodic_grid(256)
-        for winding in (1, 3):
-            psi, _ = plane_wave(g, winding)
-            c = circulation(psi, ELECTRON)
-            expected = 2.0 * np.pi * winding * ELECTRON.hbar / ELECTRON.mass
-            assert c == pytest.approx(expected, rel=1e-12)
-
-    def test_circulation_needs_periodic(self):
-        g = dirichlet_grid(65)
-        psi = WaveField(g, np.ones(g.n, dtype=complex))
-        with pytest.raises(GridError):
-            circulation(psi, ELECTRON)
-
     def test_force_from_external_ramp(self):
         g = dirichlet_grid(257)
         F0 = 3.0
@@ -401,14 +386,16 @@ class TestDerivedFields:
         assert np.allclose(f.values, -F0, rtol=1e-10)
 
     def test_periodic_force_is_the_fourier_derivative(self):
-        # constant R: lap R = 0, so Q vanishes and the force is -dV/dx
+        # constant R: lap R = 0, so Q is constant (eps0 with order 0) and
+        # the force is -dV/dx
         g = periodic_grid(64)
         F0 = 3.0
         V = GridFunction(g, F0 * np.sin(2.0 * np.pi * g.points))
         R = GridFunction(g, np.ones(g.n)).normalized()
-        f = quantum_force(R, V, SPEC24, ELECTRON)
         want = -2.0 * np.pi * F0 * np.cos(2.0 * np.pi * g.points)
-        assert np.max(np.abs(f.values - want)) <= 1e-10 * 2.0 * np.pi * F0
+        for spec in (SPEC24, QuantumPotentialSpec.relativistic(4)):
+            f = quantum_force(R, V, spec, ELECTRON)
+            assert np.max(np.abs(f.values - want)) <= 1e-10 * 2.0 * np.pi * F0
 
     def test_box_mode_interior_force_vanishes(self):
         # Q is constant on an exact eigenmode, so the interior force is zero

@@ -22,7 +22,6 @@ from qpotlab.expr import (
     compile_float,
     evaluate,
     evaluate_exact,
-    jet_order,
     jet_variables,
     laplacian_expr,
     make_pow,
@@ -291,7 +290,6 @@ class TestParser:
     def test_bohmian_roundtrip(self):
         q = parse_q_expression("A2 * lap(R) / R", 1)
         assert to_text(q) == "A2 * R_xx / R"
-        assert jet_order(q) == 2
 
     def test_decimal_literals_exact(self):
         e = parse_q_expression("0.125 * R", 1)
@@ -299,7 +297,6 @@ class TestParser:
 
     def test_nested_functions(self):
         q = parse_q_expression("lap(lap(lap(R)))", 1)
-        assert jet_order(q) == 6
         assert jet_variables(q) == frozenset({JetVariable((0,) * 6)})
 
     def test_lap2_equals_double_lap(self):

@@ -22,7 +22,6 @@ from qpotlab.qpotential import (
     natural_params,
     params_by_name,
     proton_params,
-    save_spec,
     scale_ratio,
     spec_from_config,
     term_ratio,
@@ -365,23 +364,28 @@ class TestSpecConfig:
         assert spec.orders == (2,)
         assert cfg.unread() == ["max_order"]
 
-    def test_save_load_round_trip_relativistic(self, tmp_path):
-        spec = QuantumPotentialSpec.relativistic(6, floor=1e-7)
+    def test_load_spec_relativistic_file(self, tmp_path):
         path = tmp_path / "spec.cfg"
-        save_spec(path, spec, units="proton")
+        path.write_text(
+            "units = proton\nfloor = 9.9999999999999995e-08\n"
+            "source = relativistic\norders = 0,2,4,6\n",
+            encoding="utf-8",
+        )
         back, params = load_spec(path)
+        spec = QuantumPotentialSpec.relativistic(6, floor=1e-7)
         assert back.orders == spec.orders
         assert back.regularization_floor == spec.regularization_floor
         assert params == proton_params()
         for order in back.orders:
             assert back.term(order).a == spec.term(order).a
 
-    def test_save_load_round_trip_explicit(self, tmp_path):
-        spec = QuantumPotentialSpec(
-            (QTerm.rational(2, Fraction(1, 2)), QTerm.dimensional(4, -1.25e-3))
-        )
+    def test_load_spec_explicit_file(self, tmp_path):
         path = tmp_path / "spec.cfg"
-        save_spec(path, spec)
+        path.write_text(
+            "units = electron\nfloor = 1e-8\nsource = explicit\n"
+            "a_2 = 1/2\nA_4 = -0.00125\n",
+            encoding="utf-8",
+        )
         back, _ = load_spec(path)
         assert back.term(2).a == Fraction(1, 2)
         assert back.term(4).A == -1.25e-3

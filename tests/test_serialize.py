@@ -108,6 +108,22 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="non-finite"):
             csv_text(("a", "b"), table.tolist())
 
+    def test_shared_first_column(self, tmp_path):
+        """Frames share their grid column; reusing its text must not leak
+        the previous table's other cells, column count or signed zeros."""
+        rng = np.random.default_rng(11)
+        x = np.array([-0.5, -0.0, 0.0, 0.25, 1e-300])
+        first = np.column_stack((x, rng.standard_normal(5), rng.standard_normal(5)))
+        second = np.column_stack((x, rng.standard_normal(5), rng.standard_normal(5)))
+        flipped = second.copy()
+        flipped[1:3, 0] = (0.0, -0.0)
+        narrow = first[:, :2]
+        header = ("coordinate", "real", "imag")
+        for table in (first, second, flipped, narrow, first):
+            got = self.written(tmp_path, header[: table.shape[1]], table)
+            assert got == self.per_cell(header[: table.shape[1]], table)
+        assert self.written(tmp_path, header, flipped).splitlines()[2][:2] == b"0,"
+
     def test_complex_frame_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         x = np.linspace(0.0, 1.0, 4096, endpoint=False)
