@@ -15,11 +15,19 @@ The manifest also records the seed (``--seed``, else the config key
 list of artifacts.  All numbers are serialized at 17 significant digits,
 so a rerun with the same inputs reproduces every artifact byte for byte
 (the manifest timings are the one intentionally non-deterministic field).
+
+``evolve`` writes its frames through one writer process, forked when the
+run starts (:class:`_FrameWriter`): each frame is formatted and written on
+another core while the step loop goes on, so ``evolve`` needs a POSIX
+``fork``.  A run that fails, in the loop or in the writer, exits 1 with an
+``error:`` line, deletes the frames the writer wrote and writes no
+manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import platform
 import sys
@@ -258,6 +266,98 @@ def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
     )
 
 
+def _write_frames(conn, outdir: Path, grid: Grid, units: str) -> None:
+    """Body of the frame writer: write each ``(name, time, values)`` that
+    arrives on ``conn`` with :func:`_write_frame`, until ``None`` arrives.
+
+    It replies once with ``(frames begun, error text or None)``: at its
+    first failed write, or after ``None``.  After a failure it writes
+    nothing more but keeps reading, so the sender never waits on a full
+    pipe."""
+    begun, error = 0, None
+    while (item := conn.recv()) is not None:
+        if error is not None:
+            continue
+        name, t, values = item
+        begun += 1
+        try:
+            _write_frame(outdir / name, WaveField(grid, values), t, units)
+        except Exception as exc:
+            error = f"{outdir / name}: {getattr(exc, 'strerror', None) or exc}"
+            conn.send((begun, error))
+    if error is None:
+        conn.send((begun, None))
+
+
+class _FrameWriter:
+    """The one path that writes ``evolve`` frames: a process forked from
+    this one formats and writes each frame it is sent while the step loop
+    goes on.  The fork hands it the grid, so a frame costs one pickle of
+    its values.
+
+    Use it as a context manager and pass it to :func:`evolve` as
+    ``on_frame``.  On leaving, it waits for the writer.  If the run raised
+    or the writer failed, it deletes the frames the writer may have
+    written; the writer's failure is raised as RuntimeError naming the
+    path, at the next frame sent or on leaving.
+    """
+
+    def __init__(self, outdir: Path, grid: Grid, units: str):
+        import multiprocessing  # only evolve pays for the import
+
+        ctx = multiprocessing.get_context("fork")
+        self.outdir = outdir
+        self.names: list[str] = []
+        self._reply: tuple[int, str | None] | None = None
+        self._conn, child = ctx.Pipe()
+        self._process = ctx.Process(
+            target=_write_frames, args=(child, outdir, grid, units), daemon=True
+        )
+        self._process.start()
+        child.close()
+
+    def __enter__(self) -> "_FrameWriter":
+        return self
+
+    def __call__(self, step: int, t: float, frame: WaveField) -> None:
+        name = f"frame_{step:06d}.csv"
+        try:
+            if not self._conn.poll():  # before None is sent, only a failure replies
+                self._conn.send((name, t, frame.values))
+                self.names.append(name)
+                return
+        except BrokenPipeError:  # the writer died
+            pass
+        self._receive()
+        raise RuntimeError(f"frame writer: {self._reply[1]}")
+
+    def _receive(self) -> None:
+        try:
+            self._reply = self._conn.recv()
+        except EOFError:  # the writer died without replying
+            self._process.join()
+            self._reply = len(self.names), f"exited with code {self._process.exitcode}"
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with contextlib.suppress(OSError):
+            self._conn.send(None)
+        if self._reply is None:
+            self._receive()
+        self._process.join()
+        self._conn.close()
+        failed = self._reply[1] is not None
+        if failed or exc_type is not None:
+            self._discard()
+        if failed and exc_type is None:
+            raise RuntimeError(f"frame writer: {self._reply[1]}")
+
+    def _discard(self) -> None:
+        for name in self.names[: self._reply[0]]:
+            for path in (self.outdir / name, self.outdir / (name + ".json")):
+                if path.is_file():
+                    path.unlink()
+
+
 def _scenario_evolve(
     cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
@@ -280,13 +380,10 @@ def _scenario_evolve(
     units = serialize.get(cfg, "units", str, "electron")
     cfg.reject_unread()
 
-    result = evolve(psi0, V, spec, params, run_cfg)
+    with _FrameWriter(outdir, g, units) as writer:
+        result = evolve(psi0, V, spec, params, run_cfg, on_frame=writer)
 
-    outputs = []
-    for step, t, frame in zip(result.step_indices, result.times, result.frames):
-        name = f"frame_{int(step):06d}.csv"
-        _write_frame(outdir / name, frame, float(t), units)
-        outputs += [name, name + ".json"]
+    outputs = [out for name in writer.names for out in (name, name + ".json")]
     serialize.write_csv(
         outdir / "series.csv",
         ("step", "time", "norm", "energy"),

@@ -34,12 +34,18 @@ labels a run reports.
 Near wavefunction nodes the higher-order terms diverge; they are zeroed
 below the amplitude floor and clamped at ``q_cap``, with clamp events
 counted and reported.
+
+:func:`evolve` returns every stored frame, and its ``on_frame`` callback
+also receives each one, with its step and time, as soon as the loop has
+made it.  The CLI hands frames to its frame writer this way, so that they
+are formatted while the loop goes on; the callback changes no number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -234,9 +240,15 @@ def evolve(
     spec: QuantumPotentialSpec,
     params: PhysicalParams,
     cfg: EvolutionConfig,
+    *,
+    on_frame: Callable[[int, float, WaveField], None] | None = None,
 ) -> EvolutionResult:
     """Propagate psi0 for cfg.steps steps of cfg.dt, storing every
     ``store_every``-th frame (plus the initial and final ones).
+
+    ``on_frame(step, time, frame)`` is called with each stored frame as
+    soon as the loop has made it, so a caller can write frames while the
+    loop goes on; an exception it raises stops the run.
 
     Aborts with RuntimeError on NaN/overflow or if the norm drifts by more
     than 1e-4 relative (signals dt too large or node blow-up).
@@ -267,9 +279,19 @@ def evolve(
     # the grid quadrature on either boundary
     norm0 = g.spacing * np.vdot(psi, psi).real
     W, clamp_count = extra(np.abs(psi))
-    frames = [WaveField(g, psi.copy())]
-    times = [0.0]
-    steps_stored = [0]
+    frames: list[WaveField] = []
+    times: list[float] = []
+    steps_stored: list[int] = []
+
+    def store(step: int) -> None:
+        frame = WaveField(g, psi.copy())
+        frames.append(frame)
+        times.append(step * cfg.dt)
+        steps_stored.append(step)
+        if on_frame is not None:
+            on_frame(step, times[-1], frame)
+
+    store(0)
 
     psi *= rotation(W, 0.5)
     for step in range(1, cfg.steps + 1):
@@ -289,9 +311,7 @@ def evolve(
                 f"norm drifted to {nrm:.6g} at step {step}; aborting"
             )
         if stored:
-            frames.append(WaveField(g, psi.copy()))
-            times.append(step * cfg.dt)
-            steps_stored.append(step)
+            store(step)
             if step < cfg.steps:
                 psi *= rotation(W, 0.5)
 

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, manifests, determinism, and errors."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpotlab import cli
+from qpotlab import cli, dynamics
 from qpotlab.cli import main
 from qpotlab.grid import Grid, GridFunction, write_gridfunction
 
@@ -324,6 +325,59 @@ class TestEvolve:
         assert summary["scheme"] == "crank-nicolson-fd"
 
 
+class TestEvolveFailure:
+    """A failed run leaves no frame, no manifest and no live frame writer."""
+
+    @staticmethod
+    def config(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2,4\npoints = 64\nboundary = periodic\n"
+            "initial = eigenmode\ndt = 1e-7\nsteps = 10\nstore_every = 1\n"
+        )
+        return cfg
+
+    def test_nan_field_deletes_the_written_frames(self, tmp_path, capsys, monkeypatch):
+        w_evals, sent = [], []
+        original = dynamics._ExtraPotential.__call__
+
+        def turns_nan(self, absvals):
+            w_evals.append(1)
+            W, clamps = original(self, absvals)
+            if len(w_evals) == 5:  # the W of step 4
+                W = W.copy()
+                W[7] = np.nan
+            return W, clamps
+
+        send = cli._FrameWriter.__call__
+
+        def counted(self, step, t, frame):
+            sent.append(step)
+            send(self, step, t, frame)
+
+        monkeypatch.setattr(dynamics._ExtraPotential, "__call__", turns_nan)
+        monkeypatch.setattr(cli._FrameWriter, "__call__", counted)
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(self.config(tmp_path)), "--out", str(out)])
+        assert rc == 1
+        assert "error: non-finite field at step 4 " in capsys.readouterr().err
+        # frames 0-3 went to the writer, which wrote them before it was joined
+        assert sent == [0, 1, 2, 3]
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_writer_failure_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        blocker = out / "frame_000000.csv"
+        blocker.mkdir(parents=True)
+        rc = main(["evolve", "--config", str(self.config(tmp_path)), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert list(out.iterdir()) == [blocker] and blocker.is_dir()
+        assert multiprocessing.active_children() == []
+
+
 class TestRun:
     def test_scenario_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -613,7 +667,7 @@ from pathlib import Path
 from qpotlab import cli
 
 out = Path(sys.argv[1])
-lazy = ("scipy.fft", "scipy.linalg")
+lazy = ("scipy.fft", "scipy.linalg", "multiprocessing")
 
 
 def loaded():
@@ -637,9 +691,10 @@ assert loaded() == list(lazy), loaded()
 
 class TestColdImport:
     def test_scipy_submodules_load_on_first_use(self, tmp_path):
-        """verify-el and coefficients never load scipy.fft or scipy.linalg;
-        the box spectrum loads scipy.fft and the Dirichlet evolve
-        scipy.linalg when they first need them."""
+        """verify-el and coefficients never load scipy.fft, scipy.linalg or
+        multiprocessing; the box spectrum loads scipy.fft, and the
+        Dirichlet evolve scipy.linalg and multiprocessing (its frame
+        writer), when they first need them."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(

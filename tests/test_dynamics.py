@@ -331,6 +331,57 @@ class TestFusedRotation:
             evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
 
 
+class TestOnFrame:
+    """on_frame sees every stored frame as the loop makes it, with the step
+    and time that the result records, and can stop the run."""
+
+    @staticmethod
+    def start(boundary):
+        g = periodic_grid(64) if boundary == PERIODIC else dirichlet_grid(65)
+        return WaveField.gaussian(g, center=0.5, width=0.08, k0=20.0), zero_potential(g)
+
+    # store_every 5 divides the 10 steps; 4 does not, so the last frame is
+    # step 10 after step 8
+    @pytest.mark.parametrize("store_every", [5, 4])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_sees_the_stored_frames(self, boundary, store_every):
+        psi0, V = self.start(boundary)
+        seen = []
+        cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=store_every)
+        res = evolve(
+            psi0, V, SPEC24, ELECTRON, cfg,
+            on_frame=lambda step, t, frame: seen.append((step, t, frame.values.copy())),
+        )
+        assert [s for s, _, _ in seen] == res.step_indices.tolist()
+        assert [t for _, t, _ in seen] == res.times.tolist()
+        assert [v.tobytes() for _, _, v in seen] == [f.values.tobytes() for f in res.frames]
+        assert res.step_indices[-1] == 10
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_exception_stops_the_run(self, monkeypatch, boundary):
+        class Stop(Exception):
+            pass
+
+        w_evals = []
+        original = dynamics._ExtraPotential.__call__
+
+        def counting(self, absvals):
+            w_evals.append(1)
+            return original(self, absvals)
+
+        def stop_after_first(step, t, frame):
+            if step > 0:
+                raise Stop(step)
+
+        monkeypatch.setattr(dynamics._ExtraPotential, "__call__", counting)
+        psi0, V = self.start(boundary)
+        cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=3)
+        with pytest.raises(Stop) as exc:
+            evolve(psi0, V, SPEC24, ELECTRON, cfg, on_frame=stop_after_first)
+        assert exc.value.args == (3,)
+        assert len(w_evals) == 3 + 1  # no step after the raising frame
+
+
 class TestPhaseRotation:
     """cos + i sin of one real phase is np.exp of the complex phase, bit
     for bit, from zero through |theta| of 1e12."""
