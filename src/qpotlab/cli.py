@@ -16,11 +16,12 @@ list of artifacts.  All numbers are serialized at 17 significant digits,
 so a rerun with the same inputs reproduces every artifact byte for byte
 (the manifest timings are the one intentionally non-deterministic field).
 
-``evolve`` writes its frames through one writer process, forked when the
-run starts (:class:`_FrameWriter`): each frame is formatted and written on
-another core while the step loop goes on, so ``evolve`` needs a POSIX
-``fork``.  A run that fails, in the loop or in the writer, exits 1 with an
-``error:`` line, deletes the frames the writer wrote and writes no
+``evolve`` writes its frames through a one-process
+``concurrent.futures`` pool, forked at the first frame
+(:func:`_frame_pool`): each frame is formatted and written on another core
+while the step loop goes on, so ``evolve`` needs a POSIX ``fork``.  A run
+that fails, in the loop, in a write or by the death of the writer, exits 1
+with an ``error:`` line, deletes the frames the writer wrote and writes no
 manifest.
 """
 
@@ -259,6 +260,10 @@ def _initial_field(cfg: Mapping[str, str], g: Grid, L: float) -> WaveField:
     )
 
 
+def _frame_name(step: int) -> str:
+    return f"frame_{step:06d}.csv"
+
+
 def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
     data = {"real": field.values.real, "imag": field.values.imag}
     _write_table(
@@ -266,96 +271,50 @@ def _write_frame(path: Path, field: WaveField, t: float, units: str) -> None:
     )
 
 
-def _write_frames(conn, outdir: Path, grid: Grid, units: str) -> None:
-    """Body of the frame writer: write each ``(name, time, values)`` that
-    arrives on ``conn`` with :func:`_write_frame`, until ``None`` arrives.
+@contextlib.contextmanager
+def _frame_pool(outdir: Path, units: str):
+    """The one path that writes ``evolve`` frames: a one-process pool,
+    forked from this one, formats and writes each frame while the step loop
+    goes on.  Yields the ``on_frame`` callable for :func:`evolve`.
 
-    It replies once with ``(frames begun, error text or None)``: at its
-    first failed write, or after ``None``.  After a failure it writes
-    nothing more but keeps reading, so the sender never waits on a full
-    pipe."""
-    begun, error = 0, None
-    while (item := conn.recv()) is not None:
-        if error is not None:
-            continue
-        name, t, values = item
-        begun += 1
-        try:
-            _write_frame(outdir / name, WaveField(grid, values), t, units)
-        except Exception as exc:
-            error = f"{outdir / name}: {getattr(exc, 'strerror', None) or exc}"
-            conn.send((begun, error))
-    if error is None:
-        conn.send((begun, None))
-
-
-class _FrameWriter:
-    """The one path that writes ``evolve`` frames: a process forked from
-    this one formats and writes each frame it is sent while the step loop
-    goes on.  The fork hands it the grid, so a frame costs one pickle of
-    its values.
-
-    Use it as a context manager and pass it to :func:`evolve` as
-    ``on_frame``.  On leaving, it waits for the writer.  If the run raised
-    or the writer failed, it deletes the frames the writer may have
-    written; the writer's failure is raised as RuntimeError naming the
-    path, at the next frame sent or on leaving.
+    The first failed write is raised as RuntimeError naming its path, at
+    the next frame or on leaving.  On any failure (an error in the loop, a
+    failed write or a dead writer), pending writes are cancelled and every
+    frame that was not cancelled is deleted with its sidecar.
     """
+    import multiprocessing  # only evolve pays for these imports
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    def __init__(self, outdir: Path, grid: Grid, units: str):
-        import multiprocessing  # only evolve pays for the import
+    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    writes = {}  # frame path -> future of its write
 
-        ctx = multiprocessing.get_context("fork")
-        self.outdir = outdir
-        self.names: list[str] = []
-        self._reply: tuple[int, str | None] | None = None
-        self._conn, child = ctx.Pipe()
-        self._process = ctx.Process(
-            target=_write_frames, args=(child, outdir, grid, units), daemon=True
-        )
-        self._process.start()
-        child.close()
+    def raise_failure(wait: bool) -> None:
+        for path, future in writes.items():
+            if (wait or future.done()) and (exc := future.exception()) is not None:
+                detail = getattr(exc, "strerror", None) or exc
+                raise RuntimeError(f"frame writer: {path}: {detail}")
 
-    def __enter__(self) -> "_FrameWriter":
-        return self
-
-    def __call__(self, step: int, t: float, frame: WaveField) -> None:
-        name = f"frame_{step:06d}.csv"
+    def on_frame(step: int, t: float, frame: WaveField) -> None:
+        raise_failure(wait=False)
+        path = outdir / _frame_name(step)
         try:
-            if not self._conn.poll():  # before None is sent, only a failure replies
-                self._conn.send((name, t, frame.values))
-                self.names.append(name)
-                return
-        except BrokenPipeError:  # the writer died
-            pass
-        self._receive()
-        raise RuntimeError(f"frame writer: {self._reply[1]}")
+            writes[path] = pool.submit(_write_frame, path, frame, t, units)
+        except BrokenExecutor:  # the writer died: the write it was on names it
+            raise_failure(wait=True)
+            raise
 
-    def _receive(self) -> None:
-        try:
-            self._reply = self._conn.recv()
-        except EOFError:  # the writer died without replying
-            self._process.join()
-            self._reply = len(self.names), f"exited with code {self._process.exitcode}"
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        with contextlib.suppress(OSError):
-            self._conn.send(None)
-        if self._reply is None:
-            self._receive()
-        self._process.join()
-        self._conn.close()
-        failed = self._reply[1] is not None
-        if failed or exc_type is not None:
-            self._discard()
-        if failed and exc_type is None:
-            raise RuntimeError(f"frame writer: {self._reply[1]}")
-
-    def _discard(self) -> None:
-        for name in self.names[: self._reply[0]]:
-            for path in (self.outdir / name, self.outdir / (name + ".json")):
-                if path.is_file():
-                    path.unlink()
+    try:
+        yield on_frame
+        raise_failure(wait=True)
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        for path, future in writes.items():
+            if not future.cancelled():
+                for written in (path, path.with_name(path.name + ".json")):
+                    if written.is_file():
+                        written.unlink()
+        raise
+    pool.shutdown()
 
 
 def _scenario_evolve(
@@ -373,17 +332,17 @@ def _scenario_evolve(
     run_cfg = EvolutionConfig(
         dt=serialize.get(cfg, "dt", float),
         steps=steps,
-        q_cap=serialize.get(cfg, "q_cap", float, None),
         store_every=serialize.get(cfg, "store_every", int, max(1, steps // 10)),
     )
     V = GridFunction(g, np.zeros(points))
     units = serialize.get(cfg, "units", str, "electron")
     cfg.reject_unread()
 
-    with _FrameWriter(outdir, g, units) as writer:
-        result = evolve(psi0, V, spec, params, run_cfg, on_frame=writer)
+    with _frame_pool(outdir, units) as on_frame:
+        result = evolve(psi0, V, spec, params, run_cfg, on_frame=on_frame)
 
-    outputs = [out for name in writer.names for out in (name, name + ".json")]
+    names = [_frame_name(step) for step in result.step_indices]
+    outputs = [out for name in names for out in (name, name + ".json")]
     serialize.write_csv(
         outdir / "series.csv",
         ("step", "time", "norm", "energy"),

@@ -32,8 +32,8 @@ zeroed at both ends before the first step.  The two names are only the
 labels a run reports.
 
 Near wavefunction nodes the higher-order terms diverge; they are zeroed
-below the amplitude floor and clamped at ``q_cap``, with clamp events
-counted and reported.
+below the amplitude floor and clamped at the fixed cap
+1e3 * eps0 * (lambda_c/L)^4, with clamp events counted and reported.
 
 :func:`evolve` returns every stored frame, and its ``on_frame`` callback
 also receives each one, with its step and time, as soon as the loop has
@@ -123,7 +123,6 @@ def norm(psi: WaveField) -> float:
 class EvolutionConfig:
     dt: float
     steps: int
-    q_cap: float | None = None  # default: 1e3 * eps0 * (lambda_c/L)^4
     store_every: int = 1
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.q_cap is not None and self.q_cap <= 0:
-            raise ValueError("q_cap must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
 
@@ -259,10 +256,7 @@ def evolve(
     if not V.grid.same_as(g):
         raise GridError("potential grid does not match the field grid")
     validate_order2(spec, params)
-    if cfg.q_cap is not None:
-        q_cap = cfg.q_cap
-    else:
-        q_cap = 1e3 * params.rest_energy * (params.compton_wavelength / g.length) ** 4
+    q_cap = 1e3 * params.rest_energy * (params.compton_wavelength / g.length) ** 4
     extra = _ExtraPotential(g, spec, params, q_cap)
     kinetic = _KineticStep(g, params, cfg.dt)
     hbar = params.hbar

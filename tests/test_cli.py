@@ -5,12 +5,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpotlab import cli, dynamics
+from qpotlab import cli, dynamics, serialize
 from qpotlab.cli import main
 from qpotlab.grid import Grid, GridFunction, write_gridfunction
 
@@ -349,14 +351,17 @@ class TestEvolveFailure:
                 W[7] = np.nan
             return W, clamps
 
-        send = cli._FrameWriter.__call__
+        run = cli.evolve
 
-        def counted(self, step, t, frame):
-            sent.append(step)
-            send(self, step, t, frame)
+        def counting_evolve(*args, on_frame):
+            def counted(step, t, frame):
+                sent.append(step)
+                on_frame(step, t, frame)
+
+            return run(*args, on_frame=counted)
 
         monkeypatch.setattr(dynamics._ExtraPotential, "__call__", turns_nan)
-        monkeypatch.setattr(cli._FrameWriter, "__call__", counted)
+        monkeypatch.setattr(cli, "evolve", counting_evolve)
         out = tmp_path / "out"
         rc = main(["evolve", "--config", str(self.config(tmp_path)), "--out", str(out)])
         assert rc == 1
@@ -375,6 +380,41 @@ class TestEvolveFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err
         assert list(out.iterdir()) == [blocker] and blocker.is_dir()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("submit_after_death", [False, True])
+    def test_dead_writer_names_the_frame(
+        self, tmp_path, capsys, monkeypatch, submit_after_death
+    ):
+        write_csv, parent = serialize.write_csv, os.getpid()
+
+        def dies_at_frame_3(path, *args):
+            if Path(path).name == "frame_000003.csv" and os.getpid() != parent:
+                os._exit(3)
+            write_csv(path, *args)
+
+        # the forked writer inherits the patch; nothing local is pickled
+        monkeypatch.setattr(serialize, "write_csv", dies_at_frame_3)
+        if submit_after_death:
+            # frame 4 is submitted only once the pool knows its worker died,
+            # so submit itself raises BrokenProcessPool
+            submit = ProcessPoolExecutor.submit
+
+            def late_submit(pool, fn, path, *args):
+                deadline = time.monotonic() + 30
+                while path.name == "frame_000004.csv" and not pool._broken:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                return submit(pool, fn, path, *args)
+
+            monkeypatch.setattr(ProcessPoolExecutor, "submit", late_submit)
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(self.config(tmp_path)), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame writer: ")
+        assert str(out / "frame_000003.csv") in err
+        assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
 
 
@@ -481,10 +521,11 @@ class TestUnreadKeys:
         self.assert_rejected(rc, out, capsys, "max_order")
 
     @pytest.mark.parametrize(
-        "line", ["scheme = crank-nicolson-fd", "potential = none"]
+        "line", ["scheme = crank-nicolson-fd", "potential = none", "q_cap = 1"]
     )
     def test_evolve_reads_no_scheme_or_potential(self, tmp_path, capsys, line):
-        # the boundary picks the time stepper and V is always zero
+        # the boundary picks the time stepper, V is always zero and the W
+        # cap is fixed
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "orders = 2\npoints = 65\nboundary = dirichlet\ninitial = eigenmode\n"
@@ -667,7 +708,7 @@ from pathlib import Path
 from qpotlab import cli
 
 out = Path(sys.argv[1])
-lazy = ("scipy.fft", "scipy.linalg", "multiprocessing")
+lazy = ("scipy.fft", "scipy.linalg", "multiprocessing", "concurrent.futures.process")
 
 
 def loaded():
@@ -691,10 +732,13 @@ assert loaded() == list(lazy), loaded()
 
 class TestColdImport:
     def test_scipy_submodules_load_on_first_use(self, tmp_path):
-        """verify-el and coefficients never load scipy.fft, scipy.linalg or
-        multiprocessing; the box spectrum loads scipy.fft, and the
-        Dirichlet evolve scipy.linalg and multiprocessing (its frame
-        writer), when they first need them."""
+        """verify-el and coefficients never load scipy.fft, scipy.linalg,
+        multiprocessing or the process pool of concurrent.futures; the box
+        spectrum loads scipy.fft, and the Dirichlet evolve scipy.linalg,
+        multiprocessing and the process pool (its frame writer), when they
+        first need them.  The pool is ``concurrent.futures.process``:
+        scipy.fft itself loads the ``concurrent.futures`` package, through
+        numpy.testing."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
