@@ -20,6 +20,12 @@ numerators over one common denominator, rounded once.  Samples with
 |R| < 0.1 are redrawn so quotient forms stay well conditioned; the redraw
 count is reported.
 
+The draws come from ``np.random.default_rng(seed)``.  The scalar ones are
+taken through its bit generator's ctypes interface (``next_uint32`` for a
+sign, ``next_double`` for a uniform), in the closed forms numpy's own
+``integers(0, 2)`` and ``uniform`` apply to those outputs, so the stream,
+and with it every report, is the one the Generator methods give.
+
 Each residual term and the residual are compiled once per :func:`certify`
 call by :func:`expr.compile_float`, so a trial does only float work; the
 values are those of the exact-rational :func:`expr.evaluate`, bit for bit.
@@ -27,6 +33,7 @@ values are those of the exact-rational :func:`expr.evaluate`, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,11 +122,6 @@ class ResidualReport:
 # --------------------------------------------------------------------------
 
 
-def _sign(rng: np.random.Generator) -> float:
-    """-1.0 or 1.0 with the draw ``rng.choice((-1.0, 1.0))`` makes."""
-    return (-1.0, 1.0)[int(rng.integers(0, 2))]
-
-
 # Bounds of the 14 draws of one polynomial profile, in draw order: six
 # (numerator in [-9, 9], denominator in [1, 4]) pairs, then p in [-6, 6] and
 # q in [1, 3].  One call with array bounds gives the values and generator
@@ -127,8 +129,46 @@ def _sign(rng: np.random.Generator) -> float:
 _POLY_LOW = np.array([-9, 1] * 6 + [-6, 1])
 _POLY_HIGH = np.array([10, 5] * 6 + [7, 4])
 
+# _FALLING[k][j] = k (k-1) ... (k-j+1), the j-th derivative factor of x^k.
+_FALLING = tuple(tuple(math.perm(k, j) for j in range(k + 1)) for k in range(6))
 
-def _poly_profile(rng: np.random.Generator, max_order: int) -> list[float]:
+
+class _Draws:
+    """The scalar draws of the sampler, on the stream of one Generator.
+
+    ``sign`` and ``uniform`` call the bit generator's ``next_uint32`` and
+    ``next_double`` through its ctypes interface and apply the closed forms
+    of the Generator methods, so they return the values and consume the bits
+    that ``rng.choice((-1.0, 1.0))`` and ``rng.uniform(low, high)`` would,
+    without their per-call argument handling.  ``poly`` is the one array
+    draw of a polynomial profile and goes through the Generator itself.
+    The ctypes calls bypass the Generator's lock, so the Generator must be
+    this object's alone; :func:`certify` makes one per call.
+    """
+
+    __slots__ = ("_rng", "_next_uint32", "_next_double")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng  # owns the state the ctypes calls point at
+        iface = rng.bit_generator.ctypes
+        self._next_uint32 = functools.partial(iface.next_uint32, iface.state)
+        self._next_double = functools.partial(iface.next_double, iface.state)
+
+    def sign(self) -> float:
+        """-1.0 or 1.0: ``rng.integers(0, 2)`` is Lemire's bounded draw of
+        range 2, the top bit of one 32-bit output; it never rejects."""
+        return (-1.0, 1.0)[self._next_uint32() >> 31]
+
+    def uniform(self, low: float, high: float) -> float:
+        """``rng.uniform(low, high)``: low + (high - low) * next_double."""
+        return low + (high - low) * self._next_double()
+
+    def poly(self) -> list[int]:
+        """The 14 integer draws of one polynomial profile, in draw order."""
+        return self._rng.integers(_POLY_LOW, _POLY_HIGH).tolist()
+
+
+def _poly_profile(draws: _Draws, max_order: int) -> list[float]:
     """Degree-5 polynomial with rational coefficients n_k/d_k (d_k <= 4) at a
     rational point p/q (q <= 3), derivatives exact.
 
@@ -136,36 +176,36 @@ def _poly_profile(rng: np.random.Generator, max_order: int) -> list[float]:
     12 q^5; the one int / int division is correctly rounded, so the float is
     the one the exact rational rounds to.
     """
-    draws = rng.integers(_POLY_LOW, _POLY_HIGH).tolist()
-    scaled = [num * (12 // d) for num, d in zip(draws[0:12:2], draws[1:12:2])]
-    p, q = draws[12], draws[13]
+    ints = draws.poly()
+    scaled = [num * (12 // d) for num, d in zip(ints[0:12:2], ints[1:12:2])]
+    p, q = ints[12], ints[13]
     powers = [p**m * q ** (5 - m) for m in range(6)]  # x0^m * q^5
     den = 12 * q**5
     return [
-        sum(scaled[k] * math.perm(k, j) * powers[k - j] for k in range(j, 6)) / den
+        sum(scaled[k] * _FALLING[k][j] * powers[k - j] for k in range(j, 6)) / den
         for j in range(max_order + 1)
     ]
 
 
-def _sine_profile(rng: np.random.Generator, max_order: int) -> list[float]:
+def _sine_profile(draws: _Draws, max_order: int) -> list[float]:
     """b + a sin(k x + phi); the offset keeps the profile away from zero."""
-    b = _sign(rng) * float(rng.uniform(1.0, 2.0))
-    a = _sign(rng) * float(rng.uniform(0.3, 1.0))
-    k = float(rng.uniform(0.5, 2.0))
-    phase = float(rng.uniform(0.0, 2.0 * math.pi) + rng.uniform(-1.0, 1.0) * k)
+    b = draws.sign() * draws.uniform(1.0, 2.0)
+    a = draws.sign() * draws.uniform(0.3, 1.0)
+    k = draws.uniform(0.5, 2.0)
+    phase = draws.uniform(0.0, 2.0 * math.pi) + draws.uniform(-1.0, 1.0) * k
     derivs = [b + a * math.sin(phase)]
     for j in range(1, max_order + 1):
         derivs.append(a * k**j * math.sin(phase + j * math.pi / 2.0))
     return derivs
 
 
-def _gauss_profile(rng: np.random.Generator, max_order: int) -> list[float]:
+def _gauss_profile(draws: _Draws, max_order: int) -> list[float]:
     """b + a exp(-(x-c)^2 / 2 sigma^2), derivatives by the two-term
     recurrence g^(j+1) = -((x-c)/s^2) g^(j) - (j/s^2) g^(j-1)."""
-    b = _sign(rng) * float(rng.uniform(1.0, 2.0))
-    a = _sign(rng) * float(rng.uniform(0.5, 1.5))
-    s2 = float(rng.uniform(0.7, 1.5)) ** 2
-    u = float(rng.uniform(-1.0, 1.0))  # x - c at the sample point
+    b = draws.sign() * draws.uniform(1.0, 2.0)
+    a = draws.sign() * draws.uniform(0.5, 1.5)
+    s2 = draws.uniform(0.7, 1.5) ** 2
+    u = draws.uniform(-1.0, 1.0)  # x - c at the sample point
     g = [a * math.exp(-(u**2) / (2.0 * s2))]
     for j in range(max_order):
         prev = g[j - 1] if j >= 1 else 0.0
@@ -179,7 +219,7 @@ FAMILY_NAMES = ("poly", "sine", "gauss")
 
 
 def _sample_point(
-    rng: np.random.Generator,
+    draws: _Draws,
     trial: int,
     needed: list[int],
     counts: list[tuple[int, ...]],
@@ -188,7 +228,7 @@ def _sample_point(
     per-axis derivative counts of each variable, R first); flags |R| < 0.1
     for redraw."""
     profiles = [
-        _FAMILIES[(trial + axis) % len(_FAMILIES)](rng, order)
+        _FAMILIES[(trial + axis) % len(_FAMILIES)](draws, order)
         for axis, order in enumerate(needed)
     ]
     values = []
@@ -213,6 +253,8 @@ def certify(
         raise ValueError("trials must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     q = canonical(q)
     terms = el_residual_terms(q, dimension)
     residual = canonical(make_sum(tuple(t for _, t in terms)))
@@ -231,19 +273,19 @@ def certify(
     term_fns = [compile_float(t, order, names) for _, t in terms]
     residual_fn = compile_float(residual, order, names)
 
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed))
     max_rel = 0.0
     worst = 0
     resamples = 0
     for trial in range(trials):
         for _ in range(200):
-            jets, reject = _sample_point(rng, trial, needed, counts)
+            jets, reject = _sample_point(draws, trial, needed, counts)
             if not reject:
                 break
             resamples += 1
         else:
             raise RuntimeError("could not draw a well-conditioned jet sample")
-        symbols = [_sign(rng) * float(rng.uniform(0.5, 2.0)) for _ in names]
+        symbols = [draws.sign() * draws.uniform(0.5, 2.0) for _ in names]
         scale = 0.0
         for fn in term_fns:
             scale = max(scale, abs(fn(jets, symbols)))

@@ -75,6 +75,12 @@ class TestVerifyEl:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        argv = ["verify-el", "--q", "A2 * lap(R) / R", "--seed", "-1"]
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_dimension_flag(self, tmp_path):
         out = tmp_path / "out"
         rc = main(

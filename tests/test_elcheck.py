@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qpotlab import elcheck
 from qpotlab.elcheck import (
     FAILS,
     FAMILY_NAMES,
     PASSES,
+    _Draws,
     _poly_profile,
-    _sign,
     build_el_residual,
     certify,
     el_residual_terms,
@@ -132,6 +133,8 @@ class TestCertify:
             certify(q, 1, trials=0)
         with pytest.raises(ValueError):
             certify(q, 1, tol=0.0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            certify(q, 1, seed=-1)
 
     def test_terms_evaluate_consistently(self):
         # Sum of per-index terms equals the assembled residual numerically.
@@ -149,6 +152,39 @@ class TestCertify:
         consts = {"C": 3.0}
         total = sum(evaluate(t, point, consts) for _, t in terms)
         assert total == pytest.approx(evaluate(residual, point, consts), rel=1e-12)
+
+
+# (low, high) of the 14 integer draws of one polynomial profile, in order
+POLY_BOUNDS = [(-9, 10), (1, 5)] * 6 + [(-6, 7), (1, 4)]
+
+# The verify-el candidates of the benchmark's analysis workload.
+BENCHMARK_CANDIDATES = (
+    "A0",
+    "A2 * lap(R) / R",
+    "A4 * lap2(R) / R",
+    "A6 * lap(lap2(R)) / R",
+    "A8 * lap2(lap2(R)) / R",
+    "A2 * lap(R) / R + A4 * lap2(R) / R",
+    "C * dx(R)",
+    "C * dx(R)^2 / R",
+)
+
+
+class ScalarDraws:
+    """The sampler's draws as scalar Generator calls: the reference for
+    ``elcheck._Draws``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def sign(self):
+        return (-1.0, 1.0)[int(self.rng.integers(0, 2))]
+
+    def uniform(self, low, high):
+        return float(self.rng.uniform(low, high))
+
+    def poly(self):
+        return [int(self.rng.integers(lo, hi)) for lo, hi in POLY_BOUNDS]
 
 
 def _poly_profile_oracle(rng, max_order):
@@ -172,7 +208,8 @@ class TestSampling:
         for seed in range(300):
             max_order = seed % 12
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            got, want = _poly_profile(fast, max_order), _poly_profile_oracle(slow, max_order)
+            got = _poly_profile(_Draws(fast), max_order)
+            want = _poly_profile_oracle(slow, max_order)
             assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
             assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -193,22 +230,50 @@ class TestSampling:
 
         for seed in range(500):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = _Draws(fast)
             for draw in range(3):
                 max_order = (seed + draw) % 12
-                got, want = _poly_profile(fast, max_order), oracle(slow, max_order)
+                got, want = _poly_profile(draws, max_order), oracle(slow, max_order)
                 assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
-                assert fast.uniform(0.5, 2.0) == slow.uniform(0.5, 2.0)
+                assert draws.uniform(0.5, 2.0) == slow.uniform(0.5, 2.0)
             assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_sign_draw_consumes_the_choice_stream(self):
         fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+        draws = _Draws(fast)
         for i in range(20_000):
-            assert _sign(fast) == float(slow.choice((-1.0, 1.0)))
+            assert draws.sign() == float(slow.choice((-1.0, 1.0)))
             if i % 3 == 0:  # interleave the other draws the sampler makes
-                assert fast.uniform(0.5, 2.0) == slow.uniform(0.5, 2.0)
+                assert draws.uniform(0.5, 2.0) == slow.uniform(0.5, 2.0)
             if i % 5 == 0:
                 assert fast.integers(-9, 10) == slow.integers(-9, 10)
         assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_draws_follow_the_generator_stream(self):
+        # The sampler's order: a sign, then each (low, high) pair the
+        # profiles and the symbols draw from, then one polynomial profile.
+        pairs = [(1.0, 2.0), (0.3, 1.0), (0.5, 2.0), (0.0, 2.0 * math.pi),
+                 (-1.0, 1.0), (0.5, 1.5), (0.7, 1.5)]
+        for seed in range(20):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = _Draws(fast)
+            for _ in range(500):
+                assert draws.sign() == float(slow.choice((-1.0, 1.0)))
+                for low, high in pairs:
+                    assert draws.uniform(low, high) == slow.uniform(low, high)
+                assert draws.poly() == [int(slow.integers(lo, hi)) for lo, hi in POLY_BOUNDS]
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_reference_draws_give_the_same_reports(self, monkeypatch):
+        real = {
+            (text, dim, seed): certify(parse_q_expression(text, dim), dim, trials=100, seed=seed)
+            for text in BENCHMARK_CANDIDATES
+            for dim in (1, 2, 3)
+            for seed in (0, 5)
+        }
+        monkeypatch.setattr(elcheck, "_Draws", ScalarDraws)
+        for (text, dim, seed), report in real.items():
+            assert certify(parse_q_expression(text, dim), dim, trials=100, seed=seed) == report
 
 
 class TestCertifyGolden:
