@@ -11,14 +11,15 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
 - ``grid``/``qpotential`` — grid functions, Laplacian series sum c_n lap^n
   (the grid picks the transform or finite-difference backend), and
-  evaluation of the potential hierarchy as one such series, with floor
-  regularization;
+  evaluation of the potential hierarchy as one such series, projected onto
+  its convergence band |k| <= m c / hbar (radial grids stay unprojected),
+  with floor regularization;
 - ``spectra`` — box and hydrogen stationary states, perturbative energy
   shifts with an independent cross-check path, and a nonperturbative
   modified eigensolver;
-- ``dynamics`` — integration of the modified (nonlinear) wave equation,
-  split-step on periodic grids and Crank-Nicolson on Dirichlet ones, plus
-  guidance-velocity trajectories;
+- ``dynamics`` — integration of the modified (nonlinear) wave equation
+  for node-free states, split-step on periodic grids and Crank-Nicolson on
+  Dirichlet ones, plus guidance-velocity trajectories;
 - ``cli`` — reproducible command-line scenarios with manifest output.
 """
 

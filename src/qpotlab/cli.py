@@ -360,7 +360,6 @@ def _scenario_evolve(
         "steps": steps,
         "dt": run_cfg.dt,
         "stored_frames": len(result.frames),
-        "clamp_count": result.clamp_count,
         "final_norm": float(result.norms[-1]),
         "max_norm_drift": drift,
     }
@@ -368,8 +367,7 @@ def _scenario_evolve(
     outputs += ["series.csv", "evolve_summary.json"]
     print(
         f"evolve: {steps} steps of dt={serialize.fmt_float(run_cfg.dt)} "
-        f"({scheme}), norm drift {serialize.fmt_float(drift)}, "
-        f"{result.clamp_count} clamp event(s)"
+        f"({scheme}), norm drift {serialize.fmt_float(drift)}"
     )
     return outputs
 
@@ -441,10 +439,17 @@ def _run_scenario(
     scenario: str, cfg: Mapping[str, str], outdir: Path, seed: int
 ) -> int:
     outdir = Path(outdir)
+    created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = serialize.RecordingConfig(cfg)
     t0 = time.perf_counter()
-    outputs = _SCENARIOS[scenario](cfg, outdir, seed)
+    try:
+        outputs = _SCENARIOS[scenario](cfg, outdir, seed)
+    except BaseException:
+        # a run refused before it wrote anything leaves no output directory
+        if created and not any(outdir.iterdir()):
+            outdir.rmdir()
+        raise
     elapsed = time.perf_counter() - t0
     manifest = {
         "scenario": scenario,

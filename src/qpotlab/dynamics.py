@@ -29,11 +29,14 @@ The grid's boundary picks the kinetic step, and nothing else can: the
 Fourier exponential (:data:`SPLIT_STEP`) on periodic grids, unitary
 Crank-Nicolson (:data:`CRANK_NICOLSON`) on Dirichlet grids, where psi is
 zeroed at both ends before the first step.  The two names are only the
-labels a run reports.
-
-Near wavefunction nodes the higher-order terms diverge; they are zeroed
-below the amplitude floor and clamped at the fixed cap
-1e3 * eps0 * (lambda_c/L)^4, with clamp events counted and reported.
+labels a run reports.  W, the energy functional's non-kinetic terms and
+the Q of :func:`quantum_force` follow the grid's own rule (the Fourier
+transform on periodic grids, the sine transform on Dirichlet ones),
+projected onto the band |k| <= m c / hbar where the hierarchy converges
+(:func:`qpotential.eval_complete_q`).  Its quotient terms are zeroed where
+|psi| falls below the amplitude floor.  States with nodes are out of
+scope: R = |psi| has a kink at a node, and the W built from it does not
+reproduce the signed field's dynamics.
 
 :func:`evolve` returns every stored frame, and its ``on_frame`` callback
 also receives each one, with its step and time, as soon as the loop has
@@ -64,7 +67,6 @@ from .grid import (
 from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
-    dimensional_coefficient,
     eval_complete_q,
     expectation,
     validate_order2,
@@ -136,51 +138,13 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
-    """Stored frames plus per-frame diagnostics and the clamp-event count,
-    summed over the steps + 1 W evaluations of the run."""
+    """Stored frames plus per-frame diagnostics."""
 
     frames: list[WaveField]
     times: np.ndarray
     step_indices: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
-    clamp_count: int
-
-
-def _method(g: Grid) -> str:
-    """Laplacian backend of the evolution: the grid's Fourier transform on
-    periodic grids, and on Dirichlet ones finite differences, the one
-    override of the grid's rule (see :func:`grid.laplacian_series`)."""
-    return "spectral" if g.boundary == PERIODIC else "fd"
-
-
-class _ExtraPotential:
-    """Evaluator for W = sum of non-kinetic terms, with floor and clamp.
-
-    The clamp guards against the near-node divergence of the quotient
-    terms (order >= 4); the constant order-0 term is a bounded global
-    phase and is added after clamping.
-    """
-
-    def __init__(self, grid, spec, params, q_cap):
-        self.grid = grid
-        self.params = params
-        self.q_cap = q_cap
-        self.constant = sum(
-            dimensional_coefficient(t, params) for t in spec.terms if t.order == 0
-        )
-        self.spec = spec.without_order(0).without_order(2)
-        self.method = _method(grid)
-
-    def __call__(self, absvals: np.ndarray) -> tuple[np.ndarray, int]:
-        if not self.spec.terms:
-            return np.full(self.grid.n, self.constant), 0
-        Rf = GridFunction(self.grid, absvals)
-        spikes = eval_complete_q(Rf, self.params, self.spec, self.method).values
-        clamps = int(np.count_nonzero(np.abs(spikes) > self.q_cap))
-        if clamps:
-            spikes = np.clip(spikes, -self.q_cap, self.q_cap)
-        return self.constant + spikes, clamps
 
 
 class _KineticStep:
@@ -256,8 +220,7 @@ def evolve(
     if not V.grid.same_as(g):
         raise GridError("potential grid does not match the field grid")
     validate_order2(spec, params)
-    q_cap = 1e3 * params.rest_energy * (params.compton_wavelength / g.length) ** 4
-    extra = _ExtraPotential(g, spec, params, q_cap)
+    w_spec = spec.without_order(2)
     kinetic = _KineticStep(g, params, cfg.dt)
     hbar = params.hbar
 
@@ -266,13 +229,17 @@ def evolve(
         psi[0] = 0.0
         psi[-1] = 0.0
 
+    def extra(absvals: np.ndarray) -> np.ndarray:
+        """W: every term of the spec but the kinetic order 2."""
+        return eval_complete_q(GridFunction(g, absvals), params, w_spec).values
+
     def rotation(W: np.ndarray, fraction: float) -> np.ndarray:
         return _phase_rotation(V.values + W, fraction * cfg.dt / hbar)
 
     # psi is zero at both ends of a Dirichlet grid, so h * sum |psi|^2 is
     # the grid quadrature on either boundary
     norm0 = g.spacing * np.vdot(psi, psi).real
-    W, clamp_count = extra(np.abs(psi))
+    W = extra(np.abs(psi))
     frames: list[WaveField] = []
     times: list[float] = []
     steps_stored: list[int] = []
@@ -290,8 +257,7 @@ def evolve(
     psi *= rotation(W, 0.5)
     for step in range(1, cfg.steps + 1):
         psi = kinetic(psi)
-        W, clamps = extra(np.abs(psi))
-        clamp_count += clamps
+        W = extra(np.abs(psi))
         stored = step % cfg.store_every == 0 or step == cfg.steps
         # the closing half-rotation of this step and the opening one of the
         # next use the same W: one full rotation, split only at stored frames
@@ -319,7 +285,6 @@ def evolve(
         step_indices=np.asarray(steps_stored),
         norms=norms,
         energies=energies,
-        clamp_count=clamp_count,
     )
 
 
@@ -357,12 +322,11 @@ def quantum_force(
     spec: QuantumPotentialSpec,
     params: PhysicalParams,
 ) -> GridFunction:
-    """Newtonian force -grad(V + Q[R]) along the grid, with the derivative
-    backend of the evolution: transforms on periodic grids, finite
-    differences on Dirichlet and radial ones.  The order-0 term is a
-    constant (eps0 for a relativistic spec): it exerts no force, but its
-    rounding would, so it is dropped before differentiating."""
-    q = eval_complete_q(R, params, spec.without_order(0), _method(R.grid))
+    """Newtonian force -grad(V + Q[R]) along the grid, with the band-limited
+    Q of the evolution.  The order-0 term is a constant (eps0 for a
+    relativistic spec): it exerts no force, but its rounding would, so it
+    is dropped before differentiating."""
+    q = eval_complete_q(R, params, spec.without_order(0))
     total = GridFunction(R.grid, V.values + q.values)
     return GridFunction(R.grid, -gradient(total).values)
 
@@ -387,7 +351,7 @@ def energy_functional(
     total = integrate(
         GridFunction(g, c2 * np.abs(dpsi) ** 2 + V.values * dens)
     )
-    total += expectation(psi.amplitude(), params, spec.without_order(2), _method(g))
+    total += expectation(psi.amplitude(), params, spec.without_order(2))
     return float(total)
 
 

@@ -9,18 +9,17 @@ Two grid kinds cover everything downstream:
   Laplacian is u''(r)/r, evaluated on the uniform log-radius auxiliary grid.
   The integration measure carries the 4*pi*r^2 weight.
 
-The grid picks the derivative backend: the Fourier transform on periodic
-grids, the sine (DST-I) transform on uniform Dirichlet grids (exact mode
-actions for fields vanishing at the walls) and 4th-order finite
-differences on radial grids.  ``method='fd'`` selects finite differences
-on a uniform Dirichlet grid and is the one override.  The gradient is the
-Fourier derivative on periodic grids and finite differences elsewhere.  A
+The grid picks the derivative backend, and nothing else can: the Fourier
+transform on periodic grids, the sine (DST-I) transform on uniform
+Dirichlet grids (exact mode actions for fields vanishing at the walls) and
+4th-order finite differences on radial grids.  The gradient is the Fourier
+derivative on periodic grids and finite differences elsewhere.  A
 Laplacian series sum c_n lap^n (a power is one term) costs one transform
-pair with the symbol sum c_n (-k^2)^n, or one stencil per power.
-Dirichlet finite-difference ghosts are the point reflection through the
-boundary value, g(-h) = 2f(0) - f(h): for fields vanishing at the wall
-this is the classic odd reflection (exact for sine modes) and it makes
-the wall rows of the discrete Laplacian identically zero.
+pair with the symbol sum c_n (-k^2)^n, or one stencil per power on radial
+grids.  A series can be band-limited: on a transform grid the symbol is
+zero at every mode with |k| above the band edge (the projection P onto
+|k| <= band, applied on both sides of the series).  Radial grids have no
+transform and are never projected.
 """
 
 from __future__ import annotations
@@ -101,21 +100,6 @@ def _uniform_derivative(vals: np.ndarray, h: float, deriv: int) -> np.ndarray:
         out[row] = np.dot(weights, vals[:width])
         out[n - 1 - row] = (-1.0) ** deriv * np.dot(weights, vals[-1 : -width - 1 : -1])
     return out / h**deriv
-
-
-def _dirichlet_second_derivative(vals: np.ndarray, h: float) -> np.ndarray:
-    """Centered 4th-order second derivative with reflected ghost values."""
-    n = vals.shape[0]
-    ext = np.empty(n + 4)
-    ext[2:-2] = vals
-    ext[1] = 2.0 * vals[0] - vals[1]
-    ext[0] = 2.0 * vals[0] - vals[2]
-    ext[-2] = 2.0 * vals[-1] - vals[-2]
-    ext[-1] = 2.0 * vals[-1] - vals[-3]
-    out = np.zeros(n)
-    for k, w in enumerate(_D2_CENTER):
-        out += w * ext[k : n + k]
-    return out / h**2
 
 
 # --------------------------------------------------------------------------
@@ -201,23 +185,26 @@ class Grid:
         k.flags.writeable = False
         return k
 
-    def series_symbol(self, unit: Mapping[int, float]) -> np.ndarray:
-        """:func:`laplacian_symbol` of ``unit`` at this grid's transform
-        wavenumbers (Fourier on periodic grids, DST-I sine modes on
-        Dirichlet ones), built once per grid and coefficient map and
-        read-only; uniform grids only.
+    def series_symbol(
+        self, unit: Mapping[int, float], band: float = math.inf
+    ) -> np.ndarray:
+        """:func:`laplacian_symbol` of ``unit``, zero above ``band``, at this
+        grid's transform wavenumbers (Fourier on periodic grids, DST-I sine
+        modes on Dirichlet ones), built once per grid, coefficient map and
+        band and read-only; uniform grids only.
 
-        The cache key is the ordered (power, coefficient bits) items: the
-        symbol is summed in item order, so a reordered map is a new entry.
+        The cache key is the band and the ordered (power, coefficient bits)
+        items: the symbol is summed in item order, so a reordered map is a
+        new entry.
         """
-        key = tuple((n, float(c).hex()) for n, c in unit.items())
+        key = (float(band).hex(), tuple((n, float(c).hex()) for n, c in unit.items()))
         symbol = self._symbols.get(key)
         if symbol is None:
             if self.boundary == PERIODIC:
                 k = self.wavenumbers
             else:
                 k = np.arange(1, self.n - 1) * np.pi / self.length
-            symbol = laplacian_symbol(unit, k)
+            symbol = np.where(np.abs(k) <= band, laplacian_symbol(unit, k), 0.0)
             symbol.flags.writeable = False
             self._symbols[key] = symbol
         return symbol
@@ -282,9 +269,10 @@ class GridFunction:
 # --------------------------------------------------------------------------
 
 
-def power_laplacian(f: GridFunction, n: int, method: str | None = None) -> GridFunction:
-    """n-fold Laplacian (the order-2n operator in the potential hierarchy)."""
-    return laplacian_series(f, {n: 1.0}, method)
+def power_laplacian(f: GridFunction, n: int, band: float = math.inf) -> GridFunction:
+    """n-fold Laplacian (the order-2n operator in the potential hierarchy),
+    band-limited as in :func:`laplacian_series`."""
+    return laplacian_series(f, {n: 1.0}, band)
 
 
 def laplacian_symbol(coeffs: Mapping[int, float], k):
@@ -294,17 +282,18 @@ def laplacian_symbol(coeffs: Mapping[int, float], k):
 
 
 def laplacian_series(
-    f: GridFunction, coeffs: Mapping[int, float], method: str | None = None
+    f: GridFunction, coeffs: Mapping[int, float], band: float = math.inf
 ) -> GridFunction:
-    """sum_n c_n lap^n f for a mapping {power n >= 1: c_n}.
+    """sum_n c_n lap^n f for a mapping {power n >= 1: c_n}, projected onto
+    the modes with |k| <= ``band``.
 
-    The grid picks the backend (``method=None``): the Fourier transform on
-    periodic grids, the sine transform on uniform Dirichlet grids (valid for
-    fields vanishing at the walls) and finite differences on radial grids;
-    ``method='fd'`` selects finite differences on a uniform Dirichlet grid.
-    A transform costs one pair with the whole symbol, whatever the highest
-    power (the largest c_n is factored out, so one term gives exactly
-    c lap^n f).  Finite differences apply the stencil once per power.
+    The grid picks the backend: the Fourier transform on periodic grids,
+    the sine transform on uniform Dirichlet grids (valid for fields
+    vanishing at the walls) and finite differences on radial grids, which
+    ignore ``band``.  A transform costs one pair with the whole
+    band-limited symbol, whatever the highest power (the largest c_n is
+    factored out, so one term gives exactly c lap^n f).  Finite
+    differences apply the stencil once per power.
     """
     if not coeffs or min(coeffs) < 1:
         raise GridError(f"powers must be >= 1, got {sorted(coeffs)}")
@@ -312,41 +301,26 @@ def laplacian_series(
     top = max(coeffs)
     if g.n < 2 * top + 1:
         raise GridError(f"grid with {g.n} points is under-resolved for order {2 * top}")
-    own = "fd" if g.kind == RADIAL_LOG else "spectral"
-    if method not in (None, own) and not (method == "fd" and g.boundary == DIRICHLET):
-        raise GridError(
-            f"method {method!r} on a {g.boundary} {g.kind} grid: 'spectral' needs "
-            "a uniform grid and 'fd' a Dirichlet one"
-        )
-    if (method or own) == "spectral":
+    if g.kind == UNIFORM:
         scale = max(coeffs.values(), key=abs) or 1.0
-        unit = {n: c / scale for n, c in coeffs.items()}
+        symbol = g.series_symbol({n: c / scale for n, c in coeffs.items()}, band)
         if g.boundary == PERIODIC:
-            coef = scipy.fft.fft(f.values) * g.series_symbol(unit)
+            coef = scipy.fft.fft(f.values) * symbol
             return GridFunction(g, scale * scipy.fft.ifft(coef).real)
         coef = scipy.fft.dst(f.values[1:-1], type=1, norm="ortho")
-        coef *= g.series_symbol(unit)
+        coef *= symbol
         out = np.zeros(g.n)
         out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
         return GridFunction(g, out)
+    # u = r*R on the uniform t = ln r grid: lap R = (u_tt - u_t) / r^3.
+    r, dt = g.points, g.log_step
     vals, out = f.values, np.zeros(g.n)
     for n in range(1, top + 1):
-        vals = _laplacian_fd(g, vals)
+        u = r * vals
+        vals = (_uniform_derivative(u, dt, 2) - _uniform_derivative(u, dt, 1)) / r**3
         if n in coeffs:
             out += coeffs[n] * vals
     return GridFunction(g, out)
-
-
-def _laplacian_fd(g: Grid, vals: np.ndarray) -> np.ndarray:
-    if g.kind == RADIAL_LOG:
-        # u = r*R on the uniform t = ln r grid: lap R = (u_tt - u_t) / r^3.
-        r = g.points
-        u = r * vals
-        dt = g.log_step
-        u_t = _uniform_derivative(u, dt, 1)
-        u_tt = _uniform_derivative(u, dt, 2)
-        return (u_tt - u_t) / r**3
-    return _dirichlet_second_derivative(vals, g.spacing)
 
 
 def gradient(f: GridFunction) -> GridFunction:

@@ -13,9 +13,14 @@ a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
 The orders >= 2 act as one operator, the Laplacian series sum A_2n lap^n
 with symbol sum A_2n (-k^2)^n: :func:`eval_complete_q` applies it once and
 :func:`expectation` is the one split-form energy sum, shared by the energy
-functional and the perturbative shifts.  Division by R diverges at nodes, so
-the quotient is zeroed where |R| falls below ``regularization_floor *
-max|R|``.  The order-0 term is R/R = 1 identically and is never floored.
+functional and the perturbative shifts.  For the relativistic coefficients
+that symbol is the series of eps0 (sqrt(1 + x) - 1) in x = (hbar k / m c)^2,
+which converges only for x <= 1, so both project the series onto the band
+|k| <= m c / hbar (:func:`band_edge`): on a transform grid the symbol is
+zero above it, at no extra cost.  Radial grids have no transform and stay
+unprojected.  Division by R diverges at nodes, so the quotient is zeroed
+where |R| falls below ``regularization_floor * max|R|``.  The order-0 term
+is R/R = 1 identically and is never floored.
 """
 
 from __future__ import annotations
@@ -236,22 +241,27 @@ def eval_q2n(
     return eval_complete_q(R, params, one)
 
 
+def band_edge(params: PhysicalParams) -> float:
+    """m c / hbar, the wavenumber where the hierarchy's series in x =
+    (hbar k / m c)^2 stops converging: the band edge of every series that
+    :func:`eval_complete_q` and :func:`expectation` apply."""
+    return params.mass * params.c / params.hbar
+
+
 def eval_complete_q(
     R: GridFunction,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
-    method: str | None = None,
 ) -> GridFunction:
     """Pointwise sum of every term in the spec (zero field for an empty spec):
-    one Laplacian series sum A_2n lap^n R, floored and divided by R once, plus
-    the unfloored order-0 constant.  The grid picks the Laplacian backend
-    (see :func:`grid.laplacian_series`); ``method='fd'`` selects finite
-    differences on a uniform Dirichlet grid."""
+    one Laplacian series sum A_2n lap^n R, projected onto the band |k| <=
+    m c / hbar (see :func:`grid.laplacian_series`), floored and divided by
+    R once, plus the unfloored order-0 constant."""
     coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
     constant = coeffs.pop(0, 0.0)
     out = np.zeros(R.grid.n)
     if coeffs:
-        D = laplacian_series(R, coeffs, method).values
+        D = laplacian_series(R, coeffs, band_edge(params)).values
         r = R.values
         mask = np.abs(r) <= spec.regularization_floor * float(np.max(np.abs(r)))
         np.divide(D, r, out=out, where=~mask)
@@ -262,19 +272,20 @@ def expectation(
     R: GridFunction,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
-    method: str | None = None,
 ) -> float:
-    """sum_2n A_2n <lap^p R, lap^q R>, p = ceil(n/2), q = n - p: the Hermitian
-    split form of sum A_2n <R, lap^n R> (equal by parts for fields vanishing
-    at the boundary, better behaved near the hydrogen cusp).  When p == q
-    one Laplacian power serves both sides."""
+    """sum_2n A_2n <lap^p P R, lap^q P R>, p = ceil(n/2), q = n - p, with P
+    the projection of :func:`eval_complete_q`: the Hermitian split form of
+    sum A_2n <R, P lap^n R> (equal by parts for fields vanishing at the
+    boundary, better behaved near the hydrogen cusp).  When p == q one
+    Laplacian power serves both sides."""
+    band = band_edge(params)
     total = 0.0
     for t in spec.terms:
         n = t.order // 2
         p = (n + 1) // 2
         q = n - p
-        left = R if p == 0 else power_laplacian(R, p, method)
-        right = left if q == p else R if q == 0 else power_laplacian(R, q, method)
+        left = R if p == 0 else power_laplacian(R, p, band)
+        right = left if q == p else R if q == 0 else power_laplacian(R, q, band)
         total += dimensional_coefficient(t, params) * inner(left, right)
     return total
 
@@ -309,11 +320,19 @@ def term_ratio_on_grid(
 ) -> float:
     """Grid cross-check of :func:`term_ratio`: quotient of evaluated terms.
 
-    Both terms are spatially constant on an exact box mode (spectral
-    backend), so the quotient is read off at the point of largest |R|.
+    Both terms are spatially constant on an exact box mode (sine
+    transform), so the quotient is read off at the point of largest |R|.
+    A mode above the band edge has no grid terms to divide, so it raises
+    ValueError.
     """
     from .grid import Grid
 
+    k, band = tau * np.pi / L, band_edge(params)
+    if k > band:
+        raise ValueError(
+            f"box mode tau={tau} has k = {k:.6g} above the band edge m c / hbar "
+            f"= {band:.6g}, where the grid terms are projected out"
+        )
     g = Grid.uniform(0.0, L, points)
     R = GridFunction(g, np.sin(tau * np.pi * g.points / L))
     spec = QuantumPotentialSpec(

@@ -8,9 +8,11 @@ integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
-evaluated by :func:`qpotential.expectation` in the Hermitian split form.
-Box modes diagonalize every Laplacian power, so the box closed forms and the
-spectral eigenvalues are ``grid.laplacian_symbol`` at k = tau pi / L.  The
+evaluated by :func:`qpotential.expectation` in the Hermitian split form,
+projected onto the band |k| <= m c / hbar like every evaluation of the
+hierarchy.  Box modes diagonalize every Laplacian power, so the box closed
+forms (band-limited the same way) and the spectral eigenvalues are
+``grid.laplacian_symbol`` at k = tau pi / L.  The
 order-4 shift is the kinetic relativistic correction;
 :func:`relativistic_reference_shift` recomputes it through a deliberately
 separate code path (its own transforms, stencils and quadrature) as a
@@ -45,6 +47,7 @@ from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
     QTerm,
+    band_edge,
     dimensional_coefficient,
     expectation,
     validate_order2,
@@ -234,12 +237,18 @@ def box_shift_closed_form(
     (lap^n R0 = (-k^2)^n R0, k = tau pi / L), so the order-2n shift is
     A_2n (-k^2)^n with the term's dimensional coefficient.  For the
     relativistic family this equals a_2n eps0 (pc/eps0)^2n — the matching
-    term of the energy expansion with pc = tau pi hbar c / L.
+    term of the energy expansion with pc = tau pi hbar c / L.  Like
+    :func:`qpotential.expectation`, it is zero for an order >= 2 and a mode
+    above the band edge k = m c / hbar, where that expansion diverges; the
+    order-0 term is no Laplacian power and is never projected.
     """
     if tau < 1:
         raise ValueError(f"mode index tau must be >= 1, got {tau}")
     A = dimensional_coefficient(_shift_term(order, spec), params)
-    return float(laplacian_symbol({order // 2: A}, tau * math.pi / L))
+    k = tau * math.pi / L
+    if order and k > band_edge(params):
+        return 0.0
+    return float(laplacian_symbol({order // 2: A}, k))
 
 
 def hydrogen_shift_closed_form(n: int, params: PhysicalParams) -> float:

@@ -1,6 +1,7 @@
 """End-to-end acceptance gate.
 
-Eight numbered criteria, each with a hard tolerance and a time budget.
+Nine numbered criteria (1-8 and 10), each with a hard tolerance and a time
+budget.
 Every test prints one verdict line (run pytest with -s to see them live).
 """
 
@@ -26,6 +27,7 @@ from qpotlab.grid import PERIODIC, Grid, GridFunction, integrate
 from qpotlab.qpotential import (
     QTerm,
     QuantumPotentialSpec,
+    dimensional_coefficient,
     electron_params,
     proton_params,
     scale_ratio,
@@ -49,6 +51,11 @@ PROTON = proton_params()
 def _verdict(number: int, ok: bool, detail: str) -> None:
     word = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number}: {word} - {detail}")
+
+
+def _energy_drift(res) -> float:
+    """Largest relative change of the stored frames' energy."""
+    return float(np.max(np.abs(res.energies - res.energies[0])) / abs(res.energies[0]))
 
 
 class TestAcceptance:
@@ -244,18 +251,18 @@ class TestAcceptance:
             diff = a.frames[-1].values - b.frames[-1].values
             return (
                 math.sqrt(integrate(GridFunction(g, np.abs(diff) ** 2))),
-                a.clamp_count,
+                _energy_drift(a),
             )
 
-        w_nuc, clamps_nuc = witness(PROTON, 1e-5)
-        w_atom, clamps_atom = witness(ELECTRON, 1.0)
+        w_nuc, drift_nuc = witness(PROTON, 1e-5)
+        w_atom, drift_atom = witness(ELECTRON, 1.0)
         elapsed = time.perf_counter() - t0
         ok = w_nuc > 1e-6 and w_atom < 1e-10
         _verdict(
             7,
             ok,
-            f"nuclear witness {w_nuc:.3e} (> 1e-6, {clamps_nuc} clamp events), "
-            f"atomic witness {w_atom:.3e} (< 1e-10, {clamps_atom} clamps) "
+            f"nuclear witness {w_nuc:.3e} (> 1e-6, energy drift {drift_nuc:.2e}), "
+            f"atomic witness {w_atom:.3e} (< 1e-10, energy drift {drift_atom:.2e}) "
             f"[{elapsed:.2f}s]",
         )
         assert ok
@@ -299,3 +306,46 @@ class TestAcceptance:
         )
         assert ok
         assert elapsed < 60.0
+
+    def test_10_exact_box_mode(self):
+        """The box mode psi0 = sin(pi x / L) is an exact solution of the
+        nonlinear evolution, psi(t) = exp(-i E t / hbar) psi0 with E = eps0 +
+        sigma(k), since lap^n R / R = (-k^2)^n.  Orders 0, 2, 4, 1000 steps on
+        1024 points; the final frame's L2 error is below 1e-10 (atomic) and
+        1e-6 (nuclear).
+
+        The error left is the dispersion of the Crank-Nicolson kinetic
+        step's 3-point stencil, (hbar/2m) (k^2 - 4 sin^2(kh/2) / h^2) t:
+        1.50e-11 and 1.64e-7 here.  Halving or quartering dt moves it by
+        under 1%, and each doubling of the points from 512 to 4096 divides
+        it by 4; each bound sits about 6x above it.  A state with a node
+        (tau = 2) is out of scope: R = |psi| has a kink there."""
+        t0 = time.perf_counter()
+        spec = QuantumPotentialSpec.relativistic(4)
+
+        def error(params, L, dt):
+            g = Grid.uniform(0.0, L, 1024)
+            psi0 = WaveField(g, np.sin(np.pi * g.points / L).astype(complex)).normalized()
+            cfg = EvolutionConfig(dt=dt, steps=1000, store_every=1000)
+            res = evolve(psi0, GridFunction(g, np.zeros(g.n)), spec, params, cfg)
+            k = np.pi / L
+            E = sum(
+                dimensional_coefficient(t, params) * (-(k**2)) ** (t.order // 2)
+                for t in spec.terms
+            )
+            exact = np.exp(-1j * E * res.times[-1] / params.hbar) * psi0.values
+            diff = res.frames[-1].values - exact
+            return math.sqrt(integrate(GridFunction(g, np.abs(diff) ** 2)))
+
+        e_atom = error(ELECTRON, 1.0, 1e-6)
+        e_nuc = error(PROTON, 1e-5, 2e-9)
+        elapsed = time.perf_counter() - t0
+        ok = e_atom < 1e-10 and e_nuc < 1e-6
+        _verdict(
+            10,
+            ok,
+            f"L2 error against exp(-iEt/hbar) psi0: atomic {e_atom:.3e} (< 1e-10), "
+            f"nuclear {e_nuc:.3e} (< 1e-6) [{elapsed:.2f}s]",
+        )
+        assert ok
+        assert elapsed < 30.0

@@ -26,6 +26,7 @@ from qpotlab.qpotential import (
     QTerm,
     QuantumPotentialSpec,
     electron_params,
+    eval_complete_q,
 )
 
 ELECTRON = electron_params()
@@ -129,14 +130,12 @@ class TestEvolveLinear:
         assert np.max(np.abs(res.norms - res.norms[0])) < 1e-12
 
     def test_order0_is_pure_gauge(self):
-        # a constant term far above the clamp cap must not register clamps
-        # and only rotates the global phase
+        # a constant term only rotates the global phase
         g = periodic_grid(128)
         psi0, _ = plane_wave(g, 1)
         spec02 = QuantumPotentialSpec((QTerm.relativistic(0), QTerm.relativistic(2)))
         cfg = EvolutionConfig(dt=1e-8, steps=20)
         res = evolve(psi0, zero_potential(g), spec02, ELECTRON, cfg)
-        assert res.clamp_count == 0
         base = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
         T = 20 * 1e-8
         gauge = np.exp(-1j * ELECTRON.rest_energy * T / ELECTRON.hbar)
@@ -234,25 +233,16 @@ class TestEvolveNonlinear:
         drift = np.max(np.abs(res.energies - res.energies[0]))
         assert drift / abs(res.energies[0]) < 1e-4
 
-    def test_default_cap_counts_clamps(self):
-        # in the tails of a fast Gaussian the order-4 term exceeds the fixed
-        # cap 1e3 eps0 (lambda_c/L)^4, 177 eV for an electron on L = 1
-        g = periodic_grid(256)
-        psi0 = WaveField.gaussian(g, 0.5, 0.05, 50.0)
-        cfg = EvolutionConfig(dt=1e-6, steps=4)
-        res = evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
-        assert 0 < res.clamp_count <= (cfg.steps + 1) * g.n
-
     def test_one_w_evaluation_per_step(self, monkeypatch):
         # the closing W of each step is the next step's opening W
         calls = []
-        original = dynamics._ExtraPotential.__call__
+        original = dynamics.eval_complete_q
 
-        def counting(self, absvals):
+        def counting(*args):
             calls.append(1)
-            return original(self, absvals)
+            return original(*args)
 
-        monkeypatch.setattr(dynamics._ExtraPotential, "__call__", counting)
+        monkeypatch.setattr(dynamics, "eval_complete_q", counting)
         g = dirichlet_grid(129)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
@@ -265,17 +255,21 @@ def strang_reference(psi0, V, spec, params, cfg):
     """The unfused Strang loop: every step opens and closes with its own
     half-rotation by V + W.  Returns the stored frames."""
     g = psi0.grid
-    extra = dynamics._ExtraPotential(g, spec, params, q_cap=np.inf)
+    w_spec = spec.without_order(2)
+
+    def extra(absvals):
+        return eval_complete_q(GridFunction(g, absvals), params, w_spec).values
+
     kinetic = dynamics._KineticStep(g, params, cfg.dt)
     psi = psi0.values.copy()
     if g.boundary == DIRICHLET:
         psi[0] = psi[-1] = 0.0
-    W, _ = extra(np.abs(psi))
+    W = extra(np.abs(psi))
     frames = [WaveField(g, psi.copy())]
     for step in range(1, cfg.steps + 1):
         psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * params.hbar))
         psi = kinetic(psi)
-        W, _ = extra(np.abs(psi))
+        W = extra(np.abs(psi))
         psi = psi * np.exp(-1j * (V.values + W) * cfg.dt / (2.0 * params.hbar))
         if step % cfg.store_every == 0 or step == cfg.steps:
             frames.append(WaveField(g, psi.copy()))
@@ -313,17 +307,16 @@ class TestFusedRotation:
     @pytest.mark.parametrize("store_every", [1, 5])
     def test_nan_in_w_stops_at_its_step(self, monkeypatch, store_every):
         calls = []
-        original = dynamics._ExtraPotential.__call__
+        original = dynamics.eval_complete_q
 
-        def turns_nan(self, absvals):
+        def turns_nan(*args):
             calls.append(1)
-            W, clamps = original(self, absvals)
+            W = original(*args).values.copy()
             if len(calls) == 5:  # the W of step 4
-                W = W.copy()
                 W[7] = np.nan
-            return W, clamps
+            return GridFunction(args[0].grid, W)
 
-        monkeypatch.setattr(dynamics._ExtraPotential, "__call__", turns_nan)
+        monkeypatch.setattr(dynamics, "eval_complete_q", turns_nan)
         g = periodic_grid(64)
         psi0, _ = plane_wave(g, 1)
         cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=store_every)
@@ -363,17 +356,17 @@ class TestOnFrame:
             pass
 
         w_evals = []
-        original = dynamics._ExtraPotential.__call__
+        original = dynamics.eval_complete_q
 
-        def counting(self, absvals):
+        def counting(*args):
             w_evals.append(1)
-            return original(self, absvals)
+            return original(*args)
 
         def stop_after_first(step, t, frame):
             if step > 0:
                 raise Stop(step)
 
-        monkeypatch.setattr(dynamics._ExtraPotential, "__call__", counting)
+        monkeypatch.setattr(dynamics, "eval_complete_q", counting)
         psi0, V = self.start(boundary)
         cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=3)
         with pytest.raises(Stop) as exc:
@@ -593,7 +586,6 @@ class TestTrajectories:
             step_indices=np.array([0, 1, 2]),
             norms=np.ones(3),
             energies=np.zeros(3),
-            clamp_count=0,
         )
         traj = integrate_trajectories(res, np.array([0.9, 0.1]), ELECTRON, substeps=4)
         assert traj.exited[0] and not traj.exited[1]
@@ -608,7 +600,6 @@ class TestTrajectories:
             step_indices=np.array([0]),
             norms=np.ones(1),
             energies=np.zeros(1),
-            clamp_count=0,
         )
         with pytest.raises(ValueError, match="two stored frames"):
             integrate_trajectories(res, np.array([0.5]), ELECTRON)
@@ -622,7 +613,6 @@ class TestTrajectories:
             step_indices=np.array([0, 1, 2]),
             norms=np.ones(3),
             energies=np.zeros(3),
-            clamp_count=0,
         )
         with pytest.raises(ValueError, match="uniform"):
             integrate_trajectories(res, np.array([0.5]), ELECTRON)

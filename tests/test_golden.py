@@ -96,69 +96,69 @@ def trajectory_endpoints(boundary):
 
 EVOLVE_HASHES = {
     "periodic": {
-        "evolve_summary.json": "d2b4790c4f174bd676f604245c92ba67de6165df51e2f0565bce79abfa4ceeca",
+        "evolve_summary.json": "9f00a6556eed0192147fc53ff64e85e99c79aee51b2a2ec258e23fb298aaa425",
         "frame_000000.csv": "13dd981f27eec0926c323bc92e0026ab6a5c85ffa98dd35898c482ace4a843e4",
         "frame_000000.csv.json": "ac9e76d2bcec3e2355c9318b26cacab35472286f7f82112c81761f8e988a76da",
-        "frame_000004.csv": "11424219e5d47cbb77365fb6de81d6386d9f8511b65e5b0550fd41977e86a789",
+        "frame_000004.csv": "aef4898b4c0f856dd8fe064865080773f001b9ceab81fb62cfa52c9db3154a88",
         "frame_000004.csv.json": "1aeb40cd6e172a0727486b3bc171321b5eb2d6275d5f194fd1d8da9108cac754",
-        "frame_000008.csv": "2b18ccf2a302e838c5d1e716b5d792a77870a6693e6ad94defc0d19a636ce137",
+        "frame_000008.csv": "5da93a53d9eaf3b24095afe3a3fe6da203bf7acee02385023e8ff6668392e39c",
         "frame_000008.csv.json": "0b6afad8522cfafcfafc1589edf9c6a9f590acdd47e91cacfe363786d5e0addf",
-        "frame_000012.csv": "362ac2e551ffd2481eaee82cd6e04c8a8b4f4da093cc7ba2dae0bdd90a116dc8",
+        "frame_000012.csv": "6213968b1967ab3766aa3dd64ec3900a4d76358c97acb6a36ad120635ae4311f",
         "frame_000012.csv.json": "a83e1691e2612d002b87e9d9ec95441c9bc2cfce3822de34c63933ba079dad60",
-        "frame_000016.csv": "7c9e93e2c2066168708ad1bbfd56df41a716208eef0418cba793b11bc78d385b",
+        "frame_000016.csv": "c21a8e1cf4e4d564429358ea3ae32de476d090e64128da8434a7c6e88f71028b",
         "frame_000016.csv.json": "ea840a6b82f6b061463fe2c8898c7a007cee89ad4d18f0f952202e4879a64a99",
-        "frame_000020.csv": "c2e49b0eb8f89fc295e598d8cc7dddf52577717fb8c20894c1a1c89ae32a3f11",
+        "frame_000020.csv": "28b3fc762b1f0afa61f43543a49f5c8e069f2316666309069d05b4ec9a9efda5",
         "frame_000020.csv.json": "bc9fe7968d39c877bc2fc16a4adf2ac6ce48b97ad8d8d41b71f44f38babd6a20",
-        "frame_000024.csv": "6da90632584cf4daa7a5c167ec5259d7cba37d9898a8df70ff81d350d984b7eb",
+        "frame_000024.csv": "c62c0e7f8bff77e3b2a852c1f337c9c8e2debe22745301063a38d0898e81d6bf",
         "frame_000024.csv.json": "99289280d30308bc78aec8665a3407f61ee843e64e07959c965bb198aee9209c",
-        "frame_000028.csv": "734bd4372b0b5d2682c8ce067a381d1f62310dd316086ded5a842ed2cf94f61e",
+        "frame_000028.csv": "58d6fc4a8078294090f5e1203e05edab450126ce1e33b298c84059c22176a789",
         "frame_000028.csv.json": "cfa9c8e0eb442362044fbca045285f0df1ecff9996166dafabf7b186c9cbf36d",
-        "frame_000032.csv": "3236a89692adf5e4c8005b73f3e62f4d16248c614ed0d971abc942c043539ee7",
+        "frame_000032.csv": "d1d321e8a7e9404a230142e27285fa60dfc12231afd1cff44d2a16c07e611c22",
         "frame_000032.csv.json": "21a6791714539efcca7892f86e0808bbd98acc308a9c54397d3cafd0c0677d3a",
-        "frame_000036.csv": "d4aab569d5378ab1f87d71c9aac5dc174f847eafe80348464de34be4d656e4fb",
+        "frame_000036.csv": "96832831b0dc5f9009523a9eeefd4f51bdedd1f704c6ee10f4202b2eb165414c",
         "frame_000036.csv.json": "59a19d8f7d381baed6027d0bec7320ec4b0d0fb392f90e00e0aaa4088991c29d",
-        "frame_000040.csv": "1fa475ffe402064d823874ab2d7ff55304eb06f5e9c73fc87ac5bdf7045a00d5",
+        "frame_000040.csv": "c4d4a5b77f4249046b8a5b6b753b5099f2164bd751de92dcc5be245e3dc88dff",
         "frame_000040.csv.json": "f3864f3e1f307c0bca6140aad9c4f6300eb18829117babc0a2b215241f0d1101",
-        "series.csv": "9ce7941563a429ffce8bdbfb842feb84c4fbe74798d1da1d36c303c5018d34b9",
+        "series.csv": "5757d81dd75bc9e6fab554c7e8975df4b4d58c744adda29daf61ab8a7d6a3405",
     },
     "dirichlet": {
-        "evolve_summary.json": "c09e494119212dcc2f8d2949037f63a1a2a9be7227addf13114ac83aa8e22e8a",
+        "evolve_summary.json": "23400eadaa8ab080818b1842035b9ab6dfef96feb758ca88fa72ee64f46b26f9",
         "frame_000000.csv": "4f426b77e976fb7ca6c6867b871fd900cc0891e0767dee31ba9749f77a7a325b",
         "frame_000000.csv.json": "996e135d7d8fabbd4eb78775e021671ec1895c6dd2caa8f8c33618de84e54d32",
-        "frame_000004.csv": "a66781d02e80b2fde96576f7d4de41031992302795b2ae1f90ef5dfaa892264e",
+        "frame_000004.csv": "4c95dc7e58dcc14a6b38e3cbf8d1c7d33a42e82b888a5d08fa57cce02b500e9c",
         "frame_000004.csv.json": "fe2ad917cd4d78576047772a4ba39802d3e9e2b162bafe6883ad4515a8b54ef0",
-        "frame_000008.csv": "4c077af435b98f1eff3bf6c48abfa253853a2c56cf9ce22dcd9e0b878ef97ef3",
+        "frame_000008.csv": "2446bffd9bc08f2155afe9209e42db8d3dc20b46abe90ae09c7e670047ca51d5",
         "frame_000008.csv.json": "6816a4a13df7e1d6640831c40e87c63d011512e724ba93d3407215a8b92c8962",
-        "frame_000012.csv": "365e242e125418d1d44488aaa6fe0f7f403743f027b3a1206ebe75c5fcd6b6ea",
+        "frame_000012.csv": "2fe415aec5c5d2ef464882506186fe2cfc3e0d09f15e1f21578cf0d0d23e14e6",
         "frame_000012.csv.json": "a84d297a3bec56147449f1fcec940c3f29379dfbcd7903780b16da06cd9ca4ca",
-        "frame_000016.csv": "d25d6e7c6e3740d950313ab0c907e9bc6adff9b797fbb8b14a77103e7885d5f0",
+        "frame_000016.csv": "c44f855da2e139c8a1a0577cc5e8bd14711f1b4468d36a4076ec17c4a6752914",
         "frame_000016.csv.json": "fb961697fe56bfd99612ed9bade90d0229701d29c37b1bc8815050a285e2926e",
-        "frame_000020.csv": "ff99199a3263bfd7348ac2af8f6c55a5f38516e817ae76b3aa92c2e4a7a2f6d2",
+        "frame_000020.csv": "f40c219749332d140b8dcd4945e6ad4d3fdb25945d91717f06da08a7ec19f81e",
         "frame_000020.csv.json": "a52cd0d828689808e362ae3a43817d28105e678ca5ddc5807d774b2294b0b2fb",
-        "frame_000024.csv": "112f2ba44a21f6ed1ea719a852d16aea58432eeda43b1c435c5a4ce0a3e063af",
+        "frame_000024.csv": "3a68b9ad15235929830f58a50e96d4afb63a4979b8747f723c50fba9f06e66b1",
         "frame_000024.csv.json": "32ca34dc3f5063b4f1b04b4aa6e575a96669682a3fcaebde1d6b258fd0b1ae6d",
-        "frame_000028.csv": "be53590ccbcdb839c319c252cb3d2f2a3b4c61c7824317197793decbc4b11a05",
+        "frame_000028.csv": "b0747ee6cb4a3e27e64ba83e0a194801c880ecadaebc52883862e6bcaf08e751",
         "frame_000028.csv.json": "ce48da93685ebf51c2d8a7ccad5ea6fdc18ceb4ca8dbd9279d47c3c638a826c8",
-        "frame_000032.csv": "ad603c95642d7c2d9c964636dcf6196a474437b54097cfab0b39866ca7da3afd",
+        "frame_000032.csv": "ed1d2d7972ca3183dd7c3cca6d32384ae7593efcbac99f75120a6229bc30cca8",
         "frame_000032.csv.json": "00892e23e0889ca99882e14adae5c7737b15b36791ff35fd3133fafdd1f1b8af",
-        "frame_000036.csv": "353601a359a658887080bd04d023e6f3a45a2a22f3e3196a9e32c1eb7d070cb3",
+        "frame_000036.csv": "f253de73eaa361c02f5027968239b7a2da04404ae3a13aa60387bf1c54c8309d",
         "frame_000036.csv.json": "95a25f5385c69d46e05c05abc4cea764cc7bbabf90496ebf20f9c085d723aced",
-        "frame_000040.csv": "e1c69c903da84aeb6689eecd0799884e455c799992673bfe3f3c45b0da60795e",
+        "frame_000040.csv": "f484b546399aeeba6a43e61355947c3039ed05975cbe7f276df2df9aa82b62cf",
         "frame_000040.csv.json": "0e1be2289e4c9bde6840799f79e75ec3083de538d9781f5786e09cc3b653fd1b",
-        "series.csv": "c5772ade06ba76cda6c88d61a5e0663f4edb72ba74ea377223c308052985ede3",
+        "series.csv": "0164b03d6422bd8c0541ba3c20780269f419162543330d4d4aacef838cefa0ba",
     },
 }
 
 ENDPOINTS = {
     "periodic": {
         "hex": [
-            "0x1.21c4797c68243p-3",
-            "0x1.501ff1d86e608p-3",
-            "0x1.66667a8a879bbp-2",
-            "0x1.16bf318bbd386p-1",
-            "0x1.1bfaa25acc92fp-1",
+            "0x1.21c4797c65f15p-3",
+            "0x1.501ff1d874b21p-3",
+            "0x1.66667a8a87881p-2",
+            "0x1.16bf318bbd2d0p-1",
+            "0x1.1bfaa25acc6f1p-1",
         ],
-        "sha256": "4afacf859dbca43f7509b6520699eda59fb7e8d5bb91488d38d9a8d891cc4571",
+        "sha256": "b47b14846fb2f56c53d6202830da6971af6de7e38e919c4c7f0a9de639432f54",
         "exited": 0,
     },
     "dirichlet": {
@@ -264,11 +264,11 @@ BACKEND_ARGV = {
 
 QPOT_HASHES = {
     "periodic": {
-        "qpotential.csv": "d89900fc895d4a816b51ab7a92b33ffe12d7cd17e5c573e48f145360ca8998ab",
+        "qpotential.csv": "b5cde8e0968f1f37ce8681b0623b6d34fbf336c3445226bf3bc132923f428b9b",
         "qpotential.csv.json": "95df2f36540dc6721be6fc064b265b4d1d034ac82d947375252d6474d72d4f4c",
     },
     "dirichlet": {
-        "qpotential.csv": "e1c4af5cc6cb564751b7617637331afdb543038ee664e36e0a4721ee2505a46c",
+        "qpotential.csv": "6674896c49e0921d71424413b24e633e760c0a547d141cc8f955b03d00e97e8d",
         "qpotential.csv.json": "13f76b59875852f6850f1f2799dfb224c4fef763683c88cc8b44addc22fede3d",
     },
     "radial": {
@@ -288,7 +288,7 @@ BACKEND_HASHES = {
 }
 
 RATIOS_HASHES = {
-    "ratios.csv": "9f1ecdd24d7cd2ebbdb713185d7b7c41abae42ffb2af58ed8923e55397e6bf1c",
+    "ratios.csv": "810305878a198a3a96f3cc3c371a4ac0541db26be84c7adb1e5be81ff307b973",
 }
 
 

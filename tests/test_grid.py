@@ -22,6 +22,7 @@ from qpotlab.grid import (
     power_laplacian,
     read_gridfunction,
     write_gridfunction,
+    _uniform_derivative,
 )
 
 
@@ -90,29 +91,18 @@ class TestGridFunction:
 
 
 class TestLaplacian:
-    def test_dirichlet_fd_sine_eigenfunction(self):
-        g = Grid.uniform(0.0, 1.0, 513)
-        k = 3.0 * np.pi
-        f = GridFunction(g, np.sin(k * g.points))
-        lap = power_laplacian(f, 1, "fd")
-        # interior relative accuracy of the 4th-order stencil
-        err = np.max(np.abs(lap.values + k**2 * f.values)) / k**2
-        assert err < 1e-8
-        # walls stay at roundoff level for an odd-symmetric mode
-        assert abs(lap.values[0]) < 1e-10 and abs(lap.values[-1]) < 1e-10
-
     def test_dirichlet_spectral_sine_exact(self):
         g = Grid.uniform(0.0, 1.0, 257)
         k = 2.0 * np.pi
         f = GridFunction(g, np.sin(k * g.points))
-        lap = power_laplacian(f, 1, "spectral")
+        lap = power_laplacian(f, 1)
         assert np.max(np.abs(lap.values + k**2 * f.values)) < 1e-9 * k**2
 
     def test_periodic_spectral_plane_wave(self):
         g = Grid.uniform(0.0, 1.0, 128, PERIODIC)
         k = 2.0 * np.pi * 5
         f = GridFunction(g, np.cos(k * g.points))
-        lap = power_laplacian(f, 1, "spectral")
+        lap = power_laplacian(f, 1)
         assert np.allclose(lap.values, -(k**2) * f.values, rtol=1e-10, atol=1e-7)
 
     def test_fourth_power_spectral(self):
@@ -122,14 +112,16 @@ class TestLaplacian:
         g = Grid.uniform(0.0, 1.0, 33)
         k = 5.0 * np.pi
         f = GridFunction(g, np.sin(k * g.points))
-        l2 = power_laplacian(f, 2, "spectral")
+        l2 = power_laplacian(f, 2)
         assert np.max(np.abs(l2.values - k**4 * f.values)) < 1e-10 * k**4
 
     def test_fd_and_spectral_agree_on_smooth_field(self):
+        # the 4th-order stencil of the radial backend against the sine
+        # transform of a uniform Dirichlet grid
         g = Grid.uniform(0.0, 1.0, 1025)
         f = GridFunction(g, np.sin(np.pi * g.points) ** 3)
-        a = power_laplacian(f, 1, "fd").values
-        b = power_laplacian(f, 1, "spectral").values
+        a = _uniform_derivative(f.values, g.spacing, 2)
+        b = power_laplacian(f, 1).values
         interior = slice(4, -4)
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a[interior] - b[interior])) / scale < 1e-8
@@ -138,7 +130,7 @@ class TestLaplacian:
         # lap e^{-r} = e^{-r} - 2 e^{-r} / r
         g = Grid.radial_log(1e-3, 30.0, 2048)
         f = GridFunction(g, np.exp(-g.points))
-        lap = power_laplacian(f, 1, "fd")
+        lap = power_laplacian(f, 1)
         r = g.points
         exact = np.exp(-r) * (1.0 - 2.0 / r)
         interior = slice(4, -4)
@@ -152,41 +144,42 @@ class TestLaplacian:
         with pytest.raises(GridError):
             power_laplacian(f, 8)
 
-    def test_unknown_method(self):
-        g = Grid.uniform(0.0, 1.0, 32)
-        f = GridFunction(g, np.zeros(32))
-        with pytest.raises(GridError):
-            power_laplacian(f, 1, "magic")
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_band_drops_the_modes_above_its_edge(self, boundary):
+        g = Grid.uniform(0.0, 1.0, 128, boundary)
+        wave = np.cos if boundary == PERIODIC else np.sin
+        k1, k2 = 4.0 * np.pi, 10.0 * np.pi
+        f = GridFunction(g, wave(k1 * g.points) + wave(k2 * g.points))
+        lap = power_laplacian(f, 2, band=7.0 * np.pi).values
+        assert np.max(np.abs(lap - k1**4 * wave(k1 * g.points))) < 1e-9 * k1**4
+        # an edge above every mode of the grid changes no bit
+        assert np.array_equal(
+            power_laplacian(f, 2, band=1e9).values, power_laplacian(f, 2).values
+        )
 
 
 EPS = np.finfo(np.float64).eps
 SERIES = {1: -0.5, 2: -0.125, 3: -0.0625}
 
-# (grid, field, method) for every backend of laplacian_series.
+# (grid, field) for every backend of laplacian_series.
 BACKENDS = {
     "spectral-periodic": (
         Grid.uniform(0.0, 1.0, 64, PERIODIC),
         lambda x: np.exp(np.cos(2.0 * np.pi * x)),
-        "spectral",
     ),
-    "spectral-dirichlet": (
-        Grid.uniform(0.0, 1.0, 65),
-        lambda x: np.sin(np.pi * x) ** 3,
-        "spectral",
-    ),
-    "fd-dirichlet": (Grid.uniform(0.0, 1.0, 65), lambda x: np.sin(np.pi * x) ** 3, "fd"),
-    "fd-radial": (Grid.radial_log(1e-3, 20.0, 256), lambda r: np.exp(-r), "fd"),
+    "spectral-dirichlet": (Grid.uniform(0.0, 1.0, 65), lambda x: np.sin(np.pi * x) ** 3),
+    "fd-radial": (Grid.radial_log(1e-3, 20.0, 256), lambda r: np.exp(-r)),
 }
 
 
 class TestLaplacianSeries:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_matches_per_order_loop(self, backend):
-        g, fn, method = BACKENDS[backend]
+        g, fn = BACKENDS[backend]
         f = GridFunction(g, fn(g.points))
-        terms = [c * power_laplacian(f, n, method).values for n, c in SERIES.items()]
+        terms = [c * power_laplacian(f, n).values for n, c in SERIES.items()]
         reference = sum(terms)
-        got = laplacian_series(f, SERIES, method).values
+        got = laplacian_series(f, SERIES).values
         # Each side is a float64 evaluation of the same linear operator, so
         # they agree to a few hundred ulps of the largest term.
         scale = max(np.max(np.abs(t)) for t in terms)
@@ -194,17 +187,17 @@ class TestLaplacianSeries:
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_one_term_is_exactly_c_times_power(self, backend):
-        g, fn, method = BACKENDS[backend]
+        g, fn = BACKENDS[backend]
         f = GridFunction(g, fn(g.points))
-        got = laplacian_series(f, {2: -0.3}, method).values
-        assert np.array_equal(got, -0.3 * power_laplacian(f, 2, method).values)
+        got = laplacian_series(f, {2: -0.3}).values
+        assert np.array_equal(got, -0.3 * power_laplacian(f, 2).values)
 
     def test_symbol_on_sine_modes(self):
         # The symbol is the eigenvalue of the series on each sine mode.
         g = Grid.uniform(0.0, 1.0, 33)
         k = 3.0 * np.pi
         f = GridFunction(g, np.sin(k * g.points))
-        out = laplacian_series(f, SERIES, "spectral").values
+        out = laplacian_series(f, SERIES).values
         sym = laplacian_symbol(SERIES, k)
         assert sym == pytest.approx(-0.5 * -(k**2) - 0.125 * k**4 - 0.0625 * -(k**6))
         # roundoff in the highest retained mode is amplified by the symbol there
@@ -220,32 +213,34 @@ class TestLaplacianSeries:
     def test_rejects_empty_or_nonpositive_powers(self, coeffs):
         g = Grid.uniform(0.0, 1.0, 32)
         f = GridFunction(g, np.sin(np.pi * g.points))
-        for method in ("fd", "spectral"):
-            with pytest.raises(GridError):
-                laplacian_series(f, coeffs, method)
+        with pytest.raises(GridError):
+            laplacian_series(f, coeffs)
 
-    def test_spectral_rejects_radial_grid(self):
+    def test_radial_grid_is_not_projected(self):
+        # radial grids have no transform: the band changes no bit
         g = Grid.radial_log(1e-3, 5.0, 64)
-        with pytest.raises(GridError, match="uniform"):
-            laplacian_series(GridFunction(g, np.exp(-g.points)), {1: 1.0}, "spectral")
+        f = GridFunction(g, np.exp(-g.points))
+        assert np.array_equal(
+            laplacian_series(f, SERIES, band=1.0).values, laplacian_series(f, SERIES).values
+        )
 
-    def test_fd_rejects_periodic_grid(self):
-        g = Grid.uniform(0.0, 1.0, 64, PERIODIC)
-        f = GridFunction(g, np.cos(2.0 * np.pi * g.points))
-        with pytest.raises(GridError, match="Dirichlet"):
-            laplacian_series(f, {1: 1.0}, "fd")
-        with pytest.raises(GridError, match="Dirichlet"):
-            power_laplacian(f, 2, "fd")
-
-    @pytest.mark.parametrize(
-        "backend", ["spectral-periodic", "spectral-dirichlet", "fd-radial"]
-    )
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_grid_picks_the_backend(self, backend):
-        # the default is the transform on uniform grids, FD on radial ones
-        g, fn, method = BACKENDS[backend]
-        f = GridFunction(g, fn(g.points))
-        got = laplacian_series(f, SERIES).values
-        assert np.array_equal(got, laplacian_series(f, SERIES, method).values)
+        # the Fourier transform on periodic grids, the sine transform on
+        # Dirichlet ones and the stencil in u = r R on radial ones
+        g, fn = BACKENDS[backend]
+        v = fn(g.points)
+        if g.kind == RADIAL_LOG:
+            u, h = g.points * v, g.log_step
+            want = (_uniform_derivative(u, h, 2) - _uniform_derivative(u, h, 1)) / g.points**3
+        elif g.boundary == PERIODIC:
+            want = scipy.fft.ifft(-(g.wavenumbers**2) * scipy.fft.fft(v)).real
+        else:
+            k = np.arange(1, g.n - 1) * np.pi / g.length
+            want = np.zeros(g.n)
+            coef = scipy.fft.dst(v[1:-1], type=1, norm="ortho")
+            want[1:-1] = scipy.fft.idst(-(k**2) * coef, type=1, norm="ortho")
+        assert np.array_equal(power_laplacian(GridFunction(g, v), 1).values, want)
 
 
 class TestGradient:
@@ -296,9 +291,9 @@ class TestGradient:
             k = np.arange(1, g.n - 1) * np.pi / g.length  # DST-I sine modes
         f = GridFunction(g, np.sin(2 * np.pi * g.points / 1.5) ** 3)
         series = {1: 0.7, 2: -0.3, 3: 1e-3}
-        first = laplacian_series(f, series, "spectral").values
+        first = laplacian_series(f, series).values
         for _ in range(3):
-            assert np.array_equal(laplacian_series(f, series, "spectral").values, first)
+            assert np.array_equal(laplacian_series(f, series).values, first)
         assert built == [{1: 0.7 / 0.7, 2: -0.3 / 0.7, 3: 1e-3 / 0.7}]
         unit = {1: 1.0, 2: -0.3 / 0.7, 3: 1e-3 / 0.7}
         sym = g.series_symbol(unit)
@@ -316,6 +311,12 @@ class TestGradient:
         assert len(built) == 4
         # -0.0 and 0.0 coefficients are different keys
         assert g.series_symbol({1: 1.0, 2: -0.0}) is not g.series_symbol({1: 1.0, 2: 0.0})
+        # so is each band, and the symbol is zero above it
+        band = k[len(k) // 4]
+        banded = g.series_symbol(unit, band)
+        assert banded is g.series_symbol(unit, band) and banded is not sym
+        assert len(built) == 7
+        assert np.array_equal(banded, np.where(np.abs(k) <= band, sym, 0.0))
 
     def test_radial_gradient(self):
         g = Grid.radial_log(1e-2, 20.0, 1024)

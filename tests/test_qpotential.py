@@ -11,6 +11,7 @@ from qpotlab.grid import PERIODIC, Grid, GridFunction, inner, power_laplacian
 from qpotlab.qpotential import (
     FINE_STRUCTURE,
     PhysicalParams,
+    band_edge,
     QTerm,
     QuantumPotentialSpec,
     dimensional_coefficient,
@@ -153,7 +154,8 @@ class TestDimensionalCoefficient:
 
 class TestEvalOnGrid:
     def setup_method(self):
-        self.params = natural_params()
+        # c = 10 puts the band edge m c / hbar = 10 above the k = pi mode
+        self.params = natural_params(c=10.0)
         self.g = Grid.uniform(0.0, 1.0, 257)
         self.R = GridFunction(self.g, np.sin(np.pi * self.g.points))
 
@@ -189,7 +191,7 @@ class TestEvalOnGrid:
 
     def test_complete_q_sums_terms(self):
         spec = QuantumPotentialSpec.relativistic(4)
-        total = eval_complete_q(self.R, self.params, spec, method="spectral")
+        total = eval_complete_q(self.R, self.params, spec)
         parts = sum(
             eval_q2n(self.R, t.order // 2, self.params, spec).values
             for t in spec.terms
@@ -218,30 +220,53 @@ class TestEvalOnGrid:
 
             monkeypatch.setattr(scipy.fft, name, counted)
         spec = QuantumPotentialSpec.relativistic(8)
-        eval_complete_q(R, electron_params(), spec, method="spectral")
+        eval_complete_q(R, electron_params(), spec)
         assert calls == {name: int(name in transforms) for name in calls}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_ulp_change_of_r_moves_q_by_roundoff(self, seed):
+        # the benchmark's qpot field: a Gaussian on 16385 periodic points,
+        # max_order 8, where lambda k_max = 199.  Unprojected, the k^8 symbol
+        # amplified a one-ulp change at 50 points of R to up to 0.17 of
+        # max|Q - eps0|; inside the band it stays below 2e-10.
+        params = electron_params()
+        spec = QuantumPotentialSpec.relativistic(8)
+        g = Grid.uniform(0.0, 1.0, 16385, PERIODIC)
+        rng = np.random.default_rng(seed)
+        R = np.exp(-((g.points - rng.uniform(0.4, 0.6)) ** 2) / (4.0 * 0.05**2))
+        nudged = R.copy()
+        idx = rng.choice(g.n, 50, replace=False)
+        nudged[idx] = np.nextafter(R[idx], np.inf)
+        q = eval_complete_q(GridFunction(g, R), params, spec).values
+        moved = eval_complete_q(GridFunction(g, nudged), params, spec).values
+        spread = np.max(np.abs(q - params.rest_energy))
+        assert np.max(np.abs(moved - q)) <= 1e-8 * spread
 
     def test_order0_constant_is_not_floored(self):
         spec = QuantumPotentialSpec.relativistic(4, floor=1e-3)
-        q = eval_complete_q(self.R, self.params, spec, method="spectral")
+        q = eval_complete_q(self.R, self.params, spec)
         # R vanishes at the walls: the quotient terms are floored there,
         # the rest energy is not
         assert q.values[0] == q.values[-1] == self.params.rest_energy
 
 
 class TestExpectation:
+    # k = 3 pi / L lies inside the electron's band m c / hbar = 259 / angstrom
+    L = 5e-2
+
     def setup_method(self):
         self.params = electron_params()
-        g = Grid.uniform(0.0, 1e-2, 129)
-        self.R = GridFunction(g, np.sin(3.0 * np.pi * g.points / 1e-2)).normalized()
+        g = Grid.uniform(0.0, self.L, 129)
+        self.R = GridFunction(g, np.sin(3.0 * np.pi * g.points / self.L)).normalized()
 
     def test_split_form_matches_direct_form(self):
         spec = QuantumPotentialSpec.relativistic(8)
         got = expectation(self.R, self.params, spec)
+        band = band_edge(self.params)
         direct = sum(
             dimensional_coefficient(t, self.params)
             * (inner(self.R, self.R) if t.order == 0
-               else inner(self.R, power_laplacian(self.R, t.order // 2, "spectral")))
+               else inner(self.R, power_laplacian(self.R, t.order // 2, band)))
             for t in spec.terms
         )
         assert got == pytest.approx(direct, rel=1e-12)
@@ -249,13 +274,44 @@ class TestExpectation:
     def test_sine_mode_gives_the_symbol(self):
         # <R, lap^n R> = (-k^2)^n on a normalized sine mode
         spec = QuantumPotentialSpec((QTerm.relativistic(4), QTerm.relativistic(6)))
-        k = 3.0 * np.pi / 1e-2
+        k = 3.0 * np.pi / self.L
         want = sum(dimensional_coefficient(t, self.params) * (-(k**2)) ** (t.order // 2)
                    for t in spec.terms)
         assert expectation(self.R, self.params, spec) == pytest.approx(want, rel=1e-10)
 
     def test_empty_spec_is_zero(self):
         assert expectation(self.R, self.params, QuantumPotentialSpec(())) == 0.0
+
+    def test_mode_above_the_band_gives_zero(self):
+        # lambda k = 1.09: the series diverges there, and P drops the mode
+        g = Grid.uniform(0.0, 1e-2, 129)
+        R = GridFunction(g, np.sin(np.pi * g.points / 1e-2)).normalized()
+        spec = QuantumPotentialSpec((QTerm.relativistic(4),))
+        assert expectation(R, self.params, spec) == 0.0
+
+    def test_w_is_the_derivative_of_the_energy(self):
+        # (E[R + eps eta] - E[R - eps eta]) / 2 eps = 2 <W R, eta> for a
+        # band-limited eta: W = P S P R / R is the gradient of the projected
+        # energy, with S the hierarchy's symbol and P the band |k| <= 20
+        params = natural_params(c=20.0)
+        g = Grid.uniform(0.0, 1.0, 256, PERIODIC)
+        x = 2.0 * np.pi * g.points
+        # R also has content above the band (k = 24 pi), eta has none
+        R = GridFunction(g, 2.0 + np.cos(x) + 0.3 * np.sin(3 * x) + 0.1 * np.cos(12 * x))
+        eta = GridFunction(g, np.cos(x) - np.sin(x) + 0.5 * np.sin(3 * x))
+        spec = QuantumPotentialSpec.relativistic(6)
+        eps = 1e-3
+
+        def energy(sign):
+            return expectation(GridFunction(g, R.values + sign * eps * eta.values), params, spec)
+
+        slope = (energy(+1) - energy(-1)) / (2.0 * eps)
+        W = eval_complete_q(R, params, spec)
+        want = 2.0 * inner(GridFunction(g, W.values * R.values), eta)
+        # the order-0 part alone, 2 eps0 <R, eta> = 460, misses the full
+        # slope, 502.6, by 43
+        assert abs(want - 2.0 * params.rest_energy * inner(R, eta)) > 10.0
+        assert slope == pytest.approx(want, rel=1e-10)
 
 
 class TestScaleRatios:
@@ -283,6 +339,13 @@ class TestScaleRatios:
         analytic = term_ratio(1.0, 1, 1, p)
         on_grid = term_ratio_on_grid(1.0, 1, 1, p)
         assert abs(on_grid - analytic) / abs(analytic) < 1e-6
+
+    def test_grid_ratio_rejects_a_mode_above_the_band(self):
+        # proton, L = 1e-5: lambda k = 0.66 tau
+        p = proton_params()
+        assert term_ratio_on_grid(1e-5, 1, 1, p) == pytest.approx(term_ratio(1e-5, 1, 1, p))
+        with pytest.raises(ValueError, match="tau=2 .* above the band edge"):
+            term_ratio_on_grid(1e-5, 2, 1, p)
 
     def test_nuclear_regime_much_larger(self):
         e, pr = electron_params(), proton_params()

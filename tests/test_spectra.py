@@ -16,6 +16,7 @@ from qpotlab.qpotential import (
     QuantumPotentialSpec,
     electron_params,
     natural_params,
+    proton_params,
 )
 from qpotlab import spectra
 from qpotlab.spectra import (
@@ -123,6 +124,26 @@ class TestPerturbativeShift:
         closed = box_shift_closed_form(1.0, 1, 4, ELECTRON)
         assert abs(de - closed) / abs(closed) < 1e-12
         assert de == pytest.approx(-0.0013835516005, rel=1e-9)
+
+    @pytest.mark.parametrize("tau, inside", [(1, True), (2, False)])
+    def test_modes_above_the_band_shift_by_zero(self, tau, inside):
+        # proton box of 1e-5 angstrom: lambda k = 0.66 tau, so tau = 2 lies
+        # above the band edge k = m c / hbar and both shift paths drop its
+        # order-4 shift; the order-0 term is no Laplacian power and stays
+        proton = proton_params()
+        st = box_eigenstate(1e-5, tau, 513, proton)
+        rest = box_shift_closed_form(1e-5, tau, 0, proton)
+        assert rest == proton.rest_energy
+        assert perturbative_shift(st, 0, proton) == pytest.approx(rest, rel=1e-12)
+        de = perturbative_shift(st, 4, proton)
+        closed = box_shift_closed_form(1e-5, tau, 4, proton)
+        if inside:
+            assert closed < 0 and abs(de - closed) / abs(closed) < 1e-10
+        else:
+            # the unprojected reference path still sees the mode's shift;
+            # the quadrature keeps only roundoff leaked into lower modes
+            unprojected = relativistic_reference_shift(st, proton)
+            assert closed == 0.0 and abs(de) < 1e-12 * abs(unprojected)
 
     def test_order6_box_matches_closed_form(self):
         st = box_eigenstate(1.0, 2, 513, ELECTRON)
