@@ -77,6 +77,7 @@ from .grid import (  # noqa: F401
     laplacian_symbol,
     power_laplacian,
     read_gridfunction,
+    series_operator,
     write_gridfunction,
 )
 from .qpotential import (  # noqa: F401
@@ -84,6 +85,7 @@ from .qpotential import (  # noqa: F401
     PhysicalParams,
     QTerm,
     QuantumPotentialSpec,
+    complete_q_operator,
     electron_params,
     eval_complete_q,
     eval_q2n,

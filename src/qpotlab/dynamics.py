@@ -14,14 +14,17 @@ Integration is Strang splitting: half-step phase rotation by V + W, full
 kinetic step, then the closing half-step rotation by V + W with W
 evaluated from the updated amplitude.  A phase rotation leaves |psi|
 unchanged, so that closing W is also the next step's opening W: a run of
-N steps evaluates W N + 1 times, and the closing half-rotation of one step
+N steps builds W's operator once (:func:`qpotential.complete_q_operator`,
+which resolves its coefficients, band-limited symbol and floor) and
+applies it N + 1 times, and the closing half-rotation of one step
 and the opening one of the next are applied as one full rotation
 exp(-i (V + W) dt / hbar) (Bao, Jin & Markowich, J. Comput. Phys. 175
 (2002) 487).  The rotation is split into its two halves only at stored
 frames, so a stored frame is psi after the closing half-rotation.  Each
 rotation is cos + i sin of one real phase, bit for bit the complex
 exponential (:func:`_phase_rotation`).  The finite-value and norm checks
-run on psi after every step's rotation.
+run on psi after every step's rotation; both read the one norm sum the
+step computes, which is non-finite whenever any value of psi is.
 Rotations by a real W and the unitary kinetic step conserve the norm to
 roundoff.
 
@@ -30,8 +33,8 @@ Fourier exponential (:data:`SPLIT_STEP`) on periodic grids, unitary
 Crank-Nicolson (:data:`CRANK_NICOLSON`) on Dirichlet grids, where psi is
 zeroed at both ends before the first step.  The two names are only the
 labels a run reports.  W, the energy functional's non-kinetic terms and
-the Q of :func:`quantum_force` follow the grid's own rule (the Fourier
-transform on periodic grids, the sine transform on Dirichlet ones),
+the Q of :func:`quantum_force` follow the grid's own rule (the real-input
+Fourier transform on periodic grids, the sine transform on Dirichlet ones),
 projected onto the band |k| <= m c / hbar where the hierarchy converges
 (:func:`qpotential.eval_complete_q`).  Its quotient terms are zeroed where
 |psi| falls below the amplitude floor.  States with nodes are out of
@@ -67,6 +70,7 @@ from .grid import (
 from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
+    complete_q_operator,
     eval_complete_q,
     expectation,
     validate_order2,
@@ -170,7 +174,9 @@ class _KineticStep:
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         if self.periodic:
-            return scipy.fft.ifft(scipy.fft.fft(psi) * self.phase)
+            coef = scipy.fft.fft(psi)
+            coef *= self.phase
+            return scipy.fft.ifft(coef, overwrite_x=True)
         inner_vals = psi[1:-1]
         rhs = (1.0 - self.alpha * self.h_diag) * inner_vals
         rhs[1:] -= self.alpha * self.h_off * inner_vals[:-1]
@@ -220,7 +226,8 @@ def evolve(
     if not V.grid.same_as(g):
         raise GridError("potential grid does not match the field grid")
     validate_order2(spec, params)
-    w_spec = spec.without_order(2)
+    # W: every term of the spec but the kinetic order 2, built once
+    extra = complete_q_operator(g, params, spec.without_order(2))
     kinetic = _KineticStep(g, params, cfg.dt)
     hbar = params.hbar
 
@@ -228,10 +235,6 @@ def evolve(
     if g.boundary == DIRICHLET:
         psi[0] = 0.0
         psi[-1] = 0.0
-
-    def extra(absvals: np.ndarray) -> np.ndarray:
-        """W: every term of the spec but the kinetic order 2."""
-        return eval_complete_q(GridFunction(g, absvals), params, w_spec).values
 
     def rotation(W: np.ndarray, fraction: float) -> np.ndarray:
         return _phase_rotation(V.values + W, fraction * cfg.dt / hbar)
@@ -263,9 +266,10 @@ def evolve(
         # next use the same W: one full rotation, split only at stored frames
         psi *= rotation(W, 0.5 if stored else 1.0)
 
-        if not np.all(np.isfinite(psi.view(np.float64))):
-            raise RuntimeError(f"non-finite field at step {step} (dt too large?)")
+        # a non-finite value anywhere in psi makes the norm non-finite
         nrm = g.spacing * np.vdot(psi, psi).real
+        if not math.isfinite(nrm):
+            raise RuntimeError(f"non-finite field at step {step} (dt too large?)")
         if abs(nrm - norm0) > 1e-4 * norm0:
             raise RuntimeError(
                 f"norm drifted to {nrm:.6g} at step {step}; aborting"

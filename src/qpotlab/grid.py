@@ -9,16 +9,18 @@ Two grid kinds cover everything downstream:
   Laplacian is u''(r)/r, evaluated on the uniform log-radius auxiliary grid.
   The integration measure carries the 4*pi*r^2 weight.
 
-The grid picks the derivative backend, and nothing else can: the Fourier
-transform on periodic grids, the sine (DST-I) transform on uniform
-Dirichlet grids (exact mode actions for fields vanishing at the walls) and
-4th-order finite differences on radial grids.  The gradient is the Fourier
-derivative on periodic grids and finite differences elsewhere.  A
-Laplacian series sum c_n lap^n (a power is one term) costs one transform
-pair with the symbol sum c_n (-k^2)^n, or one stencil per power on radial
-grids.  A series can be band-limited: on a transform grid the symbol is
-zero at every mode with |k| above the band edge (the projection P onto
-|k| <= band, applied on both sides of the series).  Radial grids have no
+The grid picks the derivative backend, and nothing else can: the
+real-input Fourier transform (``rfft``/``irfft``) on periodic grids, the
+sine (DST-I) transform on uniform Dirichlet grids (exact mode actions for
+fields vanishing at the walls) and 4th-order finite differences on radial
+grids.  The gradient is the real-input Fourier derivative on periodic grids
+and finite differences elsewhere.  A Laplacian series sum c_n lap^n (a
+power is one term) costs one transform pair with the symbol sum c_n
+(-k^2)^n, or one stencil per power on radial grids; :func:`series_operator`
+resolves the symbol once for a caller that applies one series many times.
+A series can be band-limited: on a transform grid the symbol is zero at
+every mode with |k| above the band edge (the projection P onto |k| <=
+band, applied on both sides of the series).  Radial grids have no
 transform and are never projected.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy
@@ -189,9 +191,12 @@ class Grid:
         self, unit: Mapping[int, float], band: float = math.inf
     ) -> np.ndarray:
         """:func:`laplacian_symbol` of ``unit``, zero above ``band``, at this
-        grid's transform wavenumbers (Fourier on periodic grids, DST-I sine
-        modes on Dirichlet ones), built once per grid, coefficient map and
-        band and read-only; uniform grids only.
+        grid's transform wavenumbers, built once per grid, coefficient map
+        and band and read-only; uniform grids only.  On periodic grids these
+        are the n // 2 + 1 non-negative-frequency entries of
+        :attr:`wavenumbers` that a real-input FFT returns (the symbol is
+        even in k, so they are the full symbol's first half, bit for bit);
+        on Dirichlet ones the DST-I sine modes.
 
         The cache key is the band and the ordered (power, coefficient bits)
         items: the symbol is summed in item order, so a reordered map is a
@@ -201,7 +206,7 @@ class Grid:
         symbol = self._symbols.get(key)
         if symbol is None:
             if self.boundary == PERIODIC:
-                k = self.wavenumbers
+                k = self.wavenumbers[: self.n // 2 + 1]
             else:
                 k = np.arange(1, self.n - 1) * np.pi / self.length
             symbol = np.where(np.abs(k) <= band, laplacian_symbol(unit, k), 0.0)
@@ -285,19 +290,27 @@ def laplacian_series(
     f: GridFunction, coeffs: Mapping[int, float], band: float = math.inf
 ) -> GridFunction:
     """sum_n c_n lap^n f for a mapping {power n >= 1: c_n}, projected onto
-    the modes with |k| <= ``band``.
+    the modes with |k| <= ``band``: :func:`series_operator` applied once."""
+    return GridFunction(f.grid, series_operator(f.grid, coeffs, band)(f.values))
 
-    The grid picks the backend: the Fourier transform on periodic grids,
-    the sine transform on uniform Dirichlet grids (valid for fields
-    vanishing at the walls) and finite differences on radial grids, which
-    ignore ``band``.  A transform costs one pair with the whole
-    band-limited symbol, whatever the highest power (the largest c_n is
-    factored out, so one term gives exactly c lap^n f).  Finite
+
+def series_operator(
+    g: Grid, coeffs: Mapping[int, float], band: float = math.inf
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from field values on ``g`` to sum_n c_n lap^n of them, for a
+    mapping {power n >= 1: c_n}, projected onto the modes with |k| <=
+    ``band``; its scale and symbol are resolved once, here.
+
+    The grid picks the backend: the real-input Fourier transform on
+    periodic grids, the sine transform on uniform Dirichlet grids (valid
+    for fields vanishing at the walls) and finite differences on radial
+    grids, which ignore ``band``.  A transform costs one pair with the
+    whole band-limited symbol, whatever the highest power (the largest c_n
+    is factored out, so one term gives exactly c lap^n f).  Finite
     differences apply the stencil once per power.
     """
     if not coeffs or min(coeffs) < 1:
         raise GridError(f"powers must be >= 1, got {sorted(coeffs)}")
-    g = f.grid
     top = max(coeffs)
     if g.n < 2 * top + 1:
         raise GridError(f"grid with {g.n} points is under-resolved for order {2 * top}")
@@ -305,22 +318,38 @@ def laplacian_series(
         scale = max(coeffs.values(), key=abs) or 1.0
         symbol = g.series_symbol({n: c / scale for n, c in coeffs.items()}, band)
         if g.boundary == PERIODIC:
-            coef = scipy.fft.fft(f.values) * symbol
-            return GridFunction(g, scale * scipy.fft.ifft(coef).real)
-        coef = scipy.fft.dst(f.values[1:-1], type=1, norm="ortho")
-        coef *= symbol
-        out = np.zeros(g.n)
-        out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
-        return GridFunction(g, out)
+
+            def fourier(values: np.ndarray) -> np.ndarray:
+                coef = scipy.fft.rfft(values)
+                coef *= symbol
+                out = scipy.fft.irfft(coef, g.n, overwrite_x=True)
+                out *= scale
+                return out
+
+            return fourier
+
+        def sine(values: np.ndarray) -> np.ndarray:
+            coef = scipy.fft.dst(values[1:-1], type=1, norm="ortho")
+            coef *= symbol
+            out = np.zeros(g.n)
+            out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
+            return out
+
+        return sine
+
     # u = r*R on the uniform t = ln r grid: lap R = (u_tt - u_t) / r^3.
     r, dt = g.points, g.log_step
-    vals, out = f.values, np.zeros(g.n)
-    for n in range(1, top + 1):
-        u = r * vals
-        vals = (_uniform_derivative(u, dt, 2) - _uniform_derivative(u, dt, 1)) / r**3
-        if n in coeffs:
-            out += coeffs[n] * vals
-    return GridFunction(g, out)
+
+    def stencil(values: np.ndarray) -> np.ndarray:
+        vals, out = values, np.zeros(g.n)
+        for n in range(1, top + 1):
+            u = r * vals
+            vals = (_uniform_derivative(u, dt, 2) - _uniform_derivative(u, dt, 1)) / r**3
+            if n in coeffs:
+                out += coeffs[n] * vals
+        return out
+
+    return stencil
 
 
 def gradient(f: GridFunction) -> GridFunction:
@@ -329,8 +358,9 @@ def gradient(f: GridFunction) -> GridFunction:
     grids)."""
     g = f.grid
     if g.boundary == PERIODIC:
-        ik = 1j * g.wavenumbers
-        return GridFunction(g, scipy.fft.ifft(ik * scipy.fft.fft(f.values)).real)
+        coef = scipy.fft.rfft(f.values)
+        coef *= 1j * g.wavenumbers[: g.n // 2 + 1]
+        return GridFunction(g, scipy.fft.irfft(coef, g.n, overwrite_x=True))
     if g.kind == RADIAL_LOG:
         return GridFunction(g, _uniform_derivative(f.values, g.log_step, 1) / g.points)
     return GridFunction(g, _uniform_derivative(f.values, g.spacing, 1))

@@ -11,7 +11,8 @@ orders are present and with which coefficients (exact-rational dimensionless
 a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
 
 The orders >= 2 act as one operator, the Laplacian series sum A_2n lap^n
-with symbol sum A_2n (-k^2)^n: :func:`eval_complete_q` applies it once and
+with symbol sum A_2n (-k^2)^n: :func:`complete_q_operator` builds it once
+per grid and spec, :func:`eval_complete_q` applies it once and
 :func:`expectation` is the one split-form energy sum, shared by the energy
 functional and the perturbative shifts.  For the relativistic coefficients
 that symbol is the series of eps0 (sqrt(1 + x) - 1) in x = (hbar k / m c)^2,
@@ -29,13 +30,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import serialize
 from .coeffs import a2n
-from .grid import GridFunction, inner, laplacian_series, power_laplacian
+from .grid import Grid, GridFunction, inner, power_laplacian, series_operator
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 7.2973525693e-3
@@ -248,24 +249,47 @@ def band_edge(params: PhysicalParams) -> float:
     return params.mass * params.c / params.hbar
 
 
+def complete_q_operator(
+    grid: Grid,
+    params: PhysicalParams,
+    spec: QuantumPotentialSpec,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from R values on ``grid`` to the pointwise sum of every term
+    in the spec (zero for an empty spec): one Laplacian series sum A_2n
+    lap^n R, projected onto the band |k| <= m c / hbar (see
+    :func:`grid.series_operator`), floored and divided by R once, plus the
+    unfloored order-0 constant.
+
+    The coefficients, the order-0 constant, the band-limited symbol and the
+    floor are resolved once, here, so a caller that evaluates Q many times
+    on one grid (the evolution's W) builds the map once and applies it."""
+    coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
+    constant = coeffs.pop(0, 0.0)
+    if not coeffs:
+        return lambda r: np.zeros(grid.n) + constant
+    series = series_operator(grid, coeffs, band_edge(params))
+    floor = spec.regularization_floor
+
+    def q_values(r: np.ndarray) -> np.ndarray:
+        D = series(r)
+        absr = np.abs(r)
+        mask = absr <= floor * float(np.max(absr))
+        out = np.zeros(grid.n)
+        np.divide(D, r, out=out, where=~mask)
+        out += constant
+        return out
+
+    return q_values
+
+
 def eval_complete_q(
     R: GridFunction,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
 ) -> GridFunction:
-    """Pointwise sum of every term in the spec (zero field for an empty spec):
-    one Laplacian series sum A_2n lap^n R, projected onto the band |k| <=
-    m c / hbar (see :func:`grid.laplacian_series`), floored and divided by
-    R once, plus the unfloored order-0 constant."""
-    coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
-    constant = coeffs.pop(0, 0.0)
-    out = np.zeros(R.grid.n)
-    if coeffs:
-        D = laplacian_series(R, coeffs, band_edge(params)).values
-        r = R.values
-        mask = np.abs(r) <= spec.regularization_floor * float(np.max(np.abs(r)))
-        np.divide(D, r, out=out, where=~mask)
-    return GridFunction(R.grid, out + constant)
+    """Pointwise sum of every term in the spec on R:
+    :func:`complete_q_operator` applied once."""
+    return GridFunction(R.grid, complete_q_operator(R.grid, params, spec)(R.values))
 
 
 def expectation(
@@ -325,8 +349,6 @@ def term_ratio_on_grid(
     A mode above the band edge has no grid terms to divide, so it raises
     ValueError.
     """
-    from .grid import Grid
-
     k, band = tau * np.pi / L, band_edge(params)
     if k > band:
         raise ValueError(

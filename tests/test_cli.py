@@ -221,6 +221,24 @@ class TestSpectraBox:
             assert float(r[2]) == pytest.approx(float(r[3]), rel=1e-9)
         assert "box: tau=1" in capsys.readouterr().out
 
+    def test_zero_closed_form_has_a_null_relative_gap(self, tmp_path):
+        # proton mode tau = 2 of a 1e-5 angstrom box has hbar k / m c = 1.32,
+        # above the band edge, so its order-4 closed form is 0: a relative
+        # gap to it does not exist, and abs(delta_E) in eV is not one
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("units = proton\nmax_order = 4\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["spectra", "--problem", "box", "--spec", str(spec_path), "--L", "1e-5",
+             "--tau", "2", "--points", "513", "--out", str(out)]
+        )
+        assert rc == 0
+        shifts = {s["order"]: s for s in read_json(out / "box_shifts.json")["shifts"]}
+        assert shifts[4]["closed_form"] == 0 and shifts[4]["delta_E"] != 0
+        assert shifts[4]["relative_gap"] is None
+        # the order-0 row has a non-zero closed form and keeps its gap
+        assert shifts[0]["closed_form"] != 0 and shifts[0]["relative_gap"] == 0
+
     def test_higher_order_spec_skips_eigenvalues(self, tmp_path):
         spec_path = tmp_path / "spec.cfg"
         spec_path.write_text("source = relativistic\nmax_order = 6\n")
@@ -357,14 +375,19 @@ class TestEvolveFailure:
 
     def test_nan_field_deletes_the_written_frames(self, tmp_path, capsys, monkeypatch):
         w_evals, sent = [], []
-        original = dynamics.eval_complete_q
+        build = dynamics.complete_q_operator
 
-        def turns_nan(*args):
-            w_evals.append(1)
-            W = original(*args).values.copy()
-            if len(w_evals) == 5:  # the W of step 4
-                W[7] = np.nan
-            return GridFunction(args[0].grid, W)
+        def builds_nan(*args):
+            apply = build(*args)
+
+            def turns_nan(r):
+                w_evals.append(1)
+                W = apply(r)
+                if len(w_evals) == 5:  # the W of step 4
+                    W[7] = np.nan
+                return W
+
+            return turns_nan
 
         run = cli.evolve
 
@@ -375,7 +398,7 @@ class TestEvolveFailure:
 
             return run(*args, on_frame=counted)
 
-        monkeypatch.setattr(dynamics, "eval_complete_q", turns_nan)
+        monkeypatch.setattr(dynamics, "complete_q_operator", builds_nan)
         monkeypatch.setattr(cli, "evolve", counting_evolve)
         out = tmp_path / "out"
         rc = main(["evolve", "--config", str(self.config(tmp_path)), "--out", str(out)])

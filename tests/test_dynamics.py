@@ -51,6 +51,31 @@ def zero_potential(g):
     return GridFunction(g, np.zeros(g.n))
 
 
+def patch_w_builder(monkeypatch, edit=None):
+    """Wrap every W operator that evolve builds.  Returns one list per
+    build, which grows by one entry per application; ``edit(count, W)``
+    may change the count-th W (1-based) of a build before evolve sees it."""
+    builds = []
+    original = dynamics.complete_q_operator
+
+    def build(*args):
+        apply = original(*args)
+        applied = []
+        builds.append(applied)
+
+        def counted(r):
+            applied.append(1)
+            W = apply(r)
+            if edit is not None:
+                edit(len(applied), W)
+            return W
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "complete_q_operator", build)
+    return builds
+
+
 class TestWaveField:
     def test_shape_mismatch(self):
         g = periodic_grid()
@@ -234,21 +259,15 @@ class TestEvolveNonlinear:
         assert drift / abs(res.energies[0]) < 1e-4
 
     def test_one_w_evaluation_per_step(self, monkeypatch):
-        # the closing W of each step is the next step's opening W
-        calls = []
-        original = dynamics.eval_complete_q
-
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(dynamics, "eval_complete_q", counting)
+        # W's operator is built once per run, and the closing W of each
+        # step is the next step's opening W
+        builds = patch_w_builder(monkeypatch)
         g = dirichlet_grid(129)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
         cfg = EvolutionConfig(dt=2e-9, steps=10)
         evolve(psi0, zero_potential(g), SPEC24, ELECTRON, cfg)
-        assert len(calls) == cfg.steps + 1
+        assert [len(applied) for applied in builds] == [cfg.steps + 1]
 
 
 def strang_reference(psi0, V, spec, params, cfg):
@@ -306,17 +325,11 @@ class TestFusedRotation:
 
     @pytest.mark.parametrize("store_every", [1, 5])
     def test_nan_in_w_stops_at_its_step(self, monkeypatch, store_every):
-        calls = []
-        original = dynamics.eval_complete_q
-
-        def turns_nan(*args):
-            calls.append(1)
-            W = original(*args).values.copy()
-            if len(calls) == 5:  # the W of step 4
+        def turns_nan(count, W):
+            if count == 5:  # the W of step 4
                 W[7] = np.nan
-            return GridFunction(args[0].grid, W)
 
-        monkeypatch.setattr(dynamics, "eval_complete_q", turns_nan)
+        patch_w_builder(monkeypatch, turns_nan)
         g = periodic_grid(64)
         psi0, _ = plane_wave(g, 1)
         cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=store_every)
@@ -355,24 +368,18 @@ class TestOnFrame:
         class Stop(Exception):
             pass
 
-        w_evals = []
-        original = dynamics.eval_complete_q
-
-        def counting(*args):
-            w_evals.append(1)
-            return original(*args)
-
         def stop_after_first(step, t, frame):
             if step > 0:
                 raise Stop(step)
 
-        monkeypatch.setattr(dynamics, "eval_complete_q", counting)
+        builds = patch_w_builder(monkeypatch)
         psi0, V = self.start(boundary)
         cfg = EvolutionConfig(dt=1e-7, steps=10, store_every=3)
         with pytest.raises(Stop) as exc:
             evolve(psi0, V, SPEC24, ELECTRON, cfg, on_frame=stop_after_first)
         assert exc.value.args == (3,)
-        assert len(w_evals) == 3 + 1  # no step after the raising frame
+        # no step after the raising frame
+        assert [len(applied) for applied in builds] == [3 + 1]
 
 
 class TestPhaseRotation:

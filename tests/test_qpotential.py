@@ -14,6 +14,7 @@ from qpotlab.qpotential import (
     band_edge,
     QTerm,
     QuantumPotentialSpec,
+    complete_q_operator,
     dimensional_coefficient,
     electron_params,
     eval_complete_q,
@@ -205,12 +206,12 @@ class TestEvalOnGrid:
 
     @pytest.mark.parametrize(
         "boundary, transforms",
-        [(PERIODIC, ("fft", "ifft")), ("dirichlet", ("dst", "idst"))],
+        [(PERIODIC, ("rfft", "irfft")), ("dirichlet", ("dst", "idst"))],
     )
     def test_one_transform_pair_per_evaluation(self, monkeypatch, boundary, transforms):
         g = Grid.uniform(0.0, 1.0, 129, boundary)
         R = GridFunction(g, np.exp(-((g.points - 0.5) ** 2) / 0.02))
-        calls = {name: 0 for name in ("fft", "ifft", "dst", "idst")}
+        calls = {name: 0 for name in ("fft", "ifft", "rfft", "irfft", "dst", "idst")}
         for name in calls:
             original = getattr(scipy.fft, name)
 
@@ -248,6 +249,40 @@ class TestEvalOnGrid:
         # R vanishes at the walls: the quotient terms are floored there,
         # the rest energy is not
         assert q.values[0] == q.values[-1] == self.params.rest_energy
+
+
+class TestCompleteQOperator:
+    """The builder that evolve calls once per run: one operator applied to
+    field after field gives, bit for bit, eval_complete_q of each."""
+
+    @staticmethod
+    def fields(kind):
+        # three fields per grid, each with tails below the floor
+        if kind == "radial":
+            g = Grid.radial_log(1e-3, 20.0, 512)
+            return g, [np.exp(-a * g.points) for a in (1.0, 1.5, 3.0)]
+        g = Grid.uniform(0.0, 1.0, 128 if kind == PERIODIC else 129, kind)
+        return g, [
+            np.sin(np.pi * g.points) * np.exp(-((g.points - c) ** 2) / 0.002)
+            for c in (0.4, 0.5, 0.55)
+        ]
+
+    @pytest.mark.parametrize("orders", [(0, 2, 4), (4, 6), (0,), ()])
+    @pytest.mark.parametrize("kind", [PERIODIC, "dirichlet", "radial"])
+    def test_equals_eval_complete_q(self, kind, orders):
+        params = electron_params()
+        spec = QuantumPotentialSpec(tuple(QTerm.relativistic(k) for k in orders))
+        g, fields = self.fields(kind)
+        apply = complete_q_operator(g, params, spec)
+        kept = [r.copy() for r in fields]
+        outputs = [apply(r) for r in fields]
+        for r, before, got in zip(fields, kept, outputs):
+            assert np.array_equal(r, before)  # the input is not overwritten
+            want = eval_complete_q(GridFunction(g, r), params, spec).values
+            assert np.array_equal(got, want)
+        if orders == (4, 6):
+            # the floor follows each field: the quotient is zeroed in its tails
+            assert not np.array_equal(outputs[0] == 0.0, outputs[2] == 0.0)
 
 
 class TestExpectation:
