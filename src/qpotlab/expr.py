@@ -7,8 +7,8 @@ e.g. ``A2 * lap(R) / R``.  This module provides the expression tree, a small
 infix parser for the grammar documented in the README, exact-rational
 evaluation (:func:`evaluate_exact`, :func:`evaluate`), a float evaluator
 compiled once per expression that reproduces :func:`evaluate` bit for bit on
-float inputs (:func:`compile_float`), and the two derivative operations
-everything downstream needs:
+float inputs, and elementwise on arrays of them (:func:`compile_float`), and
+the two derivative operations everything downstream needs:
 
 * :func:`partial_wrt_jet` — differentiate treating jet variables as
   independent coordinates,
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 AXIS_LETTERS = "xyz"
 
@@ -425,31 +427,49 @@ def evaluate(
     return float(evaluate_exact(e, point, constants))
 
 
+def pow_exact(x, exponent: int):
+    """``x ** exponent`` as Python floats compute it, elementwise when ``x``
+    is an array: numpy's ``power`` (like its ``exp``) may differ from the C
+    library in the last bit.  A zero base with a negative exponent raises
+    ``ZeroDivisionError`` and an overflow ``OverflowError``, as on floats."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**exponent for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**exponent
+
+
 def compile_float(
     e: Expression,
     variables: Sequence[JetVariable] | None = None,
     names: Sequence[str] | None = None,
-) -> Callable[[Sequence[float], Sequence[float]], float]:
-    """Compile ``e`` once into ``f(jets, symbols) -> float`` for float inputs.
+) -> Callable[[Sequence, Sequence], float | np.ndarray]:
+    """Compile ``e`` once into ``f(jets, symbols)`` for float inputs, or for
+    arrays of them (one element per point, all of one shape).
 
     ``jets[i]`` is the value of ``variables[i]`` and ``symbols[i]`` that of
     ``names[i]`` (by default the expression's own jet variables in
     (order, axes) order and its symbol names sorted).  For float values the
     result is bit for bit ``evaluate(e, point, constants)``: the compiled
     code performs the same IEEE operations in the same order as
-    :func:`evaluate_exact` does on floats.
+    :func:`evaluate_exact` does on floats.  On arrays each element of the
+    result is the float result at that element's point, bit for bit; run it
+    under ``np.errstate(all="ignore")`` to keep numpy's warnings quiet.
 
     * Subtrees free of symbols and jet variables are folded to exact
       ``Fraction`` s here, as the tree walk does on every call.
     * A sum is ``float(prefix) + t_k + ...``, where ``prefix`` is
       ``Fraction(0)`` plus the leading exact terms; later exact terms enter
       as ``float(c)``.  A product is the same with ``Fraction(1)`` and ``*``.
-    * A power is float ``**`` with the integer exponent.
+      On arrays these are numpy's elementwise operations, the same IEEE
+      ones.
+    * A power is :func:`pow_exact` with the integer exponent.
 
-    Repeated subtrees are computed once.  A division by zero at a point
-    raises the :class:`EvaluationError` that :func:`evaluate` raises there.
-    An unbound name, or an exact subtree that cannot be evaluated, raises
-    here instead of at every call.
+    Repeated subtrees are computed once.  A division by zero at a float
+    point raises the :class:`EvaluationError` that :func:`evaluate` raises
+    there; on arrays it raises ``ZeroDivisionError``, and evaluating the
+    points one by one finds the point and the worded error.  An expression
+    free of jets and symbols gives its float whatever the inputs.  An
+    unbound name, or an exact subtree that cannot be evaluated, raises here
+    instead of at every call.
     """
     if variables is None:
         variables = sorted(jet_variables(e), key=lambda v: (v.order, v.axes))
@@ -513,7 +533,7 @@ def compile_float(
                     ) from None
             else:
                 out = f"t{len(lines)}"
-                lines.append(f"{out} = {base} ** ({node.exponent})")
+                lines.append(f"{out} = pow_exact({base}, {node.exponent})")
         memo[node] = out
         return out
 
@@ -522,7 +542,10 @@ def compile_float(
         value = float(result)
         return lambda jets, symbols: value
     def reraise(jets, symbols):
-        # The tree walk raises the same error, worded as evaluate words it.
+        # The tree walk raises the same error, worded as evaluate words it;
+        # on arrays the error passes through as it is.
+        if any(np.ndim(x) for x in (*jets, *symbols)):
+            return
         point = JetPoint(dict(zip(variables, jets)))
         evaluate_exact(e, point, dict(zip(names, symbols)))
 
@@ -537,7 +560,7 @@ def compile_float(
     )
     # The source holds only slot indices and float literals, never a name
     # taken from the expression.
-    namespace = {"reraise": reraise}
+    namespace = {"reraise": reraise, "pow_exact": pow_exact}
     exec(compile(source, "<compile_float>", "exec"), namespace)
     return namespace["compiled"]
 

@@ -292,6 +292,8 @@ def _banded_operator(g: Grid, coeffs: dict[int, float], V_int: np.ndarray) -> np
     M2 is the 4th-order Laplacian stencil with zero walls; the ghost node
     across a wall reflects to minus the first interior node, which adds 1
     to the corner diagonal entries.  M2^2 is formed diagonal by diagonal.
+    This is the unprojected operator: unlike the spectral path of
+    :func:`solve_modified_eigenproblem`, it applies no band limit.
     """
     m = g.n - 2
     M2 = np.zeros((5, m))  # the same layout: M2[2 + i - j, j]
@@ -364,8 +366,10 @@ def solve_modified_eigenproblem(
     paths return modes tau = 1..count.
 
     V picks the path.  With V identically zero the sine modes diagonalize
-    the operator exactly (spectral path).  Otherwise the finite-difference
-    operator is assembled in band storage and each level is tracked from
+    the operator exactly (spectral path), projected onto the band like
+    :func:`box_shift_closed_form`: above k = m c / hbar the order >= 4 terms
+    vanish.  Otherwise the finite-difference operator, the unprojected
+    one, is assembled in band storage and each level is tracked from
     its sine mode by shift-invert (Rayleigh-quotient) iteration; the
     eigenvector is accepted only when its squared overlap
     with the normalized sine mode exceeds 1/2, which makes it the unique
@@ -384,7 +388,12 @@ def solve_modified_eigenproblem(
     x0 = float(g.points[0])
     if not np.any(V.values):
         k = np.arange(1, count + 1) * np.pi / L
-        energies = laplacian_symbol(coeffs, k)
+        above_band = {n: c for n, c in coeffs.items() if n <= 1}  # orders 0, 2
+        energies = np.where(
+            k > band_edge(params),
+            laplacian_symbol(above_band, k),
+            laplacian_symbol(coeffs, k),
+        )
         modes = [np.sin(tau * np.pi * (g.points - x0) / L) for tau in range(1, count + 1)]
         return [
             (float(e), GridFunction(g, mode).normalized())

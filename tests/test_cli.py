@@ -239,6 +239,23 @@ class TestSpectraBox:
         # the order-0 row has a non-zero closed form and keeps its gap
         assert shifts[0]["closed_form"] != 0 and shifts[0]["relative_gap"] == 0
 
+    def test_eigenvalues_above_the_band_match_the_shifts(self, tmp_path):
+        # modes tau = 2, 3 of a 1e-5 angstrom proton box lie above the band
+        # edge: both columns drop the order-4 term there, tau = 1 keeps it
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("units = proton\nmax_order = 4\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["spectra", "--problem", "box", "--spec", str(spec_path), "--L", "1e-5",
+             "--tau", "2", "--points", "513", "--count", "3", "--out", str(out)]
+        )
+        assert rc == 0
+        _, rows = read_csv_rows(out / "eigenvalues.csv")
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        for r in rows:
+            modified, predicted = float(r[2]), float(r[3])
+            assert abs(modified - predicted) <= 1e-12 * abs(predicted), r
+
     def test_higher_order_spec_skips_eigenvalues(self, tmp_path):
         spec_path = tmp_path / "spec.cfg"
         spec_path.write_text("source = relativistic\nmax_order = 6\n")

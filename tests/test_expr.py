@@ -1,5 +1,6 @@
 """Jet-space expression algebra: structure, derivatives, evaluation, parsing."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from qpotlab.expr import (
     make_sum,
     parse_q_expression,
     partial_wrt_jet,
+    pow_exact,
     quotient,
     symbol_names,
     to_text,
@@ -284,6 +286,70 @@ class TestCompileFloat:
             e, [R.var, R_x.var, R_xx.var], [], [0.3, 1.7, -2.9], []
         )
         assert _same_bits(got, want)
+
+
+# Points where numpy's power and Python's float ** round differently.
+POWER_DISAGREES = ((float.fromhex("-0x1.a29cc1d3d98c0p+1"), 2),
+                   (float.fromhex("0x1.0044df100f038p-3"), -1))
+
+
+class TestCompileFloatOnArrays:
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    @pytest.mark.parametrize("text", WORKLOAD + ("C * dx(R)^2 / R^2 - B * R^-3",))
+    def test_each_element_is_the_float_result(self, text, dim):
+        q = parse_q_expression(text, dim)
+        terms = [t for _, t in el_residual_terms(q, dim)]
+        exprs = [q, canonical(make_sum(terms)), *terms]
+        variables = sorted(
+            set().union(*map(jet_variables, exprs)) | {JetVariable()},
+            key=lambda v: (v.order, v.axes),
+        )
+        names = sorted(set().union(*map(symbol_names, exprs)))
+        rng = np.random.default_rng(sum(map(ord, text)) + 10 * dim)
+        n = 300
+        jets = [rng.uniform(-3.0, 3.0, n) * 2.0 ** rng.integers(-6, 7, n) for _ in variables]
+        jets[0][:2] = [x for x, _ in POWER_DISAGREES]  # R^2 and R^-1 disagree there
+        symbols = [rng.uniform(-2.0, 2.0, n) for _ in names]
+        for e in exprs:
+            fn = compile_float(e, variables, names)
+            with np.errstate(all="ignore"):
+                got = np.broadcast_to(fn(jets, symbols), (n,))
+            for i in range(n):
+                want = fn([float(j[i]) for j in jets], [float(s[i]) for s in symbols])
+                assert float.hex(float(got[i])) == float.hex(want), (to_text(e), i)
+
+    def test_power_is_the_float_power(self):
+        for x, k in POWER_DISAGREES:
+            assert np.power(np.array([x]), k)[0] != x**k
+            got = compile_float(Pow(R, k))([np.array([x, 0.5])], [])
+            assert got.tolist() == [x**k, 0.5**k]
+            assert pow_exact(np.array([[x]]), k).tolist() == [[x**k]]
+            assert type(pow_exact(x, k)) is float and pow_exact(x, k) == x**k
+
+    def test_zero_base_raises_and_the_point_names_it(self):
+        e = parse_q_expression("C * lap(R) / dx(R)", 1)
+        variables, names = [R.var, R_x.var, R_xx.var], ["C"]
+        fn = compile_float(e, variables, names)
+        r_x = np.array([0.5, -1.5, 0.0, 2.0])  # zero at point 2
+        jets = [np.ones(4), r_x, np.full(4, 3.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError):
+                with np.errstate(all="ignore"):
+                    fn(jets, [np.full(4, 2.0)])
+        point = JetPoint({R.var: 1.0, R_x.var: 0.0, R_xx.var: 3.0})
+        with pytest.raises(EvaluationError) as want:
+            evaluate(e, point, {"C": 2.0})
+        for i in range(4):
+            if i != 2:
+                fn([1.0, float(r_x[i]), 3.0], [2.0])
+        with pytest.raises(EvaluationError) as got:
+            fn([1.0, 0.0, 3.0], [2.0])
+        assert str(got.value) == str(want.value)
+
+    def test_constant_expression_gives_its_float(self):
+        e = Sum((Const(Fraction(1, 3)), Const(Fraction(2, 7))))
+        assert compile_float(e)([np.zeros(3)], []) == float(Fraction(13, 21))
 
 
 class TestParser:

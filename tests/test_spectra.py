@@ -311,18 +311,22 @@ class TestEigenproblem:
             solve_modified_eigenproblem(self.V0, self.spec24, ELECTRON, 10_000)
 
     def test_natural_units_tracking_past_unbounded_region(self):
-        # with A4 < 0 the operator is unbounded below beyond k*; tracked
-        # modes must still be returned in tau order with finite energies
+        # with A4 < 0 the unprojected operator is unbounded below beyond
+        # k* = 2; the spectral path projects onto the band k <= m c / hbar
+        # = 1, so the order-4 term drops for every mode above it and the
+        # modes come back in tau order with finite energies
         p = natural_params()
-        g = Grid.uniform(0.0, 1.0, 129)
-        V = GridFunction(g, np.zeros(129))
-        pairs = solve_modified_eigenproblem(V, self.spec24, p, 5)
-        ks = np.array([t * np.pi for t in range(1, 6)])
-        expected = 0.5 * ks**2 - (1.0 / 8.0) * ks**4
-        got = np.array([e for e, _ in pairs])
-        assert np.allclose(got, expected, rtol=1e-12)
-        # tracked energies are not monotone in tau here, by design
-        assert got[4] < got[0]
+        for length, in_band in ((1.0, 0), (10.0, 3)):
+            g = Grid.uniform(0.0, length, 129)
+            V = GridFunction(g, np.zeros(129))
+            pairs = solve_modified_eigenproblem(V, self.spec24, p, 5)
+            ks = np.array([t * np.pi / length for t in range(1, 6)])
+            assert np.count_nonzero(ks <= 1.0) == in_band
+            quartic = np.where(ks <= 1.0, (1.0 / 8.0) * ks**4, 0.0)
+            expected = 0.5 * ks**2 - quartic
+            got = np.array([e for e, _ in pairs])
+            assert np.allclose(got, expected, rtol=1e-12)
+            assert np.all(np.isfinite(got)) and np.all(np.diff(got) > 0)
 
 
 # --------------------------------------------------------------------------
