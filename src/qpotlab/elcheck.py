@@ -16,22 +16,20 @@ residual and the profile family of each axis there.
 Sample jets come from three closed-form families per axis — rational
 polynomials, offset sinusoids, and offset Gaussians — combined as tensor
 products in higher dimension.  Polynomial derivatives are exact: integer
-numerators over one common denominator, rounded once.  Samples with
-|R| < 0.1 are redrawn so quotient forms stay well conditioned; the redraw
-count is reported.
+numerators over one common denominator, rounded once.  Trial t gives axis
+a the family (t + a) mod 3.
 
-The draws are those the Generator methods ``integers`` and ``uniform``
-make on ``np.random.default_rng(seed)``, in the same order, so the stream,
-and with it every report, is theirs.  They are decoded in bulk from the
-bit generator's raw 64-bit outputs (:class:`_Stream`): every draw is a
-closed form of PCG64's outputs, ``next_uint32`` halves with Lemire's
-bounded draw (its rejection loop included) or ``next_double``.  Trial t
-draws axis a's profile from family (t + a) mod 3, so the draw program
-repeats every three trials; all the trials still to go are decoded at
-once, and a sample with |R| < 0.1 starts a new round from the stream state
-after it.  The profiles are array functions over the trials; ``sin``,
-``exp`` and ``**`` run element by element on Python floats, since numpy's
-may round differently from the C library.
+Each sample attempt is one row of ``rng.random`` on
+``np.random.default_rng(seed)``.  The row holds one 27-double block per
+axis (polynomial 14, sine 7, Gaussian 6, whichever family the axis takes),
+then two doubles per symbol.  A draw of one of n values is floor(n d), a
+sign is floor(2 d), and a uniform draw on [low, high) is
+low + (high - low) d.  Trials take rows in order, and a row whose |R| is
+below 0.1 is skipped, so quotient forms stay well conditioned; the skip
+count is reported.  The first n trials of any run are a run of n trials.
+The profiles are array functions over the trials; ``sin``, ``exp`` and
+``**`` run element by element on Python floats, since numpy's may round
+differently from the C library.
 
 Each residual term and the residual are compiled once per :func:`certify`
 call by :func:`expr.compile_float` and evaluated once, on arrays holding
@@ -130,9 +128,14 @@ class ResidualReport:
 # --------------------------------------------------------------------------
 
 
-# Bounds of the 14 draws of one polynomial profile, in draw order: six
-# (numerator in [-9, 9], denominator in [1, 4]) pairs, then p in [-6, 6] and
-# q in [1, 3]: rng.integers(_POLY_LOW, _POLY_HIGH).
+# Each axis of a sample row has one block of doubles: the polynomial
+# profile's 14, then the sine's 7 and the Gaussian's 6, so the layout does
+# not depend on the family a trial gives the axis.
+_FAMILY_COLUMNS = ((0, 14), (14, 21), (21, 27))
+_AXIS_WIDTH = 27
+
+# The 14 integers of one polynomial profile: six (numerator in [-9, 9],
+# denominator in [1, 4]) pairs, then p in [-6, 6] and q in [1, 3].
 _POLY_LOW = np.array([-9, 1] * 6 + [-6, 1])
 _POLY_HIGH = np.array([10, 5] * 6 + [7, 4])
 
@@ -148,111 +151,18 @@ def _falling(max_order: int) -> tuple[np.ndarray, np.ndarray]:
     return factors, np.maximum(_DEGREES[:, None] - j, 0)
 
 
-# _Stream takes raw outputs from its bit generator at least this many at a time.
-_BLOCK = 4096
-# _THRESHOLD[n] = 2**32 mod n: Lemire's draw of n values rejects below it
-# (n < 20 covers every program here).
-_THRESHOLD = np.array([0] + [(1 << 32) % n for n in range(1, 20)], dtype=np.uint64)
+def _bounded(d, n):
+    """The draw of one of n values, floor(n d), from the doubles ``d``."""
+    return np.floor(n * d)
 
 
-class _Stream:
-    """The draws of ``rng.integers`` and ``rng.uniform`` on one PCG64 stream,
-    decoded in bulk from its raw 64-bit outputs (``random_raw``).
-
-    A draw program is an integer array of codes: 0 is a double, the one
-    ``rng.uniform(low, high)`` scales to ``low + (high - low) * double``;
-    n > 0 is Lemire's bounded draw of one of n values, the draw
-    ``rng.integers(low, low + n)`` shifts by ``low`` (n = 2 is a sign).
-
-    * A double is ``(raw >> 11) * 2**-53`` of a fresh output.
-    * A bounded draw takes PCG64's ``next_uint32``: the low half of a fresh
-      output, whose high half is kept for the next ``next_uint32`` (doubles
-      leave it kept).  It forms m = u32 * n and, while the low 32 bits of m
-      are below 2**32 mod n, draws again; its value is m >> 32.
-
-    ``consumed`` (outputs taken) and ``half`` (the kept high half, or None)
-    are the stream's state: a PCG64 advanced by ``consumed`` and holding
-    ``half`` is where the Generator's own calls would have left it.  The
-    reader owns its bit generator, which runs ahead of ``consumed``: it
-    holds every output a read has decoded, taken in blocks.
-    """
-
-    def __init__(self, bit_generator):
-        state = bit_generator.state
-        self._bit_generator = bit_generator
-        self._words = np.empty(0, np.uint64)
-        self.consumed = 0
-        self.half = state["uinteger"] if state["has_uint32"] else None
-        self._runs = []  # the last read: (first draw, state, decoded run)
-
-    def read(self, codes: np.ndarray) -> np.ndarray:
-        """The values of the draws ``codes`` (each n < 20) from the current
-        state, as floats: a bounded draw's integer in [0, n), a double in
-        [0, 1).  The state stays; :meth:`skip` moves it past a prefix."""
-        state = (self.consumed, self.half)
-        self._runs, values, offset = [], [], 0
-        while True:
-            run = self._decode(codes[offset:], *state)
-            reject = run[-1]
-            k = int(np.argmax(reject)) if reject.any() else reject.size
-            self._runs.append((offset, state, run))
-            values.append(run[0][:k])
-            if offset + k == codes.size:
-                return np.concatenate(values)
-            # Lemire's rejection: the draw took one uint32 and draws again
-            state = self._state_after(state, run, k)
-            offset += k
-
-    def skip(self, count: int) -> None:
-        """Move the state past the first ``count`` draws of the last read."""
-        if count:
-            offset, state, run = next(r for r in reversed(self._runs) if r[0] < count)
-            self.consumed, self.half = self._state_after(state, run, count - 1 - offset)
-
-    @staticmethod
-    def _state_after(state, run, i):
-        """The state after draw ``i`` of a run decoded from ``state``."""
-        _, end, word, bounded, low, _ = run
-        taken = np.flatnonzero(bounded[: i + 1])
-        if taken.size == 0:
-            return int(end[i]), state[1]
-        j = taken[-1]  # the last 32-bit draw keeps the high half of a fresh output
-        return int(end[i]), int(word[j] >> 32) if low[j] else None
-
-    def _decode(self, codes, consumed, half):
-        """The draws ``codes`` from state (``consumed``, ``half``), each
-        bounded draw taking one uint32: (values, outputs consumed after each
-        draw, the output each draw read, which are bounded, which took a
-        fresh low half, which Lemire's rule rejects)."""
-        bounded = codes > 0
-        # the bounded draws alternate between a fresh output's low half and
-        # the high half it kept, the first one taking a half kept before
-        low = bounded & ((np.cumsum(bounded) & 1) == int(half is None))
-        fresh = low | ~bounded
-        end = np.cumsum(fresh)
-        end += consumed
-        need = end[-1] + 1 if end.size else 1  # one more keeps index -1 valid
-        if need > self._words.size:
-            more = self._bit_generator.random_raw(max(need - self._words.size, _BLOCK))
-            self._words = np.concatenate((self._words, more))
-        # a high half is in the output of the last low half before it
-        word = self._words[np.where(fresh, end, np.maximum.accumulate(np.where(low, end, 0))) - 1]
-        u32 = np.where(low, word & 0xFFFFFFFF, word >> 32)
-        if half is not None and bounded.any():
-            u32[np.argmax(bounded)] = half
-        m = u32 * codes.astype(np.uint64)
-        value = np.where(bounded, m >> 32, (word >> 11) * 2.0**-53)
-        reject = bounded & ((m & 0xFFFFFFFF) < _THRESHOLD[codes])
-        return value, end, word, bounded, low, reject
-
-
-def _sign(v):
-    """(-1.0, 1.0)[v] for the bounded draws v of two values."""
-    return 2.0 * v - 1.0
+def _sign(d):
+    """-1.0 or 1.0, the bounded draw of two values from the doubles ``d``."""
+    return 2.0 * _bounded(d, 2) - 1.0
 
 
 def _uniform(d, low: float, high: float):
-    """``rng.uniform(low, high)`` from its doubles ``d``."""
+    """A uniform draw on [low, high) from the doubles ``d``."""
     return low + (high - low) * d
 
 
@@ -265,13 +175,13 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
 def _poly_profile(draws: np.ndarray, max_order: int) -> list[np.ndarray]:
     """Degree-5 polynomial with rational coefficients n_k/d_k (d_k <= 4) at a
     rational point p/q (q <= 3), derivatives exact; one row of ``draws``
-    (the 14 bounded draws) per sample.
+    (the 14 doubles) per sample.
 
     Each derivative is an integer numerator over the common denominator
     12 q^5 (|numerator| < 1e9, exact in int64); the one division is
     correctly rounded, so the float is the one the exact rational rounds to.
     """
-    ints = draws.astype(np.int64) + _POLY_LOW
+    ints = _bounded(draws, _POLY_HIGH - _POLY_LOW).astype(np.int64) + _POLY_LOW
     scaled = ints[:, 0:12:2] * (12 // ints[:, 1:12:2])
     p, q = ints[:, 12:13], ints[:, 13:14]
     powers = p**_DEGREES * q ** (5 - _DEGREES)  # x0^m * q^5, m = 0..5
@@ -311,57 +221,20 @@ def _gauss_profile(draws: np.ndarray, max_order: int) -> list[np.ndarray]:
 
 _FAMILIES = (_poly_profile, _sine_profile, _gauss_profile)
 FAMILY_NAMES = ("poly", "sine", "gauss")
-# The draw program of each family's profile, and of one symbol
-# (sign * uniform(0.5, 2.0)).
-_PROGRAMS = (
-    _POLY_HIGH - _POLY_LOW,
-    np.array([2, 0, 2, 0, 0, 0, 0]),  # sign, uniform, sign, four uniforms
-    np.array([2, 0, 2, 0, 0, 0]),  # sign, uniform, sign, three uniforms
-)
-_SYMBOL_PROGRAM = np.array([2, 0])
 
 
-def _trial_programs(dimension: int, n_symbols: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For a trial t with t mod 3 = c, entry c: the trial's draw program
-    (axis a's profile, of family (t + a) mod 3, axis by axis, then the
-    symbols) and where each axis's draws begin, the sample's end last."""
+def _profiles(rows: np.ndarray, phases: np.ndarray, needed) -> list[np.ndarray]:
+    """profiles[a][j][i]: the j-th derivative of axis a's profile in row i,
+    of family (phases[i] + a) mod 3, up to order ``needed[a]``."""
     out = []
-    for c in range(3):
-        parts = [_PROGRAMS[(c + axis) % 3] for axis in range(dimension)]
-        bounds = np.cumsum([0] + [p.size for p in parts])
-        out.append((np.concatenate(parts + [_SYMBOL_PROGRAM] * n_symbols), bounds))
-    return out
-
-
-def _program(layouts, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of trials 0 .. count - 1, one after the other, and where
-    each trial's begin; the draws of trials first .. count - 1 are the
-    suffix from ``starts[first]``."""
-    sizes = np.array([codes.size for codes, _ in layouts])[np.arange(count) % 3]
-    starts = np.cumsum(sizes) - sizes
-    period = np.concatenate([codes for codes, _ in layouts])
-    return np.tile(period, -(-count // 3))[: starts[-1] + sizes[-1]], starts
-
-
-def _profiles(values, starts, first, layouts, needed) -> list[np.ndarray]:
-    """profiles[a][j][i]: the j-th derivative of axis a's profile in trial
-    first + i, whose draws begin at ``values[starts[i]]``.  One call per
-    family and order covers every axis that draws them."""
-    n = starts.size
-    out = [np.empty((order + 1, n)) for order in needed]
-    groups: dict[tuple[int, int], list] = {}
     for axis, order in enumerate(needed):
-        for c, (_, bounds) in enumerate(layouts):
-            rows = np.arange((c - first) % 3, n, 3)
-            groups.setdefault(((c + axis) % 3, order), []).append((axis, rows, bounds[axis]))
-    for (family, order), members in groups.items():
-        begin = np.concatenate([starts[rows] + offset for _, rows, offset in members])
-        draws = values[begin[:, None] + np.arange(_PROGRAMS[family].size)]
-        derivs = np.array(_FAMILIES[family](draws, order))
-        done = 0
-        for axis, rows, _ in members:
-            out[axis][:, rows] = derivs[:, done : done + rows.size]
-            done += rows.size
+        derivs = np.empty((order + 1, len(rows)))
+        families = (phases + axis) % len(_FAMILIES)
+        for family, (begin, end) in enumerate(_FAMILY_COLUMNS):
+            picked = np.flatnonzero(families == family)
+            block = rows[picked, _AXIS_WIDTH * axis + begin : _AXIS_WIDTH * axis + end]
+            derivs[:, picked] = _FAMILIES[family](block, order)
+        out.append(derivs)
     return out
 
 
@@ -373,33 +246,32 @@ def _tensor(profiles: list[np.ndarray], count: tuple[int, ...]) -> np.ndarray:
     return val
 
 
-def _draw_samples(stream: _Stream, layouts, trials: int, dimension: int):
-    """The draws of every trial, a sample with |R| < 0.1 redrawn (at most
-    200 tries a trial); each trial's start in them; the redraw count.
+def _draw_rows(rng, trials: int, dimension: int, width: int):
+    """The rows trials 0 .. trials - 1 take, and the count of rows skipped.
 
-    Each round decodes all the trials still to go, keeps those before the
-    first rejected sample and goes on from the stream state after it."""
-    codes, starts = _program(layouts, trials)
-    kept = []
-    first = resamples = tries = 0
+    Trial t takes the next row of ``rng.random`` whose |R| is at least 0.1
+    with the families of phase t mod 3 (at most 200 tries a trial).  Each
+    round draws one row for every trial still to go; as ``rng.random``
+    fills rows from one stream, the rows are those of any other split."""
     origin = (0,) * dimension
-    while True:
-        begin = starts[first]
-        values = stream.read(codes[begin:])
-        rest = starts[first:] - begin
-        r = _tensor(_profiles(values, rest, first, layouts, origin), origin)
-        rejected = np.flatnonzero(np.abs(r) < 0.1)
-        if rejected.size == 0:
-            kept.append(values)
-            return np.concatenate(kept), starts, resamples
-        bad = int(rejected[0])
-        tries = tries + 1 if bad == 0 else 1
-        if tries == 200:
-            raise RuntimeError("could not draw a well-conditioned jet sample")
-        kept.append(values[: rest[bad]])
-        stream.skip(rest[bad] + layouts[(first + bad) % 3][1][-1])
-        resamples += 1
-        first += bad
+    kept, skipped, tries, t = [], 0, 0, 0
+    while t < trials:
+        rows = rng.random((trials - t, width))
+        phases = np.repeat(np.arange(len(_FAMILIES)), len(rows))  # each row in each phase
+        r = _tensor(_profiles(np.tile(rows, (len(_FAMILIES), 1)), phases, origin), origin)
+        ok = (np.abs(r) >= 0.1).reshape(len(_FAMILIES), -1).tolist()
+        taken = []
+        for i in range(len(rows)):
+            if ok[t % len(_FAMILIES)][i]:
+                taken.append(i)
+                t, tries = t + 1, 0
+            else:
+                tries += 1
+                if tries == 200:
+                    raise RuntimeError("could not draw a well-conditioned jet sample")
+        skipped += len(rows) - len(taken)
+        kept.append(rows[taken])
+    return np.concatenate(kept), skipped
 
 
 def _raise_first_error(fns, jets, symbols, trials: int) -> None:
@@ -423,8 +295,8 @@ def certify(
     samples and report the worst relative magnitude seen."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     q = canonical(q)
@@ -445,16 +317,12 @@ def certify(
     term_fns = [compile_float(t, order, names) for _, t in terms]
     residual_fn = compile_float(residual, order, names)
 
-    stream = _Stream(np.random.default_rng(seed).bit_generator)
-    layouts = _trial_programs(dimension, len(names))
-    values, starts, resamples = _draw_samples(stream, layouts, trials, dimension)
-    profiles = _profiles(values, starts, 0, layouts, needed)
+    width = _AXIS_WIDTH * dimension + 2 * len(names)
+    rows, resamples = _draw_rows(np.random.default_rng(seed), trials, dimension, width)
+    profiles = _profiles(rows, np.arange(trials) % len(_FAMILIES), needed)
     jets = [_tensor(profiles, count) for count in counts]
-    symbol_starts = starts + np.array([b[-1] for _, b in layouts])[np.arange(trials) % 3]
-    symbols = [
-        _sign(values[symbol_starts + 2 * i]) * _uniform(values[symbol_starts + 2 * i + 1], 0.5, 2.0)
-        for i in range(len(names))
-    ]
+    columns = _AXIS_WIDTH * dimension + 2 * np.arange(len(names))
+    symbols = [_sign(rows[:, c]) * _uniform(rows[:, c + 1], 0.5, 2.0) for c in columns]
     with np.errstate(all="ignore"):
         try:
             scale = np.zeros(trials)
