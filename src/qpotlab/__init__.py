@@ -9,14 +9,15 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
   certification that a candidate potential is a stationary point of the
   density-weighted Euler-Lagrange expression;
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
-- ``grid``/``qpotential`` — grid functions, Laplacian series sum c_n lap^n
-  (the grid picks the transform or finite-difference backend), and
-  evaluation of the potential hierarchy as one such series, projected onto
-  its convergence band |k| <= m c / hbar (radial grids stay unprojected),
-  with floor regularization;
-- ``spectra`` — box and hydrogen stationary states, perturbative energy
-  shifts with an independent cross-check path, and a nonperturbative
-  modified eigensolver;
+- ``grid``/``qpotential`` — uniform grid functions, Laplacian series
+  sum c_n lap^n (the grid's boundary picks the Fourier or sine
+  transform), and evaluation of the potential hierarchy as one such
+  series, projected onto its convergence band |k| <= m c / hbar, with
+  floor regularization;
+- ``spectra`` — box and hydrogen stationary states (hydrogen as its
+  reduced radial field on a Dirichlet grid), perturbative energy shifts
+  with an independent cross-check path, and a nonperturbative modified
+  eigensolver;
 - ``dynamics`` — integration of the modified (nonlinear) wave equation
   for node-free states, split-step on periodic grids and Crank-Nicolson on
   Dirichlet ones, plus guidance-velocity trajectories;
@@ -105,6 +106,7 @@ from .spectra import (  # noqa: F401
     box_eigenstate,
     box_shift_closed_form,
     compare_shifts,
+    hydrogen_band_fraction,
     hydrogen_radial_state,
     hydrogen_shift_closed_form,
     perturbative_shift,

@@ -60,7 +60,6 @@ from . import kernels
 from .grid import (
     DIRICHLET,
     PERIODIC,
-    UNIFORM,
     Grid,
     GridError,
     GridFunction,
@@ -221,8 +220,6 @@ def evolve(
     than 1e-4 relative (signals dt too large or node blow-up).
     """
     g = psi0.grid
-    if g.kind != UNIFORM:
-        raise GridError("evolution runs on uniform grids")
     if not V.grid.same_as(g):
         raise GridError("potential grid does not match the field grid")
     validate_order2(spec, params)

@@ -1,27 +1,23 @@
 """Real-space grids, differential operators, and quadrature.
 
-Two grid kinds cover everything downstream:
+Every grid is uniform and one-dimensional: equally spaced points,
+Dirichlet (both endpoints stored) or periodic (right endpoint omitted).
+Radial s-state problems need no grid of their own: for u = r*R the 3-D
+Laplacian is lap^n R = d^{2n}u/dr^{2n} / r and R^2 4 pi r^2 dr = (sqrt(4 pi)
+u)^2 dr, so they are the Dirichlet problem for sqrt(4 pi) r R on [0, r_max]
+with the wall node at r = 0.
 
-* ``uniform-1d`` — equally spaced points, Dirichlet (both endpoints stored)
-  or periodic (right endpoint omitted).
-* ``radial-log`` — geometrically spaced radii for radial problems; the
-  Laplacian uses the substitution u(r) = r*R(r), for which the radial
-  Laplacian is u''(r)/r, evaluated on the uniform log-radius auxiliary grid.
-  The integration measure carries the 4*pi*r^2 weight.
-
-The grid picks the derivative backend, and nothing else can: the
-real-input Fourier transform (``rfft``/``irfft``) on periodic grids, the
-sine (DST-I) transform on uniform Dirichlet grids (exact mode actions for
-fields vanishing at the walls) and 4th-order finite differences on radial
-grids.  The gradient is the real-input Fourier derivative on periodic grids
-and finite differences elsewhere.  A Laplacian series sum c_n lap^n (a
-power is one term) costs one transform pair with the symbol sum c_n
-(-k^2)^n, or one stencil per power on radial grids; :func:`series_operator`
+The grid's boundary picks the derivative backend, and nothing else can:
+the real-input Fourier transform (``rfft``/``irfft``) on periodic grids
+and the sine (DST-I) transform on Dirichlet grids (exact mode actions for
+fields vanishing at the walls).  The gradient is the real-input Fourier
+derivative on periodic grids and 4th-order finite differences on Dirichlet
+ones.  A Laplacian series sum c_n lap^n (a power is one term) costs one
+transform pair with the symbol sum c_n (-k^2)^n; :func:`series_operator`
 resolves the symbol once for a caller that applies one series many times.
-A series can be band-limited: on a transform grid the symbol is zero at
-every mode with |k| above the band edge (the projection P onto |k| <=
-band, applied on both sides of the series).  Radial grids have no
-transform and are never projected.
+A series can be band-limited: the symbol is zero at every mode with |k|
+above the band edge (the projection P onto |k| <= band, applied on both
+sides of the series).
 """
 
 from __future__ import annotations
@@ -38,8 +34,8 @@ import scipy
 
 from . import serialize
 
+#: The one grid kind, which every sidecar records.
 UNIFORM = "uniform-1d"
-RADIAL_LOG = "radial-log"
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
@@ -84,24 +80,21 @@ def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
 
 
 _D1_CENTER = _fd_weights((-2, -1, 0, 1, 2), 1)
-_D2_CENTER = _fd_weights((-2, -1, 0, 1, 2), 2)
 _D1_EDGE = [_fd_weights(tuple(range(-s, 5 - s)), 1) for s in (0, 1)]
-_D2_EDGE = [_fd_weights(tuple(range(-s, 6 - s)), 2) for s in (0, 1)]
 
 
-def _uniform_derivative(vals: np.ndarray, h: float, deriv: int) -> np.ndarray:
-    """4th-order derivative on a uniform grid; one-sided stencils at edges."""
+def _uniform_derivative(vals: np.ndarray, h: float) -> np.ndarray:
+    """4th-order first derivative on a uniform grid; one-sided stencils at
+    the edges."""
     n = vals.shape[0]
-    center = _D1_CENTER if deriv == 1 else _D2_CENTER
-    edges = _D1_EDGE if deriv == 1 else _D2_EDGE
-    width = len(edges[0])
+    width = len(_D1_EDGE[0])
     out = np.zeros(n)
-    for k, w in enumerate(center):
+    for k, w in enumerate(_D1_CENTER):
         out[2 : n - 2] += w * vals[k : n - 4 + k]
-    for row, weights in enumerate(edges):
+    for row, weights in enumerate(_D1_EDGE):
         out[row] = np.dot(weights, vals[:width])
-        out[n - 1 - row] = (-1.0) ** deriv * np.dot(weights, vals[-1 : -width - 1 : -1])
-    return out / h**deriv
+        out[n - 1 - row] = -np.dot(weights, vals[-1 : -width - 1 : -1])
+    return out / h
 
 
 # --------------------------------------------------------------------------
@@ -111,35 +104,23 @@ def _uniform_derivative(vals: np.ndarray, h: float, deriv: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """A 1-D coordinate grid (uniform or log-radial)."""
+    """A uniform 1-D coordinate grid."""
 
-    kind: str
     points: np.ndarray
     boundary: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         object.__setattr__(self, "points", pts)
-        if self.kind not in (UNIFORM, RADIAL_LOG):
-            raise GridError(f"unknown grid kind {self.kind!r}")
         if self.boundary not in (DIRICHLET, PERIODIC):
             raise GridError(f"unknown boundary {self.boundary!r}")
         if pts.ndim != 1 or pts.size < 16:
             raise GridError("grid needs at least 16 points")
         if not np.all(np.diff(pts) > 0):
             raise GridError("grid points must be strictly increasing")
-        if self.kind == RADIAL_LOG:
-            if self.boundary != DIRICHLET:
-                raise GridError("radial grids are Dirichlet only")
-            if pts[0] <= 0:
-                raise GridError("radial grids must start at r_min > 0")
-            steps = np.diff(np.log(pts))
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                raise GridError("radial-log grid must be geometrically spaced")
-        else:
-            steps = np.diff(pts)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                raise GridError("uniform grid must be equally spaced")
+        steps = np.diff(pts)
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+            raise GridError("uniform grid must be equally spaced")
         pts.flags.writeable = False
 
     @classmethod
@@ -151,14 +132,7 @@ class Grid:
             pts = start + (stop - start) * np.arange(n) / n
         else:
             pts = np.linspace(start, stop, n)
-        return cls(UNIFORM, pts, boundary)
-
-    @classmethod
-    def radial_log(cls, r_min: float, r_max: float, n: int) -> "Grid":
-        """Geometrically spaced radial grid on [r_min, r_max], r_min > 0."""
-        if r_min <= 0:
-            raise GridError("radial grids must start at r_min > 0")
-        return cls(RADIAL_LOG, np.geomspace(r_min, r_max, n), DIRICHLET)
+        return cls(pts, boundary)
 
     @property
     def n(self) -> int:
@@ -166,23 +140,19 @@ class Grid:
 
     @property
     def spacing(self) -> float:
-        """Uniform point spacing (coordinate units); uniform grids only."""
-        if self.kind != UNIFORM:
-            raise GridError("spacing is defined for uniform grids only")
+        """Point spacing (coordinate units)."""
         return float(self.points[1] - self.points[0])
 
     @property
     def length(self) -> float:
         """Domain length: periodic grids include the wrap interval."""
-        if self.kind != UNIFORM:
-            raise GridError("length is defined for uniform grids only")
         span = float(self.points[-1] - self.points[0])
         return span + self.spacing if self.boundary == PERIODIC else span
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Angular FFT wavenumbers 2 pi fftfreq(n, h), built once per grid
-        (read-only); uniform grids only."""
+        (read-only)."""
         k = 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.spacing)
         k.flags.writeable = False
         return k
@@ -192,7 +162,7 @@ class Grid:
     ) -> np.ndarray:
         """:func:`laplacian_symbol` of ``unit``, zero above ``band``, at this
         grid's transform wavenumbers, built once per grid, coefficient map
-        and band and read-only; uniform grids only.  On periodic grids these
+        and band and read-only.  On periodic grids these
         are the n // 2 + 1 non-negative-frequency entries of
         :attr:`wavenumbers` that a real-input FFT returns (the symbol is
         even in k, so they are the full symbol's first half, bit for bit);
@@ -218,23 +188,9 @@ class Grid:
     def _symbols(self) -> dict:
         return {}
 
-    @property
-    def log_step(self) -> float:
-        if self.kind != RADIAL_LOG:
-            raise GridError("log_step is defined for radial-log grids only")
-        return float(np.log(self.points[1] / self.points[0]))
-
-    @property
-    def measure_weight(self) -> np.ndarray:
-        """Quadrature weight of the measure: 1 on lines, 4*pi*r^2 radially."""
-        if self.kind == RADIAL_LOG:
-            return 4.0 * np.pi * self.points**2
-        return np.ones_like(self.points)
-
     def same_as(self, other: "Grid") -> bool:
         return (
-            self.kind == other.kind
-            and self.boundary == other.boundary
+            self.boundary == other.boundary
             and self.points.shape == other.points.shape
             and bool(np.allclose(self.points, other.points, rtol=1e-12, atol=0))
         )
@@ -302,75 +258,54 @@ def series_operator(
     ``band``; its scale and symbol are resolved once, here.
 
     The grid picks the backend: the real-input Fourier transform on
-    periodic grids, the sine transform on uniform Dirichlet grids (valid
-    for fields vanishing at the walls) and finite differences on radial
-    grids, which ignore ``band``.  A transform costs one pair with the
-    whole band-limited symbol, whatever the highest power (the largest c_n
-    is factored out, so one term gives exactly c lap^n f).  Finite
-    differences apply the stencil once per power.
+    periodic grids and the sine transform on Dirichlet grids (valid for
+    fields vanishing at the walls).  Either costs one transform pair with
+    the whole band-limited symbol, whatever the highest power (the largest
+    c_n is factored out, so one term gives exactly c lap^n f).
     """
     if not coeffs or min(coeffs) < 1:
         raise GridError(f"powers must be >= 1, got {sorted(coeffs)}")
     top = max(coeffs)
     if g.n < 2 * top + 1:
         raise GridError(f"grid with {g.n} points is under-resolved for order {2 * top}")
-    if g.kind == UNIFORM:
-        scale = max(coeffs.values(), key=abs) or 1.0
-        symbol = g.series_symbol({n: c / scale for n, c in coeffs.items()}, band)
-        if g.boundary == PERIODIC:
+    scale = max(coeffs.values(), key=abs) or 1.0
+    symbol = g.series_symbol({n: c / scale for n, c in coeffs.items()}, band)
+    if g.boundary == PERIODIC:
 
-            def fourier(values: np.ndarray) -> np.ndarray:
-                coef = scipy.fft.rfft(values)
-                coef *= symbol
-                out = scipy.fft.irfft(coef, g.n, overwrite_x=True)
-                out *= scale
-                return out
-
-            return fourier
-
-        def sine(values: np.ndarray) -> np.ndarray:
-            coef = scipy.fft.dst(values[1:-1], type=1, norm="ortho")
+        def fourier(values: np.ndarray) -> np.ndarray:
+            coef = scipy.fft.rfft(values)
             coef *= symbol
-            out = np.zeros(g.n)
-            out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
+            out = scipy.fft.irfft(coef, g.n, overwrite_x=True)
+            out *= scale
             return out
 
-        return sine
+        return fourier
 
-    # u = r*R on the uniform t = ln r grid: lap R = (u_tt - u_t) / r^3.
-    r, dt = g.points, g.log_step
-
-    def stencil(values: np.ndarray) -> np.ndarray:
-        vals, out = values, np.zeros(g.n)
-        for n in range(1, top + 1):
-            u = r * vals
-            vals = (_uniform_derivative(u, dt, 2) - _uniform_derivative(u, dt, 1)) / r**3
-            if n in coeffs:
-                out += coeffs[n] * vals
+    def sine(values: np.ndarray) -> np.ndarray:
+        coef = scipy.fft.dst(values[1:-1], type=1, norm="ortho")
+        coef *= symbol
+        out = np.zeros(g.n)
+        out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
         return out
 
-    return stencil
+    return sine
 
 
 def gradient(f: GridFunction) -> GridFunction:
     """First spatial derivative: the Fourier derivative on periodic grids,
-    4th-order finite differences elsewhere (radial derivative on radial
-    grids)."""
+    4th-order finite differences on Dirichlet ones."""
     g = f.grid
     if g.boundary == PERIODIC:
         coef = scipy.fft.rfft(f.values)
         coef *= 1j * g.wavenumbers[: g.n // 2 + 1]
         return GridFunction(g, scipy.fft.irfft(coef, g.n, overwrite_x=True))
-    if g.kind == RADIAL_LOG:
-        return GridFunction(g, _uniform_derivative(f.values, g.log_step, 1) / g.points)
-    return GridFunction(g, _uniform_derivative(f.values, g.spacing, 1))
+    return GridFunction(g, _uniform_derivative(f.values, g.spacing))
 
 
 def integrate(f: GridFunction) -> float:
-    """Quadrature over the grid measure (trapezoid; 4*pi*r^2 weight radially)."""
+    """Quadrature over the grid: the trapezoid rule, which on a periodic
+    grid is the plain sum times the spacing."""
     g = f.grid
-    if g.kind == RADIAL_LOG:
-        return float(np.trapezoid(f.values * g.measure_weight, g.points))
     if g.boundary == PERIODIC:
         return float(np.sum(f.values) * g.spacing)
     return float(np.trapezoid(f.values, g.points))
@@ -398,7 +333,7 @@ def _write_table(
     serialize.write_csv(
         path, ("coordinate", *data), np.column_stack((grid.points, *data.values()))
     )
-    sidecar = {"kind": grid.kind, "boundary": grid.boundary, **meta}
+    sidecar = {"kind": UNIFORM, "boundary": grid.boundary, **meta}
     serialize.write_json(path.with_name(path.name + ".json"), sidecar)
 
 
@@ -429,5 +364,13 @@ def read_gridfunction(path: str | Path) -> GridFunction:
     if not sidecar_path.exists():
         raise GridError(f"missing sidecar {sidecar_path}")
     meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    g = Grid(meta["kind"], data[:, 0], meta["boundary"])
+    missing = [key for key in ("kind", "boundary") if key not in meta]
+    if missing:
+        raise GridError(f"{sidecar_path}: sidecar has no {' or '.join(missing)}")
+    if meta["kind"] != UNIFORM:
+        raise GridError(
+            f"{sidecar_path}: grid kind {meta['kind']!r} cannot be read; "
+            f"only {UNIFORM!r} grids can"
+        )
+    g = Grid(data[:, 0], meta["boundary"])
     return GridFunction(g, data[:, 1])

@@ -17,9 +17,8 @@ per grid and spec, :func:`eval_complete_q` applies it once and
 functional and the perturbative shifts.  For the relativistic coefficients
 that symbol is the series of eps0 (sqrt(1 + x) - 1) in x = (hbar k / m c)^2,
 which converges only for x <= 1, so both project the series onto the band
-|k| <= m c / hbar (:func:`band_edge`): on a transform grid the symbol is
-zero above it, at no extra cost.  Radial grids have no transform and stay
-unprojected.  Division by R diverges at nodes, so the quotient is zeroed
+|k| <= m c / hbar (:func:`band_edge`): the symbol is zero above it, at no
+extra cost.  Division by R diverges at nodes, so the quotient is zeroed
 where |R| falls below ``regularization_floor * max|R|``.  The order-0 term
 is R/R = 1 identically and is never floored.
 """

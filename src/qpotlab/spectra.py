@@ -1,22 +1,24 @@
 """Stationary states and the energy shifts induced by higher-order terms.
 
-Base eigenstates (particle in a box; the hydrogen 1s and 2s radial
-states, l = 0, at the physical fine-structure constant
-``qpotential.FINE_STRUCTURE``) have a spatially constant phase, so
-first-order perturbation theory for an order-2n term reduces to the real
-integral
+Base eigenstates (particle in a box; the hydrogen 1s and 2s states, l = 0,
+at the physical fine-structure constant ``qpotential.FINE_STRUCTURE``)
+have a spatially constant phase, so first-order perturbation theory for an
+order-2n term reduces to the real integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
 evaluated by :func:`qpotential.expectation` in the Hermitian split form,
 projected onto the band |k| <= m c / hbar like every evaluation of the
-hierarchy.  Box modes diagonalize every Laplacian power, so the box closed
-forms (band-limited the same way) and the spectral eigenvalues are
-``grid.laplacian_symbol`` at k = tau pi / L.  The
-order-4 shift is the kinetic relativistic correction;
-:func:`relativistic_reference_shift` recomputes it through a deliberately
-separate code path (its own transforms, stencils and quadrature) as a
-cross-check oracle.
+hierarchy.  Hydrogen is the same 1-D Dirichlet problem as the box: its
+field is the reduced radial function sqrt(4 pi) r R on [0, r_max], whose
+second derivative is sqrt(4 pi) r lap R and whose square integrates to
+the 3-D norm.  Box modes diagonalize every Laplacian power, so the box
+closed forms (band-limited the same way) and the spectral eigenvalues are
+``grid.laplacian_symbol`` at k = tau pi / L; the hydrogen closed forms are
+the textbook shifts and their share inside the band.  The order-4 shift is
+the kinetic relativistic correction; :func:`relativistic_reference_shift`
+recomputes it through a deliberately separate code path (its own
+transforms, band cut and quadrature) as a cross-check oracle.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
 including the order-4 operator nonperturbatively.  Its finite-difference
@@ -35,8 +37,6 @@ import scipy
 
 from .grid import (
     DIRICHLET,
-    RADIAL_LOG,
-    UNIFORM,
     Grid,
     GridError,
     GridFunction,
@@ -100,29 +100,45 @@ def bohr_radius(params: PhysicalParams) -> float:
     return params.hbar / (params.mass * params.c * FINE_STRUCTURE)
 
 
-def hydrogen_default_grid(params: PhysicalParams, points: int = 2048) -> Grid:
-    """Log-radial grid resolving the cusp region: r in [1e-4 a, 50 a]."""
+def hydrogen_default_grid(params: PhysicalParams, points: int = 4096) -> Grid:
+    """Dirichlet grid on [0, 40 a] for the reduced radial field: ``points``
+    radii at r > 0 plus the wall node at r = 0.
+
+    Its sine modes must reach the band edge m c / hbar (pi points / 40 a
+    >= m c / hbar, 1745 radii at the physical alpha), else the band
+    projection would cut modes the grid does not have; a coarser grid
+    raises GridError naming the minimum.
+    """
     a = bohr_radius(params)
-    return Grid.radial_log(1e-4 * a, 50.0 * a, points)
+    r_max = 40.0 * a
+    band = band_edge(params)
+    if math.pi * points / r_max < band:
+        need = math.ceil(band * r_max / math.pi)
+        raise GridError(
+            f"{points} radii on [0, 40 a] do not resolve the band edge m c / hbar; "
+            f"at least {need} are needed"
+        )
+    return Grid.uniform(0.0, r_max, points + 1)
 
 
 def hydrogen_radial_state(
     n: int, params: PhysicalParams, grid: Grid | None = None
 ) -> StationaryState:
-    """Analytic hydrogen s states (n = 1 or 2) on a radial grid."""
+    """Analytic hydrogen s state (n = 1 or 2) as its reduced radial field
+    sqrt(4 pi) r R(r), normalized on a Dirichlet grid that starts at r = 0."""
     if n not in (1, 2):
         raise ValueError(f"unsupported state n={n}: only 1s and 2s")
     if grid is None:
         grid = hydrogen_default_grid(params)
-    if grid.kind != RADIAL_LOG:
-        raise GridError("hydrogen states require a radial-log grid")
+    if grid.boundary != DIRICHLET or grid.points[0] != 0.0:
+        raise GridError("hydrogen states need a Dirichlet grid starting at r = 0")
     a = bohr_radius(params)
     r = grid.points
     if n == 1:
-        values = np.exp(-r / a) / math.sqrt(math.pi * a**3)
+        R = np.exp(-r / a) / math.sqrt(math.pi * a**3)
     else:
-        values = (2.0 - r / a) * np.exp(-r / (2.0 * a)) / math.sqrt(32.0 * math.pi * a**3)
-    R0 = GridFunction(grid, values).normalized()
+        R = (2.0 - r / a) * np.exp(-r / (2.0 * a)) / math.sqrt(32.0 * math.pi * a**3)
+    R0 = GridFunction(grid, math.sqrt(4.0 * math.pi) * r * R).normalized()
     E0 = -0.5 * params.rest_energy * FINE_STRUCTURE**2 / n**2
     return StationaryState(R0=R0, E0=E0, label=f"hydrogen {n}s")
 
@@ -160,56 +176,27 @@ def relativistic_reference_shift(state: StationaryState, params: PhysicalParams)
     """Kinetic relativistic correction -<p^4>/(8 m^3 c^2) for constant-phase
     states, computed with code independent of the potential-evaluation path.
     """
-    lap = _reference_laplacian(state.R0)
-    g = state.R0.grid
-    if g.kind == RADIAL_LOG:
-        integral = np.trapezoid(lap**2 * 4.0 * np.pi * g.points**2, g.points)
-    else:
-        integral = np.trapezoid(lap**2, g.points)
+    band = params.mass * params.c / params.hbar
+    lap = _reference_laplacian(state.R0, band)
+    integral = np.trapezoid(lap**2, state.R0.grid.points)
     return float(-(params.hbar**4) / (8.0 * params.mass**3 * params.c**2) * integral)
 
 
-# One-sided 4th-order stencils for the reference path, written out explicitly
-# (the main grid module generates its weights; keeping these literal makes the
-# two paths independent).
-_REF_D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_REF_D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_REF_D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_REF_D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-
-
-def _reference_laplacian(f: GridFunction) -> np.ndarray:
+def _reference_laplacian(f: GridFunction, band: float) -> np.ndarray:
+    """Second derivative by its own DST-I pair, with the sine modes above
+    ``band`` cut."""
     g = f.grid
-    if g.kind == UNIFORM and g.boundary == DIRICHLET:
-        interior = f.values[1:-1]
-        m = interior.size
-        length = float(g.points[-1] - g.points[0])
-        coef = scipy.fft.dst(interior, type=1, norm="ortho")
-        k = np.arange(1, m + 1) * np.pi / length
-        out = np.zeros(g.n)
-        out[1:-1] = scipy.fft.idst(-(k**2) * coef, type=1, norm="ortho")
-        return out
-    if g.kind != RADIAL_LOG:
-        raise GridError("reference shift supports uniform Dirichlet and radial grids")
-    r = g.points
-    u = r * f.values
-    dt = math.log(r[1] / r[0])
-    n = u.size
-    u_t = np.empty(n)
-    u_tt = np.empty(n)
-    u_t[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dt)
-    u_tt[2:-2] = (
-        -u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2] + 16.0 * u[3:-1] - u[4:]
-    ) / (12.0 * dt**2)
-    u_t[0] = np.dot(_REF_D1_EDGE0, u[:5]) / dt
-    u_t[1] = np.dot(_REF_D1_EDGE1, u[:5]) / dt
-    u_t[-1] = -np.dot(_REF_D1_EDGE0, u[-5:][::-1]) / dt
-    u_t[-2] = -np.dot(_REF_D1_EDGE1, u[-5:][::-1]) / dt
-    u_tt[0] = np.dot(_REF_D2_EDGE0, u[:6]) / dt**2
-    u_tt[1] = np.dot(_REF_D2_EDGE1, u[:6]) / dt**2
-    u_tt[-1] = np.dot(_REF_D2_EDGE0, u[-6:][::-1]) / dt**2
-    u_tt[-2] = np.dot(_REF_D2_EDGE1, u[-6:][::-1]) / dt**2
-    return (u_tt - u_t) / r**3
+    if g.boundary != DIRICHLET:
+        raise GridError("reference shift supports Dirichlet grids only")
+    interior = f.values[1:-1]
+    m = interior.size
+    length = float(g.points[-1] - g.points[0])
+    coef = scipy.fft.dst(interior, type=1, norm="ortho")
+    k = np.arange(1, m + 1) * np.pi / length
+    coef[k > band] = 0.0
+    out = np.zeros(g.n)
+    out[1:-1] = scipy.fft.idst(-(k**2) * coef, type=1, norm="ortho")
+    return out
 
 
 def compare_shifts(
@@ -258,6 +245,38 @@ def hydrogen_shift_closed_form(n: int, params: PhysicalParams) -> float:
     if n not in (1, 2):
         raise ValueError(f"unsupported principal quantum number {n}: only 1 or 2")
     return -params.rest_energy * FINE_STRUCTURE**4 / (2.0 * n**4) * (2.0 * n - 0.75)
+
+
+# Antiderivatives of the band integrands of :func:`hydrogen_band_fraction`,
+# sin^6 (1s) and 64 sin^6 cos^2 2theta (2s), as (coefficient of theta,
+# coefficients of sin 2theta, sin 4theta, ...).
+_BAND_ANTIDERIVATIVES = {
+    1: (5.0 / 16.0, (-15.0 / 64.0, 3.0 / 64.0, -1.0 / 192.0)),
+    2: (13.0, (-23.0 / 2.0, 4.0, -17.0 / 12.0, 3.0 / 8.0, -1.0 / 20.0)),
+}
+
+
+def hydrogen_band_fraction(n: int) -> float:
+    """Share of <p^4> inside the band |k| <= m c / hbar for the 1s or 2s
+    state, a function of alpha alone: the projected order-4 shift is
+    :func:`hydrogen_shift_closed_form` times it.
+
+    <p^4> integrates k^6 |phi(k)|^2 dk, with |phi|^2 proportional to
+    (1 + x^2)^-4 for 1s (x = k a) and to (x^2 - 1)^2 (1 + x^2)^-6 for 2s
+    (x = 2 k a); the band is x <= n / alpha.  With x = tan(theta) the
+    integrands become sin^6 theta and sin^6 theta cos^2 2 theta.  The tail
+    above the band is O(alpha): 1.4865e-2 (1s), 1.1435e-2 (2s).
+    """
+    if n not in _BAND_ANTIDERIVATIVES:
+        raise ValueError(f"unsupported principal quantum number {n}: only 1 or 2")
+    linear, harmonics = _BAND_ANTIDERIVATIVES[n]
+
+    def antiderivative(theta: float) -> float:
+        return linear * theta + sum(
+            c * math.sin(2 * j * theta) for j, c in enumerate(harmonics, start=1)
+        )
+
+    return antiderivative(math.atan(n / FINE_STRUCTURE)) / antiderivative(math.pi / 2)
 
 
 # --------------------------------------------------------------------------
@@ -379,8 +398,8 @@ def solve_modified_eigenproblem(
     signed so that their overlap with the sine mode is positive.
     """
     g = V.grid
-    if g.kind != UNIFORM or g.boundary != DIRICHLET:
-        raise GridError("eigenproblem requires a uniform Dirichlet grid")
+    if g.boundary != DIRICHLET:
+        raise GridError("eigenproblem requires a Dirichlet grid")
     if count < 1 or count > g.n - 2:
         raise ValueError(f"count must be in [1, {g.n - 2}], got {count}")
     coeffs = _operator_coefficients(spec, params)

@@ -288,20 +288,34 @@ class TestSpectraHydrogen:
                 "--problem",
                 "hydrogen",
                 "--radial-points",
-                "1024",
+                "2048",
                 "--out",
                 str(out),
             ]
         )
         assert rc == 0
         payload = read_json(out / "hydrogen_shifts.json")
-        assert payload["radial_points"] == 1024
+        assert payload["radial_points"] == 2048
         assert payload["bohr_radius"] == pytest.approx(0.529177, rel=1e-5)
         assert len(payload["states"]) == 2
         for s in payload["states"]:
             assert s["relative_error"] < 0.02
             assert s["relative_gap"] < 1e-6
+            # the band-projected closed form lies just inside the textbook one
+            assert 0.98 < s["analytic_projected"] / s["analytic"] < 1.0
+            assert s["relative_error_projected"] < 5e-3
         assert "hydrogen: 1s/2s" in capsys.readouterr().out
+
+    def test_grid_that_cannot_resolve_the_band_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(
+            ["spectra", "--problem", "hydrogen", "--radial-points", "1744",
+             "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 1745" in err
+        assert not out.exists()
 
 
 class TestEvolve:
@@ -778,11 +792,15 @@ assert loaded() == [], loaded()
 assert cli.main(["spectra", "--problem", "box", "--points", "65", "--count", "2",
                  "--out", str(out / "b")]) == 0
 assert loaded() == ["scipy.fft"], loaded()
+assert cli.main(["spectra", "--problem", "hydrogen", "--radial-points", "2048",
+                 "--out", str(out / "h")]) == 0
+assert loaded() == ["scipy.fft"], loaded()
 cfg = out / "dirichlet.cfg"
 cfg.write_text("orders = 2\npoints = 65\nboundary = dirichlet\n"
                "initial = eigenmode\ndt = 1e-8\nsteps = 2\n")
 assert cli.main(["evolve", "--config", str(cfg), "--out", str(out / "e")]) == 0
 assert loaded() == list(lazy), loaded()
+assert "scipy.integrate" not in sys.modules
 """
 
 
@@ -790,11 +808,12 @@ class TestColdImport:
     def test_scipy_submodules_load_on_first_use(self, tmp_path):
         """verify-el and coefficients never load scipy.fft, scipy.linalg,
         multiprocessing or the process pool of concurrent.futures; the box
-        spectrum loads scipy.fft, and the Dirichlet evolve scipy.linalg,
-        multiprocessing and the process pool (its frame writer), when they
-        first need them.  The pool is ``concurrent.futures.process``:
-        scipy.fft itself loads the ``concurrent.futures`` package, through
-        numpy.testing."""
+        and hydrogen spectra load scipy.fft, and the Dirichlet evolve
+        scipy.linalg, multiprocessing and the process pool (its frame
+        writer), when they first need them.  The pool is
+        ``concurrent.futures.process``: scipy.fft itself loads the
+        ``concurrent.futures`` package, through numpy.testing.  No command
+        loads scipy.integrate."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Grids, grid functions, Laplacian powers, quadrature, and file round trips."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import scipy.fft
 from qpotlab.grid import (
     DIRICHLET,
     PERIODIC,
-    RADIAL_LOG,
     UNIFORM,
     Grid,
     GridError,
@@ -26,10 +26,14 @@ from qpotlab.grid import (
 )
 
 
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 class TestGridConstruction:
     def test_uniform_dirichlet_includes_endpoints(self):
         g = Grid.uniform(0.0, 1.0, 65)
-        assert g.kind == UNIFORM and g.boundary == DIRICHLET
+        assert g.boundary == DIRICHLET
         assert g.n == 65
         assert g.points[0] == 0.0 and g.points[-1] == 1.0
         assert g.length == pytest.approx(1.0)
@@ -40,24 +44,9 @@ class TestGridConstruction:
         assert g.length == pytest.approx(1.0)
         assert g.spacing == pytest.approx(1.0 / 64)
 
-    def test_radial_log_geometric(self):
-        g = Grid.radial_log(1e-3, 10.0, 128)
-        assert g.kind == RADIAL_LOG and g.boundary == DIRICHLET
-        ratios = g.points[1:] / g.points[:-1]
-        assert np.allclose(ratios, ratios[0], rtol=1e-9)
-        assert g.log_step == pytest.approx(math.log(ratios[0]))
-
-    def test_radial_measure_weight(self):
-        g = Grid.radial_log(1e-2, 1.0, 64)
-        assert np.allclose(g.measure_weight, 4.0 * np.pi * g.points**2)
-
     def test_too_few_points_rejected(self):
         with pytest.raises(GridError):
             Grid.uniform(0.0, 1.0, 8)
-
-    def test_nonpositive_radial_start_rejected(self):
-        with pytest.raises(GridError):
-            Grid.radial_log(0.0, 1.0, 64)
 
     def test_points_are_immutable(self):
         g = Grid.uniform(0.0, 1.0, 32)
@@ -84,10 +73,13 @@ class TestGridFunction:
         assert integrate(GridFunction(g, f.values**2)) == pytest.approx(1.0)
 
     def test_radial_normalization_uses_measure(self):
-        g = Grid.radial_log(1e-4, 40.0, 1024)
-        f = GridFunction(g, np.exp(-g.points)).normalized()
-        total = np.trapezoid(f.values**2 * 4.0 * np.pi * g.points**2, g.points)
-        assert total == pytest.approx(1.0, rel=1e-12)
+        # the reduced field sqrt(4 pi) r R carries the measure 4 pi r^2 dr:
+        # normalizing it on [0, r_max] normalizes R = e^{-r} to 1/sqrt(pi)
+        g = Grid.uniform(0.0, 40.0, 4097)
+        r = g.points
+        f = GridFunction(g, math.sqrt(4.0 * np.pi) * r * np.exp(-r)).normalized()
+        want = math.sqrt(4.0 * np.pi) * r * np.exp(-r) / math.sqrt(np.pi)
+        assert np.max(np.abs(f.values - want)) < 1e-9 * np.max(want)
 
 
 class TestLaplacian:
@@ -116,27 +108,39 @@ class TestLaplacian:
         assert np.max(np.abs(l2.values - k**4 * f.values)) < 1e-10 * k**4
 
     def test_fd_and_spectral_agree_on_smooth_field(self):
-        # the 4th-order stencil of the radial backend against the sine
-        # transform of a uniform Dirichlet grid
+        # the 4th-order stencil of the Dirichlet gradient, applied twice,
+        # against the sine transform
         g = Grid.uniform(0.0, 1.0, 1025)
         f = GridFunction(g, np.sin(np.pi * g.points) ** 3)
-        a = _uniform_derivative(f.values, g.spacing, 2)
+        a = _uniform_derivative(_uniform_derivative(f.values, g.spacing), g.spacing)
         b = power_laplacian(f, 1).values
         interior = slice(4, -4)
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a[interior] - b[interior])) / scale < 1e-8
 
-    def test_radial_laplacian_exponential(self):
-        # lap e^{-r} = e^{-r} - 2 e^{-r} / r
-        g = Grid.radial_log(1e-3, 30.0, 2048)
-        f = GridFunction(g, np.exp(-g.points))
-        lap = power_laplacian(f, 1)
-        r = g.points
-        exact = np.exp(-r) * (1.0 - 2.0 / r)
-        interior = slice(4, -4)
-        scale = np.max(np.abs(exact[interior]))
-        err = np.max(np.abs(lap.values[interior] - exact[interior])) / scale
-        assert err < 1e-6
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_reduced_radial_laplacian_gaussian(self, power):
+        # for s states lap^n R = d^{2n}(r R)/dr^{2n} / r: the sine series of
+        # u = r R on [0, r_max] gives the 3-D Laplacian powers of R.  With
+        # s = 1 / sigma^2, lap R = (s^2 r^2 - 3 s) R and lap^2 R =
+        # (s^4 r^4 - 10 s^3 r^2 + 15 s^2) R.  The Gaussian's spectrum
+        # exp(-k^2 sigma^2 / 2) is below 1e-21 at the band edge k = 1, so the
+        # projection removes only roundoff.  What is left is the roundoff of
+        # one transform pair, O(eps log n) of max|u|, times the symbol, at
+        # most band^(2n) = 1 on the retained modes (measured: 8e-16 and
+        # 8e-15 of max|lap^n R|; unprojected, the grid's k_max^(2n) makes
+        # them 2.7e-12 and 3.8e-8)
+        sigma, band = 10.0, 1.0
+        g = Grid.uniform(0.0, 20.0 * sigma, 2049)
+        r, s = g.points, 1.0 / sigma**2
+        R = np.exp(-s * r**2 / 2.0)
+        exact = {
+            1: (s**2 * r**2 - 3.0 * s) * R,
+            2: (s**4 * r**4 - 10.0 * s**3 * r**2 + 15.0 * s**2) * R,
+        }[power]
+        u = laplacian_series(GridFunction(g, r * R), {power: 1.0}, band).values
+        err = np.max(np.abs(u[1:-1] / r[1:-1] - exact[1:-1]))
+        assert err <= 16 * EPS * math.log2(g.n) * np.max(np.abs(exact))
 
     def test_min_points_for_power(self):
         g = Grid.uniform(0.0, 1.0, 16)
@@ -168,7 +172,6 @@ BACKENDS = {
         lambda x: np.exp(np.cos(2.0 * np.pi * x)),
     ),
     "spectral-dirichlet": (Grid.uniform(0.0, 1.0, 65), lambda x: np.sin(np.pi * x) ** 3),
-    "fd-radial": (Grid.radial_log(1e-3, 20.0, 256), lambda r: np.exp(-r)),
 }
 
 
@@ -216,24 +219,13 @@ class TestLaplacianSeries:
         with pytest.raises(GridError):
             laplacian_series(f, coeffs)
 
-    def test_radial_grid_is_not_projected(self):
-        # radial grids have no transform: the band changes no bit
-        g = Grid.radial_log(1e-3, 5.0, 64)
-        f = GridFunction(g, np.exp(-g.points))
-        assert np.array_equal(
-            laplacian_series(f, SERIES, band=1.0).values, laplacian_series(f, SERIES).values
-        )
-
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_grid_picks_the_backend(self, backend):
         # the Fourier transform on periodic grids, the sine transform on
-        # Dirichlet ones and the stencil in u = r R on radial ones
+        # Dirichlet ones
         g, fn = BACKENDS[backend]
         v = fn(g.points)
-        if g.kind == RADIAL_LOG:
-            u, h = g.points * v, g.log_step
-            want = (_uniform_derivative(u, h, 2) - _uniform_derivative(u, h, 1)) / g.points**3
-        elif g.boundary == PERIODIC:
+        if g.boundary == PERIODIC:
             k = g.wavenumbers[: g.n // 2 + 1]  # real-input FFT frequencies
             want = scipy.fft.irfft(-(k**2) * scipy.fft.rfft(v), g.n)
         else:
@@ -332,15 +324,6 @@ class TestGradient:
             assert np.array_equal(half, full[: n // 2 + 1])
         assert half[-1] == 0.0  # the finite band projects the top modes out
 
-    def test_radial_gradient(self):
-        g = Grid.radial_log(1e-2, 20.0, 1024)
-        f = GridFunction(g, np.exp(-g.points))
-        d = gradient(f)
-        interior = slice(4, -4)
-        exact = -np.exp(-g.points)
-        err = np.max(np.abs(d.values[interior] - exact[interior]))
-        assert err < 1e-6
-
 
 class TestRealInputTransforms:
     """Periodic series and gradients through rfft/irfft agree with the
@@ -396,9 +379,11 @@ class TestQuadrature:
         assert integrate(f) == pytest.approx(0.5, rel=1e-12)
 
     def test_radial_gaussian_volume(self):
-        g = Grid.radial_log(1e-4, 30.0, 2048)
-        f = GridFunction(g, np.exp(-(g.points**2)))
-        assert integrate(f) == pytest.approx(np.pi**1.5, rel=1e-4)
+        # the volume integral of e^{-r^2} is the line integral of the
+        # squared reduced field (sqrt(4 pi) r e^{-r^2 / 2})^2 on [0, r_max]
+        g = Grid.uniform(0.0, 30.0, 2049)
+        u = math.sqrt(4.0 * np.pi) * g.points * np.exp(-(g.points**2) / 2.0)
+        assert integrate(GridFunction(g, u**2)) == pytest.approx(np.pi**1.5, rel=1e-12)
 
     def test_inner_requires_same_grid(self):
         a = GridFunction(Grid.uniform(0.0, 1.0, 32), np.ones(32))
@@ -419,13 +404,37 @@ class TestFileRoundTrip:
         assert np.array_equal(back.values, f.values)
 
     def test_radial_round_trip(self, tmp_path):
-        g = Grid.radial_log(1e-3, 5.0, 64)
-        f = GridFunction(g, np.exp(-g.points))
+        # a reduced radial field lives on a Dirichlet grid from r = 0
+        g = Grid.uniform(0.0, 5.0, 64)
+        f = GridFunction(g, g.points * np.exp(-g.points))
         path = tmp_path / "radial.csv"
         write_gridfunction(path, f)
+        assert read_json(tmp_path / "radial.csv.json")["kind"] == UNIFORM
         back = read_gridfunction(path)
-        assert back.grid.kind == RADIAL_LOG
-        assert np.allclose(back.values, f.values, rtol=0, atol=0)
+        assert back.grid.same_as(g) and back.grid.boundary == DIRICHLET
+        assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"kind": "radial-log"}, "grid kind 'radial-log'"),
+            ({"kind": None}, "has no kind"),
+            ({"boundary": None}, "has no boundary"),
+            ({"kind": None, "boundary": None}, "has no kind or boundary"),
+        ],
+    )
+    def test_unreadable_sidecar_rejected(self, tmp_path, edit, match):
+        # an old radial-log file, or a sidecar without its kind or boundary,
+        # is a GridError naming the sidecar, not a KeyError
+        g = Grid.uniform(0.0, 1.0, 32)
+        path = tmp_path / "f.csv"
+        write_gridfunction(path, GridFunction(g, np.cos(g.points)))
+        sidecar = tmp_path / "f.csv.json"
+        meta = {**read_json(sidecar), **edit}
+        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+        with pytest.raises(GridError, match=match) as exc:
+            read_gridfunction(path)
+        assert str(sidecar) in str(exc.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         g = Grid.uniform(0.0, 1.0, 32)

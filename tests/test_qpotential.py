@@ -257,10 +257,12 @@ class TestCompleteQOperator:
 
     @staticmethod
     def fields(kind):
-        # three fields per grid, each with tails below the floor
+        # three fields per grid, each with tails below the floor; "radial"
+        # is the reduced field r e^{-a r} of hydrogen-like states on a
+        # Dirichlet grid whose wall node is r = 0
         if kind == "radial":
-            g = Grid.radial_log(1e-3, 20.0, 512)
-            return g, [np.exp(-a * g.points) for a in (1.0, 1.5, 3.0)]
+            g = Grid.uniform(0.0, 30.0, 513)
+            return g, [g.points * np.exp(-a * g.points) for a in (1.0, 1.5, 3.0)]
         g = Grid.uniform(0.0, 1.0, 128 if kind == PERIODIC else 129, kind)
         return g, [
             np.sin(np.pi * g.points) * np.exp(-((g.points - c) ** 2) / 0.002)

@@ -9,11 +9,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpotlab.grid import Grid, GridError, GridFunction
+from qpotlab.grid import (
+    DIRICHLET,
+    PERIODIC,
+    Grid,
+    GridError,
+    GridFunction,
+    laplacian_symbol,
+)
 from qpotlab.qpotential import (
     FINE_STRUCTURE,
     QTerm,
     QuantumPotentialSpec,
+    band_edge,
+    dimensional_coefficient,
     electron_params,
     natural_params,
     proton_params,
@@ -25,6 +34,7 @@ from qpotlab.spectra import (
     box_eigenstate,
     box_shift_closed_form,
     compare_shifts,
+    hydrogen_band_fraction,
     hydrogen_default_grid,
     hydrogen_radial_state,
     hydrogen_shift_closed_form,
@@ -94,15 +104,43 @@ class TestHydrogenStates:
             hydrogen_radial_state(3, ELECTRON)
 
     def test_requires_radial_grid(self):
-        g = Grid.uniform(0.0, 10.0, 257)
-        with pytest.raises(GridError):
-            hydrogen_radial_state(1, ELECTRON, grid=g)
+        # the reduced radial field needs a Dirichlet grid whose wall node is
+        # r = 0
+        for g in (Grid.uniform(0.0, 10.0, 256, PERIODIC), Grid.uniform(0.1, 10.0, 257)):
+            with pytest.raises(GridError, match="Dirichlet grid starting at r = 0"):
+                hydrogen_radial_state(1, ELECTRON, grid=g)
 
     def test_default_grid_spans_cusp_to_tail(self):
-        g = hydrogen_default_grid(ELECTRON, points=512)
+        # 2048 radii at r > 0 plus the wall node r = 0
+        g = hydrogen_default_grid(ELECTRON, points=2048)
         a = bohr_radius(ELECTRON)
-        assert g.points[0] == pytest.approx(1e-4 * a)
-        assert g.points[-1] == pytest.approx(50.0 * a)
+        assert g.boundary == DIRICHLET and g.n == 2049
+        assert g.points[0] == 0.0
+        assert g.points[-1] == pytest.approx(40.0 * a)
+        assert hydrogen_default_grid(ELECTRON).n == 4097
+
+    def test_default_grid_must_resolve_the_band(self):
+        # pi radii / 40 a >= m c / hbar needs 40 / (pi alpha) = 1744.8 radii
+        a = bohr_radius(ELECTRON)
+        assert 1744 < 40.0 / (math.pi * FINE_STRUCTURE) < 1745
+        g = hydrogen_default_grid(ELECTRON, points=1745)
+        assert (g.n - 1) * math.pi / (40.0 * a) >= band_edge(ELECTRON)
+        with pytest.raises(GridError, match="at least 1745"):
+            hydrogen_default_grid(ELECTRON, points=1744)
+
+    def test_states_are_the_reduced_radial_field(self):
+        # sqrt(4 pi) r R with the textbook R, normalized on the grid
+        g = hydrogen_default_grid(ELECTRON)
+        a, r = bohr_radius(ELECTRON), g.points
+        radial = {
+            1: np.exp(-r / a) / math.sqrt(math.pi * a**3),
+            2: (2.0 - r / a) * np.exp(-r / (2.0 * a)) / math.sqrt(32.0 * math.pi * a**3),
+        }
+        for n, R in radial.items():
+            u = hydrogen_radial_state(n, ELECTRON, g).R0.values
+            want = math.sqrt(4.0 * math.pi) * r * R
+            assert u[0] == 0.0
+            assert np.max(np.abs(u - want)) < 1e-9 * np.max(np.abs(want))
 
 
 class TestPerturbativeShift:
@@ -140,9 +178,10 @@ class TestPerturbativeShift:
         if inside:
             assert closed < 0 and abs(de - closed) / abs(closed) < 1e-10
         else:
-            # the unprojected reference path still sees the mode's shift;
-            # the quadrature keeps only roundoff leaked into lower modes
-            unprojected = relativistic_reference_shift(st, proton)
+            # the unprojected symbol A4 k^4 is the mode's shift without the
+            # band; the quadrature keeps only roundoff leaked into lower modes
+            A4 = dimensional_coefficient(QTerm.relativistic(4), proton)
+            unprojected = laplacian_symbol({2: A4}, tau * math.pi / 1e-5)
             assert closed == 0.0 and abs(de) < 1e-12 * abs(unprojected)
 
     def test_order6_box_matches_closed_form(self):
@@ -199,6 +238,27 @@ class TestClosedForms:
     def test_hydrogen_validation(self):
         with pytest.raises(ValueError):
             hydrogen_shift_closed_form(3, ELECTRON)
+        with pytest.raises(ValueError):
+            hydrogen_band_fraction(3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hydrogen_band_fraction_matches_quadrature(self, n):
+        # share of k^6 |phi(k)|^2 inside k a <= 1 / alpha, with a = 1
+        from scipy.integrate import quad
+
+        integrand = {
+            1: lambda k: k**6 / (1.0 + k**2) ** 4,
+            2: lambda k: k**6 * (4.0 * k**2 - 1.0) ** 2 / (4.0 * k**2 + 1.0) ** 6,
+        }[n]
+        edge = 1.0 / FINE_STRUCTURE
+        opts = dict(limit=200, epsabs=0.0, epsrel=1e-13)
+        inside = quad(integrand, 0.0, edge, **opts)[0]
+        tail = quad(integrand, edge, np.inf, **opts)[0]
+        assert abs(hydrogen_band_fraction(n) - inside / (inside + tail)) <= 1e-12
+        # the O(alpha) tail above the band
+        assert 1.0 - hydrogen_band_fraction(n) == pytest.approx(
+            {1: 1.48650e-2, 2: 1.14350e-2}[n], abs=1e-7
+        )
 
 
 class TestReferencePath:
@@ -215,11 +275,24 @@ class TestReferencePath:
             assert res.relative_gap < 1e-8
 
     def test_hydrogen_shift_near_analytic(self):
+        # the band-projected shift: the textbook value times its share of
+        # <p^4> inside the band
         for n in (1, 2):
             st = hydrogen_radial_state(n, ELECTRON)
             de = perturbative_shift(st, 4, ELECTRON)
-            exact = hydrogen_shift_closed_form(n, ELECTRON)
+            exact = hydrogen_shift_closed_form(n, ELECTRON) * hydrogen_band_fraction(n)
             assert abs(de - exact) / abs(exact) < 5e-3
+
+    @pytest.mark.parametrize("radii, bound", [(4096, 2e-4), (8192, 2e-5)])
+    def test_hydrogen_shift_converges_to_the_projected_value(self, radii, bound):
+        # resolution study on [0, 40 a], worst of 1s and 2s against the
+        # band-projected closed form: 2.9e-3 at 2048 radii, 1.5e-4 at 4096,
+        # 1.1e-5 at 8192; the bounds sit just above the last two
+        g = hydrogen_default_grid(ELECTRON, points=radii)
+        for n in (1, 2):
+            de = perturbative_shift(hydrogen_radial_state(n, ELECTRON, g), 4, ELECTRON)
+            exact = hydrogen_shift_closed_form(n, ELECTRON) * hydrogen_band_fraction(n)
+            assert abs(de - exact) / abs(exact) < bound
 
     def test_reference_shift_sign(self):
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
@@ -299,7 +372,7 @@ class TestEigenproblem:
             solve_modified_eigenproblem(self.V0, spec6, ELECTRON, 1)
 
     def test_requires_uniform_dirichlet(self):
-        gr = Grid.radial_log(1e-3, 10.0, 64)
+        gr = Grid.uniform(0.0, 1.0, 64, PERIODIC)
         V = GridFunction(gr, np.zeros(64))
         with pytest.raises(GridError):
             solve_modified_eigenproblem(V, self.spec24, ELECTRON, 1)
