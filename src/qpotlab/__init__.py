@@ -49,8 +49,8 @@ from .dynamics import (  # noqa: F401
 )
 from .elcheck import (  # noqa: F401
     ResidualReport,
-    build_el_residual,
     certify,
+    el_residual,
     el_residual_terms,
 )
 from .expr import (  # noqa: F401

@@ -31,10 +31,10 @@ The profiles are array functions over the trials; ``sin``, ``exp`` and
 ``**`` run element by element on Python floats, since numpy's may round
 differently from the C library.
 
-Each residual term and the residual are compiled once per :func:`certify`
-call by :func:`expr.compile_float` and evaluated once, on arrays holding
-every trial; each element is the value of the exact-rational
-:func:`expr.evaluate` at that trial, bit for bit.
+Each residual term and the residual are evaluated once per :func:`certify`
+call by :func:`expr.evaluate`, on arrays holding every trial; each element
+is the value :func:`expr.evaluate` gives at that trial on floats, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ import numpy as np
 from .expr import (
     Expression,
     Jet,
+    JetPoint,
     JetVariable,
     canonical,
-    compile_float,
+    evaluate,
     is_zero,
     jet_variables,
     make_pow,
@@ -99,10 +100,13 @@ def el_residual_terms(
     return terms
 
 
-def build_el_residual(q: Expression, dimension: int = 1) -> Expression:
-    """Canonical form of the summed Euler-Lagrange residual."""
+def el_residual(
+    q: Expression, dimension: int = 1
+) -> tuple[list[tuple[JetVariable, Expression]], Expression]:
+    """:func:`el_residual_terms` and the canonical form of their sum, the
+    Euler-Lagrange residual."""
     terms = el_residual_terms(q, dimension)
-    return canonical(make_sum(tuple(t for _, t in terms)))
+    return terms, canonical(make_sum(tuple(t for _, t in terms)))
 
 
 @dataclass(frozen=True)
@@ -274,14 +278,14 @@ def _draw_rows(rng, trials: int, dimension: int, width: int):
     return np.concatenate(kept), skipped
 
 
-def _raise_first_error(fns, jets, symbols, trials: int) -> None:
-    """Evaluate ``fns`` trial by trial on floats, in the order certify
+def _raise_first_error(exprs, point: JetPoint, constants: dict, trials: int) -> None:
+    """Evaluate ``exprs`` trial by trial on floats, in the order certify
     takes them, so the first failing trial raises its own error."""
-    jet_rows = np.array(jets).T.tolist()
-    symbol_rows = np.array(symbols).reshape(len(symbols), trials).T.tolist()
-    for jet_row, symbol_row in zip(jet_rows, symbol_rows):
-        for fn in fns:
-            fn(jet_row, symbol_row)
+    for i in range(trials):
+        at = JetPoint({v: float(x[i]) for v, x in point.values.items()})
+        values = {name: float(x[i]) for name, x in constants.items()}
+        for e in exprs:
+            evaluate(e, at, values)
 
 
 def certify(
@@ -300,37 +304,34 @@ def certify(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     q = canonical(q)
-    terms = el_residual_terms(q, dimension)
-    residual = canonical(make_sum(tuple(t for _, t in terms)))
+    terms, residual = el_residual(q, dimension)
 
-    variables = set(jet_variables(q)) | {JetVariable(())}
-    for _, t in terms:
+    variables, names = set(jet_variables(q)) | {JetVariable(())}, set(symbol_names(q))
+    for _, t in terms:  # the residual's jets and symbols are among these
         variables |= set(jet_variables(t))
-    variables |= set(jet_variables(residual))
+        names |= set(symbol_names(t))
     order = sorted(variables, key=lambda v: (v.order, v.axes))  # R first
     counts = [tuple(v.axes.count(axis) for axis in range(dimension)) for v in order]
     needed = [max(c[axis] for c in counts) for axis in range(dimension)]
-    names = set(symbol_names(q)) | set(symbol_names(residual))
-    for _, t in terms:
-        names |= set(symbol_names(t))
     names = sorted(names)
-    term_fns = [compile_float(t, order, names) for _, t in terms]
-    residual_fn = compile_float(residual, order, names)
 
     width = _AXIS_WIDTH * dimension + 2 * len(names)
     rows, resamples = _draw_rows(np.random.default_rng(seed), trials, dimension, width)
     profiles = _profiles(rows, np.arange(trials) % len(_FAMILIES), needed)
-    jets = [_tensor(profiles, count) for count in counts]
     columns = _AXIS_WIDTH * dimension + 2 * np.arange(len(names))
-    symbols = [_sign(rows[:, c]) * _uniform(rows[:, c + 1], 0.5, 2.0) for c in columns]
+    point = JetPoint({v: _tensor(profiles, count) for v, count in zip(order, counts)})
+    constants = {
+        name: _sign(rows[:, c]) * _uniform(rows[:, c + 1], 0.5, 2.0)
+        for name, c in zip(names, columns)
+    }
     with np.errstate(all="ignore"):
         try:
             scale = np.zeros(trials)
-            for fn in term_fns:
-                scale = np.fmax(scale, np.abs(fn(jets, symbols)))  # NaN never wins
-            value = np.abs(residual_fn(jets, symbols))
+            for _, t in terms:
+                scale = np.fmax(scale, np.abs(evaluate(t, point, constants)))  # NaN never wins
+            value = np.abs(evaluate(residual, point, constants))
         except ArithmeticError:
-            _raise_first_error([*term_fns, residual_fn], jets, symbols, trials)
+            _raise_first_error([t for _, t in terms] + [residual], point, constants, trials)
             raise
         rel = np.where(scale > 0.0, value / scale, np.where(value == 0.0, 0.0, math.inf))
     rel = np.where(rel > 0.0, rel, 0.0)  # nor here: a NaN is never the worst

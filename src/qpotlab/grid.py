@@ -356,7 +356,10 @@ def read_gridfunction(path: str | Path) -> GridFunction:
         cells = row.split(",")
         if len(cells) != 2:
             raise GridError(f"{path}: line {line} has {len(cells)} cell(s), expected 2")
-        pairs.append([float(c) for c in cells])
+        try:
+            pairs.append([float(c) for c in cells])
+        except ValueError as err:
+            raise GridError(f"{path}: line {line}: {err}") from None
     if not pairs:
         raise GridError(f"{path}: no data rows after the header")
     data = np.array(pairs)
@@ -372,5 +375,10 @@ def read_gridfunction(path: str | Path) -> GridFunction:
             f"{sidecar_path}: grid kind {meta['kind']!r} cannot be read; "
             f"only {UNIFORM!r} grids can"
         )
-    g = Grid(data[:, 0], meta["boundary"])
+    if meta["boundary"] not in (DIRICHLET, PERIODIC):
+        raise GridError(f"{sidecar_path}: unknown boundary {meta['boundary']!r}")
+    try:
+        g = Grid(data[:, 0], meta["boundary"])
+    except GridError as err:  # the coordinate column is at fault
+        raise GridError(f"{path}: {err}") from None
     return GridFunction(g, data[:, 1])

@@ -16,8 +16,8 @@ from qpotlab.elcheck import (
     PASSES,
     ResidualReport,
     _poly_profile,
-    build_el_residual,
     certify,
+    el_residual,
     el_residual_terms,
 )
 from qpotlab.expr import (
@@ -29,7 +29,6 @@ from qpotlab.expr import (
     Sym,
     ZERO,
     canonical,
-    compile_float,
     evaluate,
     jet_variables,
     make_prod,
@@ -61,18 +60,18 @@ class TestResidualConstruction:
             "A4 * lap(lap(R)) / R",
             "A6 * lap(lap(lap(R))) / R",
         ):
-            assert build_el_residual(parse_q_expression(text, 1), 1) == ZERO, text
+            assert el_residual(parse_q_expression(text, 1), 1)[1] == ZERO, text
 
     def test_gradient_counterexample_residual(self):
         # Q = C R_x / R  ->  residual -2 C R_x
         q = parse_q_expression("C * dx(R) / R", 1)
-        res = build_el_residual(q, 1)
+        _, res = el_residual(q, 1)
         assert res == make_prod((Const(Fraction(-2)), Sym("C"), R_x))
 
     def test_fisher_counterexample_residual(self):
         # Q = C R_x^2 / R^2  ->  residual -2 C R_xx - 2 C R_x^2 / R
         q = parse_q_expression("C * dx(R)^2 / R^2", 1)
-        res = build_el_residual(q, 1)
+        _, res = el_residual(q, 1)
         expected = parse_q_expression("-2 * C * lap(R) - 2 * C * dx(R)^2 / R", 1)
         assert res == expected
 
@@ -151,8 +150,7 @@ class TestCertify:
     def test_terms_evaluate_consistently(self):
         # Sum of per-index terms equals the assembled residual numerically.
         q = parse_q_expression("C * dx(R)^2 / R^2", 1)
-        terms = el_residual_terms(q, 1)
-        residual = build_el_residual(q, 1)
+        terms, residual = el_residual(q, 1)
         point = JetPoint(
             {
                 JetVariable(): 1.25,
@@ -261,15 +259,14 @@ SCALAR_FAMILIES = (
 
 def scalar_certify(q, dimension, trials, seed):
     """certify one trial at a time, on one ``rng.random(width)`` row per
-    sample attempt and the float path of compile_float: the reference for
+    sample attempt and evaluate on floats: the reference for
     the bulk sampler.  ``trials`` is a count, or a tuple of counts for the
     reports of those first trials of one run (a shorter run draws the same
     stream up to its end)."""
     checkpoints = trials if isinstance(trials, tuple) else (trials,)
     reports = {}
     q = canonical(q)
-    terms = el_residual_terms(q, dimension)
-    residual = canonical(make_sum(tuple(t for _, t in terms)))
+    terms, residual = el_residual(q, dimension)
     variables = set(jet_variables(q)) | {JetVariable(())}
     names = set(symbol_names(q)) | set(symbol_names(residual))
     for _, t in terms:
@@ -280,8 +277,6 @@ def scalar_certify(q, dimension, trials, seed):
     names = sorted(names)
     counts = [tuple(v.axes.count(axis) for axis in range(dimension)) for v in order]
     needed = [max(c[axis] for c in counts) for axis in range(dimension)]
-    term_fns = [compile_float(t, order, names) for _, t in terms]
-    residual_fn = compile_float(residual, order, names)
     rng = np.random.default_rng(seed)
     width = AXIS_WIDTH * dimension + 2 * len(names)
     max_rel, worst, resamples = 0.0, 0, 0
@@ -307,10 +302,12 @@ def scalar_certify(q, dimension, trials, seed):
             _sign(row[c]) * _uniform(row[c + 1], 0.5, 2.0)
             for c in range(AXIS_WIDTH * dimension, width, 2)
         ]
+        point = JetPoint(dict(zip(order, jets)))
+        constants = dict(zip(names, symbols))
         scale = 0.0
-        for fn in term_fns:
-            scale = max(scale, abs(fn(jets, symbols)))
-        value = abs(residual_fn(jets, symbols))
+        for _, t in terms:
+            scale = max(scale, abs(evaluate(t, point, constants)))
+        value = abs(evaluate(residual, point, constants))
         rel = value / scale if scale > 0.0 else (0.0 if value == 0.0 else math.inf)
         if rel > max_rel:
             max_rel, worst = rel, trial

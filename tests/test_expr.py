@@ -20,7 +20,6 @@ from qpotlab.expr import (
     ZERO,
     Sum,
     canonical,
-    compile_float,
     evaluate,
     evaluate_exact,
     jet_variables,
@@ -183,13 +182,49 @@ def _same_bits(a: float, b: float) -> bool:
     return type(a) is float and float.hex(a) == float.hex(b)
 
 
-def _compiled_and_reference(e, variables, names, jets, symbols):
+def _plain_walk(e, values):
+    """The tree walk in Python arithmetic, with no memo and no arrays: the
+    reference for the bits of evaluate on floats."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Sym):
+        return values[e.name]
+    if isinstance(e, Jet):
+        return values[e.var]
+    if isinstance(e, Pow):
+        return _plain_walk(e.base, values) ** e.exponent
+    acc = Fraction(0) if isinstance(e, Sum) else Fraction(1)
+    for part in e.terms if isinstance(e, Sum) else e.factors:
+        value = _plain_walk(part, values)
+        acc = acc + value if isinstance(e, Sum) else acc * value
+    return acc
+
+
+def _evaluated_and_reference(e, variables, names, jets, symbols):
     point = JetPoint(dict(zip(variables, jets)))
-    reference = evaluate(e, point, dict(zip(names, symbols)))
-    return compile_float(e, variables, names)(jets, symbols), reference
+    constants = dict(zip(names, symbols))
+    reference = float(_plain_walk(e, {**point.values, **constants}))
+    return evaluate(e, point, constants), reference
+
+
+def _elementwise(e, variables, names, jets, symbols):
+    """evaluate on arrays, and evaluate on floats at each element's point."""
+    point = JetPoint(dict(zip(variables, jets)))
+    got = evaluate(e, point, dict(zip(names, symbols)))
+    want = [
+        evaluate(
+            e,
+            JetPoint({v: float(x[i]) for v, x in zip(variables, jets)}),
+            {n: float(x[i]) for n, x in zip(names, symbols)},
+        )
+        for i in range(len(jets[0]))
+    ]
+    return got, want
 
 
 class TestCompileFloat:
+    """evaluate on floats: the bits of the plain tree walk."""
+
     @pytest.mark.parametrize("dim", (1, 2, 3))
     @pytest.mark.parametrize("text", WORKLOAD)
     def test_matches_evaluate_on_residual_terms(self, text, dim):
@@ -201,7 +236,6 @@ class TestCompileFloat:
             key=lambda v: (v.order, v.axes),
         )
         names = sorted(set().union(*map(symbol_names, exprs)))
-        compiled = [compile_float(e, variables, names) for e in exprs]
         rng = np.random.default_rng(sum(map(ord, text)) + dim)
         for _ in range(200):
             jets = [
@@ -209,33 +243,26 @@ class TestCompileFloat:
                 for _ in variables
             ]
             symbols = [float(rng.uniform(-2.0, 2.0)) for _ in names]
-            point = JetPoint(dict(zip(variables, jets)))
-            consts = dict(zip(names, symbols))
-            for e, fn in zip(exprs, compiled):
-                assert _same_bits(fn(jets, symbols), evaluate(e, point, consts))
-
-    def test_default_order_is_sorted_variables_and_names(self):
-        e = parse_q_expression("B * R_x + A * R_xx / R", 1)
-        fn = compile_float(e)
-        jets, symbols = [1.5, -0.25, 3.0], [0.75, -2.0]  # R, R_x, R_xx; A, B
-        point = JetPoint({R.var: 1.5, R_x.var: -0.25, R_xx.var: 3.0})
-        assert _same_bits(fn(jets, symbols), evaluate(e, point, {"A": 0.75, "B": -2.0}))
+            for e in exprs:
+                got, want = _evaluated_and_reference(e, variables, names, jets, symbols)
+                assert _same_bits(got, want)
 
     def test_constant_only_expression(self):
         e = Sum((Const(Fraction(1, 3)), Prod((Const(Fraction(2, 7)), Const(5)))))
-        assert _same_bits(compile_float(e)([], []), evaluate(e, JetPoint({})))
-        assert compile_float(e)([], []) == float(Fraction(1, 3) + Fraction(10, 7))
+        assert _same_bits(evaluate(e, JetPoint({})), float(Fraction(1, 3) + Fraction(10, 7)))
 
     def test_exact_prefix_is_folded_and_later_constants_rounded(self):
         # 1/3 + 1/7 is folded exactly before R enters; the trailing 1/11 is
-        # added as float(1/11), as the tree walk does.
+        # added as float(1/11)
         e = Sum((Const(Fraction(1, 3)), Const(Fraction(1, 7)), R, Const(Fraction(1, 11))))
         for r in (1e-17, -0.47619047619047616, 3.0, 1e16):
-            got, want = _compiled_and_reference(e, [R.var], [], [r], [])
+            got, want = _evaluated_and_reference(e, [R.var], [], [r], [])
             assert _same_bits(got, want)
             assert got == float(Fraction(10, 21)) + r + float(Fraction(1, 11))
+            on_array = evaluate(e, JetPoint({R.var: np.array([r])}))
+            assert float.hex(float(on_array[0])) == float.hex(got)
         p = Prod((Const(Fraction(1, 3)), Const(Fraction(3, 5)), R, Const(Fraction(1, 7))))
-        got, want = _compiled_and_reference(p, [R.var], [], [0.1], [])
+        got, want = _evaluated_and_reference(p, [R.var], [], [0.1], [])
         assert _same_bits(got, want)
 
     def test_negative_zero_jets(self):
@@ -249,43 +276,43 @@ class TestCompileFloat:
         )
         for e in cases:
             for r in (-0.0, 0.0):
-                got, want = _compiled_and_reference(e, [R.var, R_x.var], [], [r, -0.0], [])
+                got, want = _evaluated_and_reference(e, [R.var, R_x.var], [], [r, -0.0], [])
                 assert _same_bits(got, want), (to_text(e), r)
+            jets = [np.array([-0.0, 0.0]), np.array([-0.0, -0.0])]
+            got, want = _elementwise(e, [R.var, R_x.var], [], jets, [])
+            assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want]
 
     def test_zero_base_negative_exponent_raises(self):
         e = parse_q_expression("lap(R) / R", 1)
-        fn = compile_float(e, [R.var, R_xx.var], [])
         for r in (0.0, -0.0):
             point = JetPoint({R.var: r, R_xx.var: 1.0})
-            with pytest.raises(EvaluationError) as want:
+            with pytest.raises(
+                EvaluationError, match=r"^division by zero: base R vanishes at this point$"
+            ):
                 evaluate(e, point)
-            with pytest.raises(EvaluationError) as got:
-                fn([r, 1.0], [])
-            assert str(got.value) == str(want.value)
+        with pytest.raises(EvaluationError, match=r"^division by zero: base 0 vanishes"):
+            evaluate(Prod((R, Pow(Const(0), -1))), JetPoint({R.var: 1.0}))
 
     def test_overflow_raises_as_evaluate_does(self):
         e = Pow(R, 3)
         with pytest.raises(OverflowError):
             evaluate(e, JetPoint({R.var: 1e200}))
         with pytest.raises(OverflowError):
-            compile_float(e)([1e200], [])
+            evaluate(e, JetPoint({R.var: np.array([1.0, 1e200])}))
 
-    def test_unbound_names_rejected_at_compile_time(self):
-        e = parse_q_expression("A * R_x", 1)
-        with pytest.raises(EvaluationError, match="unbound constant 'A'"):
-            compile_float(e, [R.var, R_x.var], [])
-        with pytest.raises(EvaluationError, match="R_x"):
-            compile_float(e, [R.var], ["A"])
-        with pytest.raises(EvaluationError, match="division by zero"):
-            compile_float(Prod((R, Pow(Const(0), -1))))
-
-    def test_repeated_subtrees_give_the_same_bits(self):
+    def test_repeated_subtrees_give_the_same_bits(self, monkeypatch):
         inv = Pow(R, -1)
         e = Sum((Prod((inv, R_x)), Prod((inv, R_xx)), Prod((inv, R_x))))
-        got, want = _compiled_and_reference(
-            e, [R.var, R_x.var, R_xx.var], [], [0.3, 1.7, -2.9], []
-        )
+        variables = [R.var, R_x.var, R_xx.var]
+        got, want = _evaluated_and_reference(e, variables, [], [0.3, 1.7, -2.9], [])
         assert _same_bits(got, want)
+        powers = []
+        monkeypatch.setattr(
+            "qpotlab.expr.pow_exact", lambda x, k: powers.append(k) or pow_exact(x, k)
+        )
+        got = evaluate(e, JetPoint(dict(zip(variables, map(np.array, ([0.3], [1.7], [-2.9]))))))
+        assert powers == [-1]  # the shared 1/R once
+        assert float.hex(float(got[0])) == float.hex(want)
 
 
 # Points where numpy's power and Python's float ** round differently.
@@ -294,6 +321,9 @@ POWER_DISAGREES = ((float.fromhex("-0x1.a29cc1d3d98c0p+1"), 2),
 
 
 class TestCompileFloatOnArrays:
+    """evaluate on arrays: each element has the bits of evaluate on floats
+    at that element's point."""
+
     @pytest.mark.parametrize("dim", (1, 2, 3))
     @pytest.mark.parametrize("text", WORKLOAD + ("C * dx(R)^2 / R^2 - B * R^-3",))
     def test_each_element_is_the_float_result(self, text, dim):
@@ -311,45 +341,58 @@ class TestCompileFloatOnArrays:
         jets[0][:2] = [x for x, _ in POWER_DISAGREES]  # R^2 and R^-1 disagree there
         symbols = [rng.uniform(-2.0, 2.0, n) for _ in names]
         for e in exprs:
-            fn = compile_float(e, variables, names)
             with np.errstate(all="ignore"):
-                got = np.broadcast_to(fn(jets, symbols), (n,))
+                got, want = _elementwise(e, variables, names, jets, symbols)
+            got = np.broadcast_to(got, (n,))
+            assert got.dtype == np.float64
             for i in range(n):
-                want = fn([float(j[i]) for j in jets], [float(s[i]) for s in symbols])
-                assert float.hex(float(got[i])) == float.hex(want), (to_text(e), i)
+                assert float.hex(float(got[i])) == float.hex(want[i]), (to_text(e), i)
+
+    def test_fraction_meets_an_array_on_the_right(self):
+        # hand-built trees that put the constant after the array, where it
+        # enters as float(c), as on floats; never an object array
+        cases = (
+            Sum((R, Const(Fraction(1, 3)))),
+            Prod((R, Const(Fraction(1, 10)))),
+            Pow(Sum((Prod((R_x, Const(Fraction(1, 7)))), Const(Fraction(2, 3)))), -3),
+            Prod((Pow(Sum((R, Const(Fraction(1, 3)))), 2), R_x, Const(Fraction(-5, 11)))),
+        )
+        jets = [np.array([-0.0, 0.0, 0.1, -1.5, 3.0]), np.array([0.7, -0.0, 2.5, -0.2, 1e-3])]
+        for e in cases:
+            got, want = _elementwise(e, [R.var, R_x.var], [], jets, [])
+            assert got.dtype == np.float64, to_text(e)
+            assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want]
 
     def test_power_is_the_float_power(self):
         for x, k in POWER_DISAGREES:
             assert np.power(np.array([x]), k)[0] != x**k
-            got = compile_float(Pow(R, k))([np.array([x, 0.5])], [])
+            got = evaluate(Pow(R, k), JetPoint({R.var: np.array([x, 0.5])}))
             assert got.tolist() == [x**k, 0.5**k]
             assert pow_exact(np.array([[x]]), k).tolist() == [[x**k]]
             assert type(pow_exact(x, k)) is float and pow_exact(x, k) == x**k
 
     def test_zero_base_raises_and_the_point_names_it(self):
         e = parse_q_expression("C * lap(R) / dx(R)", 1)
-        variables, names = [R.var, R_x.var, R_xx.var], ["C"]
-        fn = compile_float(e, variables, names)
         r_x = np.array([0.5, -1.5, 0.0, 2.0])  # zero at point 2
-        jets = [np.ones(4), r_x, np.full(4, 3.0)]
+        point = JetPoint({R.var: np.ones(4), R_x.var: r_x, R_xx.var: np.full(4, 3.0)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ZeroDivisionError):
                 with np.errstate(all="ignore"):
-                    fn(jets, [np.full(4, 2.0)])
-        point = JetPoint({R.var: 1.0, R_x.var: 0.0, R_xx.var: 3.0})
-        with pytest.raises(EvaluationError) as want:
-            evaluate(e, point, {"C": 2.0})
+                    evaluate(e, point, {"C": np.full(4, 2.0)})
         for i in range(4):
+            at = JetPoint({R.var: 1.0, R_x.var: float(r_x[i]), R_xx.var: 3.0})
             if i != 2:
-                fn([1.0, float(r_x[i]), 3.0], [2.0])
-        with pytest.raises(EvaluationError) as got:
-            fn([1.0, 0.0, 3.0], [2.0])
-        assert str(got.value) == str(want.value)
+                evaluate(e, at, {"C": 2.0})
+                continue
+            with pytest.raises(
+                EvaluationError, match=r"^division by zero: base R_x vanishes at this point$"
+            ):
+                evaluate(e, at, {"C": 2.0})
 
     def test_constant_expression_gives_its_float(self):
         e = Sum((Const(Fraction(1, 3)), Const(Fraction(2, 7))))
-        assert compile_float(e)([np.zeros(3)], []) == float(Fraction(13, 21))
+        assert _same_bits(evaluate(e, JetPoint({R.var: np.zeros(3)})), float(Fraction(13, 21)))
 
 
 class TestParser:

@@ -421,20 +421,31 @@ class TestFileRoundTrip:
             ({"kind": None}, "has no kind"),
             ({"boundary": None}, "has no boundary"),
             ({"kind": None, "boundary": None}, "has no kind or boundary"),
+            ({"boundary": "neumann"}, "unknown boundary 'neumann'"),
+            ({3: "0.5,1.0"}, "grid points must be strictly increasing"),
+            ({3: "abc,1.0"}, "line 3: could not convert string to float: 'abc'"),
         ],
     )
     def test_unreadable_sidecar_rejected(self, tmp_path, edit, match):
-        # an old radial-log file, or a sidecar without its kind or boundary,
-        # is a GridError naming the sidecar, not a KeyError
+        # an old radial-log file, a sidecar without its kind or boundary or
+        # with an unknown boundary, or a bad coordinate column or cell, is a
+        # GridError naming the file at fault, not a KeyError or ValueError;
+        # a string key edits the sidecar, an int key replaces that CSV line
         g = Grid.uniform(0.0, 1.0, 32)
         path = tmp_path / "f.csv"
         write_gridfunction(path, GridFunction(g, np.cos(g.points)))
         sidecar = tmp_path / "f.csv.json"
-        meta = {**read_json(sidecar), **edit}
+        lines = path.read_text().splitlines()
+        for line, text in edit.items():
+            if isinstance(line, int):
+                lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        meta = {**read_json(sidecar), **{k: v for k, v in edit.items() if isinstance(k, str)}}
         sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
         with pytest.raises(GridError, match=match) as exc:
             read_gridfunction(path)
-        assert str(sidecar) in str(exc.value)
+        at_fault = path if any(isinstance(k, int) for k in edit) else sidecar
+        assert str(exc.value).startswith(f"{at_fault}: ")
 
     def test_missing_sidecar_rejected(self, tmp_path):
         g = Grid.uniform(0.0, 1.0, 32)
