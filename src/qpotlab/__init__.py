@@ -44,7 +44,6 @@ from .dynamics import (  # noqa: F401
     evolve,
     integrate_trajectories,
     norm,
-    quantum_force,
     sample_from_density,
 )
 from .elcheck import (  # noqa: F401

@@ -373,9 +373,16 @@ def _scenario_evolve(
     }
     serialize.write_json(outdir / "evolve_summary.json", summary)
     outputs += ["series.csv", "evolve_summary.json"]
+    E0 = result.energies[0]
+    energy_drift = (
+        serialize.fmt_float(float(np.max(np.abs(result.energies - E0)) / abs(E0)))
+        if E0 != 0.0
+        else "undefined (E0 = 0)"
+    )
     print(
         f"evolve: {steps} steps of dt={serialize.fmt_float(run_cfg.dt)} "
-        f"({scheme}), norm drift {serialize.fmt_float(drift)}"
+        f"({scheme}), norm drift {serialize.fmt_float(drift)}, "
+        f"relative energy drift {energy_drift}"
     )
     return outputs
 

@@ -32,11 +32,12 @@ The grid's boundary picks the kinetic step, and nothing else can: the
 Fourier exponential (:data:`SPLIT_STEP`) on periodic grids, unitary
 Crank-Nicolson (:data:`CRANK_NICOLSON`) on Dirichlet grids, where psi is
 zeroed at both ends before the first step.  The two names are only the
-labels a run reports.  W, the energy functional's non-kinetic terms and
-the Q of :func:`quantum_force` follow the grid's own rule (the real-input
-Fourier transform on periodic grids, the sine transform on Dirichlet ones),
+labels a run reports.  Everything else follows the grid's own rule (the
+real-input Fourier transform on periodic grids, the sine transform on
+Dirichlet ones): W and the energy functional's non-kinetic terms,
 projected onto the band |k| <= m c / hbar where the hierarchy converges
-(:func:`qpotential.eval_complete_q`).  Its quotient terms are zeroed where
+(:func:`qpotential.eval_complete_q`), and the gradient of the guidance
+velocity and of the kinetic energy.  W's quotient terms are zeroed where
 |psi| falls below the amplitude floor.  States with nodes are out of
 scope: R = |psi| has a kink at a node, and the W built from it does not
 reproduce the signed field's dynamics.
@@ -70,7 +71,6 @@ from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
     complete_q_operator,
-    eval_complete_q,
     expectation,
     validate_order2,
 )
@@ -290,7 +290,7 @@ def evolve(
 
 
 # --------------------------------------------------------------------------
-# Derived fields: velocity, force, energy
+# Derived fields: velocity, energy
 # --------------------------------------------------------------------------
 
 
@@ -315,21 +315,6 @@ def bohmian_velocity(psi: WaveField, params: PhysicalParams) -> GridFunction:
         where=~mask,
     )
     return GridFunction(psi.grid, v)
-
-
-def quantum_force(
-    R: GridFunction,
-    V: GridFunction,
-    spec: QuantumPotentialSpec,
-    params: PhysicalParams,
-) -> GridFunction:
-    """Newtonian force -grad(V + Q[R]) along the grid, with the band-limited
-    Q of the evolution.  The order-0 term is a constant (eps0 for a
-    relativistic spec): it exerts no force, but its rounding would, so it
-    is dropped before differentiating."""
-    q = eval_complete_q(R, params, spec.without_order(0))
-    total = GridFunction(R.grid, V.values + q.values)
-    return GridFunction(R.grid, -gradient(total).values)
 
 
 def energy_functional(

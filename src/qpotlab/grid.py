@@ -11,7 +11,7 @@ The grid's boundary picks the derivative backend, and nothing else can:
 the real-input Fourier transform (``rfft``/``irfft``) on periodic grids
 and the sine (DST-I) transform on Dirichlet grids (exact mode actions for
 fields vanishing at the walls).  The gradient is the real-input Fourier
-derivative on periodic grids and 4th-order finite differences on Dirichlet
+derivative on periodic grids and the sine-series derivative on Dirichlet
 ones.  A Laplacian series sum c_n lap^n (a power is one term) costs one
 transform pair with the symbol sum c_n (-k^2)^n; :func:`series_operator`
 resolves the symbol once for a caller that applies one series many times.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -42,59 +41,6 @@ PERIODIC = "periodic"
 
 class GridError(ValueError):
     """Invalid grid construction or an operator/grid mismatch."""
-
-
-# --------------------------------------------------------------------------
-# Finite-difference stencil weights (generated exactly, converted to float)
-# --------------------------------------------------------------------------
-
-
-def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
-    """Weights for the ``deriv``-th derivative at 0 from unit-spaced nodes.
-
-    Fornberg's recurrence carried out in exact rational arithmetic.
-    """
-    xs = [Fraction(o) for o in offsets]
-    n = len(xs)
-    c = [[Fraction(0)] * (deriv + 1) for _ in range(n)]
-    c[0][0] = Fraction(1)
-    c1 = Fraction(1)
-    c4 = xs[0]
-    for i in range(1, n):
-        mn = min(i, deriv)
-        c2 = Fraction(1)
-        c5 = c4
-        c4 = xs[i]
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for k in range(mn, 0, -1):
-                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    return np.array([float(row[deriv]) for row in c])
-
-
-_D1_CENTER = _fd_weights((-2, -1, 0, 1, 2), 1)
-_D1_EDGE = [_fd_weights(tuple(range(-s, 5 - s)), 1) for s in (0, 1)]
-
-
-def _uniform_derivative(vals: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative on a uniform grid; one-sided stencils at
-    the edges."""
-    n = vals.shape[0]
-    width = len(_D1_EDGE[0])
-    out = np.zeros(n)
-    for k, w in enumerate(_D1_CENTER):
-        out[2 : n - 2] += w * vals[k : n - 4 + k]
-    for row, weights in enumerate(_D1_EDGE):
-        out[row] = np.dot(weights, vals[:width])
-        out[n - 1 - row] = -np.dot(weights, vals[-1 : -width - 1 : -1])
-    return out / h
 
 
 # --------------------------------------------------------------------------
@@ -292,14 +238,20 @@ def series_operator(
 
 
 def gradient(f: GridFunction) -> GridFunction:
-    """First spatial derivative: the Fourier derivative on periodic grids,
-    4th-order finite differences on Dirichlet ones."""
+    """First spatial derivative: the Fourier derivative on periodic grids;
+    on Dirichlet grids the sine-series derivative (a DST-I of the interior
+    values, mode j times j pi / L, then a DCT-I to every node), valid for
+    fields vanishing at the walls, whose values it does not read."""
     g = f.grid
     if g.boundary == PERIODIC:
         coef = scipy.fft.rfft(f.values)
         coef *= 1j * g.wavenumbers[: g.n // 2 + 1]
         return GridFunction(g, scipy.fft.irfft(coef, g.n, overwrite_x=True))
-    return GridFunction(g, _uniform_derivative(f.values, g.spacing))
+    coef = scipy.fft.dst(f.values[1:-1], type=1)
+    coef *= np.arange(1, g.n - 1) * (np.pi / (g.length * (g.n - 1)))
+    out = scipy.fft.dct(np.pad(coef, 1), type=1, overwrite_x=True)
+    out *= 0.5
+    return GridFunction(g, out)
 
 
 def integrate(f: GridFunction) -> float:
@@ -366,7 +318,12 @@ def read_gridfunction(path: str | Path) -> GridFunction:
     sidecar_path = path.with_name(path.name + ".json")
     if not sidecar_path.exists():
         raise GridError(f"missing sidecar {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise GridError(f"{sidecar_path}: sidecar is not JSON: {err}") from None
+    if not isinstance(meta, dict):
+        raise GridError(f"{sidecar_path}: sidecar is not a JSON object: {meta!r}")
     missing = [key for key in ("kind", "boundary") if key not in meta]
     if missing:
         raise GridError(f"{sidecar_path}: sidecar has no {' or '.join(missing)}")

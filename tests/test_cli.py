@@ -347,7 +347,22 @@ class TestEvolve:
         header, rows = read_csv_rows(out / "series.csv")
         assert header == ["step", "time", "norm", "energy"]
         assert len(rows) == 3
-        assert "evolve: 20 steps" in capsys.readouterr().out
+        energies = [float(row[3]) for row in rows]
+        drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
+        out_line = capsys.readouterr().out
+        assert "evolve: 20 steps" in out_line
+        assert f"relative energy drift {drift:.17g}\n" in out_line
+
+    def test_flat_field_energy_drift_is_undefined(self, tmp_path, capsys):
+        # a tau = 0 periodic mode under orders 2 has E0 = 0: the verdict
+        # line says the relative drift is undefined instead of failing
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 64\nboundary = periodic\n"
+            "initial = eigenmode\ntau = 0\ndt = 1e-7\nsteps = 5\n"
+        )
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "relative energy drift undefined (E0 = 0)\n" in capsys.readouterr().out
 
     def test_initial_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -22,7 +22,6 @@ from qpotlab.grid import (
     power_laplacian,
     read_gridfunction,
     write_gridfunction,
-    _uniform_derivative,
 )
 
 
@@ -107,16 +106,18 @@ class TestLaplacian:
         l2 = power_laplacian(f, 2)
         assert np.max(np.abs(l2.values - k**4 * f.values)) < 1e-10 * k**4
 
-    def test_fd_and_spectral_agree_on_smooth_field(self):
-        # the 4th-order stencil of the Dirichlet gradient, applied twice,
-        # against the sine transform
-        g = Grid.uniform(0.0, 1.0, 1025)
-        f = GridFunction(g, np.sin(np.pi * g.points) ** 3)
-        a = _uniform_derivative(_uniform_derivative(f.values, g.spacing), g.spacing)
-        b = power_laplacian(f, 1).values
-        interior = slice(4, -4)
-        scale = np.max(np.abs(b))
-        assert np.max(np.abs(a[interior] - b[interior])) / scale < 1e-8
+    def test_gradient_energy_is_the_sine_laplacian(self):
+        # the sine-series derivative lands in the DCT-I modes, orthogonal
+        # under the trapezoid rule: int |f'|^2 is -<f, lap f> of the sine
+        # series by Parseval (measured: at most 3.5e-16 relative)
+        for n in (257, 1025, 4097):
+            g = Grid.uniform(0.0, 1.0, n)
+            x = g.points
+            v = np.exp(-((x - 0.43) ** 2) / (4.0 * 0.05**2)) * np.cos(50.0 * x)
+            v[[0, -1]] = 0.0
+            f = GridFunction(g, v)
+            kinetic = integrate(GridFunction(g, gradient(f).values ** 2))
+            assert kinetic == pytest.approx(-inner(f, power_laplacian(f, 1)), rel=1e-14)
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_reduced_radial_laplacian_gaussian(self, power):
@@ -237,12 +238,23 @@ class TestLaplacianSeries:
 
 
 class TestGradient:
-    def test_uniform_fd(self):
-        g = Grid.uniform(0.0, 1.0, 513)
-        k = 2.0 * np.pi
-        f = GridFunction(g, np.sin(k * g.points))
-        d = gradient(f)
-        assert np.max(np.abs(d.values - k * np.cos(k * g.points))) / k < 1e-8
+    def test_dirichlet_sine_exact_on_box_modes(self):
+        # the sine-series derivative of a box mode is its cosine at every
+        # node, walls included (measured: at most 1.3e-13 k at 513 points)
+        g = Grid.uniform(0.0, 1.5, 513)
+        for mode in (1, 2, 7, 60):
+            k = mode * np.pi / g.length
+            d = gradient(GridFunction(g, np.sin(k * g.points)))
+            assert np.max(np.abs(d.values - k * np.cos(k * g.points))) <= 1e-12 * k
+
+    def test_dirichlet_ignores_the_wall_values(self):
+        g = Grid.uniform(0.0, 1.0, 65)
+        v = np.sin(np.pi * g.points) ** 3
+        walled = v.copy()
+        walled[[0, -1]] = (2.0, -5.0)
+        assert np.array_equal(
+            gradient(GridFunction(g, walled)).values, gradient(GridFunction(g, v)).values
+        )
 
     def test_periodic_spectral(self):
         g = Grid.uniform(0.0, 1.0, 128, PERIODIC)
@@ -424,24 +436,32 @@ class TestFileRoundTrip:
             ({"boundary": "neumann"}, "unknown boundary 'neumann'"),
             ({3: "0.5,1.0"}, "grid points must be strictly increasing"),
             ({3: "abc,1.0"}, "line 3: could not convert string to float: 'abc'"),
+            ("{not json", "sidecar is not JSON: Expecting property name"),
+            ("3", "sidecar is not a JSON object: 3"),
         ],
     )
     def test_unreadable_sidecar_rejected(self, tmp_path, edit, match):
-        # an old radial-log file, a sidecar without its kind or boundary or
-        # with an unknown boundary, or a bad coordinate column or cell, is a
-        # GridError naming the file at fault, not a KeyError or ValueError;
-        # a string key edits the sidecar, an int key replaces that CSV line
+        # an old radial-log file, a sidecar that is not a JSON object or has
+        # no kind or boundary or an unknown boundary, or a bad coordinate
+        # column or cell, is a GridError naming the file at fault, not a
+        # KeyError, TypeError or ValueError; a string replaces the sidecar
+        # text, and in a dict a string key edits the sidecar and an int key
+        # replaces that CSV line
         g = Grid.uniform(0.0, 1.0, 32)
         path = tmp_path / "f.csv"
         write_gridfunction(path, GridFunction(g, np.cos(g.points)))
         sidecar = tmp_path / "f.csv.json"
+        if isinstance(edit, str):
+            sidecar.write_text(edit)
+            edit = {}
         lines = path.read_text().splitlines()
         for line, text in edit.items():
             if isinstance(line, int):
                 lines[line - 1] = text
         path.write_text("\n".join(lines) + "\n")
-        meta = {**read_json(sidecar), **{k: v for k, v in edit.items() if isinstance(k, str)}}
-        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+        if edit:
+            meta = {**read_json(sidecar), **{k: v for k, v in edit.items() if isinstance(k, str)}}
+            sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
         with pytest.raises(GridError, match=match) as exc:
             read_gridfunction(path)
         at_fault = path if any(isinstance(k, int) for k in edit) else sidecar
