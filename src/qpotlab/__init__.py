@@ -19,8 +19,8 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
   with an independent cross-check path, and a nonperturbative modified
   eigensolver;
 - ``dynamics`` — integration of the modified (nonlinear) wave equation
-  for node-free states, split-step on periodic grids and Crank-Nicolson on
-  Dirichlet ones, plus guidance-velocity trajectories;
+  for node-free states, split-step with the exact kinetic exponential on
+  the grid's Fourier or sine modes, plus guidance-velocity trajectories;
 - ``cli`` — reproducible command-line scenarios with manifest output.
 """
 

@@ -42,13 +42,7 @@ import scipy
 
 from . import __version__, serialize
 from .coeffs import coefficient_table
-from .dynamics import (
-    CRANK_NICOLSON,
-    SPLIT_STEP,
-    EvolutionConfig,
-    WaveField,
-    evolve,
-)
+from .dynamics import SPLIT_STEP, EvolutionConfig, WaveField, evolve
 from .elcheck import certify
 from .expr import ExprError, parse_q_expression
 from .grid import (
@@ -362,9 +356,8 @@ def _scenario_evolve(
         ),
     )
     drift = float(np.max(np.abs(result.norms - result.norms[0])))
-    scheme = SPLIT_STEP if boundary == PERIODIC else CRANK_NICOLSON
     summary = {
-        "scheme": scheme,
+        "scheme": SPLIT_STEP,
         "steps": steps,
         "dt": run_cfg.dt,
         "stored_frames": len(result.frames),
@@ -381,7 +374,7 @@ def _scenario_evolve(
     )
     print(
         f"evolve: {steps} steps of dt={serialize.fmt_float(run_cfg.dt)} "
-        f"({scheme}), norm drift {serialize.fmt_float(drift)}, "
+        f"({SPLIT_STEP}), norm drift {serialize.fmt_float(drift)}, "
         f"relative energy drift {energy_drift}"
     )
     return outputs

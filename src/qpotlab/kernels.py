@@ -1,55 +1,18 @@
-"""Numerical kernels: the tridiagonal solve and trajectory advection.
+"""Numerical kernels: trajectory advection.
 
-The Crank-Nicolson matrix is the same at every step of a run, so it is
-LU-factored once with LAPACK ``zgttrf`` (:func:`factor_tridiagonal`) and
-each step costs one ``zgttrs`` back-substitution
-(:func:`solve_tridiagonal`).  Trajectory advection moves every seed at once
-with vectorised numpy RK4 through stored velocity frames, one gather per
-RK4 stage.  The interpolation works in place (``take`` and ``out=``), the
-blended row at the end of a substep is reused as the next substep's first
-row, and periodic positions wrap with :func:`_wrap`, which gives the bits
-of ``np.mod`` with a min/max check instead of a division when every
-position is already in range.  Periodic seeds cannot exit, so only
-Dirichlet grids mask frozen seeds.
+Advection moves every seed at once with vectorised numpy RK4 through
+stored velocity frames, one gather per RK4 stage.  The interpolation
+works in place (``take`` and ``out=``), the blended row at the end of a
+substep is reused as the next substep's first row, and periodic positions
+wrap with :func:`_wrap`, which gives the bits of ``np.mod`` with a
+min/max check instead of a division when every position is already in
+range.  Periodic seeds cannot exit, so only Dirichlet grids mask frozen
+seeds.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy
-
-# --------------------------------------------------------------------------
-# Complex tridiagonal solve (LAPACK gttrf / gttrs)
-# --------------------------------------------------------------------------
-
-
-def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
-    """LU factors of the matrix with subdiagonal dl, diagonal d and
-    superdiagonal du, for any number of :func:`solve_tridiagonal` calls.
-
-    Raises numpy.linalg.LinAlgError if the matrix is singular.
-    """
-    *factors, info = scipy.linalg.lapack.zgttrf(
-        np.asarray(dl, np.complex128),
-        np.asarray(d, np.complex128),
-        np.asarray(du, np.complex128),
-    )
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular tridiagonal matrix: zero pivot in row {info}"
-        )
-    if info < 0:
-        raise ValueError(f"zgttrf: argument {-info} is invalid")
-    return tuple(factors)
-
-
-def solve_tridiagonal(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the factors of A from :func:`factor_tridiagonal`."""
-    x, info = scipy.linalg.lapack.zgttrs(*factors, np.asarray(b, np.complex128))
-    if info != 0:
-        raise ValueError(f"zgttrs: argument {-info} is invalid")
-    return x
-
 
 # --------------------------------------------------------------------------
 # Trajectory advection: RK4 through time-interpolated velocity frames

@@ -394,7 +394,7 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "error:" in err and "dt" in err
 
-    def test_dirichlet_defaults_to_crank_nicolson(self, tmp_path):
+    def test_dirichlet_steps_by_split_step_too(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "orders = 2\npoints = 65\nboundary = dirichlet\n"
@@ -404,7 +404,7 @@ class TestEvolve:
         rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         summary = read_json(out / "evolve_summary.json")
-        assert summary["scheme"] == "crank-nicolson-fd"
+        assert summary["scheme"] == "split-step-spectral"
 
 
 class TestEvolveFailure:
@@ -790,7 +790,10 @@ _COLD_IMPORTS = r"""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from qpotlab import cli
+from qpotlab.grid import Grid, GridFunction, write_gridfunction
 
 out = Path(sys.argv[1])
 lazy = ("scipy.fft", "scipy.linalg", "multiprocessing", "concurrent.futures.process")
@@ -810,25 +813,38 @@ assert loaded() == ["scipy.fft"], loaded()
 assert cli.main(["spectra", "--problem", "hydrogen", "--radial-points", "2048",
                  "--out", str(out / "h")]) == 0
 assert loaded() == ["scipy.fft"], loaded()
-cfg = out / "dirichlet.cfg"
-cfg.write_text("orders = 2\npoints = 65\nboundary = dirichlet\n"
-               "initial = eigenmode\ndt = 1e-8\nsteps = 2\n")
-assert cli.main(["evolve", "--config", str(cfg), "--out", str(out / "e")]) == 0
-assert loaded() == list(lazy), loaded()
+g = Grid.uniform(0.0, 1.0, 65)
+field = out / "field.csv"
+write_gridfunction(field, GridFunction(g, np.sin(np.pi * g.points)))
+spec = out / "spec.cfg"
+spec.write_text("max_order = 4\n")
+assert cli.main(["qpot", "--spec", str(spec), "--input", str(field),
+                 "--out", str(out / "q")]) == 0
+ratios = out / "ratios.cfg"
+ratios.write_text("")
+assert cli.main(["run", "--scenario", "ratios", "--config", str(ratios),
+                 "--out", str(out / "r")]) == 0
+assert loaded() == ["scipy.fft"], loaded()
+for boundary, points in (("periodic", 64), ("dirichlet", 65)):
+    cfg = out / f"{boundary}.cfg"
+    cfg.write_text(f"orders = 2\npoints = {points}\nboundary = {boundary}\n"
+                   "initial = eigenmode\ndt = 1e-8\nsteps = 2\n")
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out / boundary)]) == 0
+# no command loads scipy.linalg
+assert loaded() == ["scipy.fft", "multiprocessing", "concurrent.futures.process"], loaded()
 assert "scipy.integrate" not in sys.modules
 """
 
 
 class TestColdImport:
     def test_scipy_submodules_load_on_first_use(self, tmp_path):
-        """verify-el and coefficients never load scipy.fft, scipy.linalg,
-        multiprocessing or the process pool of concurrent.futures; the box
-        and hydrogen spectra load scipy.fft, and the Dirichlet evolve
-        scipy.linalg, multiprocessing and the process pool (its frame
-        writer), when they first need them.  The pool is
-        ``concurrent.futures.process``: scipy.fft itself loads the
-        ``concurrent.futures`` package, through numpy.testing.  No command
-        loads scipy.integrate."""
+        """verify-el and coefficients never load scipy.fft, multiprocessing
+        or the process pool of concurrent.futures; the box and hydrogen
+        spectra, qpot and ratios load scipy.fft, and evolve multiprocessing
+        and the process pool (its frame writer), when they first need them.
+        The pool is ``concurrent.futures.process``: scipy.fft itself loads
+        the ``concurrent.futures`` package, through numpy.testing.  No
+        command loads scipy.linalg or scipy.integrate."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(

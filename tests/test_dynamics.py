@@ -7,8 +7,6 @@ import pytest
 
 from qpotlab import dynamics, grid
 from qpotlab.dynamics import (
-    CRANK_NICOLSON,
-    SPLIT_STEP,
     EvolutionConfig,
     EvolutionResult,
     TrajectorySet,
@@ -167,19 +165,19 @@ class TestEvolveLinear:
             res.frames[-1].values, gauge * base.frames[-1].values, atol=1e-10
         )
 
-    def test_crank_nicolson_unitary_on_box_mode(self):
+    def test_dirichlet_box_mode_turns_only_its_phase(self):
         g = dirichlet_grid(257)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi0 = WaveField.from_amplitude(R)
         cfg = EvolutionConfig(dt=1e-7, steps=50)
         res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
         assert np.max(np.abs(res.norms - res.norms[0])) < 1e-12
-        # the sine mode is an exact eigenvector of the discrete operator,
-        # so only its phase moves
-        overlap = abs(
-            np.trapezoid(np.conj(psi0.values) * res.frames[-1].values, g.points)
-        )
-        assert overlap > 1.0 - 1e-12
+        # the sine mode is an exact eigenvector of the kinetic step, so the
+        # final frame is psi0 turned by exp(-i c2 k^2 t / hbar)
+        c2 = ELECTRON.hbar**2 / (2.0 * ELECTRON.mass)
+        turn = np.exp(-1j * c2 * np.pi**2 * res.times[-1] / ELECTRON.hbar)
+        diff = res.frames[-1].values - turn * psi0.values
+        assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(psi0.values))
 
     def test_stored_frame_bookkeeping(self):
         g = periodic_grid(64)
@@ -300,12 +298,10 @@ class TestFusedRotation:
 
     SPEC02 = QuantumPotentialSpec((QTerm.relativistic(0), QTerm.relativistic(2)))
 
-    # the grid picks the scheme: split-step on periodic, Crank-Nicolson on
-    # Dirichlet grids
-    @pytest.mark.parametrize("scheme", [SPLIT_STEP, CRANK_NICOLSON])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
     @pytest.mark.parametrize("store_every", [1, 3, 10])
-    def test_matches_unfused_strang_loop(self, scheme, store_every):
-        g = periodic_grid(128) if scheme == SPLIT_STEP else dirichlet_grid(129)
+    def test_matches_unfused_strang_loop(self, boundary, store_every):
+        g = periodic_grid(128) if boundary == PERIODIC else dirichlet_grid(129)
         psi0 = WaveField.gaussian(g, center=0.45, width=0.08, k0=20.0)
         # harmonic well, about 1e5 eV at the walls
         V = GridFunction(g, 4e5 * (g.points - 0.5) ** 2)

@@ -2,7 +2,7 @@
 of the Laplacian backend.
 
 The sha256 of every artifact of two smoke-size CLI ``evolve`` runs
-(periodic split-step and Dirichlet Crank-Nicolson; ``manifest.json`` holds
+(periodic and Dirichlet split-step; ``manifest.json`` holds
 timings and is left out) and the bits of library ``integrate_trajectories``
 endpoints are pinned, and so are the artifacts of ``qpot`` on a periodic,
 a Dirichlet and a reduced radial field, of the box and hydrogen spectra and of the
@@ -100,7 +100,11 @@ def trajectory_endpoints(boundary):
 # re-pinned when the Dirichlet gradient became the sine-series derivative:
 # its energies moved from 520902.91783316166 to 520904.47739048884 (the
 # 4th-order stencil's kinetic error at 256 points), the relative energy
-# drift stayed 1.2e-14, and every frame kept its bytes.
+# drift stayed 1.2e-14, and every frame kept its bytes.  Every Dirichlet
+# artifact after frame 0 was re-pinned when the Dirichlet kinetic step
+# moved from Crank-Nicolson to the sine modes: E0 kept its bits, the
+# relative energy drift fell from 1.2e-14 to 4.0e-15 and the norm drift
+# from 1.2e-14 to 4.0e-15.
 EVOLVE_HASHES = {
     "periodic": {
         "evolve_summary.json": "9f00a6556eed0192147fc53ff64e85e99c79aee51b2a2ec258e23fb298aaa425",
@@ -129,36 +133,40 @@ EVOLVE_HASHES = {
         "series.csv": "5757d81dd75bc9e6fab554c7e8975df4b4d58c744adda29daf61ab8a7d6a3405",
     },
     "dirichlet": {
-        "evolve_summary.json": "23400eadaa8ab080818b1842035b9ab6dfef96feb758ca88fa72ee64f46b26f9",
+        "evolve_summary.json": "e1c895e5bff160fbed157838a86863363a9e3513ec9d6885d7bad293d496ba5c",
         "frame_000000.csv": "4f426b77e976fb7ca6c6867b871fd900cc0891e0767dee31ba9749f77a7a325b",
         "frame_000000.csv.json": "996e135d7d8fabbd4eb78775e021671ec1895c6dd2caa8f8c33618de84e54d32",
-        "frame_000004.csv": "4c95dc7e58dcc14a6b38e3cbf8d1c7d33a42e82b888a5d08fa57cce02b500e9c",
+        "frame_000004.csv": "3da7d7b5f83646baa4a7d055ecd3bb715d3de74d051c02ba91fa99b2e2490ec9",
         "frame_000004.csv.json": "fe2ad917cd4d78576047772a4ba39802d3e9e2b162bafe6883ad4515a8b54ef0",
-        "frame_000008.csv": "2446bffd9bc08f2155afe9209e42db8d3dc20b46abe90ae09c7e670047ca51d5",
+        "frame_000008.csv": "5d1f59edb5754a4a62a23363d3c1044ddd4e33954d16ac6350dcc05d4d8805ae",
         "frame_000008.csv.json": "6816a4a13df7e1d6640831c40e87c63d011512e724ba93d3407215a8b92c8962",
-        "frame_000012.csv": "2fe415aec5c5d2ef464882506186fe2cfc3e0d09f15e1f21578cf0d0d23e14e6",
+        "frame_000012.csv": "44797125617ac33343479c205690ef04a4ef0970d8bbbcdc846763934b5d4927",
         "frame_000012.csv.json": "a84d297a3bec56147449f1fcec940c3f29379dfbcd7903780b16da06cd9ca4ca",
-        "frame_000016.csv": "c44f855da2e139c8a1a0577cc5e8bd14711f1b4468d36a4076ec17c4a6752914",
+        "frame_000016.csv": "692aaf239aa8b2624df7919151836b291f55417f2aaccdf4da5daf5b883c5823",
         "frame_000016.csv.json": "fb961697fe56bfd99612ed9bade90d0229701d29c37b1bc8815050a285e2926e",
-        "frame_000020.csv": "f40c219749332d140b8dcd4945e6ad4d3fdb25945d91717f06da08a7ec19f81e",
+        "frame_000020.csv": "6a2f629e1940be8e7d2fc9cd3cb61a664020a6d6b9c34e2aa240fe90462628f8",
         "frame_000020.csv.json": "a52cd0d828689808e362ae3a43817d28105e678ca5ddc5807d774b2294b0b2fb",
-        "frame_000024.csv": "3a68b9ad15235929830f58a50e96d4afb63a4979b8747f723c50fba9f06e66b1",
+        "frame_000024.csv": "958cef13374c87454b48914307720b573a0701ea3bb23f0c8d03d804af52c619",
         "frame_000024.csv.json": "32ca34dc3f5063b4f1b04b4aa6e575a96669682a3fcaebde1d6b258fd0b1ae6d",
-        "frame_000028.csv": "b0747ee6cb4a3e27e64ba83e0a194801c880ecadaebc52883862e6bcaf08e751",
+        "frame_000028.csv": "b60ffe84439c30043486ec27ecedfc25db9f5408fc4615ef25659b7b6df41630",
         "frame_000028.csv.json": "ce48da93685ebf51c2d8a7ccad5ea6fdc18ceb4ca8dbd9279d47c3c638a826c8",
-        "frame_000032.csv": "ed1d2d7972ca3183dd7c3cca6d32384ae7593efcbac99f75120a6229bc30cca8",
+        "frame_000032.csv": "ddf8db4fdd3bcbfac9e0900ddc948dd6040150b5bdecec72df42e2df3d00dd07",
         "frame_000032.csv.json": "00892e23e0889ca99882e14adae5c7737b15b36791ff35fd3133fafdd1f1b8af",
-        "frame_000036.csv": "f253de73eaa361c02f5027968239b7a2da04404ae3a13aa60387bf1c54c8309d",
+        "frame_000036.csv": "98b334ef83d71d46f41e27fcd3dfab8b0e774adfc805e3e77664ad3b90c687b8",
         "frame_000036.csv.json": "95a25f5385c69d46e05c05abc4cea764cc7bbabf90496ebf20f9c085d723aced",
-        "frame_000040.csv": "f484b546399aeeba6a43e61355947c3039ed05975cbe7f276df2df9aa82b62cf",
+        "frame_000040.csv": "fceac77f9c9994b51af0ab648c1ab578693a49081c777994d216ef1090b02b13",
         "frame_000040.csv.json": "0e1be2289e4c9bde6840799f79e75ec3083de538d9781f5786e09cc3b653fd1b",
-        "series.csv": "bbb0ff661ffb30cdfb9f40c8bb747a65de47727817b5eb39bc04a6dedac9032e",
+        "series.csv": "9d6a2379048b4e563293183d4fd6c57bdcb97f086f108cbe702e963cc0600c98",
     },
 }
 
 # The Dirichlet endpoints were re-pinned with the sine-series gradient: they
 # moved by at most 1.3e-3 (median 4.7e-4) of the unit box, a third of the
-# 257-point grid spacing; none exits either way.
+# 257-point grid spacing; none exits either way.  They were re-pinned again
+# with the sine-mode kinetic step: they moved by at most 1.2e-3 (median
+# 1.1e-4), and none exits.  The packet starts at 0.17 of its peak at the
+# wall node, which evolve zeroes, so these bits pin a run, not a converged
+# trajectory.
 ENDPOINTS = {
     "periodic": {
         "hex": [
@@ -173,13 +181,13 @@ ENDPOINTS = {
     },
     "dirichlet": {
         "hex": [
-            "0x1.782560bb1e6d2p-13",
-            "0x1.665b5a3aeab6dp-11",
-            "0x1.517f3ff06a282p-5",
-            "0x1.1d5b6a4f3f532p-3",
-            "0x1.27db44f3457dfp-3",
+            "0x1.7020ec8ac26bap-13",
+            "0x1.5eb7f73d848b7p-11",
+            "0x1.51de90913c212p-5",
+            "0x1.1dedc932aae63p-3",
+            "0x1.2813e852f5772p-3",
         ],
-        "sha256": "039f5684ccad3dd1b53438f75b30be3b34914781acbe97420b38180015338a71",
+        "sha256": "74d1d82cdcd98c732bbfc452750671eb7debd96a2576756cbe057de2b56a4aac",
         "exited": 0,
     },
 }
@@ -190,12 +198,11 @@ def test_evolve_artifacts(tmp_path, boundary):
     assert evolve_artifact_hashes(tmp_path, boundary) == EVOLVE_HASHES[boundary]
 
 
-# The frames of trajectory_endpoints' Dirichlet packet, every step stored,
-# as taken when Crank-Nicolson had to be requested by name.
-CRANK_NICOLSON_FRAMES = "742759a957427333505a3eef01131384f4a8b15c5ca2b10d1adc5850f4808038"
+# The frames of trajectory_endpoints' Dirichlet packet, every step stored.
+SINE_STEP_FRAMES = "8bbe8562f3cb9e97e4c90e792f609cd481f737362488e336fd390516229812fe"
 
 
-def test_dirichlet_grid_steps_by_crank_nicolson():
+def test_dirichlet_grid_steps_in_the_sine_basis():
     g = Grid.uniform(0.0, 1.0, 257, DIRICHLET)
     psi0 = dynamics.WaveField.gaussian(g, center=0.08, width=0.03, k0=-200.0)
     res = dynamics.evolve(
@@ -207,7 +214,7 @@ def test_dirichlet_grid_steps_by_crank_nicolson():
     )
     frames = np.stack([f.values for f in res.frames])
     assert len(frames) == 51
-    assert hashlib.sha256(frames.tobytes()).hexdigest() == CRANK_NICOLSON_FRAMES
+    assert hashlib.sha256(frames.tobytes()).hexdigest() == SINE_STEP_FRAMES
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])

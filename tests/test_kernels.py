@@ -1,62 +1,9 @@
-"""Numerical kernels: tridiagonal solves and seed advection."""
+"""Numerical kernels: seed advection."""
 
 import numpy as np
 import pytest
 
 from qpotlab import kernels
-
-
-def random_tridiagonal(n, rng):
-    d = 4.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    dl = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-    du = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return dl, d, du, b
-
-
-def dense_from_bands(dl, d, du):
-    n = d.size
-    A = np.diag(d)
-    A[np.arange(1, n), np.arange(n - 1)] = dl
-    A[np.arange(n - 1), np.arange(1, n)] = du
-    return A
-
-
-class TestTridiagonal:
-    @pytest.mark.parametrize("n", [4, 37, 500])
-    def test_matches_dense_solve(self, n):
-        rng = np.random.default_rng(11)
-        dl, d, du, b = random_tridiagonal(n, rng)
-        x = kernels.solve_tridiagonal(kernels.factor_tridiagonal(dl, d, du), b)
-        A = dense_from_bands(dl, d, du)
-        expected = np.linalg.solve(A, b)
-        assert np.max(np.abs(x - expected)) < 1e-10 * np.max(np.abs(expected))
-
-    def test_one_factorization_many_right_hand_sides(self):
-        rng = np.random.default_rng(3)
-        dl, d, du, _ = random_tridiagonal(200, rng)
-        factors = kernels.factor_tridiagonal(dl, d, du)
-        A = dense_from_bands(dl, d, du)
-        for _ in range(5):
-            b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-            x = kernels.solve_tridiagonal(factors, b)
-            expected = np.linalg.solve(A, b)
-            assert np.max(np.abs(x - expected)) < 1e-10 * np.max(np.abs(expected))
-
-    def test_singular_matrix_raises(self):
-        # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 1, 2]] are equal
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            kernels.factor_tridiagonal([1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 0.0])
-
-    def test_real_input_promoted(self):
-        n = 16
-        dl = np.zeros(n - 1)
-        du = np.zeros(n - 1)
-        d = np.full(n, 2.0)
-        b = np.arange(n, dtype=float)
-        x = kernels.solve_tridiagonal(kernels.factor_tridiagonal(dl, d, du), b)
-        assert np.allclose(x, b / 2.0)
-        assert x.dtype == np.complex128
 
 
 def constant_velocity_frames(nframes, npts, v):
