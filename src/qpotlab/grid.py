@@ -69,6 +69,11 @@ class Grid:
             raise GridError("uniform grid must be equally spaced")
         pts.flags.writeable = False
 
+    def __reduce__(self):
+        # only the fields travel: the cached wavenumbers and symbols would
+        # double a pickled frame, and the receiver rebuilds what it uses
+        return type(self), (self.points, self.boundary)
+
     @classmethod
     def uniform(cls, start: float, stop: float, n: int, boundary: str = DIRICHLET) -> "Grid":
         """Uniform grid on [start, stop]; periodic grids omit the right endpoint."""

@@ -21,16 +21,20 @@ recomputes it through a deliberately separate code path (its own
 transforms, band cut and quadrature) as a cross-check oracle.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
-including the order-4 operator nonperturbatively.  Its finite-difference
-path assembles the 9-banded operator in LAPACK band storage and tracks
-each unperturbed level from its sine mode by shift-invert iteration with
-banded solves; no dense matrix is formed and no full spectrum is computed.
+including the order-4 operator nonperturbatively, on the same band-projected
+operator: in the sine basis it is diagonal plus V.  With V = 0 the levels
+are the symbol itself; otherwise each unperturbed level is tracked from its
+sine mode by shift-invert iteration whose solves are preconditioned MINRES
+on DST-I products, so no matrix larger than the block of the lowest sine
+modes is formed and no full spectrum is computed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -283,83 +287,143 @@ def hydrogen_band_fraction(n: int) -> float:
 # Nonperturbative linear eigenproblem
 # --------------------------------------------------------------------------
 
-# Half-bandwidth of the assembled operator: the 4th-order stencil reaches
-# two nodes, its square four.
-_BAND = 4
 _MAX_TRACKING_ITERATIONS = 30
+# Each tracking step solves (H - lam) z = y only to this residual, relative
+# to |y|, in at most this many iterations: the Rayleigh quotient, not the
+# inner solve, carries the accuracy.
+_INNER_RTOL = 1e-2
+_MAX_INNER_ITERATIONS = 200
 
 
 def _operator_coefficients(
     spec: QuantumPotentialSpec, params: PhysicalParams
 ) -> dict[int, float]:
-    """{n: c_n} of the assembled operator sum c_n lap^n, c_1 = -hbar^2/2m;
-    validates the order cap and that any order-2 term matches c_1 exactly."""
+    """{n: c_n} of the operator sum c_n lap^n, c_1 = -hbar^2/2m; validates
+    the order cap and that any order-2 term matches c_1 exactly."""
     validate_order2(spec, params)
     top = spec.truncation_order
     if top > 4:
-        raise ValueError(f"assembled-matrix path caps at order 4; spec has order {top}")
+        raise ValueError(f"the eigensolver caps at order 4; spec has order {top}")
     coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
     return {0: 0.0, 2: 0.0, **coeffs, 1: -params.hbar**2 / (2.0 * params.mass)}
 
 
-def _banded_operator(g: Grid, coeffs: dict[int, float], V_int: np.ndarray) -> np.ndarray:
-    """c_1 M2 + c_2 M2^2 + diag(V_int) + c_0 on the interior nodes, in LAPACK
-    band storage with ``_BAND`` sub- and superdiagonals:
-    ``ab[_BAND + i - j, j] = H[i, j]`` (the layout of
-    ``scipy.linalg.solve_banded``).
+def _dst(values: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I S, which is its own inverse."""
+    return scipy.fft.dst(values, type=1, norm="ortho")
 
-    M2 is the 4th-order Laplacian stencil with zero walls; the ghost node
-    across a wall reflects to minus the first interior node, which adds 1
-    to the corner diagonal entries.  M2^2 is formed diagonal by diagonal.
-    This is the unprojected operator: unlike the spectral path of
-    :func:`solve_modified_eigenproblem`, it applies no band limit.
+
+def _minres(
+    apply: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+) -> np.ndarray:
+    """x with apply(x) ~ b for a symmetric, possibly indefinite ``apply``:
+    MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12 (1975) 617) with the
+    symmetric positive definite ``precondition``, from x = 0 until
+    |b - apply(x)| <= ``_INNER_RTOL`` |b|.
+
+    The residual is updated alongside x, at no extra ``apply``.  It is
+    judged in the plain norm, not the preconditioner's: near an eigenvalue
+    the preconditioner weighs one direction so heavily that its norm would
+    accept x ~ precondition(b) and leave the rest of the residual as it is.
     """
-    m = g.n - 2
-    M2 = np.zeros((5, m))  # the same layout: M2[2 + i - j, j]
-    for d, w in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-        M2[2 - d, max(0, d) : m + min(0, d)] = w
-    M2[2, 0] += 1.0
-    M2[2, m - 1] += 1.0
-    M2 /= 12.0 * g.spacing**2
-    ab = np.zeros((2 * _BAND + 1, m))
-    ab[_BAND - 2 : _BAND + 3] = coeffs[1] * M2
-    # (M2 M2)[i, j] = sum_k M2[i, k] M2[k, j] with k - i = a, j - k = b
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            lo, hi = max(0, b), m + min(0, b)
-            ab[_BAND - a - b, lo:hi] += (
-                coeffs[2] * M2[2 - a, lo - b : hi - b] * M2[2 - b, lo:hi]
-            )
-    ab[_BAND] += V_int + coeffs[0]
-    return ab
+    x = np.zeros_like(b)
+    w = w_prev = Aw = Aw_prev = np.zeros_like(b)
+    residual = b.copy()
+    r = r_prev = b
+    z = precondition(b)
+    beta = beta0 = math.sqrt(float(b @ z))
+    beta_prev = dbar = eps_next = 0.0
+    cs, sn, phibar = -1.0, 0.0, beta0
+    stop = _INNER_RTOL * float(np.linalg.norm(b))
+    for it in range(_MAX_INNER_ITERATIONS):
+        # Lanczos step: the next basis vector v and the tridiagonal alpha, beta
+        v = z / beta
+        Av = apply(v)
+        y = Av - (beta / beta_prev) * r_prev if it else Av.copy()
+        alpha = float(v @ y)
+        y -= (alpha / beta) * r
+        r_prev, r = r, y
+        z = precondition(r)
+        beta_prev, beta = beta, math.sqrt(float(r @ z))
+        # the previous Givens rotation on the new column, then the next one
+        eps_prev, delta = eps_next, cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps_next, dbar = sn * beta, -cs * beta
+        gamma = math.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w_prev, w = w, (v - eps_prev * w_prev - delta * w) / gamma
+        Aw_prev, Aw = Aw, (Av - eps_prev * Aw_prev - delta * Aw) / gamma
+        x += phi * w
+        residual -= phi * Aw
+        if np.linalg.norm(residual) <= stop:
+            break
+    return x
 
 
-def _track_level(
-    ab: np.ndarray, target: np.ndarray, tol: float, tau: int
-) -> tuple[float, np.ndarray]:
-    """Eigenpair of the banded H continuing the unit vector ``target``.
+class _ProjectedOperator:
+    """H = S diag(d) S + diag(V) on the interior nodes, held in the sine
+    basis: c -> d c + S (V S c), where sine mode j is the unit vector e_j.
 
-    Rayleigh-quotient iteration from the target, each step one banded
-    solve with H shifted by the current Rayleigh quotient, until the
-    residual |H y - lam y| is at most ``tol``.  The result is accepted only
-    when (y . target)^2 > 1/2: eigenvectors are orthonormal, so at most one
-    of them can overlap a unit vector that much.  It is then the
-    eigenvector of largest overlap, and distinct (orthogonal) targets can
-    never select the same one.  Returns (lam, y) with y . target > 0.
+    ``precondition(r, lam)`` approximates |H - lam|^-1: exactly on the
+    Galerkin block B of H on the ``low`` lowest modes (|B - lam|^-1 through
+    B's eigendecomposition, done once, on first use) and by
+    1 / |d_j + mean(V) - lam| above them.
     """
-    m = target.size
-    y = target
+
+    def __init__(self, d: np.ndarray, V: np.ndarray, low: int):
+        self.d, self.V, self.low = d, V, low
+        self.h_max = float(np.max(np.abs(d)) + np.max(np.abs(V)))
+        self._above = d[low:] + float(np.mean(V))
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        return self.d * c + _dst(self.V * _dst(c))
+
+    @cached_property
+    def _block(self) -> tuple[np.ndarray, np.ndarray]:
+        m = self.d.size
+        modes = np.outer(np.arange(1, m + 1) * (np.pi / (m + 1)), np.arange(1, self.low + 1))
+        np.sin(modes, out=modes)
+        modes *= math.sqrt(2.0 / (m + 1))
+        B = modes.T @ (self.V[:, None] * modes)
+        B[np.diag_indices(self.low)] += self.d[: self.low]
+        return np.linalg.eigh(B)
+
+    def precondition(self, r: np.ndarray, lam: float) -> np.ndarray:
+        floor = np.finfo(float).eps * self.h_max
+        levels, Q = self._block
+        out = np.empty_like(r)
+        low = self.low
+        out[:low] = Q @ ((r[:low] @ Q) / np.maximum(np.abs(levels - lam), floor))
+        out[low:] = r[low:] / np.maximum(np.abs(self._above - lam), floor)
+        return out
+
+
+def _track_level(H: _ProjectedOperator, tau: int, tol: float) -> tuple[float, np.ndarray]:
+    """Eigenpair of H continuing sine mode ``tau`` (the unit vector
+    e_tau of the sine basis).
+
+    Rayleigh-quotient iteration from e_tau, each step one inexact
+    shift-invert solve by :func:`_minres` with H shifted by the current
+    Rayleigh quotient, until the residual |H y - lam y| is at most ``tol``.
+    The result is accepted only when y_tau^2 > 1/2: eigenvectors are
+    orthonormal, so at most one of them can overlap a unit vector that
+    much.  It is then the eigenvector of largest overlap, and distinct
+    modes can never select the same one.  Returns (lam, y) with y_tau > 0.
+    """
+    y = np.zeros(H.d.size)
+    y[tau - 1] = 1.0
     for _ in range(_MAX_TRACKING_ITERATIONS):
-        Hy = scipy.linalg.blas.dgbmv(m, m, _BAND, _BAND, 1.0, ab, y)
+        Hy = H(y)
         lam = float(y @ Hy)
         residual = float(np.linalg.norm(Hy - lam * y))
         if residual <= tol:
             break
-        shifted = ab.copy()
-        shifted[_BAND] -= lam
-        z = scipy.linalg.solve_banded((_BAND, _BAND), shifted, y, check_finite=False)
+        z = _minres(lambda v: H(v) - lam * v, lambda r: H.precondition(r, lam), y)
         y = z / np.linalg.norm(z)
-    overlap = float(y @ target)
+    overlap = float(y[tau - 1])
     if residual > tol or overlap**2 <= 0.5:
         raise RuntimeError(
             f"no continuation of mode tau={tau}: overlap^2 {overlap**2:.3g} with "
@@ -381,58 +445,47 @@ def solve_modified_eigenproblem(
     unbounded below: modes beyond k* = sqrt(c2/|A4|) ~ mc/hbar dive to
     large negative energies, so "the lowest eigenvalues" is dominated by
     unphysical short-wavelength artifacts of the truncation.  What is
-    well defined is the continuation of each unperturbed level, so both
-    paths return modes tau = 1..count.
+    well defined is the continuation of each unperturbed level, so the
+    solver returns modes tau = 1..count.
 
-    V picks the path.  With V identically zero the sine modes diagonalize
-    the operator exactly (spectral path), projected onto the band like
-    :func:`box_shift_closed_form`: above k = m c / hbar the order >= 4 terms
-    vanish.  Otherwise the finite-difference operator, the unprojected
-    one, is assembled in band storage and each level is tracked from
-    its sine mode by shift-invert (Rayleigh-quotient) iteration; the
-    eigenvector is accepted only when its squared overlap
-    with the normalized sine mode exceeds 1/2, which makes it the unique
-    eigenvector of largest overlap.  A level with no such continuation (for
-    example when V mixes the sine modes strongly) raises RuntimeError
-    naming tau.  Eigenfunctions are normalized over the grid measure and
-    signed so that their overlap with the sine mode is positive.
+    The operator is projected onto the band like every evaluation of the
+    hierarchy: on the interior nodes it is H = S diag(d) S + diag(V), with S
+    the orthonormal DST-I and d the symbol at the sine modes k_j = j pi / L,
+    in which the orders 0 and 2 act at every mode and order 4 only at
+    k <= m c / hbar (as in :func:`box_shift_closed_form`).  With V
+    identically zero the sine modes diagonalize H and the levels are d.
+    Otherwise each level is tracked from its sine mode by shift-invert
+    (Rayleigh-quotient) iteration with inexact preconditioned MINRES solves,
+    to a residual of 64 eps (max|d| + max|V|); the eigenvector is accepted
+    only when its squared overlap with the normalized sine mode exceeds
+    1/2, which makes it the unique eigenvector of largest overlap.  A level
+    with no such continuation (for example when V mixes the sine modes
+    strongly) raises RuntimeError naming tau.  Eigenfunctions are
+    normalized over the grid measure and signed so that their overlap with
+    the sine mode is positive.
     """
     g = V.grid
     if g.boundary != DIRICHLET:
         raise GridError("eigenproblem requires a Dirichlet grid")
-    if count < 1 or count > g.n - 2:
-        raise ValueError(f"count must be in [1, {g.n - 2}], got {count}")
+    m = g.n - 2
+    if count < 1 or count > m:
+        raise ValueError(f"count must be in [1, {m}], got {count}")
     coeffs = _operator_coefficients(spec, params)
-    L = g.length
-    x0 = float(g.points[0])
+    k = np.arange(1, m + 1) * np.pi / g.length
+    above_band = {n: c for n, c in coeffs.items() if n <= 1}  # orders 0, 2
+    d = np.where(
+        k > band_edge(params), laplacian_symbol(above_band, k), laplacian_symbol(coeffs, k)
+    )
     if not np.any(V.values):
-        k = np.arange(1, count + 1) * np.pi / L
-        above_band = {n: c for n, c in coeffs.items() if n <= 1}  # orders 0, 2
-        energies = np.where(
-            k > band_edge(params),
-            laplacian_symbol(above_band, k),
-            laplacian_symbol(coeffs, k),
-        )
-        modes = [np.sin(tau * np.pi * (g.points - x0) / L) for tau in range(1, count + 1)]
-        return [
-            (float(e), GridFunction(g, mode).normalized())
-            for e, mode in zip(energies, modes)
-        ]
-    ab = _banded_operator(g, coeffs, V.values[1:-1])
-    h_max = float(np.max(np.abs(ab)))
-    m = ab.shape[1]
-    for d in range(1, _BAND + 1):
-        # superdiagonal d, H[i, i + d], against subdiagonal d, H[i + d, i]
-        asym = np.max(np.abs(ab[_BAND - d, d:] - ab[_BAND + d, : m - d]))
-        if asym > 1e-12 * max(1.0, h_max):
-            raise RuntimeError(f"non-symmetric operator assembly (defect {asym:g})")
-    tol = 64.0 * np.finfo(float).eps * h_max
-    x_int = g.points[1:-1] - x0
+        x = g.points - g.points[0]
+        modes = [np.sin(tau * np.pi * x / g.length) for tau in range(1, count + 1)]
+        return [(float(e), GridFunction(g, mode).normalized()) for e, mode in zip(d, modes)]
+    H = _ProjectedOperator(d, V.values[1:-1], min(m, max(64, 4 * count)))
+    tol = 64.0 * np.finfo(float).eps * H.h_max
     out = []
     for tau in range(1, count + 1):
-        target = np.sin(tau * np.pi * x_int / L)
-        energy, vec = _track_level(ab, target / np.linalg.norm(target), tol, tau)
+        energy, coef = _track_level(H, tau, tol)
         full = np.zeros(g.n)
-        full[1:-1] = vec
+        full[1:-1] = _dst(coef)
         out.append((energy, GridFunction(g, full).normalized()))
     return out

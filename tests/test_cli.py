@@ -830,7 +830,14 @@ for boundary, points in (("periodic", 64), ("dirichlet", 65)):
     cfg.write_text(f"orders = 2\npoints = {points}\nboundary = {boundary}\n"
                    "initial = eigenmode\ndt = 1e-8\nsteps = 2\n")
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(out / boundary)]) == 0
-# no command loads scipy.linalg
+# nor does the library's eigensolver on a nonzero V
+from qpotlab.qpotential import QuantumPotentialSpec, electron_params
+from qpotlab.spectra import solve_modified_eigenproblem
+
+g = Grid.uniform(0.0, 1.0, 129)
+solve_modified_eigenproblem(GridFunction(g, 2000.0 * (g.points - 0.5) ** 2),
+                            QuantumPotentialSpec.relativistic(4), electron_params(), 3)
+# no command and no library path loads scipy.linalg
 assert loaded() == ["scipy.fft", "multiprocessing", "concurrent.futures.process"], loaded()
 assert "scipy.integrate" not in sys.modules
 """
@@ -844,7 +851,8 @@ class TestColdImport:
         and the process pool (its frame writer), when they first need them.
         The pool is ``concurrent.futures.process``: scipy.fft itself loads
         the ``concurrent.futures`` package, through numpy.testing.  No
-        command loads scipy.linalg or scipy.integrate."""
+        command loads scipy.linalg or scipy.integrate, and neither does the
+        eigensolver on a nonzero V."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
@@ -852,6 +860,13 @@ class TestColdImport:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+    def test_no_module_names_scipy_linalg(self):
+        package = Path(cli.__file__).resolve().parent
+        naming = [p.name for p in sorted(package.rglob("*.py"))
+                  if "scipy.linalg" in p.read_text(encoding="utf-8")]
+        assert naming == []
 
 
 class TestParserOnce:

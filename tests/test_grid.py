@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestGridConstruction:
         b = Grid.uniform(0.0, 1.0, 32)
         c = Grid.uniform(0.0, 2.0, 32)
         assert a.same_as(b) and not a.same_as(c)
+
+    @pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
+    def test_pickles_only_its_fields(self, boundary):
+        g = Grid.uniform(0.0, 1.0, 4096, boundary)
+        unit = {1: -0.5, 2: -0.125}
+        symbol = g.series_symbol(unit, 300.0)
+        g.wavenumbers
+        assert len(pickle.dumps(g)) < g.points.nbytes + 512  # the caches stay behind
+        back = pickle.loads(pickle.dumps(g))
+        assert back.same_as(g) and not back.points.flags.writeable
+        assert back.series_symbol(unit, 300.0).tobytes() == symbol.tobytes()
 
 
 class TestGridFunction:
