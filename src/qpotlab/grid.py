@@ -2,6 +2,8 @@
 
 Every grid is uniform and one-dimensional: equally spaced points,
 Dirichlet (both endpoints stored) or periodic (right endpoint omitted).
+A :class:`Grid` holds its points and boundary and nothing else; its
+wavenumbers and symbols are computed afresh on every call.
 Radial s-state problems need no grid of their own: for u = r*R the 3-D
 Laplacian is lap^n R = d^{2n}u/dr^{2n} / r and R^2 4 pi r^2 dr = (sqrt(4 pi)
 u)^2 dr, so they are the Dirichlet problem for sqrt(4 pi) r R on [0, r_max]
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -70,8 +71,8 @@ class Grid:
         pts.flags.writeable = False
 
     def __reduce__(self):
-        # only the fields travel: the cached wavenumbers and symbols would
-        # double a pickled frame, and the receiver rebuilds what it uses
+        # rebuild through the constructor, so an unpickled grid is checked
+        # again and its points are read-only
         return type(self), (self.points, self.boundary)
 
     @classmethod
@@ -100,44 +101,26 @@ class Grid:
         span = float(self.points[-1] - self.points[0])
         return span + self.spacing if self.boundary == PERIODIC else span
 
-    @cached_property
+    @property
     def wavenumbers(self) -> np.ndarray:
-        """Angular FFT wavenumbers 2 pi fftfreq(n, h), built once per grid
-        (read-only)."""
-        k = 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.spacing)
-        k.flags.writeable = False
-        return k
+        """Angular FFT wavenumbers 2 pi fftfreq(n, h)."""
+        return 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.spacing)
 
     def series_symbol(
         self, unit: Mapping[int, float], band: float = math.inf
     ) -> np.ndarray:
-        """:func:`laplacian_symbol` of ``unit``, zero above ``band``, at this
-        grid's transform wavenumbers, built once per grid, coefficient map
-        and band and read-only.  On periodic grids these
-        are the n // 2 + 1 non-negative-frequency entries of
-        :attr:`wavenumbers` that a real-input FFT returns (the symbol is
-        even in k, so they are the full symbol's first half, bit for bit);
-        on Dirichlet ones the DST-I sine modes.
-
-        The cache key is the band and the ordered (power, coefficient bits)
-        items: the symbol is summed in item order, so a reordered map is a
-        new entry.
+        """:func:`laplacian_symbol` of ``unit``, summed in item order and
+        zero above ``band``, at this grid's transform wavenumbers.  On
+        periodic grids these are the n // 2 + 1 non-negative-frequency
+        entries of :attr:`wavenumbers` that a real-input FFT returns (the
+        symbol is even in k, so they are the full symbol's first half, bit
+        for bit); on Dirichlet ones the DST-I sine modes.
         """
-        key = (float(band).hex(), tuple((n, float(c).hex()) for n, c in unit.items()))
-        symbol = self._symbols.get(key)
-        if symbol is None:
-            if self.boundary == PERIODIC:
-                k = self.wavenumbers[: self.n // 2 + 1]
-            else:
-                k = np.arange(1, self.n - 1) * np.pi / self.length
-            symbol = np.where(np.abs(k) <= band, laplacian_symbol(unit, k), 0.0)
-            symbol.flags.writeable = False
-            self._symbols[key] = symbol
-        return symbol
-
-    @cached_property
-    def _symbols(self) -> dict:
-        return {}
+        if self.boundary == PERIODIC:
+            k = self.wavenumbers[: self.n // 2 + 1]
+        else:
+            k = np.arange(1, self.n - 1) * np.pi / self.length
+        return np.where(np.abs(k) <= band, laplacian_symbol(unit, k), 0.0)
 
     def same_as(self, other: "Grid") -> bool:
         return (

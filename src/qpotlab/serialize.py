@@ -123,29 +123,15 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# (key, template) of the last first column that _float_table_text formatted;
-# the frames of one run share their grid column, so it is formatted once.
-_first_column: tuple[tuple[int, bytes], str] | None = None
-
-
 def _float_table_text(table: np.ndarray) -> str:
-    """The rows of a 2-D float64 table in C-level ``%`` formats; the text
-    is that of :func:`fmt_float` cell by cell.
-
-    The first column is formatted into a template that is reused while the
-    next table has the same column count and the same first-column bytes
-    (so ``-0.0`` and ``0.0`` stay distinct); one more ``%`` fills in the
-    other columns."""
-    global _first_column
+    """The rows of a 2-D float64 table in one C-level ``%`` format; the
+    text is that of :func:`fmt_float` cell by cell."""
     bad = ~np.isfinite(table)
     if bad.any():
         raise ValueError(f"refusing to serialize non-finite value {float(table[bad][0])!r}")
     nrows, ncols = table.shape
-    key = (ncols, table[:, 0].tobytes())
-    if _first_column is None or _first_column[0] != key:
-        row = "%.17g" + ",%%.17g" * (ncols - 1) + "\n"
-        _first_column = key, (row * nrows) % tuple(table[:, 0].tolist())
-    return _first_column[1] % tuple(table[:, 1:].ravel().tolist())
+    row = "%.17g" + ",%.17g" * (ncols - 1) + "\n"
+    return (row * nrows) % tuple(table.ravel().tolist())
 
 
 def write_csv(
@@ -207,15 +193,21 @@ def _json_into(obj: Any, out: list[str], indent: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
+# The escapes of json.dumps(s, ensure_ascii=False): the short forms where
+# JSON has one, \u00xx for every other code point below U+0020.
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord("\\"): "\\\\",
+    ord('"'): '\\"',
+    ord("\b"): "\\b",
+    ord("\t"): "\\t",
+    ord("\n"): "\\n",
+    ord("\f"): "\\f",
+    ord("\r"): "\\r",
+}
+
+
 def _json_string(s: str) -> str:
-    escaped = (
-        s.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-        .replace("\r", "\\r")
-    )
-    return f'"{escaped}"'
+    return f'"{s.translate(_JSON_ESCAPES)}"'
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -91,6 +91,13 @@ class TestVerifyEl:
         assert main([*argv, "--out", str(out)]) == 1
         assert out.is_dir() and list(out.iterdir()) == []
 
+    def test_control_character_in_q_gives_a_json_manifest(self, tmp_path):
+        # the tokenizer reads U+001F as white space; the manifest records it
+        q = "A2 *\x1flap(R) / R"
+        out = tmp_path / "o"
+        assert main(["verify-el", "--q", q, "--trials", "5", "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["config"]["q"] == q
+
     def test_dimension_flag(self, tmp_path):
         out = tmp_path / "out"
         rc = main(

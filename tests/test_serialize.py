@@ -1,11 +1,20 @@
-"""Config reading, and the CSV writer's fast path for float tables."""
+"""Config reading, the CSV writer's fast path for float tables, and JSON
+strings."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qpotlab.serialize import ConfigError, RecordingConfig, csv_text, get, write_csv
+from qpotlab.serialize import (
+    ConfigError,
+    RecordingConfig,
+    csv_text,
+    get,
+    json_text,
+    write_csv,
+)
 
 
 class TestGet:
@@ -109,8 +118,9 @@ class TestWriteCsv:
             csv_text(("a", "b"), table.tolist())
 
     def test_shared_first_column(self, tmp_path):
-        """Frames share their grid column; reusing its text must not leak
-        the previous table's other cells, column count or signed zeros."""
+        """Consecutive tables that share their grid column, as the frames of
+        one run do, each come out as the per-cell writer gives them: their
+        own cells, column count and signed zeros."""
         rng = np.random.default_rng(11)
         x = np.array([-0.5, -0.0, 0.0, 0.25, 1e-300])
         first = np.column_stack((x, rng.standard_normal(5), rng.standard_normal(5)))
@@ -135,3 +145,16 @@ class TestWriteCsv:
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 0], x)
         assert np.array_equal(back[:, 1] + 1j * back[:, 2], psi)
+
+
+class TestJsonStrings:
+    @pytest.mark.parametrize(
+        "text",
+        [chr(c) for c in range(0x20)]
+        + ['"', "\\", "tab\there, \"quoted\" \\ and \u00e9\u2212\U0001d53c"],
+    )
+    def test_as_json_dumps_and_round_trip(self, text):
+        got = json_text(text)
+        assert got == json.dumps(text, ensure_ascii=False) + "\n"
+        assert json.loads(got) == text
+        assert json.loads(json_text({text: [text]})) == {text: [text]}
