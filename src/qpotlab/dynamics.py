@@ -42,10 +42,14 @@ velocity and of the kinetic energy.  W's quotient terms are zeroed where
 scope: R = |psi| has a kink at a node, and the W built from it does not
 reproduce the signed field's dynamics.
 
-:func:`evolve` returns every stored frame, and its ``on_frame`` callback
-also receives each one, with its step and time, as soon as the loop has
-made it.  The CLI hands frames to its frame writer this way, so that they
-are formatted while the loop goes on; the callback changes no number.
+:func:`evolve` returns every stored frame, as views of the rows of one
+(frames, points) block, and its ``on_frame`` callback also receives each
+one, with its step and time, as soon as the loop has made it.  The CLI
+hands frames to its frame writer this way, so that they are formatted
+while the loop goes on; the callback changes no number.
+:func:`integrate_trajectories` computes each frame's guidance velocity
+when the advection reaches that frame, so no (frames, points) velocity
+array is built.
 """
 
 from __future__ import annotations
@@ -140,7 +144,9 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
-    """Stored frames plus per-frame diagnostics."""
+    """Stored frames plus per-frame diagnostics.  The frames :func:`evolve`
+    returns are views of the rows of one (frames, points) block, which is
+    freed as a unit."""
 
     frames: list[WaveField]
     times: np.ndarray
@@ -208,9 +214,12 @@ def evolve(
     """Propagate psi0 for cfg.steps steps of cfg.dt, storing every
     ``store_every``-th frame (plus the initial and final ones).
 
-    ``on_frame(step, time, frame)`` is called with each stored frame as
-    soon as the loop has made it, so a caller can write frames while the
-    loop goes on; an exception it raises stops the run.
+    The stored frames are the rows of one complex array of shape
+    (stored frames, points), allocated before the loop: each frame's
+    values are a view of its row.  ``on_frame(step, time, frame)`` is
+    called with each stored frame, that same view, as soon as the loop has
+    made it, so a caller can write frames while the loop goes on; an
+    exception it raises stops the run.
 
     Aborts with RuntimeError on NaN/overflow or if the norm drifts by more
     than 1e-4 relative (signals dt too large or node blow-up).
@@ -236,12 +245,16 @@ def evolve(
     # the grid quadrature on either boundary
     norm0 = g.spacing * np.vdot(psi, psi).real
     W = extra(np.abs(psi))
+    rows = 1 + cfg.steps // cfg.store_every + (cfg.steps % cfg.store_every != 0)
+    block = np.empty((rows, g.n), np.complex128)
     frames: list[WaveField] = []
     times: list[float] = []
     steps_stored: list[int] = []
 
     def store(step: int) -> None:
-        frame = WaveField(g, psi.copy())
+        values = block[len(frames)]
+        values[:] = psi
+        frame = WaveField(g, values)
         frames.append(frame)
         times.append(step * cfg.dt)
         steps_stored.append(step)
@@ -378,12 +391,29 @@ def sample_from_density(
         w = np.append(w, w[0])
     cell = 0.5 * (w[1:] + w[:-1]) * np.diff(pts)
     cdf = np.concatenate(([0.0], np.cumsum(cell)))
+    if not math.isfinite(cdf[-1]):
+        raise GridError("cannot sample from a non-finite density")
     if cdf[-1] <= 0:
         raise GridError("cannot sample from a zero density")
     cdf /= cdf[-1]
     jitter = rng.random(count) if rng is not None else np.full(count, 0.5)
     u = (np.arange(count) + jitter) / count
     return np.interp(u, cdf, pts)
+
+
+class _VelocityRows:
+    """The guidance-velocity rows of stored frames, each computed when it
+    is read."""
+
+    def __init__(self, frames: list[WaveField], params: PhysicalParams):
+        self.frames = frames
+        self.params = params
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, f: int) -> np.ndarray:
+        return bohmian_velocity(self.frames[f], self.params).values
 
 
 def integrate_trajectories(
@@ -393,15 +423,24 @@ def integrate_trajectories(
     substeps: int = 1,
 ) -> TrajectorySet:
     """RK4 advection of seeds through the stored frames' guidance velocity,
-    linearly interpolated in space and time."""
+    linearly interpolated in space and time.
+
+    Each frame's velocity row is computed with :func:`bohmian_velocity`
+    when the advection reaches that frame, so the working memory is a few
+    rows of points besides the (frames, seeds) paths.
+    """
     frames = evolution.frames
     if len(frames) < 2:
         raise ValueError("need at least two stored frames")
     g = frames[0].grid
+    if not all(f.grid.same_as(g) for f in frames):
+        raise GridError("stored frames must all lie on one grid")
     dts = np.diff(evolution.times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0):
         raise ValueError("stored frames must be uniformly spaced in time")
     seeds = np.asarray(seeds, dtype=np.float64)
+    if not np.all(np.isfinite(seeds)):
+        raise ValueError("seeds must be finite")
     periodic = g.boundary == PERIODIC
     x0 = float(g.points[0])
     xmax = float(g.points[-1])
@@ -409,9 +448,8 @@ def integrate_trajectories(
         seeds = x0 + np.mod(seeds - x0, g.length)
     elif np.any((seeds < x0) | (seeds > xmax)):
         raise ValueError("seeds must lie inside the grid")
-    vframes = np.stack([bohmian_velocity(f, params).values for f in frames])
     paths, exited = kernels.advect_seeds(
-        vframes,
+        _VelocityRows(frames, params),
         x0,
         float(g.spacing),
         float(dts[0]),

@@ -1,16 +1,20 @@
 """Numerical kernels: trajectory advection.
 
 Advection moves every seed at once with vectorised numpy RK4 through
-stored velocity frames, one gather per RK4 stage.  The interpolation
-works in place (``take`` and ``out=``), the blended row at the end of a
-substep is reused as the next substep's first row, and periodic positions
-wrap with :func:`_wrap`, which gives the bits of ``np.mod`` with a
-min/max check instead of a division when every position is already in
-range.  Periodic seeds cannot exit, so only Dirichlet grids mask frozen
-seeds.
+stored velocity frames, one gather per RK4 stage.  The frames are read one
+row at a time, each once, so a caller can hand over a sequence that
+computes each row when it is read, and only two rows are held at once.
+The interpolation works in place (``take`` and ``out=``), the blended row
+at the end of a substep is reused as the next substep's first row, and
+periodic positions wrap with :func:`_wrap`, which gives the bits of
+``np.mod`` with a min/max check instead of a division when every position
+is already in range.  Periodic seeds cannot exit, so only Dirichlet grids
+mask frozen seeds.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -70,7 +74,7 @@ def _interp_many(row, xs, x0, h, periodic):
 
 
 def advect_seeds(
-    vframes: np.ndarray,
+    vframes: Sequence[np.ndarray],
     x0: float,
     h: float,
     dt_frame: float,
@@ -81,28 +85,39 @@ def advect_seeds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advect seeds through stored velocity frames with RK4.
 
+    ``vframes`` is any sized sequence of equal-length velocity rows, one
+    per frame (a 2-D array will do); row f is read once, when the
+    advection reaches frame f, and a periodic row gets its wrap value
+    appended then.
+
     Returns (paths, exited): paths has shape (n_frames, n_seeds) with one
     position sample per frame; exited flags Dirichlet trajectories that hit
     the boundary (they stay frozen there afterwards).
     """
-    vframes = np.ascontiguousarray(vframes, np.float64)
     seeds = np.ascontiguousarray(seeds, np.float64)
-    if vframes.ndim != 2 or vframes.shape[0] < 2:
+    nframes = len(vframes)
+    if nframes < 2:
         raise ValueError("need at least two velocity frames")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    nframes, npts = vframes.shape
+
+    def row(f):
+        r = np.asarray(vframes[f], np.float64)
+        if r.ndim != 1 or (f and r.size != npts):
+            raise ValueError("velocity frames must be rows of one length")
+        return np.append(r, r[0]) if periodic else r
+
+    vb = row(0)
+    npts = vb.size - periodic
     paths = np.empty((nframes, seeds.shape[0]), np.float64)
     exited = np.zeros(seeds.shape[0], np.uint8)
     xmax = x0 + h * (npts - 1)
-    if periodic:
-        vframes = np.concatenate((vframes, vframes[:, :1]), axis=1)
     dt = dt_frame / substeps
     x = seeds.copy()
     paths[0] = x
     for f in range(nframes - 1):
         active = exited == 0
-        va, vb = vframes[f], vframes[f + 1]
+        va, vb = vb, row(f + 1)
 
         def blend(tw):
             return (1.0 - tw) * va + tw * vb

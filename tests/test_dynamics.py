@@ -1,6 +1,7 @@
 """Wave fields, nonlinear evolution, derived fields, and trajectories."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,11 +183,18 @@ class TestEvolveLinear:
     def test_stored_frame_bookkeeping(self):
         g = periodic_grid(64)
         psi0, _ = plane_wave(g, 1)
-        cfg = EvolutionConfig(dt=1e-7, steps=25, store_every=10)
-        res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
-        assert list(res.step_indices) == [0, 10, 20, 25]
-        assert res.times[-1] == pytest.approx(25 * 1e-7)
-        assert len(res.frames) == len(res.norms) == len(res.energies) == 4
+        # the last step is stored whether store_every divides it or not
+        for steps, stored in ((25, [0, 10, 20, 25]), (3, [0, 3])):
+            cfg = EvolutionConfig(dt=1e-7, steps=steps, store_every=10)
+            res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
+            assert list(res.step_indices) == stored
+            assert res.times[-1] == pytest.approx(steps * 1e-7)
+            assert len(res.frames) == len(res.norms) == len(res.energies) == len(stored)
+            # the frames are the rows of one block, with no row left unwritten
+            block = res.frames[0].values.base
+            assert block.shape == (len(stored), g.n)
+            assert all(f.values.base is block for f in res.frames)
+            assert np.max(np.abs(res.norms - 1.0)) < 1e-12
 
 
 class TestEvolveValidation:
@@ -497,6 +505,10 @@ class TestSampling:
         flat = GridFunction(self.g, np.zeros(self.g.n))
         with pytest.raises(GridError):
             sample_from_density(flat, 10)
+        holed = self.R.values.copy()
+        holed[100] = np.nan
+        with pytest.raises(GridError, match="non-finite"):
+            sample_from_density(GridFunction(self.g, holed), 10)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -542,6 +554,9 @@ class TestTrajectories:
         g, res, _ = _plane_wave_evolution(steps=10)
         traj = integrate_trajectories(res, np.array([1.3, -0.2]), ELECTRON)
         assert np.all((traj.seeds >= 0.0) & (traj.seeds < 1.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="seeds must be finite"):
+                integrate_trajectories(res, np.array([0.5, bad]), ELECTRON)
 
     def test_dirichlet_seeds_bounds_checked(self):
         g = dirichlet_grid(129)
@@ -551,6 +566,9 @@ class TestTrajectories:
         res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
         with pytest.raises(ValueError, match="seeds"):
             integrate_trajectories(res, np.array([1.5]), ELECTRON)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="seeds must be finite"):
+                integrate_trajectories(res, np.array([0.5, bad]), ELECTRON)
 
     def test_real_field_trajectories_static(self):
         g = dirichlet_grid(129)
@@ -606,6 +624,48 @@ class TestTrajectories:
         )
         with pytest.raises(ValueError, match="uniform"):
             integrate_trajectories(res, np.array([0.5]), ELECTRON)
+
+    def test_frames_on_another_grid(self):
+        g = periodic_grid(64)
+        psi, _ = plane_wave(g, 1)
+        # the same size on another length, and another size
+        for other in (periodic_grid(64, L=2.0), periodic_grid(128)):
+            moved, _ = plane_wave(other, 1)
+            res = EvolutionResult(
+                frames=[psi, moved, psi],
+                times=np.array([0.0, 1e-6, 2e-6]),
+                step_indices=np.array([0, 1, 2]),
+                norms=np.ones(3),
+                energies=np.zeros(3),
+            )
+            with pytest.raises(GridError, match="one grid"):
+                integrate_trajectories(res, np.array([0.5]), ELECTRON)
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_working_memory_is_rows_of_points(self, boundary):
+        """Each frame's velocity row is computed when the advection reaches
+        it: over 201 frames of 2048 points the traced peak is the paths plus
+        a few dozen rows of points, where a (frames, points) velocity array
+        with its wrapped copy would take about 400 rows."""
+        g = Grid.uniform(0.0, 1.0, 2048, boundary)
+        psi = WaveField.gaussian(g, center=0.5, width=0.05, k0=40.0)
+        n = 201
+        res = EvolutionResult(
+            frames=[psi] * n,
+            times=np.arange(n) * 1e-6,
+            step_indices=np.arange(n),
+            norms=np.ones(n),
+            energies=np.zeros(n),
+        )
+        seeds = np.linspace(0.3, 0.7, 8)
+        integrate_trajectories(res, seeds, ELECTRON)  # warm-up
+        tracemalloc.start()
+        try:
+            traj = integrate_trajectories(res, seeds, ELECTRON)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.paths.nbytes + 32 * g.n * 8
 
     def test_trajectory_set_shapes(self):
         g, res, _ = _plane_wave_evolution(steps=20)

@@ -73,6 +73,12 @@ class TestAdvectSeeds:
             kernels.advect_seeds(
                 vframes, 0.0, 0.1, 0.1, np.array([0.5]), 0, False, 1.0
             )
+        ragged = [np.zeros(16), np.zeros(16), np.zeros(15)]
+        for rows in (ragged, np.zeros(16)):
+            with pytest.raises(ValueError, match="rows of one length"):
+                kernels.advect_seeds(
+                    rows, 0.0, 0.1, 0.1, np.array([0.5]), 1, False, 1.0
+                )
 
 
 def reference_advect(vframes, x0, h, dt_frame, seeds, substeps, periodic, length):
@@ -163,6 +169,29 @@ class TestAdvectionOracle:
             assert np.any(paths[-1] < paths[0] - 0.1)
         else:
             assert 0 < np.count_nonzero(exited) < seeds.size
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_rows_from_a_sequence_read_once(self, periodic):
+        rng = np.random.default_rng(5)
+        points = np.linspace(0.0, 1.0, 65)[: -1 if periodic else None]
+        h = points[1] - points[0]
+        vframes = varying_frames(6, points, rng)
+        reads = []
+
+        class Rows:
+            def __len__(self):
+                return len(vframes)
+
+            def __getitem__(self, f):
+                reads.append(f)
+                return list(vframes[f])
+
+        args = (0.0, h, 0.05, rng.uniform(0.0, 0.99, 40), 2, periodic, 1.0)
+        paths, exited = kernels.advect_seeds(Rows(), *args)
+        want_paths, want_exited = kernels.advect_seeds(vframes, *args)
+        assert reads == list(range(6))
+        assert np.array_equal(paths.view(np.uint64), want_paths.view(np.uint64))
+        assert np.array_equal(exited, want_exited)
 
     def test_stage_just_below_origin_wraps(self):
         # a half-step from x0 with a tiny negative velocity lands where
