@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy
 
 from . import __version__, serialize
 from .coeffs import coefficient_table
@@ -468,7 +467,6 @@ def _run_scenario(
             "qpotlab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "outputs": sorted(outputs),
         "timings": {"total_seconds": elapsed},

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import kernels
 from .grid import (
@@ -68,6 +67,8 @@ from .grid import (
     Grid,
     GridError,
     GridFunction,
+    SineTransform,
+    fft_scale,
     gradient,
     integrate,
 )
@@ -75,7 +76,7 @@ from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
     complete_q_operator,
-    expectation,
+    expectation_operator,
     validate_order2,
 )
 
@@ -146,45 +147,58 @@ class EvolutionConfig:
 class EvolutionResult:
     """Stored frames plus per-frame diagnostics.  The frames :func:`evolve`
     returns are views of the rows of one (frames, points) block, which is
-    freed as a unit."""
+    freed as a unit; frame f was stored after ``step_indices[f]`` steps of
+    ``dt``."""
 
     frames: list[WaveField]
     times: np.ndarray
     step_indices: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
+    dt: float
 
 
 class _KineticStep:
     """Full-dt kinetic propagator exp(-i hbar k^2 dt / 2m) on the grid's
     transform modes: the complex Fourier modes on periodic grids, the DST-I
-    sine modes of :meth:`Grid.series_symbol` on Dirichlet ones."""
+    sine modes of :meth:`Grid.series_symbol` on Dirichlet ones.  The
+    Dirichlet step transforms the real and imaginary parts of psi as the
+    two rows of one :class:`grid.SineTransform`, whose buffers the step
+    owns: one transform call each way, with the bits of the complex DST-I
+    pair (README, numerics)."""
 
     def __init__(self, grid: Grid, params: PhysicalParams, dt: float):
         c2 = params.hbar**2 / (2.0 * params.mass)
         self.periodic = grid.boundary == PERIODIC
         if self.periodic:
             symbol = c2 * grid.wavenumbers**2
+            self.inverse = fft_scale(grid.n)
         else:
-            # c2 k^2 on the sine modes, one column for the (re, im) pairs
-            symbol = grid.series_symbol({1: -c2})[:, None]
+            # c2 k^2 on the sine modes
+            symbol = grid.series_symbol({1: -c2})
+            self.sine = SineTransform(2, grid.n - 2)
         self.phase = np.exp(-1j * (symbol / params.hbar) * dt)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         if self.periodic:
-            coef = scipy.fft.fft(psi)
+            coef = np.fft.fft(psi)
             coef *= self.phase
-            return scipy.fft.ifft(coef, overwrite_x=True)
-        # A real DST-I along the interior's (re, im) pairs gives the bits of
-        # the complex DST-I, which scipy runs on the real and imaginary
-        # parts one after the other, in less time (README, numerics).
-        pairs = psi[1:-1].view(np.float64).reshape(-1, 2)
-        coef = scipy.fft.dst(pairs, type=1, axis=0).view(np.complex128)
+            out = np.fft.ifft(coef, norm="forward", out=coef)
+            out *= self.inverse
+            return out
+        sine = self.sine
+        coef = np.empty(psi.size - 2, np.complex128)
+        sine(_parts(psi[1:-1]), out=_parts(coef))
         coef *= self.phase
-        back = scipy.fft.idst(coef.view(np.float64), type=1, axis=0, overwrite_x=True)
         out = np.zeros_like(psi)
-        out[1:-1] = back.view(np.complex128)[:, 0]
+        sine(_parts(coef), sine.inverse, out=_parts(out[1:-1]))
         return out
+
+
+def _parts(z: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of a contiguous complex vector, as the
+    two rows of a (2, size) real view of it."""
+    return z.view(np.float64).reshape(-1, 2).T
 
 
 def _phase_rotation(potential: np.ndarray, scale: float) -> np.ndarray:
@@ -285,9 +299,8 @@ def evolve(
             if step < cfg.steps:
                 psi *= rotation(W, 0.5)
 
-    energies = np.array(
-        [energy_functional(f, V, spec, params) for f in frames], dtype=np.float64
-    )
+    energy = _energy_operator(g, V, spec, params)
+    energies = np.array([energy(f.values) for f in frames], dtype=np.float64)
     norms = np.array([norm(f) for f in frames], dtype=np.float64)
     return EvolutionResult(
         frames=frames,
@@ -295,6 +308,7 @@ def evolve(
         step_indices=np.asarray(steps_stored),
         norms=norms,
         energies=energies,
+        dt=cfg.dt,
     )
 
 
@@ -339,15 +353,29 @@ def energy_functional(
     split-form expectation A_{2n} <lap^p R, lap^q R>, p + q = n (order 0
     gives A0 * norm).
     """
-    g = psi.grid
-    dpsi = _complex_gradient(g, psi.values)
+    return _energy_operator(psi.grid, V, spec, params)(psi.values)
+
+
+def _energy_operator(
+    g: Grid,
+    V: GridFunction,
+    spec: QuantumPotentialSpec,
+    params: PhysicalParams,
+) -> Callable[[np.ndarray], float]:
+    """The map from psi values on ``g`` to :func:`energy_functional`, whose
+    non-kinetic terms' operators are resolved once, here
+    (:func:`qpotential.expectation_operator`), for every frame of a run."""
     c2 = params.hbar**2 / (2.0 * params.mass)
-    dens = np.abs(psi.values) ** 2
-    total = integrate(
-        GridFunction(g, c2 * np.abs(dpsi) ** 2 + V.values * dens)
-    )
-    total += expectation(psi.amplitude(), params, spec.without_order(2))
-    return float(total)
+    family = expectation_operator(g, params, spec.without_order(2))
+
+    def energy(values: np.ndarray) -> float:
+        dpsi = _complex_gradient(g, values)
+        dens = np.abs(values) ** 2
+        total = integrate(GridFunction(g, c2 * np.abs(dpsi) ** 2 + V.values * dens))
+        total += family(np.abs(values))
+        return float(total)
+
+    return energy
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +455,9 @@ def integrate_trajectories(
 
     Each frame's velocity row is computed with :func:`bohmian_velocity`
     when the advection reaches that frame, so the working memory is a few
-    rows of points besides the (frames, seeds) paths.
+    rows of points besides the (frames, seeds) paths.  Each stored interval
+    lasts its step count times ``dt``: the last one is shorter when
+    ``store_every`` does not divide ``steps``.
     """
     frames = evolution.frames
     if len(frames) < 2:
@@ -435,9 +465,9 @@ def integrate_trajectories(
     g = frames[0].grid
     if not all(f.grid.same_as(g) for f in frames):
         raise GridError("stored frames must all lie on one grid")
-    dts = np.diff(evolution.times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0):
-        raise ValueError("stored frames must be uniformly spaced in time")
+    intervals = np.diff(evolution.step_indices) * evolution.dt
+    if not np.all(intervals > 0):
+        raise ValueError(f"frame intervals must be positive, got {intervals}")
     seeds = np.asarray(seeds, dtype=np.float64)
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
@@ -452,7 +482,7 @@ def integrate_trajectories(
         _VelocityRows(frames, params),
         x0,
         float(g.spacing),
-        float(dts[0]),
+        intervals,
         seeds,
         substeps=substeps,
         periodic=periodic,

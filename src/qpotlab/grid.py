@@ -14,9 +14,12 @@ the real-input Fourier transform (``rfft``/``irfft``) on periodic grids
 and the sine (DST-I) transform on Dirichlet grids (exact mode actions for
 fields vanishing at the walls).  The gradient is the real-input Fourier
 derivative on periodic grids and the sine-series derivative on Dirichlet
-ones.  A Laplacian series sum c_n lap^n (a power is one term) costs one
-transform pair with the symbol sum c_n (-k^2)^n; :func:`series_operator`
-resolves the symbol once for a caller that applies one series many times.
+ones.  Every transform is ``numpy.fft``: the DST-I is
+:class:`SineTransform`, the real FFT of the odd extension, and every
+normalisation is :func:`fft_scale`, as pocketfft computes it.  A Laplacian
+series sum c_n lap^n (a power is one term) costs one transform pair with
+the symbol sum c_n (-k^2)^n; :func:`series_operator` resolves the symbol
+once for a caller that applies one series many times.
 A series can be band-limited: the symbol is zero at every mode with |k|
 above the band edge (the projection P onto |k| <= band, applied on both
 sides of the series).
@@ -30,7 +33,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy
 
 from . import serialize
 
@@ -104,7 +106,7 @@ class Grid:
     @property
     def wavenumbers(self) -> np.ndarray:
         """Angular FFT wavenumbers 2 pi fftfreq(n, h)."""
-        return 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.spacing)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
     def series_symbol(
         self, unit: Mapping[int, float], band: float = math.inf
@@ -189,7 +191,9 @@ def series_operator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The map from field values on ``g`` to sum_n c_n lap^n of them, for a
     mapping {power n >= 1: c_n}, projected onto the modes with |k| <=
-    ``band``; its scale and symbol are resolved once, here.
+    ``band``; its scale and symbol, and on Dirichlet grids its transform
+    buffers, are resolved once, here, so the map is for one thread at a
+    time.
 
     The grid picks the backend: the real-input Fourier transform on
     periodic grids and the sine transform on Dirichlet grids (valid for
@@ -205,41 +209,100 @@ def series_operator(
     scale = max(coeffs.values(), key=abs) or 1.0
     symbol = g.series_symbol({n: c / scale for n, c in coeffs.items()}, band)
     if g.boundary == PERIODIC:
+        inverse = fft_scale(g.n)
 
         def fourier(values: np.ndarray) -> np.ndarray:
-            coef = scipy.fft.rfft(values)
+            coef = np.fft.rfft(values)
             coef *= symbol
-            out = scipy.fft.irfft(coef, g.n, overwrite_x=True)
+            out = np.fft.irfft(coef, g.n, norm="forward")
+            out *= inverse
             out *= scale
             return out
 
         return fourier
 
-    def sine(values: np.ndarray) -> np.ndarray:
-        coef = scipy.fft.dst(values[1:-1], type=1, norm="ortho")
+    sine = SineTransform(g.n - 2)
+
+    def sine_series(values: np.ndarray) -> np.ndarray:
+        coef = sine(values[1:-1], sine.ortho)
         coef *= symbol
         out = np.zeros(g.n)
-        out[1:-1] = scale * scipy.fft.idst(coef, type=1, norm="ortho")
+        sine(coef, sine.ortho, out=out[1:-1])
+        out[1:-1] *= scale
         return out
 
-    return sine
+    return sine_series
+
+
+def fft_scale(n: int, ortho: bool = False) -> float:
+    """The normalisation 1/n of an n-point transform, or 1/sqrt(n) for the
+    orthonormal one, as pocketfft computes it: in long double, rounded to
+    double once.  ``numpy.fft``'s own 1/n (and 1/sqrt(n)) is rounded from
+    double arithmetic and differs from it in the last bit at some sizes
+    (1/n at n = 2731, 4623, 5462, ...), so every transform here is taken
+    unnormalised and multiplied by this scale afterwards, which gives the
+    bits of the scale applied inside the transform."""
+    size = np.longdouble(n)
+    return float(1 / (np.sqrt(size) if ortho else size))
+
+
+class SineTransform:
+    """The DST-I y_j = 2 sum_i x_i sin(pi (i + 1)(j + 1) / (m + 1)) along the
+    last axis of arrays of shape ``shape = (..., m)``: the real FFT of the
+    odd extension [0, x, 0, -x reversed], of length N = 2(m + 1), whose
+    imaginary part at modes 1..m is -y (Martucci, IEEE Trans. Signal
+    Process. 42 (1994) 1038).  This is pocketfft's own DST-I, bit for bit.
+
+    Its inverse is the same transform times 1/N (:attr:`inverse`), and the
+    orthonormal DST-I, its own inverse, is the transform times
+    1/sqrt(N) (:attr:`ortho`).  The extension and spectrum buffers are
+    allocated once, here, and reused by every call, so one instance is for
+    one thread at a time; each call returns a new array, or writes ``out``.
+    """
+
+    def __init__(self, *shape: int):
+        *rows, m = shape
+        size = 2 * (m + 1)
+        self.inverse = fft_scale(size)
+        self.ortho = fft_scale(size, ortho=True)
+        self._extension = np.zeros((*rows, size))
+        self._spectrum = np.empty((*rows, m + 2), np.complex128)
+
+    def __call__(
+        self, x: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``scale`` times the DST-I of ``x`` (any strides), in ``out`` if
+        given.  Entries 0 and m + 1 of the extension stay zero."""
+        m = x.shape[-1]
+        ext = self._extension
+        ext[..., 1 : m + 1] = x
+        np.negative(x[..., ::-1], out=ext[..., m + 2 :])
+        np.fft.rfft(ext, axis=-1, out=self._spectrum)
+        return np.multiply(self._spectrum.imag[..., 1 : m + 1], -scale, out=out)
 
 
 def gradient(f: GridFunction) -> GridFunction:
     """First spatial derivative: the Fourier derivative on periodic grids;
     on Dirichlet grids the sine-series derivative (a DST-I of the interior
-    values, mode j times j pi / L, then a DCT-I to every node), valid for
-    fields vanishing at the walls, whose values it does not read."""
+    values, mode j times j pi / L, then a DCT-I to every node: the real FFT
+    of the even extension), valid for fields vanishing at the walls, whose
+    values it does not read."""
     g = f.grid
     if g.boundary == PERIODIC:
-        coef = scipy.fft.rfft(f.values)
+        coef = np.fft.rfft(f.values)
         coef *= 1j * g.wavenumbers[: g.n // 2 + 1]
-        return GridFunction(g, scipy.fft.irfft(coef, g.n, overwrite_x=True))
-    coef = scipy.fft.dst(f.values[1:-1], type=1)
+        out = np.fft.irfft(coef, g.n, norm="forward")
+        out *= fft_scale(g.n)
+        return GridFunction(g, out)
+    m = g.n - 2
+    coef = SineTransform(m)(f.values[1:-1])
     coef *= np.arange(1, g.n - 1) * (np.pi / (g.length * (g.n - 1)))
-    out = scipy.fft.dct(np.pad(coef, 1), type=1, overwrite_x=True)
-    out *= 0.5
-    return GridFunction(g, out)
+    # the DCT-I of [0, coef, 0] is the real part of the real FFT of its even
+    # extension [0, coef, 0, coef reversed]
+    even = np.zeros(2 * (m + 1))
+    even[1 : m + 1] = coef
+    even[m + 2 :] = coef[::-1]
+    return GridFunction(g, np.fft.rfft(even).real * 0.5)
 
 
 def integrate(f: GridFunction) -> float:

@@ -77,7 +77,7 @@ def advect_seeds(
     vframes: Sequence[np.ndarray],
     x0: float,
     h: float,
-    dt_frame: float,
+    dt_frames: float | Sequence[float],
     seeds: np.ndarray,
     substeps: int = 1,
     periodic: bool = False,
@@ -88,7 +88,8 @@ def advect_seeds(
     ``vframes`` is any sized sequence of equal-length velocity rows, one
     per frame (a 2-D array will do); row f is read once, when the
     advection reaches frame f, and a periodic row gets its wrap value
-    appended then.
+    appended then.  ``dt_frames`` is the time from each frame to the next,
+    one per interval, or one for all.
 
     Returns (paths, exited): paths has shape (n_frames, n_seeds) with one
     position sample per frame; exited flags Dirichlet trajectories that hit
@@ -100,6 +101,7 @@ def advect_seeds(
         raise ValueError("need at least two velocity frames")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
+    dt_frames = np.broadcast_to(np.asarray(dt_frames, np.float64), (nframes - 1,))
 
     def row(f):
         r = np.asarray(vframes[f], np.float64)
@@ -112,12 +114,12 @@ def advect_seeds(
     paths = np.empty((nframes, seeds.shape[0]), np.float64)
     exited = np.zeros(seeds.shape[0], np.uint8)
     xmax = x0 + h * (npts - 1)
-    dt = dt_frame / substeps
     x = seeds.copy()
     paths[0] = x
     for f in range(nframes - 1):
         active = exited == 0
         va, vb = vb, row(f + 1)
+        dt = float(dt_frames[f]) / substeps
 
         def blend(tw):
             return (1.0 - tw) * va + tw * vb

@@ -13,8 +13,8 @@ a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
 The orders >= 2 act as one operator, the Laplacian series sum A_2n lap^n
 with symbol sum A_2n (-k^2)^n: :func:`complete_q_operator` builds it once
 per grid and spec, :func:`eval_complete_q` applies it once and
-:func:`expectation` is the one split-form energy sum, shared by the energy
-functional and the perturbative shifts.  For the relativistic coefficients
+:func:`expectation_operator` is the one split-form energy sum, shared by
+the energy functional and the perturbative shifts.  For the relativistic coefficients
 that symbol is the series of eps0 (sqrt(1 + x) - 1) in x = (hbar k / m c)^2,
 which converges only for x <= 1, so both project the series onto the band
 |k| <= m c / hbar (:func:`band_edge`): the symbol is zero above it, at no
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import serialize
 from .coeffs import a2n
-from .grid import Grid, GridFunction, inner, power_laplacian, series_operator
+from .grid import Grid, GridFunction, integrate, series_operator
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 7.2973525693e-3
@@ -291,26 +291,48 @@ def eval_complete_q(
     return GridFunction(R.grid, complete_q_operator(R.grid, params, spec)(R.values))
 
 
+def expectation_operator(
+    grid: Grid,
+    params: PhysicalParams,
+    spec: QuantumPotentialSpec,
+) -> Callable[[np.ndarray], float]:
+    """The map from R values on ``grid`` to sum_2n A_2n <lap^p P R, lap^q P
+    R>, p = ceil(n/2), q = n - p, with P the projection of
+    :func:`eval_complete_q`: the Hermitian split form of sum A_2n <R, P
+    lap^n R> (equal by parts for fields vanishing at the boundary, better
+    behaved near the hydrogen cusp).
+
+    The coefficients and one band-limited operator per Laplacian power are
+    resolved once, here, so a caller that evaluates the sum on many fields
+    of one grid (the energy of every stored frame) builds the map once and
+    applies it; each application takes each power of R once."""
+    band = band_edge(params)
+    splits = []
+    for t in spec.terms:
+        n = t.order // 2
+        p = (n + 1) // 2
+        splits.append((dimensional_coefficient(t, params), p, n - p))
+    needed = {k for _, p, q in splits for k in (p, q) if k}
+    powers = {k: series_operator(grid, {k: 1.0}, band) for k in sorted(needed)}
+
+    def value(r: np.ndarray) -> float:
+        lap = {0: r, **{k: op(r) for k, op in powers.items()}}
+        total = 0.0
+        for coefficient, p, q in splits:
+            total += coefficient * integrate(GridFunction(grid, lap[p] * lap[q]))
+        return total
+
+    return value
+
+
 def expectation(
     R: GridFunction,
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
 ) -> float:
-    """sum_2n A_2n <lap^p P R, lap^q P R>, p = ceil(n/2), q = n - p, with P
-    the projection of :func:`eval_complete_q`: the Hermitian split form of
-    sum A_2n <R, P lap^n R> (equal by parts for fields vanishing at the
-    boundary, better behaved near the hydrogen cusp).  When p == q one
-    Laplacian power serves both sides."""
-    band = band_edge(params)
-    total = 0.0
-    for t in spec.terms:
-        n = t.order // 2
-        p = (n + 1) // 2
-        q = n - p
-        left = R if p == 0 else power_laplacian(R, p, band)
-        right = left if q == p else R if q == 0 else power_laplacian(R, q, band)
-        total += dimensional_coefficient(t, params) * inner(left, right)
-    return total
+    """The split-form energy sum of :func:`expectation_operator` on R,
+    applied once."""
+    return expectation_operator(R.grid, params, spec)(R.values)
 
 
 # --------------------------------------------------------------------------

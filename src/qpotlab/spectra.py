@@ -18,7 +18,8 @@ closed forms (band-limited the same way) and the spectral eigenvalues are
 the textbook shifts and their share inside the band.  The order-4 shift is
 the kinetic relativistic correction; :func:`relativistic_reference_shift`
 recomputes it through a deliberately separate code path (its own
-transforms, band cut and quadrature) as a cross-check oracle.
+transform pair on the shared DST-I, band cut and quadrature) as a
+cross-check oracle.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
 including the order-4 operator nonperturbatively, on the same band-projected
@@ -37,13 +38,13 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .grid import (
     DIRICHLET,
     Grid,
     GridError,
     GridFunction,
+    SineTransform,
     laplacian_symbol,
 )
 from .qpotential import (
@@ -195,11 +196,12 @@ def _reference_laplacian(f: GridFunction, band: float) -> np.ndarray:
     interior = f.values[1:-1]
     m = interior.size
     length = float(g.points[-1] - g.points[0])
-    coef = scipy.fft.dst(interior, type=1, norm="ortho")
+    sine = SineTransform(m)
+    coef = sine(interior, sine.ortho)
     k = np.arange(1, m + 1) * np.pi / length
     coef[k > band] = 0.0
     out = np.zeros(g.n)
-    out[1:-1] = scipy.fft.idst(-(k**2) * coef, type=1, norm="ortho")
+    sine(-(k**2) * coef, sine.ortho, out=out[1:-1])
     return out
 
 
@@ -308,11 +310,6 @@ def _operator_coefficients(
     return {0: 0.0, 2: 0.0, **coeffs, 1: -params.hbar**2 / (2.0 * params.mass)}
 
 
-def _dst(values: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I S, which is its own inverse."""
-    return scipy.fft.dst(values, type=1, norm="ortho")
-
-
 def _minres(
     apply: Callable[[np.ndarray], np.ndarray],
     precondition: Callable[[np.ndarray], np.ndarray],
@@ -377,9 +374,14 @@ class _ProjectedOperator:
         self.d, self.V, self.low = d, V, low
         self.h_max = float(np.max(np.abs(d)) + np.max(np.abs(V)))
         self._above = d[low:] + float(np.mean(V))
+        self._sine = SineTransform(d.size)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        return self.d * c + _dst(self.V * _dst(c))
+        return self.d * c + self.transform(self.V * self.transform(c))
+
+    def transform(self, c: np.ndarray) -> np.ndarray:
+        """S c: the orthonormal DST-I, which is its own inverse."""
+        return self._sine(c, self._sine.ortho)
 
     @cached_property
     def _block(self) -> tuple[np.ndarray, np.ndarray]:
@@ -486,6 +488,6 @@ def solve_modified_eigenproblem(
     for tau in range(1, count + 1):
         energy, coef = _track_level(H, tau, tol)
         full = np.zeros(g.n)
-        full[1:-1] = _dst(coef)
+        full[1:-1] = H.transform(coef)
         out.append((energy, GridFunction(g, full).normalized()))
     return out

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, manifests, determinism, and errors."""
 
+import ast
 import json
 import multiprocessing
 import os
@@ -803,10 +804,12 @@ from qpotlab import cli
 from qpotlab.grid import Grid, GridFunction, write_gridfunction
 
 out = Path(sys.argv[1])
-lazy = ("scipy.fft", "scipy.linalg", "multiprocessing", "concurrent.futures.process")
+lazy = ("multiprocessing", "concurrent.futures.process")
+never = ("scipy", "numpy.testing", "unittest", "email")
 
 
 def loaded():
+    assert not [m for m in never if m in sys.modules], [m for m in never if m in sys.modules]
     return [m for m in lazy if m in sys.modules]
 
 
@@ -816,10 +819,10 @@ assert cli.main(["verify-el", "--q", "A2 * lap(R) / R", "--trials", "4",
 assert loaded() == [], loaded()
 assert cli.main(["spectra", "--problem", "box", "--points", "65", "--count", "2",
                  "--out", str(out / "b")]) == 0
-assert loaded() == ["scipy.fft"], loaded()
+assert loaded() == [], loaded()
 assert cli.main(["spectra", "--problem", "hydrogen", "--radial-points", "2048",
                  "--out", str(out / "h")]) == 0
-assert loaded() == ["scipy.fft"], loaded()
+assert loaded() == [], loaded()
 g = Grid.uniform(0.0, 1.0, 65)
 field = out / "field.csv"
 write_gridfunction(field, GridFunction(g, np.sin(np.pi * g.points)))
@@ -831,35 +834,36 @@ ratios = out / "ratios.cfg"
 ratios.write_text("")
 assert cli.main(["run", "--scenario", "ratios", "--config", str(ratios),
                  "--out", str(out / "r")]) == 0
-assert loaded() == ["scipy.fft"], loaded()
+assert loaded() == [], loaded()
 for boundary, points in (("periodic", 64), ("dirichlet", 65)):
     cfg = out / f"{boundary}.cfg"
     cfg.write_text(f"orders = 2\npoints = {points}\nboundary = {boundary}\n"
                    "initial = eigenmode\ndt = 1e-8\nsteps = 2\n")
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(out / boundary)]) == 0
-# nor does the library's eigensolver on a nonzero V
+# nor does the library: the eigensolver on a nonzero V, and trajectories
+from qpotlab.dynamics import EvolutionConfig, WaveField, evolve, integrate_trajectories
 from qpotlab.qpotential import QuantumPotentialSpec, electron_params
 from qpotlab.spectra import solve_modified_eigenproblem
 
 g = Grid.uniform(0.0, 1.0, 129)
 solve_modified_eigenproblem(GridFunction(g, 2000.0 * (g.points - 0.5) ** 2),
                             QuantumPotentialSpec.relativistic(4), electron_params(), 3)
-# no command and no library path loads scipy.linalg
-assert loaded() == ["scipy.fft", "multiprocessing", "concurrent.futures.process"], loaded()
-assert "scipy.integrate" not in sys.modules
+psi = WaveField.gaussian(g, 0.5, 0.05, 20.0)
+res = evolve(psi, GridFunction(g, np.zeros(g.n)), QuantumPotentialSpec.relativistic(4),
+             electron_params(), EvolutionConfig(dt=1e-8, steps=3))
+integrate_trajectories(res, np.array([0.4, 0.6]), electron_params())
+assert loaded() == ["multiprocessing", "concurrent.futures.process"], loaded()
 """
 
 
 class TestColdImport:
-    def test_scipy_submodules_load_on_first_use(self, tmp_path):
-        """verify-el and coefficients never load scipy.fft, multiprocessing
-        or the process pool of concurrent.futures; the box and hydrogen
-        spectra, qpot and ratios load scipy.fft, and evolve multiprocessing
-        and the process pool (its frame writer), when they first need them.
-        The pool is ``concurrent.futures.process``: scipy.fft itself loads
-        the ``concurrent.futures`` package, through numpy.testing.  No
-        command loads scipy.linalg or scipy.integrate, and neither does the
-        eigensolver on a nonzero V."""
+    def test_no_command_imports_scipy(self, tmp_path):
+        """No command and no library path imports scipy, nor numpy.testing,
+        unittest or email, which importing scipy.fft once brought in.
+        verify-el, coefficients, the box and hydrogen spectra, qpot and
+        ratios never load multiprocessing or the process pool of
+        concurrent.futures; evolve loads both, for its frame writer, when
+        it first needs them."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
@@ -868,12 +872,35 @@ class TestColdImport:
         )
         assert proc.returncode == 0, proc.stderr
 
-
-    def test_no_module_names_scipy_linalg(self):
+    def test_no_module_names_scipy(self):
         package = Path(cli.__file__).resolve().parent
         naming = [p.name for p in sorted(package.rglob("*.py"))
-                  if "scipy.linalg" in p.read_text(encoding="utf-8")]
+                  if "scipy" in p.read_text(encoding="utf-8")]
         assert naming == []
+
+    def test_imports_only_numpy_beyond_the_standard_library(self):
+        """Every import statement of every module, top-level or not, names
+        the standard library, numpy or the package itself, so
+        ``dependencies = ["numpy>=2.0"]`` in pyproject.toml is the whole
+        list."""
+        package = Path(cli.__file__).resolve().parent
+        outside = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                outside.update(
+                    (path.name, root) for root in roots
+                    if root not in sys.stdlib_module_names and root not in ("numpy", "qpotlab")
+                )
+        assert outside == set()
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        deps = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+        assert deps["project"]["dependencies"] == ["numpy>=2.0"]
 
 
 class TestParserOnce:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpotlab import dynamics, grid
+from qpotlab import dynamics, grid, qpotential
 from qpotlab.dynamics import (
     EvolutionConfig,
     EvolutionResult,
@@ -464,16 +464,22 @@ class TestEnergyFunctional:
         g = Grid.uniform(0.0, 1.0, 128, boundary)
         psi = WaveField.gaussian(g, 0.5, 0.05, 20.0)
         calls = []
-        original = grid.laplacian_series
+        original = qpotential.series_operator
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counted(grid, coeffs, band):
+            calls.append(coeffs)
+            op = original(grid, coeffs, band)
 
-        monkeypatch.setattr(grid, "laplacian_series", counted)
+            def applied(values):
+                calls.append("applied")
+                return op(values)
+
+            return applied
+
+        monkeypatch.setattr(qpotential, "series_operator", counted)
         spec = QuantumPotentialSpec.relativistic(4)
         energy_functional(psi, zero_potential(g), spec, ELECTRON)
-        assert calls == [{1: 1.0}]
+        assert calls == [{1: 1.0}, "applied"]
 
 
 class TestSampling:
@@ -594,6 +600,7 @@ class TestTrajectories:
             step_indices=np.array([0, 1, 2]),
             norms=np.ones(3),
             energies=np.zeros(3),
+            dt=T / 2,
         )
         traj = integrate_trajectories(res, np.array([0.9, 0.1]), ELECTRON, substeps=4)
         assert traj.exited[0] and not traj.exited[1]
@@ -608,22 +615,43 @@ class TestTrajectories:
             step_indices=np.array([0]),
             norms=np.ones(1),
             energies=np.zeros(1),
+            dt=1e-6,
         )
         with pytest.raises(ValueError, match="two stored frames"):
             integrate_trajectories(res, np.array([0.5]), ELECTRON)
 
-    def test_needs_uniform_frame_times(self):
+    @pytest.mark.parametrize("steps", [[0, 1, 1], [0, 2, 1]], ids=["repeated", "decreasing"])
+    def test_needs_positive_frame_intervals(self, steps):
         g = periodic_grid(64)
         psi, _ = plane_wave(g, 1)
         res = EvolutionResult(
             frames=[psi, psi, psi],
-            times=np.array([0.0, 1.0, 3.0]),
-            step_indices=np.array([0, 1, 2]),
+            times=1e-6 * np.array(steps),
+            step_indices=np.array(steps),
             norms=np.ones(3),
             energies=np.zeros(3),
+            dt=1e-6,
         )
-        with pytest.raises(ValueError, match="uniform"):
+        with pytest.raises(ValueError, match="intervals must be positive"):
             integrate_trajectories(res, np.array([0.5]), ELECTRON)
+
+    def test_last_interval_shorter_when_store_every_does_not_divide_steps(self):
+        # 300 steps stored every 7: 42 intervals of 7 steps, then one of 6
+        g = periodic_grid(128)
+        psi0, k = plane_wave(g, 2)
+        cfg = EvolutionConfig(dt=1e-6, steps=300, store_every=7)
+        res = evolve(psi0, zero_potential(g), SPEC2, ELECTRON, cfg)
+        assert res.step_indices[-2:].tolist() == [294, 300]
+        seeds = np.array([0.1, 0.45, 0.8])
+        traj = integrate_trajectories(res, seeds, ELECTRON)
+        v = ELECTRON.hbar * k / ELECTRON.mass
+        assert traj.paths[-1] - traj.paths[-2] == pytest.approx(
+            np.full(3, v * 6 * cfg.dt), rel=1e-6
+        )
+        assert traj.paths[-2] - traj.paths[-3] == pytest.approx(
+            np.full(3, v * 7 * cfg.dt), rel=1e-6
+        )
+        assert traj.endpoints() - seeds == pytest.approx(np.full(3, v * 300 * cfg.dt), rel=1e-6)
 
     def test_frames_on_another_grid(self):
         g = periodic_grid(64)
@@ -637,6 +665,7 @@ class TestTrajectories:
                 step_indices=np.array([0, 1, 2]),
                 norms=np.ones(3),
                 energies=np.zeros(3),
+                dt=1e-6,
             )
             with pytest.raises(GridError, match="one grid"):
                 integrate_trajectories(res, np.array([0.5]), ELECTRON)
@@ -656,6 +685,7 @@ class TestTrajectories:
             step_indices=np.arange(n),
             norms=np.ones(n),
             energies=np.zeros(n),
+            dt=1e-6,
         )
         seeds = np.linspace(0.3, 0.7, 8)
         integrate_trajectories(res, seeds, ELECTRON)  # warm-up

@@ -11,24 +11,24 @@ changing its output must keep every one of them; a change that moves
 numbers on purpose re-pins them and says why.
 
 Floats are written with 17 significant digits, so the pins depend on the
-numpy and scipy builds (FFT, exp, sin/cos) as well as on qpotlab; they were
-taken with the versions in ``PINNED_WITH`` and are skipped under others.
+numpy build (FFT, exp, sin/cos) as well as on qpotlab; they were taken with
+the version in ``PINNED_WITH`` and are skipped under others.  The package
+imports nothing else that computes.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
-import scipy
 
 from qpotlab import dynamics, qpotential
 from qpotlab.cli import main
 from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridFunction, write_gridfunction
 
-PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+PINNED_WITH = {"numpy": "2.4.6"}
 
 pytestmark = pytest.mark.skipif(
-    {"numpy": np.__version__, "scipy": scipy.__version__} != PINNED_WITH,
+    {"numpy": np.__version__} != PINNED_WITH,
     reason=f"output bits pinned with {PINNED_WITH}",
 )
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from qpotlab import dynamics
 from qpotlab.grid import (
     DIRICHLET,
     PERIODIC,
@@ -15,6 +16,8 @@ from qpotlab.grid import (
     Grid,
     GridError,
     GridFunction,
+    SineTransform,
+    fft_scale,
     gradient,
     inner,
     integrate,
@@ -24,6 +27,7 @@ from qpotlab.grid import (
     read_gridfunction,
     write_gridfunction,
 )
+from qpotlab.qpotential import electron_params
 
 
 def read_json(path):
@@ -370,6 +374,106 @@ class TestRealInputTransforms:
         laplacian_series(GridFunction(g, v), {1: 1.0, 2: 0.5})
         gradient(GridFunction(g, v))
         assert np.array_equal(v, kept)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNumpyTransformsMatchScipy:
+    """Every transform of the package is numpy.fft; scipy.fft, which is
+    pocketfft as well, is the oracle, bit for bit.  The sizes include m = 13,
+    where math.sqrt(1/N) misses pocketfft's orthonormal scale, and m = 2730
+    and n = 2731, where the double 1/n misses its long-double one."""
+
+    SIZES = [3, 4, 13, 2047, 2730, 2731, 4094, 8190, 16385]
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_sine_transform(self, m):
+        x = np.random.default_rng(m).standard_normal(m)
+        sine = SineTransform(m)
+        assert same_bits(sine(x), scipy.fft.dst(x, type=1))
+        assert same_bits(sine(x, sine.inverse), scipy.fft.idst(x, type=1))
+        assert same_bits(sine(x, sine.ortho), scipy.fft.dst(x, type=1, norm="ortho"))
+        assert same_bits(sine(x, sine.ortho), scipy.fft.idst(x, type=1, norm="ortho"))
+        # the buffers are reused: a second call on other data is not stale
+        y = x[::-1].copy()
+        assert same_bits(sine(y), scipy.fft.dst(y, type=1))
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_two_row_complex_pair(self, m):
+        # the real and imaginary parts of a complex vector as the two rows of
+        # one transform give the bits of scipy's DST-I along its (re, im) pairs
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sine = SineTransform(2, m)
+        got = np.empty_like(z)
+        sine(dynamics._parts(z), sine.inverse, out=dynamics._parts(got))
+        pairs = z.view(np.float64).reshape(-1, 2)
+        want = scipy.fft.idst(pairs, type=1, axis=0).view(np.complex128)[:, 0]
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_real_and_complex_fft_pairs(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        z = x + 1j * rng.standard_normal(n)
+        assert same_bits(np.fft.rfft(x), scipy.fft.rfft(x))
+        assert same_bits(np.fft.fft(z), scipy.fft.fft(z))
+        c = scipy.fft.rfft(x)
+        assert same_bits(np.fft.irfft(c, n, norm="forward") * fft_scale(n), scipy.fft.irfft(c, n))
+        assert same_bits(np.fft.ifft(z, norm="forward") * fft_scale(n), scipy.fft.ifft(z))
+        assert same_bits(np.fft.fftfreq(n, 0.37), scipy.fft.fftfreq(n, 0.37))
+
+    @pytest.mark.parametrize("n", [16, 2049, 2731, 4096, 8192, 16385])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_operators(self, n, boundary):
+        g = Grid.uniform(0.0, 1.0, n, boundary)
+        v = np.sin(3.0 * np.pi * g.points) * np.exp(-((g.points - 0.45) ** 2) / 0.02)
+        f = GridFunction(g, v)
+        unit = {1: 1.0, 2: -0.3, 3: 1e-3}
+        band = 0.4 * n * np.pi
+        sym = g.series_symbol(unit, band)
+        if boundary == PERIODIC:
+            k = g.wavenumbers
+            assert same_bits(k, 2.0 * np.pi * scipy.fft.fftfreq(n, d=g.spacing))
+            want_series = scipy.fft.irfft(scipy.fft.rfft(v) * sym, n) * 0.5
+            want_gradient = scipy.fft.irfft(1j * k[: n // 2 + 1] * scipy.fft.rfft(v), n)
+        else:
+            want_series = np.zeros(n)
+            coef = scipy.fft.dst(v[1:-1], type=1, norm="ortho")
+            want_series[1:-1] = 0.5 * scipy.fft.idst(coef * sym, type=1, norm="ortho")
+            coef = scipy.fft.dst(v[1:-1], type=1)
+            coef *= np.arange(1, n - 1) * (np.pi / (g.length * (n - 1)))
+            want_gradient = 0.5 * scipy.fft.dct(np.pad(coef, 1), type=1)
+        series = {p: 0.5 * c for p, c in unit.items()}
+        assert same_bits(laplacian_series(f, series, band).values, want_series)
+        assert same_bits(gradient(f).values, want_gradient)
+
+    @pytest.mark.parametrize("n", [16, 2731, 4096])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_kinetic_step(self, n, boundary):
+        g = Grid.uniform(0.0, 1.0, n, boundary)
+        params = electron_params()
+        step = dynamics._KineticStep(g, params, 1e-6)
+        psi = dynamics.WaveField.gaussian(g, 0.45, 0.05, 40.0).values
+        c2 = params.hbar**2 / (2.0 * params.mass)
+        if boundary == PERIODIC:
+            phase = np.exp(-1j * (c2 * g.wavenumbers**2 / params.hbar) * 1e-6)
+            want = scipy.fft.ifft(scipy.fft.fft(psi) * phase)
+        else:
+            psi[[0, -1]] = 0.0
+            symbol = g.series_symbol({1: -c2})[:, None]
+            phase = np.exp(-1j * (symbol / params.hbar) * 1e-6)
+            pairs = psi[1:-1].view(np.float64).reshape(-1, 2)
+            coef = scipy.fft.dst(pairs, type=1, axis=0).view(np.complex128) * phase
+            want = np.zeros_like(psi)
+            want[1:-1] = scipy.fft.idst(
+                coef.view(np.float64), type=1, axis=0
+            ).view(np.complex128)[:, 0]
+        for _ in range(2):  # the step's buffers are reused
+            assert same_bits(step(psi), want)
 
 
 class TestQuadrature:

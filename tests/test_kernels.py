@@ -24,6 +24,17 @@ class TestAdvectSeeds:
         assert np.allclose(paths[-1], seeds + v * T, atol=1e-12)
         assert not exited.any()
 
+    def test_one_interval_per_frame_pair(self):
+        # a shorter last interval moves seeds for its own length
+        v = 0.25
+        vframes = constant_velocity_frames(4, 64, v)
+        seeds = np.array([0.1, 0.5])
+        args = (0.0, 1.0 / 63, [0.1, 0.1, 0.05], seeds, 4, False, 1.0)
+        paths, _ = kernels.advect_seeds(vframes, *args)
+        assert np.allclose(paths - seeds, v * np.array([[0.0], [0.1], [0.2], [0.25]]), atol=1e-12)
+        with pytest.raises(ValueError):
+            kernels.advect_seeds(vframes, 0.0, 1.0 / 63, [0.1, 0.1], seeds, 4, False, 1.0)
+
     def test_periodic_wrap(self):
         v = 1.0
         npts = 64
