@@ -40,7 +40,7 @@ from .dynamics import (  # noqa: F401
     TrajectorySet,
     WaveField,
     bohmian_velocity,
-    energy_functional,
+    energy_operator,
     evolve,
     integrate_trajectories,
     norm,
@@ -73,9 +73,7 @@ from .grid import (  # noqa: F401
     gradient,
     inner,
     integrate,
-    laplacian_series,
     laplacian_symbol,
-    power_laplacian,
     read_gridfunction,
     series_operator,
     write_gridfunction,
@@ -87,9 +85,7 @@ from .qpotential import (  # noqa: F401
     QuantumPotentialSpec,
     complete_q_operator,
     electron_params,
-    eval_complete_q,
-    eval_q2n,
-    expectation,
+    expectation_operator,
     load_spec,
     natural_params,
     params_by_name,

@@ -55,12 +55,13 @@ from .grid import (
     write_gridfunction,
 )
 from .qpotential import (
-    eval_complete_q,
+    complete_q_operator,
     params_by_name,
     scale_ratio,
     spec_from_config,
     term_ratio,
     term_ratio_on_grid,
+    validate_order2,
 )
 from .spectra import (
     box_eigenstate,
@@ -127,6 +128,7 @@ def _scenario_box(
     points = serialize.get(cfg, "points", int, 513)
     count = serialize.get(cfg, "count", int, 5)
     cfg.reject_unread()
+    validate_order2(spec, params)
     state = box_eigenstate(L, tau, points, params)
     pc = tau * np.pi * params.hbar * params.c / L
 
@@ -192,6 +194,7 @@ def _scenario_hydrogen(
     spec, params = spec_from_config(cfg)
     radial_points = serialize.get(cfg, "radial_points", int, 4096)
     cfg.reject_unread()
+    validate_order2(spec, params)
     grid = hydrogen_default_grid(params, points=radial_points)
     states = []
     for n in (1, 2):
@@ -233,7 +236,7 @@ def _scenario_qpot(
     units = serialize.get(cfg, "units", str, "electron")
     cfg.reject_unread()
     f = read_gridfunction(path)
-    q = eval_complete_q(f, params, spec)
+    q = GridFunction(f.grid, complete_q_operator(f.grid, params, spec)(f.values))
     write_gridfunction(outdir / "qpotential.csv", q, units=units)
     print(
         f"qpot: evaluated {len(spec.orders)} term(s) on {f.grid.n} points "
@@ -246,7 +249,12 @@ def _initial_field(cfg: Mapping[str, str], g: Grid, L: float) -> WaveField:
     initial = serialize.get(cfg, "initial", str, "gaussian")
     if initial == "gaussian":
         center = serialize.get(cfg, "center_frac", float, 0.5) * L
-        width = serialize.get(cfg, "width_frac", float, 0.05) * L
+        width_frac = serialize.get(cfg, "width_frac", float, 0.05)
+        if not width_frac > 0:
+            raise serialize.ConfigError(
+                f"key 'width_frac': the packet width must be positive, got {width_frac!r}"
+            )
+        width = width_frac * L
         k0 = serialize.get(cfg, "k0", float, 0.0)
         return WaveField.gaussian(g, center, width, k0)
     if initial == "eigenmode":

@@ -34,13 +34,15 @@ grid's own transform modes, the Fourier modes on periodic grids and the
 sine (DST-I) modes on Dirichlet grids, where psi is zeroed at both ends
 before the first step.  Everything else follows the same grid rule (the
 real-input Fourier transform on periodic grids, the sine transform on
-Dirichlet ones): W and the energy functional's non-kinetic terms,
-projected onto the band |k| <= m c / hbar where the hierarchy converges
-(:func:`qpotential.eval_complete_q`), and the gradient of the guidance
-velocity and of the kinetic energy.  W's quotient terms are zeroed where
-|psi| falls below the amplitude floor.  States with nodes are out of
-scope: R = |psi| has a kink at a node, and the W built from it does not
-reproduce the signed field's dynamics.
+Dirichlet ones): W and the energy's non-kinetic terms, projected onto the
+band |k| <= m c / hbar where the hierarchy converges
+(:func:`qpotential.complete_q_operator`,
+:func:`qpotential.expectation_operator`), and the gradient of the guidance
+velocity and of the kinetic energy.  The energy of a run's frames is the
+map that :func:`energy_operator` builds once per run.  W's quotient terms
+are zeroed where |psi| falls below the amplitude floor.  States with nodes
+are out of scope: R = |psi| has a kink at a node, and the W built from it
+does not reproduce the signed field's dynamics.
 
 :func:`evolve` returns every stored frame, as views of the rows of one
 (frames, points) block, and its ``on_frame`` callback also receives each
@@ -118,6 +120,8 @@ class WaveField:
 
     def normalized(self) -> "WaveField":
         n = norm(self)
+        if not math.isfinite(n):
+            raise GridError(f"cannot normalize a field with non-finite norm {n}")
         if n <= 0:
             raise GridError("cannot normalize a zero field")
         return WaveField(self.grid, self.values / math.sqrt(n))
@@ -235,12 +239,16 @@ def evolve(
     made it, so a caller can write frames while the loop goes on; an
     exception it raises stops the run.
 
-    Aborts with RuntimeError on NaN/overflow or if the norm drifts by more
-    than 1e-4 relative (signals dt too large or node blow-up).
+    Raises RuntimeError, before the first step, on a psi0 with a
+    non-finite value, and aborts with it on NaN/overflow or if the norm
+    drifts by more than 1e-4 relative (signals dt too large or node
+    blow-up).
     """
     g = psi0.grid
     if not V.grid.same_as(g):
         raise GridError("potential grid does not match the field grid")
+    if not np.all(np.isfinite(psi0.values)):
+        raise RuntimeError("non-finite initial field psi0: refused before the first step")
     validate_order2(spec, params)
     # W: every term of the spec but the kinetic order 2, built once
     extra = complete_q_operator(g, params, spec.without_order(2))
@@ -299,7 +307,7 @@ def evolve(
             if step < cfg.steps:
                 psi *= rotation(W, 0.5)
 
-    energy = _energy_operator(g, V, spec, params)
+    energy = energy_operator(g, V, spec, params)
     energies = np.array([energy(f.values) for f in frames], dtype=np.float64)
     norms = np.array([norm(f) for f in frames], dtype=np.float64)
     return EvolutionResult(
@@ -340,31 +348,21 @@ def bohmian_velocity(psi: WaveField, params: PhysicalParams) -> GridFunction:
     return GridFunction(psi.grid, v)
 
 
-def energy_functional(
-    psi: WaveField,
-    V: GridFunction,
-    spec: QuantumPotentialSpec,
-    params: PhysicalParams,
-) -> float:
-    """Conserved energy: kinetic + potential + non-kinetic family terms.
-
-    The kinetic integrand hbar^2/2m |grad psi|^2 carries both the amplitude
-    and phase gradients (the order-2 term); every other term adds its
-    split-form expectation A_{2n} <lap^p R, lap^q R>, p + q = n (order 0
-    gives A0 * norm).
-    """
-    return _energy_operator(psi.grid, V, spec, params)(psi.values)
-
-
-def _energy_operator(
+def energy_operator(
     g: Grid,
     V: GridFunction,
     spec: QuantumPotentialSpec,
     params: PhysicalParams,
 ) -> Callable[[np.ndarray], float]:
-    """The map from psi values on ``g`` to :func:`energy_functional`, whose
-    non-kinetic terms' operators are resolved once, here
-    (:func:`qpotential.expectation_operator`), for every frame of a run."""
+    """The map from psi values on ``g`` to the conserved energy: kinetic +
+    potential + non-kinetic family terms.
+
+    The kinetic integrand hbar^2/2m |grad psi|^2 carries both the amplitude
+    and phase gradients (the order-2 term); every other term adds its
+    split-form expectation A_{2n} <lap^p R, lap^q R>, p + q = n (order 0
+    gives A0 * norm).  Those terms' operators are resolved once, here
+    (:func:`qpotential.expectation_operator`), so one map serves every
+    frame of a run."""
     c2 = params.hbar**2 / (2.0 * params.mass)
     family = expectation_operator(g, params, spec.without_order(2))
 

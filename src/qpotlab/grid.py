@@ -18,8 +18,9 @@ ones.  Every transform is ``numpy.fft``: the DST-I is
 :class:`SineTransform`, the real FFT of the odd extension, and every
 normalisation is :func:`fft_scale`, as pocketfft computes it.  A Laplacian
 series sum c_n lap^n (a power is one term) costs one transform pair with
-the symbol sum c_n (-k^2)^n; :func:`series_operator` resolves the symbol
-once for a caller that applies one series many times.
+the symbol sum c_n (-k^2)^n; :func:`series_operator` is its one entry: it
+resolves the symbol once and returns the map from field values to the
+series, which a caller applies to as many fields as it likes.
 A series can be band-limited: the symbol is zero at every mode with |k|
 above the band edge (the projection P onto |k| <= band, applied on both
 sides of the series).
@@ -153,6 +154,8 @@ class GridFunction:
     def normalized(self) -> "GridFunction":
         """Scale so that the integral of the squared field is exactly 1."""
         nrm = integrate(GridFunction(self.grid, self.values**2))
+        if not math.isfinite(nrm):
+            raise GridError(f"cannot normalize a field with non-finite norm {nrm}")
         if nrm <= 0:
             raise GridError("cannot normalize a field with vanishing norm")
         return GridFunction(self.grid, self.values / math.sqrt(nrm))
@@ -166,24 +169,10 @@ class GridFunction:
 # --------------------------------------------------------------------------
 
 
-def power_laplacian(f: GridFunction, n: int, band: float = math.inf) -> GridFunction:
-    """n-fold Laplacian (the order-2n operator in the potential hierarchy),
-    band-limited as in :func:`laplacian_series`."""
-    return laplacian_series(f, {n: 1.0}, band)
-
-
 def laplacian_symbol(coeffs: Mapping[int, float], k):
     """Fourier/sine symbol of sum_n c_n lap^n: sum_n c_n (-k^2)^n."""
     mk2 = -(k**2)
     return sum(c * mk2**n for n, c in coeffs.items())
-
-
-def laplacian_series(
-    f: GridFunction, coeffs: Mapping[int, float], band: float = math.inf
-) -> GridFunction:
-    """sum_n c_n lap^n f for a mapping {power n >= 1: c_n}, projected onto
-    the modes with |k| <= ``band``: :func:`series_operator` applied once."""
-    return GridFunction(f.grid, series_operator(f.grid, coeffs, band)(f.values))
 
 
 def series_operator(

@@ -11,16 +11,17 @@ orders are present and with which coefficients (exact-rational dimensionless
 a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
 
 The orders >= 2 act as one operator, the Laplacian series sum A_2n lap^n
-with symbol sum A_2n (-k^2)^n: :func:`complete_q_operator` builds it once
-per grid and spec, :func:`eval_complete_q` applies it once and
+with symbol sum A_2n (-k^2)^n.  Each use has one builder, which resolves
+the coefficients and the band-limited symbol once per grid and spec and
+returns a map on field values: :func:`complete_q_operator` is Q, and
 :func:`expectation_operator` is the one split-form energy sum, shared by
-the energy functional and the perturbative shifts.  For the relativistic coefficients
-that symbol is the series of eps0 (sqrt(1 + x) - 1) in x = (hbar k / m c)^2,
-which converges only for x <= 1, so both project the series onto the band
-|k| <= m c / hbar (:func:`band_edge`): the symbol is zero above it, at no
-extra cost.  Division by R diverges at nodes, so the quotient is zeroed
-where |R| falls below ``regularization_floor * max|R|``.  The order-0 term
-is R/R = 1 identically and is never floored.
+the energy functional and the perturbative shifts.  For the relativistic
+coefficients that symbol is the series of eps0 (sqrt(1 + x) - 1) in x =
+(hbar k / m c)^2, which converges only for x <= 1, so both project the
+series onto the band |k| <= m c / hbar (:func:`band_edge`): the symbol is
+zero above it, at no extra cost.  Division by R diverges at nodes, so the
+quotient is zeroed where |R| falls below ``regularization_floor * max|R|``.
+The order-0 term is R/R = 1 identically and is never floored.
 """
 
 from __future__ import annotations
@@ -226,25 +227,10 @@ def validate_order2(spec: QuantumPotentialSpec, params: PhysicalParams) -> None:
 # --------------------------------------------------------------------------
 
 
-def eval_q2n(
-    R: GridFunction,
-    n: int,
-    params: PhysicalParams,
-    spec: QuantumPotentialSpec,
-) -> GridFunction:
-    """Evaluate the order-2n term on a grid function.
-
-    ``n`` is the half-order (n=1 is the Bohmian term); the spec must contain
-    an order-2n term, which is evaluated as a one-term spec.
-    """
-    one = QuantumPotentialSpec((spec.term(2 * n),), spec.regularization_floor)
-    return eval_complete_q(R, params, one)
-
-
 def band_edge(params: PhysicalParams) -> float:
     """m c / hbar, the wavenumber where the hierarchy's series in x =
     (hbar k / m c)^2 stops converging: the band edge of every series that
-    :func:`eval_complete_q` and :func:`expectation` apply."""
+    :func:`complete_q_operator` and :func:`expectation_operator` build."""
     return params.mass * params.c / params.hbar
 
 
@@ -281,16 +267,6 @@ def complete_q_operator(
     return q_values
 
 
-def eval_complete_q(
-    R: GridFunction,
-    params: PhysicalParams,
-    spec: QuantumPotentialSpec,
-) -> GridFunction:
-    """Pointwise sum of every term in the spec on R:
-    :func:`complete_q_operator` applied once."""
-    return GridFunction(R.grid, complete_q_operator(R.grid, params, spec)(R.values))
-
-
 def expectation_operator(
     grid: Grid,
     params: PhysicalParams,
@@ -298,7 +274,7 @@ def expectation_operator(
 ) -> Callable[[np.ndarray], float]:
     """The map from R values on ``grid`` to sum_2n A_2n <lap^p P R, lap^q P
     R>, p = ceil(n/2), q = n - p, with P the projection of
-    :func:`eval_complete_q`: the Hermitian split form of sum A_2n <R, P
+    :func:`complete_q_operator`: the Hermitian split form of sum A_2n <R, P
     lap^n R> (equal by parts for fields vanishing at the boundary, better
     behaved near the hydrogen cusp).
 
@@ -323,16 +299,6 @@ def expectation_operator(
         return total
 
     return value
-
-
-def expectation(
-    R: GridFunction,
-    params: PhysicalParams,
-    spec: QuantumPotentialSpec,
-) -> float:
-    """The split-form energy sum of :func:`expectation_operator` on R,
-    applied once."""
-    return expectation_operator(R.grid, params, spec)(R.values)
 
 
 # --------------------------------------------------------------------------
@@ -377,13 +343,12 @@ def term_ratio_on_grid(
             f"= {band:.6g}, where the grid terms are projected out"
         )
     g = Grid.uniform(0.0, L, points)
-    R = GridFunction(g, np.sin(tau * np.pi * g.points / L))
-    spec = QuantumPotentialSpec(
-        (QTerm.relativistic(2 * n), QTerm.relativistic(2 * n + 2))
+    R = np.sin(tau * np.pi * g.points / L)
+    lo, hi = (
+        complete_q_operator(g, params, QuantumPotentialSpec((QTerm.relativistic(order),)))(R)
+        for order in (2 * n, 2 * n + 2)
     )
-    lo = eval_q2n(R, n, params, spec).values
-    hi = eval_q2n(R, n + 1, params, spec).values
-    idx = int(np.argmax(np.abs(R.values)))
+    idx = int(np.argmax(np.abs(R)))
     return float(hi[idx] / lo[idx])
 
 

@@ -7,17 +7,17 @@ order-2n term reduces to the real integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
-evaluated by :func:`qpotential.expectation` in the Hermitian split form,
-projected onto the band |k| <= m c / hbar like every evaluation of the
-hierarchy.  Hydrogen is the same 1-D Dirichlet problem as the box: its
-field is the reduced radial function sqrt(4 pi) r R on [0, r_max], whose
-second derivative is sqrt(4 pi) r lap R and whose square integrates to
-the 3-D norm.  Box modes diagonalize every Laplacian power, so the box
-closed forms (band-limited the same way) and the spectral eigenvalues are
-``grid.laplacian_symbol`` at k = tau pi / L; the hydrogen closed forms are
-the textbook shifts and their share inside the band.  The order-4 shift is
-the kinetic relativistic correction; :func:`relativistic_reference_shift`
-recomputes it through a deliberately separate code path (its own
+evaluated by the map of :func:`qpotential.expectation_operator` in the
+Hermitian split form, projected onto the band |k| <= m c / hbar like every
+evaluation of the hierarchy.  Hydrogen is the same 1-D Dirichlet problem
+as the box: its field is the reduced radial function sqrt(4 pi) r R on
+[0, r_max], whose second derivative is sqrt(4 pi) r lap R and whose
+square integrates to the 3-D norm.  Box modes diagonalize every
+Laplacian power, so the box closed forms (band-limited the same way) and
+the spectral eigenvalues are ``grid.laplacian_symbol`` at k = tau pi / L;
+the hydrogen closed forms are the textbook shifts and their share inside
+the band.  The order-4 shift is the kinetic relativistic correction;
+:func:`relativistic_reference_shift` recomputes it through a deliberately separate code path (its own
 transform pair on the shared DST-I, band cut and quadrature) as a
 cross-check oracle.
 
@@ -54,7 +54,7 @@ from .qpotential import (
     QTerm,
     band_edge,
     dimensional_coefficient,
-    expectation,
+    expectation_operator,
     validate_order2,
 )
 
@@ -174,7 +174,7 @@ def perturbative_shift(
     from the relativistic coefficient family.
     """
     term = QuantumPotentialSpec((_shift_term(order, spec),))
-    return expectation(state.R0, params, term)
+    return expectation_operator(state.R0.grid, params, term)(state.R0.values)
 
 
 def relativistic_reference_shift(state: StationaryState, params: PhysicalParams) -> float:
@@ -230,10 +230,11 @@ def box_shift_closed_form(
     (lap^n R0 = (-k^2)^n R0, k = tau pi / L), so the order-2n shift is
     A_2n (-k^2)^n with the term's dimensional coefficient.  For the
     relativistic family this equals a_2n eps0 (pc/eps0)^2n — the matching
-    term of the energy expansion with pc = tau pi hbar c / L.  Like
-    :func:`qpotential.expectation`, it is zero for an order >= 2 and a mode
-    above the band edge k = m c / hbar, where that expansion diverges; the
-    order-0 term is no Laplacian power and is never projected.
+    term of the energy expansion with pc = tau pi hbar c / L.  Like the
+    map of :func:`qpotential.expectation_operator`, it is zero for an
+    order >= 2 and a mode above the band edge k = m c / hbar, where that
+    expansion diverges; the order-0 term is no Laplacian power and is
+    never projected.
     """
     if tau < 1:
         raise ValueError(f"mode index tau must be >= 1, got {tau}")

@@ -287,6 +287,27 @@ class TestSpectraBox:
         assert [s["order"] for s in payload["shifts"]] == [0, 4, 6]
 
 
+class TestSpectraOrder2:
+    """An explicit order-2 coefficient other than -hbar^2/2m is refused
+    before anything is computed, as evolve and the eigensolver refuse it."""
+
+    @pytest.mark.parametrize(
+        "problem, extra",
+        [("box", "A_6 = 1e-3"), ("hydrogen", "A_4 = -1e-3")],
+    )
+    def test_conflicting_order2_is_refused(self, tmp_path, capsys, problem, extra):
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text(f"source = explicit\nA_2 = 5.0\n{extra}\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["spectra", "--problem", problem, "--spec", str(spec_path), "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "conflicts with the kinetic operator" in err
+        assert not out.exists()
+
+
 class TestSpectraHydrogen:
     def test_hydrogen_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -393,6 +414,21 @@ class TestEvolve:
         assert rc == 0
         manifest = read_json(out / "manifest.json")
         assert manifest["config"]["initial"] == "gaussian"
+
+    @pytest.mark.parametrize("width", ["0", "-0.05"])
+    def test_nonpositive_packet_width_is_refused(self, tmp_path, capsys, width):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "orders = 2\npoints = 64\nboundary = periodic\n"
+            f"width_frac = {width}\ndt = 1e-7\nsteps = 5\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "key 'width_frac'" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -13,7 +13,7 @@ from qpotlab.dynamics import (
     TrajectorySet,
     WaveField,
     bohmian_velocity,
-    energy_functional,
+    energy_operator,
     evolve,
     integrate_trajectories,
     norm,
@@ -23,8 +23,8 @@ from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridError, GridFunction, int
 from qpotlab.qpotential import (
     QTerm,
     QuantumPotentialSpec,
+    complete_q_operator,
     electron_params,
-    eval_complete_q,
 )
 
 ELECTRON = electron_params()
@@ -109,6 +109,15 @@ class TestWaveField:
         g = periodic_grid()
         with pytest.raises(GridError):
             WaveField(g, np.zeros(g.n, dtype=complex)).normalized()
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_normalize_nonfinite_field(self, bad):
+        g = periodic_grid()
+        vals = np.ones(g.n, dtype=complex)
+        vals[3] = bad
+        with pytest.raises(GridError, match="non-finite"):
+            WaveField(g, vals).normalized()
 
 
 class TestEvolutionConfig:
@@ -232,6 +241,21 @@ class TestEvolveValidation:
             )
 
 
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_nonfinite_initial_field_is_refused_before_the_first_step(self, boundary):
+        g = Grid.uniform(0.0, 1.0, 65, boundary)
+        vals = np.ones(g.n, dtype=complex)
+        vals[5] = np.inf
+        frames = []
+        with pytest.raises(RuntimeError, match="initial field psi0"):
+            evolve(
+                WaveField(g, vals), zero_potential(g), SPEC2, ELECTRON,
+                EvolutionConfig(dt=1e-6, steps=1),
+                on_frame=lambda step, time, frame: frames.append(step),
+            )
+        assert frames == []
+
+
 class TestEvolveNonlinear:
     def test_quartic_term_changes_dynamics(self):
         # nuclear regime: Compton wavelength comparable to the box, so the
@@ -279,10 +303,7 @@ def strang_reference(psi0, V, spec, params, cfg):
     """The unfused Strang loop: every step opens and closes with its own
     half-rotation by V + W.  Returns the stored frames."""
     g = psi0.grid
-    w_spec = spec.without_order(2)
-
-    def extra(absvals):
-        return eval_complete_q(GridFunction(g, absvals), params, w_spec).values
+    extra = complete_q_operator(g, params, spec.without_order(2))
 
     kinetic = dynamics._KineticStep(g, params, cfg.dt)
     psi = psi0.values.copy()
@@ -320,7 +341,8 @@ class TestFusedRotation:
         for got, want in zip(res.frames, ref):
             scale = np.max(np.abs(want.values))
             assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
-        ref_energies = [energy_functional(f, V, self.SPEC02, ELECTRON) for f in ref]
+        energy = energy_operator(g, V, self.SPEC02, ELECTRON)
+        ref_energies = [energy(f.values) for f in ref]
         assert np.allclose(res.energies, ref_energies, rtol=1e-12, atol=0)
         # the packet moves, so the test is not one of global phases
         moved = np.abs(ref[-1].values) - np.abs(ref[0].values)
@@ -452,7 +474,7 @@ class TestDerivedFields:
         g = dirichlet_grid(513)
         R = GridFunction(g, np.sin(np.pi * g.points)).normalized()
         psi = WaveField.from_amplitude(R)
-        E = energy_functional(psi, zero_potential(g), SPEC2, ELECTRON)
+        E = energy_operator(g, zero_potential(g), SPEC2, ELECTRON)(psi.values)
         expected = (np.pi * ELECTRON.hbar) ** 2 / (2.0 * ELECTRON.mass)
         assert E == pytest.approx(expected, rel=1e-6)
 
@@ -478,7 +500,7 @@ class TestEnergyFunctional:
 
         monkeypatch.setattr(qpotential, "series_operator", counted)
         spec = QuantumPotentialSpec.relativistic(4)
-        energy_functional(psi, zero_potential(g), spec, ELECTRON)
+        energy_operator(g, zero_potential(g), spec, ELECTRON)(psi.values)
         assert calls == [{1: 1.0}, "applied"]
 
 

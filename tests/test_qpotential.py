@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpotlab.coeffs import a2n
-from qpotlab.grid import PERIODIC, Grid, GridFunction, inner, power_laplacian
+from qpotlab.grid import PERIODIC, Grid, GridFunction, inner, series_operator
 from qpotlab.qpotential import (
     FINE_STRUCTURE,
     PhysicalParams,
@@ -16,9 +16,7 @@ from qpotlab.qpotential import (
     complete_q_operator,
     dimensional_coefficient,
     electron_params,
-    eval_complete_q,
-    eval_q2n,
-    expectation,
+    expectation_operator,
     load_spec,
     natural_params,
     params_by_name,
@@ -152,6 +150,17 @@ class TestDimensionalCoefficient:
         assert dimensional_coefficient(QTerm.dimensional(4, -7.0), p) == -7.0
 
 
+def q_values(R, params, spec):
+    """Q of ``spec`` on the grid function R, by a fresh build."""
+    return complete_q_operator(R.grid, params, spec)(R.values)
+
+
+def term_values(R, n, params, spec):
+    """The spec's order-2n term alone on R, by a fresh build of that term."""
+    one = QuantumPotentialSpec((spec.term(2 * n),), spec.regularization_floor)
+    return q_values(R, params, one)
+
+
 class TestEvalOnGrid:
     def setup_method(self):
         # c = 10 puts the band edge m c / hbar = 10 above the k = pi mode
@@ -168,40 +177,39 @@ class TestEvalOnGrid:
         k2 = np.pi**2
         for n in (1, 2):
             A = dimensional_coefficient(spec.term(2 * n), self.params)
-            q = eval_q2n(R, n, self.params, spec)
-            interior = q.values[4:-4]
+            q = term_values(R, n, self.params, spec)
+            interior = q[4:-4]
             assert np.allclose(interior, A * (-k2) ** n, rtol=1e-7)
 
     def test_order0_ignores_field(self):
         spec = QuantumPotentialSpec.relativistic(0)
-        q = eval_q2n(self.R, 0, self.params, spec)
-        assert np.all(q.values == self.params.rest_energy)
+        q = term_values(self.R, 0, self.params, spec)
+        assert np.all(q == self.params.rest_energy)
 
     def test_floor_masks_nodes(self):
         spec = QuantumPotentialSpec((QTerm.relativistic(2),), regularization_floor=1e-3)
-        q = eval_q2n(self.R, 1, self.params, spec)
+        q = term_values(self.R, 1, self.params, spec)
         # wall points have R = 0 < floor, so the quotient is zeroed there
-        assert q.values[0] == 0.0 and q.values[-1] == 0.0
-        assert q.values[128] != 0.0
+        assert q[0] == 0.0 and q[-1] == 0.0
+        assert q[128] != 0.0
 
     def test_missing_order_raises(self):
         spec = QuantumPotentialSpec((QTerm.relativistic(2),))
         with pytest.raises(KeyError):
-            eval_q2n(self.R, 2, self.params, spec)
+            term_values(self.R, 2, self.params, spec)
 
     def test_complete_q_sums_terms(self):
         spec = QuantumPotentialSpec.relativistic(4)
-        total = eval_complete_q(self.R, self.params, spec)
+        total = q_values(self.R, self.params, spec)
         parts = sum(
-            eval_q2n(self.R, t.order // 2, self.params, spec).values
-            for t in spec.terms
+            term_values(self.R, t.order // 2, self.params, spec) for t in spec.terms
         )
-        assert np.allclose(total.values, parts, rtol=0, atol=1e-12)
+        assert np.allclose(total, parts, rtol=0, atol=1e-12)
 
     def test_empty_spec_is_zero(self):
         spec = QuantumPotentialSpec(())
-        total = eval_complete_q(self.R, self.params, spec)
-        assert np.all(total.values == 0.0)
+        total = q_values(self.R, self.params, spec)
+        assert np.all(total == 0.0)
 
     @pytest.mark.parametrize(
         "boundary, transforms",
@@ -222,7 +230,7 @@ class TestEvalOnGrid:
 
             monkeypatch.setattr(np.fft, name, counted)
         spec = QuantumPotentialSpec.relativistic(8)
-        eval_complete_q(R, electron_params(), spec)
+        q_values(R, electron_params(), spec)
         assert calls == {name: transforms.get(name, 0) for name in names}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -239,22 +247,22 @@ class TestEvalOnGrid:
         nudged = R.copy()
         idx = rng.choice(g.n, 50, replace=False)
         nudged[idx] = np.nextafter(R[idx], np.inf)
-        q = eval_complete_q(GridFunction(g, R), params, spec).values
-        moved = eval_complete_q(GridFunction(g, nudged), params, spec).values
+        apply = complete_q_operator(g, params, spec)
+        q, moved = apply(R), apply(nudged)
         spread = np.max(np.abs(q - params.rest_energy))
         assert np.max(np.abs(moved - q)) <= 1e-8 * spread
 
     def test_order0_constant_is_not_floored(self):
         spec = QuantumPotentialSpec.relativistic(4, floor=1e-3)
-        q = eval_complete_q(self.R, self.params, spec)
+        q = q_values(self.R, self.params, spec)
         # R vanishes at the walls: the quotient terms are floored there,
         # the rest energy is not
-        assert q.values[0] == q.values[-1] == self.params.rest_energy
+        assert q[0] == q[-1] == self.params.rest_energy
 
 
 class TestCompleteQOperator:
     """The builder that evolve calls once per run: one operator applied to
-    field after field gives, bit for bit, eval_complete_q of each."""
+    field after field gives, bit for bit, a fresh build's Q of each."""
 
     @staticmethod
     def fields(kind):
@@ -281,11 +289,17 @@ class TestCompleteQOperator:
         outputs = [apply(r) for r in fields]
         for r, before, got in zip(fields, kept, outputs):
             assert np.array_equal(r, before)  # the input is not overwritten
-            want = eval_complete_q(GridFunction(g, r), params, spec).values
+            want = complete_q_operator(g, params, spec)(r)
             assert np.array_equal(got, want)
         if orders == (4, 6):
             # the floor follows each field: the quotient is zeroed in its tails
             assert not np.array_equal(outputs[0] == 0.0, outputs[2] == 0.0)
+
+
+def expectation(R, params, spec):
+    """The split-form energy sum of ``spec`` on the grid function R, by a
+    fresh build."""
+    return expectation_operator(R.grid, params, spec)(R.values)
 
 
 class TestExpectation:
@@ -300,11 +314,14 @@ class TestExpectation:
     def test_split_form_matches_direct_form(self):
         spec = QuantumPotentialSpec.relativistic(8)
         got = expectation(self.R, self.params, spec)
-        band = band_edge(self.params)
+        g, band = self.R.grid, band_edge(self.params)
+
+        def lap(n):
+            return GridFunction(g, series_operator(g, {n: 1.0}, band)(self.R.values))
+
         direct = sum(
             dimensional_coefficient(t, self.params)
-            * (inner(self.R, self.R) if t.order == 0
-               else inner(self.R, power_laplacian(self.R, t.order // 2, band)))
+            * (inner(self.R, self.R) if t.order == 0 else inner(self.R, lap(t.order // 2)))
             for t in spec.terms
         )
         assert got == pytest.approx(direct, rel=1e-12)
@@ -340,12 +357,12 @@ class TestExpectation:
         spec = QuantumPotentialSpec.relativistic(6)
         eps = 1e-3
 
-        def energy(sign):
-            return expectation(GridFunction(g, R.values + sign * eps * eta.values), params, spec)
-
-        slope = (energy(+1) - energy(-1)) / (2.0 * eps)
-        W = eval_complete_q(R, params, spec)
-        want = 2.0 * inner(GridFunction(g, W.values * R.values), eta)
+        energy = expectation_operator(g, params, spec)
+        slope = (energy(R.values + eps * eta.values) - energy(R.values - eps * eta.values)) / (
+            2.0 * eps
+        )
+        W = complete_q_operator(g, params, spec)(R.values)
+        want = 2.0 * inner(GridFunction(g, W * R.values), eta)
         # the order-0 part alone, 2 eps0 <R, eta> = 460, misses the full
         # slope, 502.6, by 43
         assert abs(want - 2.0 * params.rest_energy * inner(R, eta)) > 10.0
