@@ -110,7 +110,10 @@ class WaveField:
         cls, grid: Grid, center: float, width: float, k0: float = 0.0
     ) -> "WaveField":
         """Normalized packet exp(-(x-c)^2/(4 w^2) + i k0 x); w is the
-        position standard deviation of |psi|^2."""
+        position standard deviation of |psi|^2, and must be positive and
+        finite."""
+        if not 0.0 < width < math.inf:
+            raise GridError(f"packet width must be positive and finite, got {width!r}")
         x = grid.points
         vals = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * k0 * x)
         return cls(grid, vals).normalized()

@@ -28,10 +28,11 @@ sides of the series).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -335,26 +336,24 @@ def write_gridfunction(path: str | Path, f: GridFunction, units: str | None = No
 
 
 def read_gridfunction(path: str | Path) -> GridFunction:
-    """Read a grid function written by :func:`write_gridfunction`."""
+    """Read a grid function written by :func:`write_gridfunction`.
+
+    The header is checked first; numpy's C reader then parses the data
+    rows straight from the file, so no Python object is made per row, and
+    each value is ``float(cell)`` bit for bit.  Only when that parse fails
+    or skips a line does :func:`_refuse_rows` walk the lines to name the
+    first bad one."""
     import json
 
     path = Path(path)
-    rows = path.read_text(encoding="utf-8").strip().splitlines()
-    header = rows[0].strip() if rows else ""
-    if header != "coordinate,value":
-        raise GridError(f"{path}: expected a 'coordinate,value' header, got {header!r}")
-    pairs = []
-    for line, row in enumerate(rows[1:], start=2):
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise GridError(f"{path}: line {line} has {len(cells)} cell(s), expected 2")
-        try:
-            pairs.append([float(c) for c in cells])
-        except ValueError as err:
-            raise GridError(f"{path}: line {line}: {err}") from None
-    if not pairs:
-        raise GridError(f"{path}: no data rows after the header")
-    data = np.array(pairs)
+    with path.open(encoding="utf-8") as fh:
+        header = fh.readline()
+        while header and not header.strip():  # blank lines before the header
+            header = fh.readline()
+        header = header.strip()
+        if header != "coordinate,value":
+            raise GridError(f"{path}: expected a 'coordinate,value' header, got {header!r}")
+        data = _read_rows(path, fh)
     sidecar_path = path.with_name(path.name + ".json")
     if not sidecar_path.exists():
         raise GridError(f"missing sidecar {sidecar_path}")
@@ -379,3 +378,67 @@ def read_gridfunction(path: str | Path) -> GridFunction:
     except GridError as err:  # the coordinate column is at fault
         raise GridError(f"{path}: {err}") from None
     return GridFunction(g, data[:, 1])
+
+
+#: Characters read at a time when counting the data lines of a table.
+_COUNT_CHUNK = 1 << 16
+
+
+def _data_lines(fh: TextIO) -> int:
+    """The number of lines from the position of ``fh`` up to its last line
+    that is not blank, 0 if there is none."""
+    lines = seen = 0
+    for chunk in iter(lambda: fh.read(_COUNT_CHUNK), ""):
+        content = chunk.rstrip()
+        if content:
+            lines = seen + content.count("\n") + 1
+        seen += chunk.count("\n")
+    return lines
+
+
+def _read_rows(path: Path, fh: TextIO) -> np.ndarray:
+    """The ``(lines, 2)`` table of the data lines of ``fh``, or the
+    GridError for the first bad one; blank lines after the last row are
+    ignored, as are those before the header."""
+    start = fh.tell()
+    lines = _data_lines(fh)
+    if not lines:
+        raise GridError(f"{path}: no data rows after the header")
+    fh.seek(start)
+    try:
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is not None and data.shape == (lines, 2):
+        return data
+    # numpy refused a line or skipped an empty one
+    fh.seek(start)
+    _refuse_rows(path, itertools.islice(fh, lines))
+    # every row is good, so the lines numpy refused are blank ones after
+    # the last row that hold whitespace: stop before them
+    fh.seek(start)
+    try:
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=lines)
+    except ValueError as err:
+        raise GridError(f"{path}: {err}") from None
+
+
+def _refuse_rows(path: Path, rows: Iterable[str]) -> None:
+    """Raise the GridError for the first data line (the header is line 1)
+    that is not two cells numpy's reader parses: a line with another
+    number of cells, blank lines included, or a cell that ``float``
+    refuses or that holds ``_`` or a non-ASCII character, which ``float``
+    accepts and numpy does not."""
+    for line, row in enumerate(rows, start=2):
+        cells = row.removesuffix("\n").split(",")
+        if len(cells) != 2:
+            raise GridError(f"{path}: line {line} has {len(cells)} cell(s), expected 2")
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError as err:
+                raise GridError(f"{path}: line {line}: {err}") from None
+            if "_" in cell or not cell.strip().isascii():
+                raise GridError(
+                    f"{path}: line {line}: could not convert string to float: {cell!r}"
+                )

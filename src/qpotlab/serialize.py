@@ -123,12 +123,14 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Rows of a float table formatted and written at a time.
+_BLOCK_ROWS = 1024
+
+
 def _float_table_text(table: np.ndarray) -> str:
     """The rows of a 2-D float64 table in one C-level ``%`` format; the
-    text is that of :func:`fmt_float` cell by cell."""
-    bad = ~np.isfinite(table)
-    if bad.any():
-        raise ValueError(f"refusing to serialize non-finite value {float(table[bad][0])!r}")
+    text is that of :func:`fmt_float` cell by cell.  The caller has
+    checked that every value is finite."""
     nrows, ncols = table.shape
     row = "%.17g" + ",%.17g" * (ncols - 1) + "\n"
     return (row * nrows) % tuple(table.ravel().tolist())
@@ -137,14 +139,21 @@ def _float_table_text(table: np.ndarray) -> str:
 def write_csv(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]] | np.ndarray
 ) -> None:
-    """Write ``header`` and ``rows``.  A 2-D float64 array is formatted as
-    one table (the fast path for grid functions and frames); any other rows
+    """Write ``header`` and ``rows``.  A 2-D float64 array (the fast path
+    for grid functions and frames) is checked finite as a whole, then
+    formatted and written ``_BLOCK_ROWS`` rows at a time, so a refused
+    table leaves no file and the text is never held whole; any other rows
     go through :func:`csv_text`.  Both give the same bytes."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-        text = ",".join(header) + "\n" + _float_table_text(rows)
-    else:
-        text = csv_text(header, rows)
-    Path(path).write_text(text, encoding="utf-8")
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64):
+        Path(path).write_text(csv_text(header, rows), encoding="utf-8")
+        return
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        raise ValueError(f"refusing to serialize non-finite value {float(rows[bad][0])!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            fh.write(_float_table_text(rows[start : start + _BLOCK_ROWS]))
 
 
 def json_text(obj: Any) -> str:

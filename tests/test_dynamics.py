@@ -99,6 +99,14 @@ class TestWaveField:
         var = np.trapezoid((x - mean) ** 2 * dens, x)
         assert math.sqrt(var) == pytest.approx(w, rel=1e-6)
 
+    @pytest.mark.parametrize("width", [0.0, -0.05, math.inf, math.nan])
+    def test_gaussian_width_must_be_positive_and_finite(self, width):
+        # refused before any arithmetic: a negative width would mirror the
+        # positive packet, inf would give a flat field, 0 a divide warning
+        message = f"packet width must be positive and finite, got {width!r}"
+        with pytest.raises(GridError, match=message):
+            WaveField.gaussian(periodic_grid(64), center=0.5, width=width)
+
     def test_amplitude_drops_phase(self):
         g = periodic_grid()
         psi, _ = plane_wave(g, 2)

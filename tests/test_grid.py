@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +533,52 @@ class TestFileRoundTrip:
         assert back.grid.same_as(g) and back.grid.boundary == DIRICHLET
         assert np.array_equal(back.values, f.values)
 
+    def test_blank_lines_around_the_table_are_ignored(self, tmp_path):
+        g = Grid.uniform(0.0, 1.0, 32)
+        f = GridFunction(g, np.cos(g.points))
+        path = tmp_path / "f.csv"
+        write_gridfunction(path, f)
+        path.write_text("\n \n" + path.read_text() + "\n  \n\t\n")
+        back = read_gridfunction(path)
+        assert back.grid.same_as(g)
+        assert np.array_equal(back.values, f.values)
+
+    def test_values_are_float_of_their_cells(self, tmp_path):
+        # random bit patterns, subnormals, signed zeros and the largest
+        # doubles come back as float(cell), which is the value written
+        rng = np.random.default_rng(30)
+        bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                    -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        values = np.concatenate((extremes, bits[np.isfinite(bits)]))
+        g = Grid.uniform(0.0, 1.0, len(values))
+        path = tmp_path / "f.csv"
+        write_gridfunction(path, GridFunction(g, values))
+        cells = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+        back = read_gridfunction(path)
+        assert back.values.tobytes() == np.array(cells).tobytes() == values.tobytes()
+
+    def test_working_memory_is_rows_of_points(self, tmp_path):
+        """numpy's reader parses the rows in C and the writer formats them in
+        blocks, so neither holds a Python object per row or the whole text:
+        on 16,385 points the traced peak of a read is a few rows of points,
+        where per-row lists and strings took about 36 rows, and that of a
+        write is a few rows, where the whole-table text took about 17."""
+        g = Grid.uniform(-1.0, 1.0, 16_385)
+        f = GridFunction(g, np.exp(-g.points**2 / 0.02))
+        path = tmp_path / "f.csv"
+        row = g.n * 8
+        for call, rows in ((lambda: write_gridfunction(path, f), 5),
+                           (lambda: read_gridfunction(path), 8)):
+            call()  # warm-up
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < rows * row
+
     @pytest.mark.parametrize(
         "edit, match",
         [
@@ -542,6 +589,10 @@ class TestFileRoundTrip:
             ({"boundary": "neumann"}, "unknown boundary 'neumann'"),
             ({3: "0.5,1.0"}, "grid points must be strictly increasing"),
             ({3: "abc,1.0"}, "line 3: could not convert string to float: 'abc'"),
+            ({3: ""}, r"line 3 has 1 cell\(s\), expected 2"),
+            ({3: "# note"}, r"line 3 has 1 cell\(s\), expected 2"),
+            ({3: "0.5,1.0,2.0"}, r"line 3 has 3 cell\(s\), expected 2"),
+            ({3: "0.5,1_0"}, "line 3: could not convert string to float: '1_0'"),
             ("{not json", "sidecar is not JSON: Expecting property name"),
             ("3", "sidecar is not a JSON object: 3"),
         ],

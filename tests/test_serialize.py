@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qpotlab.serialize import (
+    _BLOCK_ROWS,
     ConfigError,
     RecordingConfig,
     csv_text,
@@ -66,8 +67,8 @@ class TestGet:
 
 
 class TestWriteCsv:
-    """A float64 table is formatted in one piece; its bytes are those of
-    the per-cell csv_text."""
+    """A float64 table is formatted and written in blocks of rows; its bytes
+    are those of the per-cell csv_text."""
 
     def written(self, tmp_path, header, rows):
         path = tmp_path / "t.csv"
@@ -95,6 +96,12 @@ class TestWriteCsv:
         assert got.splitlines()[1] == (
             b"0.10000000000000001,0.33333333333333331,0.66666666666666663"
         )
+        # row counts at and around the block boundaries keep every byte
+        for nrows in (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7):
+            part = table[:nrows]
+            assert self.written(tmp_path, ("x", "y", "z"), part) == self.per_cell(
+                ("x", "y", "z"), part
+            )
 
     def test_mixed_cells_keep_their_text(self, tmp_path):
         rows = [
@@ -116,6 +123,14 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", ("a", "b"), table)
         with pytest.raises(ValueError, match="non-finite"):
             csv_text(("a", "b"), table.tolist())
+        # the whole table is checked before the file is opened, so a bad
+        # value in the last block leaves no file behind
+        long = np.zeros((2 * _BLOCK_ROWS + 5, 2))
+        long[-1, 1] = bad
+        path = tmp_path / "long.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(path, ("a", "b"), long)
+        assert not path.exists()
 
     def test_shared_first_column(self, tmp_path):
         """Consecutive tables that share their grid column, as the frames of
