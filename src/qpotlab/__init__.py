@@ -5,7 +5,7 @@ higher-Laplacian terms Q_2n = a_2n (-1)^n eps0 (hbar/mc)^2n lap^n(R)/R
 whose exact-rational coefficients reproduce, order by order, the expansion
 of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
 
-- ``expr``/``elcheck`` — jet-space symbolic expressions and randomized
+- ``expr``/``elcheck`` — jet-space symbolic expressions and exact
   certification that a candidate potential is a stationary point of the
   density-weighted Euler-Lagrange expression;
 - ``coeffs`` — the exact coefficient family and the truncated energy series;

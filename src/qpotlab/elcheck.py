@@ -7,48 +7,47 @@ Euler-Lagrange expression
 
 vanishes identically, the sum running over the distinct canonical
 multi-indices J whose jet variables actually appear in Q (J = () meaning
-R itself).  The residual is formed symbolically; certification then
-evaluates it on randomized smooth jet samples and compares against the
-magnitude of the individual Euler-Lagrange terms, so the reported number
-is a relative one.  The report names the trial with the largest relative
-residual and the profile family of each axis there.
+R itself).  The residual is formed symbolically, with exact rational
+coefficients, and :func:`expand` writes it as N/D, where N and D are
+Laurent polynomials with ``Fraction`` coefficients in the symbols and the
+jet variables.  The verdict is ``passes`` iff N has no terms: there is no
+tolerance and no sampling.  N = 0 is exact for every smooth R with R != 0:
+every finite jet is the jet of its Taylor polynomial at a point, so a
+polynomial that vanishes in independent jet coordinates vanishes for every
+R (Olver, *Applications of Lie Groups to Differential Equations*, 1986,
+ch. 4).
 
-Sample jets come from three closed-form families per axis — rational
-polynomials, offset sinusoids, and offset Gaussians — combined as tensor
-products in higher dimension.  Polynomial derivatives are exact: integer
-numerators over one common denominator, rounded once.  Trial t gives axis
-a the family (t + a) mod 3.
-
-Each sample attempt is one row of ``rng.random`` on
-``np.random.default_rng(seed)``.  The row holds one 27-double block per
-axis (polynomial 14, sine 7, Gaussian 6, whichever family the axis takes),
-then two doubles per symbol.  A draw of one of n values is floor(n d), a
-sign is floor(2 d), and a uniform draw on [low, high) is
-low + (high - low) d.  Trials take rows in order, and a row whose |R| is
-below 0.1 is skipped, so quotient forms stay well conditioned; the skip
-count is reported.  The first n trials of any run are a run of n trials.
-The profiles are array functions over the trials; ``sin``, ``exp`` and
-``**`` run element by element on Python floats, since numpy's may round
-differently from the C library.
-
-Each residual term and the residual are evaluated once per :func:`certify`
-call by :func:`expr.evaluate`, on arrays holding every trial; each element
-is the value :func:`expr.evaluate` gives at that trial on floats, bit for
-bit.
+A failing candidate is sized by a float witness on ``trials`` independent
+jet points.  One ``rng.random((trials, width))`` block on
+``np.random.default_rng(seed)`` gives each jet variable of the residual
+terms its draws, in canonical variable order: R two doubles, for
++-U[0.5, 2], so no point is ever skipped; every other jet coordinate one,
+for U[-2, 2]; then each symbol two, for +-U[0.5, 2].  A sign is
+floor(2 d) and a uniform draw on [low, high) is low + (high - low) d.
+Each residual term and the residual are evaluated once, on arrays holding
+every trial, by :func:`expr.evaluate`; the witness is the largest
+|residual| / max |term|, at the first trial that reaches it.  The first n
+trials of any run are a run of n trials.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
+    Const,
+    EvaluationError,
     Expression,
     Jet,
     JetPoint,
     JetVariable,
+    Prod,
+    Sum,
+    Sym,
     canonical,
     evaluate,
     is_zero,
@@ -58,7 +57,7 @@ from .expr import (
     make_sum,
     negate,
     partial_wrt_jet,
-    pow_exact,
+    quotient,
     symbol_names,
     to_text,
     total_derivative,
@@ -109,247 +108,183 @@ def el_residual(
     return terms, canonical(make_sum(tuple(t for _, t in terms)))
 
 
+# --------------------------------------------------------------------------
+# Expansion to N/D
+# --------------------------------------------------------------------------
+
+# A Laurent polynomial maps each monomial to its nonzero Fraction
+# coefficient; a monomial is a frozenset of (leaf, exponent) pairs, one per
+# Sym or Jet leaf, with nonzero exponents.
+Polynomial = dict[frozenset, Fraction]
+
+_ONE: Polynomial = {frozenset(): Fraction(1)}
+
+
+def _monomial_product(a: frozenset, b: frozenset, power: int = 1) -> frozenset:
+    """The monomial a * b^power."""
+    exponents = dict(a)
+    for leaf, e in b:
+        exponents[leaf] = exponents.get(leaf, 0) + power * e
+    return frozenset((leaf, e) for leaf, e in exponents.items() if e)
+
+
+def _add(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _multiply(p: Polynomial, q: Polynomial) -> Polynomial:
+    out: dict[frozenset, Fraction] = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = _monomial_product(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _power(p: Polynomial, exponent: int) -> Polynomial:
+    out = _ONE
+    for _ in range(exponent):
+        out = _multiply(out, p)
+    return out
+
+
+def expand(e: Expression) -> tuple[Polynomial, Polynomial]:
+    """``e`` as N/D, N and D Laurent polynomials over the rationals in the
+    symbols and the jet variables; D is 1 or has at least two terms.
+
+    Constants, symbols and jets are leaves; sums add and products multiply.
+    A negative power of a monomial folds into negative exponents, and a
+    negative power of a sum becomes a factor of D.  Sums whose D differ
+    are cross-multiplied.  A negative power of an expression that expands
+    to 0 raises :class:`EvaluationError`.
+    """
+    if isinstance(e, Const):
+        return ({frozenset(): e.value} if e.value else {}), _ONE
+    if isinstance(e, (Sym, Jet)):
+        return {frozenset(((e, 1),)): Fraction(1)}, _ONE
+    if isinstance(e, Sum):
+        n, d = {}, _ONE
+        for t in e.terms:
+            tn, td = expand(t)
+            if td == d:
+                n = _add(n, tn)
+            else:
+                n, d = _add(_multiply(n, td), _multiply(tn, d)), _multiply(d, td)
+        return n, d
+    if isinstance(e, Prod):
+        n, d = _ONE, _ONE
+        for f in e.factors:
+            fn, fd = expand(f)
+            n, d = _multiply(n, fn), _multiply(d, fd)
+        return n, d
+    n, d = expand(e.base)
+    if e.exponent > 0:
+        return _power(n, e.exponent), _power(d, e.exponent)
+    if not n:
+        raise EvaluationError(f"division by zero: {to_text(e.base)} is identically 0")
+    if len(n) > 1:
+        return _power(d, -e.exponent), _power(n, -e.exponent)
+    ((m, c),) = n.items()
+    inverse = {_monomial_product(frozenset(), m, -1): 1 / c}
+    return _multiply(_power(d, -e.exponent), _power(inverse, -e.exponent)), _ONE
+
+
+def _expression(p: Polynomial) -> Expression:
+    """The canonical expression of a Laurent polynomial."""
+    return make_sum(
+        make_prod((Const(c), *(make_pow(leaf, e) for leaf, e in m))) for m, c in p.items()
+    )
+
+
+# --------------------------------------------------------------------------
+# Certification
+# --------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     candidate: str
-    residual: str
+    residual: str  # N/D, "0" for a pass
     verdict: str
-    max_abs_residual: float
-    tolerance: float
-    samples_used: int
-    resamples: int
+    numerator_terms: int
+    max_abs_residual: float  # the witness; 0.0 for a pass
+    samples_used: int  # 0 for a pass
     seed: int
     dimension: int
-    worst_trial: int
-    worst_families: tuple[str, ...]  # profile family of each axis at worst_trial
+    worst_trial: int | None  # None for a pass
 
     def passed(self) -> bool:
         return self.verdict == PASSES
 
 
-# --------------------------------------------------------------------------
-# Randomized jet samples
-# --------------------------------------------------------------------------
+def _signed(d: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """+-U[0.5, 2]: the sign from the doubles ``d``, the size from ``size``."""
+    return (2.0 * np.floor(2.0 * d) - 1.0) * (0.5 + 1.5 * size)
 
 
-# Each axis of a sample row has one block of doubles: the polynomial
-# profile's 14, then the sine's 7 and the Gaussian's 6, so the layout does
-# not depend on the family a trial gives the axis.
-_FAMILY_COLUMNS = ((0, 14), (14, 21), (21, 27))
-_AXIS_WIDTH = 27
-
-# The 14 integers of one polynomial profile: six (numerator in [-9, 9],
-# denominator in [1, 4]) pairs, then p in [-6, 6] and q in [1, 3].
-_POLY_LOW = np.array([-9, 1] * 6 + [-6, 1])
-_POLY_HIGH = np.array([10, 5] * 6 + [7, 4])
-
-_DEGREES = np.arange(6)
-
-
-def _falling(max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """[k, j] = k (k-1) ... (k-j+1), the j-th derivative factor of x^k (0 for
-    j > k), and max(k - j, 0), the power of x it multiplies, for k <= 5 and
-    j <= max_order."""
-    j = np.arange(max_order + 1)
-    factors = np.array([[math.perm(k, i) for i in j] for k in _DEGREES])
-    return factors, np.maximum(_DEGREES[:, None] - j, 0)
-
-
-def _bounded(d, n):
-    """The draw of one of n values, floor(n d), from the doubles ``d``."""
-    return np.floor(n * d)
-
-
-def _sign(d):
-    """-1.0 or 1.0, the bounded draw of two values from the doubles ``d``."""
-    return 2.0 * _bounded(d, 2) - 1.0
-
-
-def _uniform(d, low: float, high: float):
-    """A uniform draw on [low, high) from the doubles ``d``."""
-    return low + (high - low) * d
-
-
-def _per_element(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` on each element as a Python float: numpy's ``exp`` and ``sin``
-    need not round as the C library does."""
-    return np.array([fn(v) for v in x.tolist()])
-
-
-def _poly_profile(draws: np.ndarray, max_order: int) -> list[np.ndarray]:
-    """Degree-5 polynomial with rational coefficients n_k/d_k (d_k <= 4) at a
-    rational point p/q (q <= 3), derivatives exact; one row of ``draws``
-    (the 14 doubles) per sample.
-
-    Each derivative is an integer numerator over the common denominator
-    12 q^5 (|numerator| < 1e9, exact in int64); the one division is
-    correctly rounded, so the float is the one the exact rational rounds to.
-    """
-    ints = _bounded(draws, _POLY_HIGH - _POLY_LOW).astype(np.int64) + _POLY_LOW
-    scaled = ints[:, 0:12:2] * (12 // ints[:, 1:12:2])
-    p, q = ints[:, 12:13], ints[:, 13:14]
-    powers = p**_DEGREES * q ** (5 - _DEGREES)  # x0^m * q^5, m = 0..5
-    factors, shift = _falling(max_order)
-    # numerator j = sum_k scaled_k k!/(k-j)! x0^(k-j) q^5
-    numerators = (scaled[:, :, None] * factors * powers[:, shift]).sum(axis=1)
-    return list((numerators / (12 * q**5)).T)
-
-
-def _sine_profile(draws: np.ndarray, max_order: int) -> list[np.ndarray]:
-    """b + a sin(k x + phi); the offset keeps the profile away from zero."""
-    b = _sign(draws[:, 0]) * _uniform(draws[:, 1], 1.0, 2.0)
-    a = _sign(draws[:, 2]) * _uniform(draws[:, 3], 0.3, 1.0)
-    k = _uniform(draws[:, 4], 0.5, 2.0)
-    phase = _uniform(draws[:, 5], 0.0, 2.0 * math.pi) + _uniform(draws[:, 6], -1.0, 1.0) * k
-    derivs = [b + a * _per_element(math.sin, phase)]
-    for j in range(1, max_order + 1):
-        shifted = _per_element(math.sin, phase + j * math.pi / 2.0)
-        derivs.append(a * pow_exact(k, j) * shifted)
-    return derivs
-
-
-def _gauss_profile(draws: np.ndarray, max_order: int) -> list[np.ndarray]:
-    """b + a exp(-(x-c)^2 / 2 sigma^2), derivatives by the two-term
-    recurrence g^(j+1) = -((x-c)/s^2) g^(j) - (j/s^2) g^(j-1)."""
-    b = _sign(draws[:, 0]) * _uniform(draws[:, 1], 1.0, 2.0)
-    a = _sign(draws[:, 2]) * _uniform(draws[:, 3], 0.5, 1.5)
-    s2 = pow_exact(_uniform(draws[:, 4], 0.7, 1.5), 2)
-    u = _uniform(draws[:, 5], -1.0, 1.0)  # x - c at the sample point
-    g = [a * _per_element(math.exp, -pow_exact(u, 2) / (2.0 * s2))]
-    for j in range(max_order):
-        prev = g[j - 1] if j >= 1 else 0.0
-        g.append(-(u / s2) * g[j] - (j / s2) * prev)
-    g[0] = g[0] + b
-    return g
-
-
-_FAMILIES = (_poly_profile, _sine_profile, _gauss_profile)
-FAMILY_NAMES = ("poly", "sine", "gauss")
-
-
-def _profiles(rows: np.ndarray, phases: np.ndarray, needed) -> list[np.ndarray]:
-    """profiles[a][j][i]: the j-th derivative of axis a's profile in row i,
-    of family (phases[i] + a) mod 3, up to order ``needed[a]``."""
-    out = []
-    for axis, order in enumerate(needed):
-        derivs = np.empty((order + 1, len(rows)))
-        families = (phases + axis) % len(_FAMILIES)
-        for family, (begin, end) in enumerate(_FAMILY_COLUMNS):
-            picked = np.flatnonzero(families == family)
-            block = rows[picked, _AXIS_WIDTH * axis + begin : _AXIS_WIDTH * axis + end]
-            derivs[:, picked] = _FAMILIES[family](block, order)
-        out.append(derivs)
-    return out
-
-
-def _tensor(profiles: list[np.ndarray], count: tuple[int, ...]) -> np.ndarray:
-    """The tensor-product jet with ``count[a]`` derivatives along axis a."""
-    val = 1.0
-    for profile, c in zip(profiles, count):
-        val = val * profile[c]
-    return val
-
-
-def _draw_rows(rng, trials: int, dimension: int, width: int):
-    """The rows trials 0 .. trials - 1 take, and the count of rows skipped.
-
-    Trial t takes the next row of ``rng.random`` whose |R| is at least 0.1
-    with the families of phase t mod 3 (at most 200 tries a trial).  Each
-    round draws one row for every trial still to go; as ``rng.random``
-    fills rows from one stream, the rows are those of any other split."""
-    origin = (0,) * dimension
-    kept, skipped, tries, t = [], 0, 0, 0
-    while t < trials:
-        rows = rng.random((trials - t, width))
-        phases = np.repeat(np.arange(len(_FAMILIES)), len(rows))  # each row in each phase
-        r = _tensor(_profiles(np.tile(rows, (len(_FAMILIES), 1)), phases, origin), origin)
-        ok = (np.abs(r) >= 0.1).reshape(len(_FAMILIES), -1).tolist()
-        taken = []
-        for i in range(len(rows)):
-            if ok[t % len(_FAMILIES)][i]:
-                taken.append(i)
-                t, tries = t + 1, 0
-            else:
-                tries += 1
-                if tries == 200:
-                    raise RuntimeError("could not draw a well-conditioned jet sample")
-        skipped += len(rows) - len(taken)
-        kept.append(rows[taken])
-    return np.concatenate(kept), skipped
-
-
-def _raise_first_error(exprs, point: JetPoint, constants: dict, trials: int) -> None:
-    """Evaluate ``exprs`` trial by trial on floats, in the order certify
-    takes them, so the first failing trial raises its own error."""
-    for i in range(trials):
-        at = JetPoint({v: float(x[i]) for v, x in point.values.items()})
-        values = {name: float(x[i]) for name, x in constants.items()}
-        for e in exprs:
-            evaluate(e, at, values)
+def _witness(
+    terms: list[tuple[JetVariable, Expression]],
+    residual: Expression,
+    trials: int,
+    seed: int,
+) -> tuple[float, int]:
+    """The largest |residual| / max |term| over ``trials`` random jet
+    points, and the first trial that reaches it."""
+    variables, names = {JetVariable(())}, set()
+    for _, t in terms:  # the residual's jets and symbols are among these
+        variables |= jet_variables(t)
+        names |= symbol_names(t)
+    order = sorted(variables, key=lambda v: (v.order, v.axes))  # R first
+    names = sorted(names)
+    rows = np.random.default_rng(seed).random((trials, len(order) + 1 + 2 * len(names)))
+    values = {order[0]: _signed(rows[:, 0], rows[:, 1])}
+    for column, v in enumerate(order[1:], start=2):
+        values[v] = -2.0 + 4.0 * rows[:, column]
+    first = len(order) + 1
+    constants = {
+        name: _signed(rows[:, first + 2 * i], rows[:, first + 2 * i + 1])
+        for i, name in enumerate(names)
+    }
+    point = JetPoint(values)
+    with np.errstate(all="ignore"):
+        scale = np.zeros(trials)
+        for _, t in terms:
+            scale = np.fmax(scale, np.abs(evaluate(t, point, constants)))  # NaN never wins
+        value = np.abs(evaluate(residual, point, constants))
+        rel = np.where(scale > 0.0, value / scale, np.where(value == 0.0, 0.0, math.inf))
+    rel = np.where(rel > 0.0, rel, 0.0)  # nor here: a NaN is never the worst
+    worst = int(np.argmax(rel))  # the first trial attaining the maximum
+    return float(rel[worst]), worst
 
 
 def certify(
-    q: Expression,
-    dimension: int = 1,
-    trials: int = 100,
-    tol: float = 1e-10,
-    seed: int = 0,
+    q: Expression, dimension: int = 1, trials: int = 100, seed: int = 0
 ) -> ResidualReport:
-    """Evaluate the Euler-Lagrange residual of ``q`` on randomized jet
-    samples and report the worst relative magnitude seen."""
+    """Decide whether ``q`` is stationary from its exact Euler-Lagrange
+    residual; size a failing candidate by its float witness on ``trials``
+    jet points drawn from ``seed``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     q = canonical(q)
     terms, residual = el_residual(q, dimension)
-
-    variables, names = set(jet_variables(q)) | {JetVariable(())}, set(symbol_names(q))
-    for _, t in terms:  # the residual's jets and symbols are among these
-        variables |= set(jet_variables(t))
-        names |= set(symbol_names(t))
-    order = sorted(variables, key=lambda v: (v.order, v.axes))  # R first
-    counts = [tuple(v.axes.count(axis) for axis in range(dimension)) for v in order]
-    needed = [max(c[axis] for c in counts) for axis in range(dimension)]
-    names = sorted(names)
-
-    width = _AXIS_WIDTH * dimension + 2 * len(names)
-    rows, resamples = _draw_rows(np.random.default_rng(seed), trials, dimension, width)
-    profiles = _profiles(rows, np.arange(trials) % len(_FAMILIES), needed)
-    columns = _AXIS_WIDTH * dimension + 2 * np.arange(len(names))
-    point = JetPoint({v: _tensor(profiles, count) for v, count in zip(order, counts)})
-    constants = {
-        name: _sign(rows[:, c]) * _uniform(rows[:, c + 1], 0.5, 2.0)
-        for name, c in zip(names, columns)
-    }
-    with np.errstate(all="ignore"):
-        try:
-            scale = np.zeros(trials)
-            for _, t in terms:
-                scale = np.fmax(scale, np.abs(evaluate(t, point, constants)))  # NaN never wins
-            value = np.abs(evaluate(residual, point, constants))
-        except ArithmeticError:
-            _raise_first_error([t for _, t in terms] + [residual], point, constants, trials)
-            raise
-        rel = np.where(scale > 0.0, value / scale, np.where(value == 0.0, 0.0, math.inf))
-    rel = np.where(rel > 0.0, rel, 0.0)  # nor here: a NaN is never the worst
-    worst = int(np.argmax(rel))  # the first trial attaining the maximum
-    max_rel = float(rel[worst])
-
+    numerator, denominator = expand(residual)
+    text, max_rel, worst = "0", 0.0, None
+    if numerator:
+        text = to_text(quotient(_expression(numerator), _expression(denominator)))
+        max_rel, worst = _witness(terms, residual, trials, seed)
     return ResidualReport(
         candidate=to_text(q),
-        residual=to_text(residual),
-        verdict=PASSES if max_rel <= tol else FAILS,
+        residual=text,
+        verdict=FAILS if numerator else PASSES,
+        numerator_terms=len(numerator),
         max_abs_residual=max_rel,
-        tolerance=tol,
-        samples_used=trials,
-        resamples=resamples,
+        samples_used=trials if numerator else 0,
         seed=seed,
         dimension=dimension,
         worst_trial=worst,
-        worst_families=tuple(
-            FAMILY_NAMES[(worst + axis) % len(_FAMILIES)] for axis in range(dimension)
-        ),
     )

@@ -88,7 +88,8 @@ class TestAcceptance:
         assert elapsed < 1.0
 
     def test_2_stationarity_certification(self):
-        """Family members certify stationary at 1e-10; counterexamples fail >1e-3."""
+        """Family members certify stationary (residual <= 1e-10, exactly 0
+        since the verdict is exact); counterexamples fail >1e-3."""
         t0 = time.perf_counter()
         family = [
             "A0",
@@ -97,16 +98,18 @@ class TestAcceptance:
             "A6 * lap(lap2(R)) / R",
         ]
         family_worst = 0.0
+        family_terms = []
         family_ok = True
         for text in family:
-            rep = certify(parse_q_expression(text, 1), 1, trials=100, tol=1e-10)
+            rep = certify(parse_q_expression(text, 1), 1, trials=100)
             family_worst = max(family_worst, rep.max_abs_residual)
-            family_ok = family_ok and rep.passed()
+            family_terms.append(rep.numerator_terms)
+            family_ok = family_ok and rep.passed() and rep.max_abs_residual <= 1e-10
         counter_ok = True
-        counter_best = math.inf
+        counter_residuals = []
         for text in ("C * dx(R)", "C * dx(R)^2 / R"):
-            rep = certify(parse_q_expression(text, 1), 1, trials=100, tol=1e-10)
-            counter_best = min(counter_best, rep.max_abs_residual)
+            rep = certify(parse_q_expression(text, 1), 1, trials=100)
+            counter_residuals.append(rep.max_abs_residual)
             counter_ok = counter_ok and (not rep.passed()) and (
                 rep.max_abs_residual > 1e-3
             )
@@ -115,8 +118,9 @@ class TestAcceptance:
         _verdict(
             2,
             ok,
-            f"family residuals <= {family_worst:.2e} (tol 1e-10), "
-            f"counterexample residuals >= {counter_best:.2e} (> 1e-3) "
+            f"family numerator terms {family_terms}, residuals <= {family_worst:.2e} "
+            f"(tol 1e-10), counterexample residuals "
+            f"{', '.join(f'{r:.2e}' for r in counter_residuals)} (> 1e-3) "
             f"[{elapsed:.2f}s]",
         )
         assert ok
@@ -149,9 +153,10 @@ class TestAcceptance:
         assert elapsed < 5.0
 
     def test_4_hydrogen_shifts(self):
-        """1s and 2s quartic shifts within 2% of the analytic values; the two
-        quadrature paths agree to 1e-6.  The line also prints the error
-        against the band-projected analytic value (``proj``)."""
+        """1s and 2s quartic shifts within 2% of the analytic values and
+        within 2e-4 of the band-projected analytic values (``proj``; the
+        resolution study of ``tests/test_spectra.py`` gives 1.5e-4 at the
+        default 4096 radii); the two quadrature paths agree to 1e-6."""
         t0 = time.perf_counter()
         details = []
         ok = True
@@ -163,13 +168,13 @@ class TestAcceptance:
             projected = exact * hydrogen_band_fraction(n)
             rel_proj = abs(de - projected) / abs(projected)
             gap = compare_shifts(st, ELECTRON).relative_gap
-            ok = ok and rel <= 2e-2 and gap <= 1e-6
+            ok = ok and rel <= 2e-2 and rel_proj <= 2e-4 and gap <= 1e-6
             details.append(f"{n}s rel {rel:.2e} proj {rel_proj:.2e} gap {gap:.2e}")
         elapsed = time.perf_counter() - t0
         _verdict(
             4,
             ok,
-            "; ".join(details) + f" (tol 2e-2 / 1e-6) [{elapsed:.2f}s]",
+            "; ".join(details) + f" (tol 2e-2 / 2e-4 / 1e-6) [{elapsed:.2f}s]",
         )
         assert ok
         assert elapsed < 30.0

@@ -44,7 +44,10 @@ class TestVerifyEl:
         report = read_json(out / "residual_report.json")
         assert report["verdict"] == "passes"
         assert report["max_abs_residual"] <= 1e-10
-        assert "verify-el: passes" in capsys.readouterr().out
+        assert report["residual"] == "0"
+        assert capsys.readouterr().out == (
+            "verify-el: passes (Euler-Lagrange residual is identically 0)\n"
+        )
         manifest = read_json(out / "manifest.json")
         assert manifest["scenario"] == "verify-el"
         assert manifest["outputs"] == ["residual_report.json"]
@@ -63,13 +66,23 @@ class TestVerifyEl:
         argv = ["verify-el", "--q", "C * dx(R)^2 / R", "--dim", "2", "--trials", "30"]
         assert main([*argv, "--out", str(out)]) == 0
         report = read_json(out / "residual_report.json")
-        worst, families = report["worst_trial"], report["worst_families"]
-        assert 0 <= worst < 30
-        assert len(families) == 2 and set(families) <= {"poly", "sine", "gauss"}
-        assert (
-            f"at trial {worst} [{', '.join(families)}], 30 samples)"
-            in capsys.readouterr().out
+        worst = report["worst_trial"]
+        assert 0 <= worst < 30 and report["samples_used"] == 30
+        assert report["numerator_terms"] == 2
+        max_rel = serialize.fmt_float(report["max_abs_residual"])
+        assert capsys.readouterr().out == (
+            f"verify-el: fails (N has 2 terms; max relative residual {max_rel} "
+            f"at trial {worst} of 30)\n"
         )
+
+    def test_false_pass_candidate_fails_at_the_defaults(self, tmp_path, capsys):
+        q = "A2 * lap(R) / R + 0.000000000000001 * C * dx(R)"
+        out = tmp_path / "out"
+        assert main(["verify-el", "--q", q, "--out", str(out)]) == 0
+        report = read_json(out / "residual_report.json")
+        assert report["verdict"] == "fails"
+        assert report["residual"] == "(-1/500000000000000) * C * R * R_x"
+        assert capsys.readouterr().out.startswith("verify-el: fails (N has 1 terms; ")
 
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         rc = main(["verify-el", "--q", "sin(R)", "--out", str(tmp_path / "o")])
@@ -618,6 +631,14 @@ class TestUnreadKeys:
             assert key in captured.err
         assert captured.out == ""
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_verify_el_tol_key(self, tmp_path, capsys):
+        # the verdict is exact, so no pass threshold is read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = verify-el\nq = A2 * lap(R) / R\ntol = 1e-10\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "does not read key(s): tol")
 
     def test_misspelt_evolve_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
