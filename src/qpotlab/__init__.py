@@ -5,9 +5,10 @@ higher-Laplacian terms Q_2n = a_2n (-1)^n eps0 (hbar/mc)^2n lap^n(R)/R
 whose exact-rational coefficients reproduce, order by order, the expansion
 of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
 
-- ``expr``/``elcheck`` — jet-space symbolic expressions and exact
-  certification that a candidate potential is a stationary point of the
-  density-weighted Euler-Lagrange expression;
+- ``expr``/``elcheck`` — candidate potentials as N/D, quotients of
+  Laurent polynomials in jet variables, and exact certification that a
+  candidate is a stationary point of the density-weighted Euler-Lagrange
+  expression;
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
 - ``grid``/``qpotential`` — uniform grid functions, Laplacian series
   sum c_n lap^n (the grid's boundary picks the Fourier or sine
@@ -47,24 +48,20 @@ from .dynamics import (  # noqa: F401
     sample_from_density,
 )
 from .elcheck import (  # noqa: F401
+    Residual,
     ResidualReport,
     certify,
-    el_residual,
-    el_residual_terms,
+    euler_lagrange,
 )
 from .expr import (  # noqa: F401
     EvaluationError,
     ExprError,
     ExprSyntaxError,
-    JetPoint,
     JetVariable,
-    canonical,
-    evaluate,
-    evaluate_exact,
-    laplacian_expr,
+    RationalFunction,
     parse_q_expression,
     to_text,
-    total_derivative,
+    value_at,
 )
 from .grid import (  # noqa: F401
     Grid,

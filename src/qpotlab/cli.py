@@ -15,6 +15,9 @@ The manifest also records the seed (``--seed``, else the config key
 list of artifacts.  All numbers are serialized at 17 significant digits,
 so a rerun with the same inputs reproduces every artifact byte for byte
 (the manifest timings are the one intentionally non-deterministic field).
+Before a scenario runs, the manifest of an earlier run in the same output
+directory is deleted with the outputs it lists, so a run that fails leaves
+no manifest and no earlier result that could be read as its own.
 
 ``evolve`` writes its frames through a one-process
 ``concurrent.futures`` pool, forked at the first frame
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import platform
 import sys
 import time
@@ -452,12 +456,29 @@ _SCENARIOS: dict[str, Callable] = {
 }
 
 
+def _remove_previous_run(outdir: Path) -> None:
+    """Delete the manifest in ``outdir`` and the outputs it lists, so that
+    a run that fails leaves no earlier run's results behind."""
+    manifest = outdir / "manifest.json"
+    if not manifest.is_file():
+        return
+    try:
+        outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+    except (ValueError, TypeError, KeyError):  # not a manifest this program wrote
+        outputs = []
+    for name in outputs if isinstance(outputs, list) else ():
+        if isinstance(name, str) and Path(name).name == name:
+            (outdir / name).unlink(missing_ok=True)
+    manifest.unlink()
+
+
 def _run_scenario(
     scenario: str, cfg: Mapping[str, str], outdir: Path, seed: int
 ) -> int:
     outdir = Path(outdir)
     created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
+    _remove_previous_run(outdir)
     cfg = serialize.RecordingConfig(cfg)
     t0 = time.perf_counter()
     try:

@@ -1,22 +1,28 @@
-"""Symbolic expressions over jet variables.
+"""Candidate potentials as quotients of Laurent polynomials over jet variables.
 
 A "jet variable" is the amplitude field R or one of its spatial partial
 derivatives (R_x, R_xx, R_xy, ...), treated as an independent coordinate.
-Candidate quantum-potential forms Q are expressions in these coordinates,
-e.g. ``A2 * lap(R) / R``.  This module provides the expression tree, a small
-infix parser for the grammar documented in the README, one evaluator
-(:func:`evaluate_exact`, :func:`evaluate`) for exact-rational, float and
-array inputs, where each array element gets the bits of the float result at
-its point, and the two derivative operations everything downstream needs:
+A candidate quantum potential Q, e.g. ``A2 * lap(R) / R``, is held as N/D
+(:class:`RationalFunction`): N and D are Laurent polynomials over the
+rationals in the named constants (A2, C, ...) and the jet variables.  The
+parser builds N/D directly and exactly; a monomial denominator folds into
+N as negative exponents, so D is 1 or has at least two terms.  There is no
+cancellation of common factors of N and D beyond that.
 
-* :func:`partial_wrt_jet` — differentiate treating jet variables as
-  independent coordinates,
-* :func:`total_derivative` — the total spatial derivative D_axis, which acts
-  on jet variables by promoting them (R -> R_x, R_x -> R_xx, ...).
+A polynomial maps each monomial to its nonzero ``int`` or ``Fraction``
+coefficient.  A monomial is a tuple of (variable, exponent) pairs with
+nonzero exponents, sorted by variable; a variable is a
+:class:`JetVariable`, the pair (order, axes), or the pair (-1, name) of a
+named constant.  Tuple order is then the canonical variable order:
+constants by name, then jet variables by order and axes.  Printing and
+evaluation visit monomials in :func:`canonical_order`, so no hash order
+reaches an artifact.
 
-Expressions are immutable; all operations are pure functions.  Quotients are
-represented as products with negative-exponent powers so that the canonical
-form collapses cancellations such as R^2 * (A/R) -> A * R.
+The calculus acts on polynomials monomial by monomial: :func:`partial` is
+d/dv with the jet variables independent, and :func:`total` the total
+derivative D_axis, which promotes each jet factor (R -> R_x, R_x -> R_xx,
+...) by the product rule.  The parser's ``dx``, ``lap`` and ``lap2`` apply
+D_axis to N/D by the quotient rule.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-import numpy as np
+from typing import Mapping, NamedTuple, Union
 
 AXIS_LETTERS = "xyz"
 
@@ -50,328 +54,218 @@ class EvaluationError(ExprError):
     """Evaluation failure: unbound name or division by zero at a point."""
 
 
-@dataclass(frozen=True)
-class JetVariable:
-    """R or a spatial partial derivative of R, identified by its multi-index.
+class JetVariable(tuple):
+    """R or a spatial partial derivative of R: the pair (order, axes).
 
-    ``axes`` lists the differentiation axes (0=x, 1=y, 2=z); it is stored
-    sorted because partial derivatives commute.  The empty multi-index is R
-    itself.
+    ``axes`` lists the differentiation axes (0=x, 1=y, 2=z), sorted because
+    partial derivatives commute.  The empty multi-index is R itself.
     """
 
-    axes: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(a not in (0, 1, 2) for a in self.axes):
-            raise ExprError(f"unsupported derivative axis in {self.axes!r}")
-        object.__setattr__(self, "axes", tuple(sorted(self.axes)))
+    def __new__(cls, axes: tuple[int, ...] = ()):
+        if any(a not in (0, 1, 2) for a in axes):
+            raise ExprError(f"unsupported derivative axis in {axes!r}")
+        axes = tuple(sorted(axes))
+        return super().__new__(cls, (len(axes), axes))
 
     @property
     def order(self) -> int:
-        return len(self.axes)
+        return self[0]
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        return self[1]
 
     @property
     def name(self) -> str:
-        if not self.axes:
-            return "R"
-        return "R_" + "".join(AXIS_LETTERS[a] for a in self.axes)
+        return "R_" + "".join(AXIS_LETTERS[a] for a in self[1]) if self[1] else "R"
 
     def promoted(self, axis: int) -> "JetVariable":
         """The jet variable obtained by one more derivative along ``axis``."""
-        return JetVariable(self.axes + (axis,))
+        return JetVariable(self[1] + (axis,))
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class JetPoint:
-    """An evaluation point: values for jet variables, numbers or arrays of one shape."""
-
-    values: Mapping[JetVariable, Number]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+R = JetVariable()
 
 
-# --------------------------------------------------------------------------
-# Expression nodes
-# --------------------------------------------------------------------------
+def _symbol(name: str) -> tuple:
+    return (-1, name)
 
 
-@dataclass(frozen=True)
-class Const:
-    """Exact rational constant."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Sym:
-    """Named symbolic constant (A0, A2, C, ...) resolved at evaluation."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Jet:
-    """A jet-variable leaf."""
-
-    var: JetVariable
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple["Expression", ...]
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple["Expression", ...]
-
-
-@dataclass(frozen=True)
-class Pow:
-    """Integer power; negative exponents represent quotients."""
-
-    base: "Expression"
-    exponent: int
-
-
-Expression = Union[Const, Sym, Jet, Sum, Prod, Pow]
-
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-
-
-def is_zero(e: Expression) -> bool:
-    """Structural test for the constant zero."""
-    return isinstance(e, Const) and e.value == 0
-
-
-def _sort_key(e: Expression):
-    if isinstance(e, Const):
-        return (0, e.value)
-    if isinstance(e, Sym):
-        return (1, e.name)
-    if isinstance(e, Jet):
-        return (2, e.var.axes)
-    if isinstance(e, Pow):
-        return (3, _sort_key(e.base), e.exponent)
-    if isinstance(e, Prod):
-        return (4, tuple(_sort_key(f) for f in e.factors))
-    return (5, tuple(_sort_key(t) for t in e.terms))
+def _name(v: tuple) -> str:
+    return v[1] if v[0] < 0 else v.name
 
 
 # --------------------------------------------------------------------------
-# Smart constructors (light normalization: flatten, fold, merge, sort)
+# Laurent polynomials
 # --------------------------------------------------------------------------
 
+Monomial = tuple  # ((variable, exponent), ...), sorted, exponents nonzero
+Polynomial = dict  # Monomial -> nonzero int or Fraction
 
-def make_pow(base: Expression, exponent: int) -> Expression:
-    if not isinstance(exponent, int):
-        raise ExprError(f"exponent must be an integer, got {exponent!r}")
-    if is_zero(base):
-        if exponent <= 0:
-            raise ExprError("zero base with nonpositive exponent")
-        return ZERO
-    if exponent == 0:
-        return ONE
-    if isinstance(base, Const):
-        if exponent < 0:
-            return Const(Fraction(1) / base.value ** (-exponent))
-        return Const(base.value**exponent)
-    if exponent == 1:
-        return base
-    if isinstance(base, Pow):
-        return make_pow(base.base, base.exponent * exponent)
-    if isinstance(base, Prod):
-        return make_prod(make_pow(f, exponent) for f in base.factors)
-    return Pow(base, exponent)
+ONE: Polynomial = {(): 1}
 
 
-def make_prod(factors: Iterable[Expression]) -> Expression:
-    coeff = Fraction(1)
-    merged: dict[tuple, list] = {}  # sort_key(base) -> [base, exponent]
-    for f in _flatten(factors, Prod):
-        if isinstance(f, Const):
-            coeff *= f.value
-            continue
-        base, exp = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
-        slot = merged.setdefault(_sort_key(base), [base, 0])
-        slot[1] += exp
-    if coeff == 0:
-        return ZERO
-    out: list[Expression] = []
-    for base, exp in merged.values():
-        piece = make_pow(base, exp)
-        if isinstance(piece, Const):
-            coeff *= piece.value
-        elif not (isinstance(piece, Const) and piece.value == 1):
-            out.append(piece)
-    out.sort(key=_sort_key)
-    if coeff != 1 or not out:
-        out.insert(0, Const(coeff))
-    if len(out) == 1:
-        return out[0]
-    return Prod(tuple(out))
-
-
-def make_sum(terms: Iterable[Expression]) -> Expression:
-    constant = Fraction(0)
-    collected: dict[tuple, list] = {}  # sort_key(rest) -> [rest, coefficient]
-    for t in _flatten(terms, Sum):
-        coeff, rest = _split_coefficient(t)
-        if rest is None:
-            constant += coeff
-            continue
-        slot = collected.setdefault(_sort_key(rest), [rest, Fraction(0)])
-        slot[1] += coeff
-    out: list[Expression] = []
-    for rest, coeff in collected.values():
-        if coeff == 0:
-            continue
-        out.append(rest if coeff == 1 else make_prod((Const(coeff), rest)))
-    if constant != 0:
-        out.append(Const(constant))
-    out.sort(key=_sort_key)
-    if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    return Sum(tuple(out))
-
-
-def _flatten(items: Iterable[Expression], kind) -> Iterable[Expression]:
-    for item in items:
-        if isinstance(item, kind):
-            inner = item.factors if kind is Prod else item.terms
-            yield from _flatten(inner, kind)
+def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    if not b:
+        return a
+    if not a:
+        return b
+    exponents = dict(a)
+    for v, e in b:
+        e += exponents.get(v, 0)
+        if e:
+            exponents[v] = e
         else:
-            yield item
+            del exponents[v]
+    return tuple(sorted(exponents.items()))
 
 
-def _split_coefficient(t: Expression) -> tuple[Fraction, Expression | None]:
-    """Split a term into (rational coefficient, non-constant remainder)."""
-    if isinstance(t, Const):
-        return t.value, None
-    if isinstance(t, Prod) and isinstance(t.factors[0], Const):
-        rest = t.factors[1:]
-        remainder = rest[0] if len(rest) == 1 else Prod(rest)
-        return t.factors[0].value, remainder
-    return Fraction(1), t
+def canonical_order(p: Polynomial) -> list[Monomial]:
+    """The monomials of p in lexicographic order: by variable, higher
+    powers first (R^2, R * R_x, R_x^2)."""
+    return sorted(p, key=lambda m: tuple((v, -e) for v, e in m))
 
 
-def quotient(numerator: Expression, denominator: Expression) -> Expression:
-    if is_zero(denominator):
-        raise ExprError("division by structurally zero expression")
-    return make_prod((numerator, make_pow(denominator, -1)))
+def _inverse(c):
+    """1/c, kept an int where it is one."""
+    return c if c in (1, -1) else Fraction(1) / c
 
 
-def negate(e: Expression) -> Expression:
-    return make_prod((Const(Fraction(-1)), e))
+def add(p: Polynomial, q: Polynomial, scale=1) -> Polynomial:
+    """p + scale * q."""
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + scale * c
+    return {m: c for m, c in out.items() if c}
 
 
-def canonical(e: Expression) -> Expression:
-    """Bottom-up normal form: flatten, sort, fold constants, collect terms,
-    and merge same-base powers (so R^2 * R^-1 collapses to R).
+def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
+    if len(q) == 1 and () in q:  # a constant
+        c = q[()]
+        return p if c == 1 else {m: c * a for m, a in p.items()}
+    out: dict = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = _monomial_product(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
 
-    This is a light normal form, not a general simplifier: products of sums
-    are not expanded.  It is idempotent and sufficient for the structural
-    identities used elsewhere (derivative commutation, linearity, and the
-    collapse of the stationarity-residual flux terms).
-    """
-    if isinstance(e, (Const, Sym, Jet)):
-        return e
-    if isinstance(e, Pow):
-        return make_pow(canonical(e.base), e.exponent)
-    if isinstance(e, Prod):
-        return make_prod(canonical(f) for f in e.factors)
-    return make_sum(canonical(t) for t in e.terms)
+
+def power(p: Polynomial, exponent: int) -> Polynomial:
+    if exponent and len(p) == 1:  # a monomial
+        ((m, c),) = p.items()
+        return {tuple((v, e * exponent) for v, e in m): c**exponent}
+    out = ONE
+    for _ in range(exponent):
+        out = multiply(out, p)
+    return out
+
+
+def partial(p: Polynomial, v: JetVariable) -> Polynomial:
+    """dp/dv, every other variable held fixed."""
+    out = {}
+    for m, c in p.items():
+        for i, (w, e) in enumerate(m):
+            if w == v:
+                rest = m[:i] + (((v, e - 1),) if e != 1 else ()) + m[i + 1 :]
+                out[rest] = c * e  # distinct monomials stay distinct
+                break
+    return out
+
+
+def total(p: Polynomial, axis: int) -> Polynomial:
+    """The total derivative D_axis: each jet factor v^e gives
+    e v^(e-1) v_axis; named constants are constant."""
+    out: dict = {}
+    for m, c in p.items():
+        for v, e in m:
+            if v[0] >= 0:
+                key = _monomial_product(m, ((v, -1), (v.promoted(axis), 1)))
+                out[key] = out.get(key, 0) + c * e
+    return {m: c for m, c in out.items() if c}
 
 
 # --------------------------------------------------------------------------
-# Structure queries
+# N/D
 # --------------------------------------------------------------------------
 
 
-def _leaves(e: Expression, kind) -> frozenset:
-    """Every leaf of type ``kind`` (Jet or Sym) in the expression."""
-    if isinstance(e, kind):
-        return frozenset((e,))
-    if isinstance(e, Pow):
-        return _leaves(e.base, kind)
-    if isinstance(e, (Prod, Sum)):
-        parts = e.factors if isinstance(e, Prod) else e.terms
-        return frozenset().union(*(_leaves(p, kind) for p in parts))
-    return frozenset()
+class RationalFunction(NamedTuple):
+    """N/D; D is 1 (:data:`ONE`) or has at least two terms."""
+
+    num: Polynomial
+    den: Polynomial
 
 
-def jet_variables(e: Expression) -> frozenset[JetVariable]:
-    """All jet variables appearing in the expression."""
-    return frozenset(leaf.var for leaf in _leaves(e, Jet))
+def _normal(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """Fold a one-term D into N; 0 is 0/1."""
+    if not num:
+        return RationalFunction({}, ONE)
+    if len(den) == 1:
+        ((m, c),) = den.items()
+        inverse = tuple((v, -e) for v, e in m)
+        num = {_monomial_product(a, inverse): b * _inverse(c) for a, b in num.items()}
+        den = ONE
+    return RationalFunction(num, den)
 
 
-def symbol_names(e: Expression) -> frozenset[str]:
-    """All named constants appearing in the expression."""
-    return frozenset(leaf.name for leaf in _leaves(e, Sym))
+def _sum(a: RationalFunction, b: RationalFunction, sign: int = 1) -> RationalFunction:
+    if a.den == b.den:
+        return _normal(add(a.num, b.num, sign), a.den)
+    num = add(multiply(a.num, b.den), multiply(b.num, a.den), sign)
+    return _normal(num, multiply(a.den, b.den))
 
 
-# --------------------------------------------------------------------------
-# Derivatives
-# --------------------------------------------------------------------------
+def _product(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    return _normal(multiply(a.num, b.num), multiply(a.den, b.den))
 
 
-def _derive(e: Expression, leaf) -> Expression:
-    """Derivative of ``e`` by the sum, product and chain rules, where
-    ``leaf(jet)`` is the derivative of one Jet leaf; constants and named
-    symbols map to zero."""
-    if isinstance(e, (Const, Sym)):
-        return ZERO
-    if isinstance(e, Jet):
-        return leaf(e)
-    if isinstance(e, Sum):
-        return make_sum(_derive(t, leaf) for t in e.terms)
-    if isinstance(e, Prod):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            df = _derive(f, leaf)
-            if is_zero(df):
-                continue
-            pieces.append(make_prod(e.factors[:i] + (df,) + e.factors[i + 1 :]))
-        return make_sum(pieces)
-    df = _derive(e.base, leaf)
-    if is_zero(df):
-        return ZERO
-    return make_prod(
-        (Const(Fraction(e.exponent)), make_pow(e.base, e.exponent - 1), df)
-    )
+def _quotient(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    return _normal(multiply(a.num, b.den), multiply(a.den, b.num))
 
 
-def partial_wrt_jet(e: Expression, v: JetVariable) -> Expression:
-    """d(e)/d(v) treating every jet variable as an independent coordinate."""
-    return _derive(e, lambda jet: ONE if jet.var == v else ZERO)
+def _power(a: RationalFunction, exponent: int) -> RationalFunction:
+    if exponent < 0:
+        a, exponent = _quotient(RationalFunction(ONE, ONE), a), -exponent
+    return _normal(power(a.num, exponent), power(a.den, exponent))
 
 
-def total_derivative(e: Expression, axis: int) -> Expression:
-    """Total spatial derivative D_axis via the chain rule over jet variables.
-
-    Jet variables are promoted (R -> R_x, R_x -> R_xx, ...); constants and
-    named symbols map to zero.
-    """
-    if axis not in (0, 1, 2):
-        raise ExprError(f"axis must be 0, 1 or 2, got {axis}")
-    return _derive(e, lambda jet: Jet(jet.var.promoted(axis)))
+def _derivative(a: RationalFunction, axis: int) -> RationalFunction:
+    """D_axis(N/D) = (D_axis N * D - N * D_axis D) / D^2."""
+    dd = total(a.den, axis)
+    if not dd:
+        return _normal(total(a.num, axis), a.den)
+    num = add(multiply(total(a.num, axis), a.den), multiply(a.num, dd), -1)
+    return _normal(num, multiply(a.den, a.den))
 
 
-def laplacian_expr(e: Expression, dimension: int) -> Expression:
-    """Symbolic Laplacian: sum of D_i D_i over the first ``dimension`` axes."""
-    return make_sum(
-        total_derivative(total_derivative(e, i), i) for i in range(dimension)
-    )
+def _laplacian(a: RationalFunction, dimension: int) -> RationalFunction:
+    out = RationalFunction({}, ONE)
+    for axis in range(dimension):
+        out = _sum(out, _derivative(_derivative(a, axis), axis))
+    return out
+
+
+def variables(*polynomials: Polynomial) -> tuple[list[JetVariable], list[str]]:
+    """The jet variables and the names of the constants of the
+    polynomials, each in canonical order."""
+    found = {v for p in polynomials for m in p for v, _ in m}
+    return sorted(v for v in found if v[0] >= 0), sorted(v[1] for v in found if v[0] < 0)
+
+
+def jet_variables(q: RationalFunction) -> frozenset[JetVariable]:
+    """All jet variables of N and D."""
+    return frozenset(variables(*q)[0])
+
+
+def symbol_names(q: RationalFunction) -> frozenset[str]:
+    """All named constants of N and D."""
+    return frozenset(variables(*q)[1])
 
 
 # --------------------------------------------------------------------------
@@ -379,91 +273,74 @@ def laplacian_expr(e: Expression, dimension: int) -> Expression:
 # --------------------------------------------------------------------------
 
 
-def evaluate_exact(
-    e: Expression, point: JetPoint, constants: Mapping[str, Number] | None = None
-) -> Number | np.ndarray:
-    """Evaluate preserving exactness: Fraction in, Fraction out.
+def point(
+    jets: Mapping[JetVariable, Number], constants: Mapping[str, Number] | None = None
+) -> dict:
+    """The values of the jet variables and the named constants, as one
+    mapping from variables for :func:`polynomial_value`."""
+    return {**{_symbol(n): x for n, x in (constants or {}).items()}, **jets}
 
-    Mixed Fraction/float inputs follow Python arithmetic promotion, so
-    exact-rational subtrees are folded before any float conversion: a sum
-    is ``float(prefix) + t_k + ...``, where ``prefix`` is ``Fraction(0)``
-    plus the leading exact terms, and later exact terms enter as
-    ``float(c)``; a product likewise, from ``Fraction(1)``.  A power is
-    :func:`pow_exact` with the integer exponent.
 
-    Jets and constants may also be numpy arrays of one shape, one element
-    per point.  A Fraction meets an array as ``float(c)``, as it meets a
-    float, so each element is the float result at its point, bit for bit
-    (run it under ``np.errstate(all="ignore")`` to keep numpy quiet).  A
-    zero base with a negative exponent raises :class:`EvaluationError` at a
-    point and ``ZeroDivisionError`` on arrays, where evaluating the points
-    one by one finds the point and the worded error.  A subtree object that
-    occurs more than once is evaluated once per call.
+def polynomial_value(p: Polynomial, values: Mapping):
+    """p at a :func:`point` that gives every variable an exact rational
+    (``int`` or ``Fraction``), or every one a float or an array of floats
+    (one element per point).
+
+    The terms are added in canonical order, from the first.  A term is its
+    coefficient times its positive-exponent factors, one multiplication per
+    unit of exponent in canonical order, divided by the product of its
+    negative-exponent factors formed the same way.  Only +, * and / are
+    used, so each array element has the bits of the float value at its
+    point.  Exact inputs give an exact value; anything else is a float, and
+    each rational coefficient enters as ``float(c)``.  A factor that is 0
+    in a denominator raises :class:`EvaluationError` at a point and gives
+    IEEE inf or NaN on arrays.  The zero polynomial is 0.
     """
-    constants = constants or {}
-    # Keyed on identity: hashing a node hashes its whole subtree, and costs
-    # more than evaluating the equal subtrees that are distinct objects.
-    memo: dict[int, Number | np.ndarray] = {}
-
-    def walk(node: Expression) -> Number | np.ndarray:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out = node.value
-        elif isinstance(node, Sym):
+    exact = all(isinstance(x, (int, Fraction)) for x in values.values())
+    out = 0 if exact else 0.0
+    for i, m in enumerate(canonical_order(p)):
+        num, den = Fraction(p[m]) if exact else float(p[m]), None
+        for v, e in m:
             try:
-                out = constants[node.name]
+                x = values[v]
             except KeyError:
-                raise EvaluationError(f"unbound constant '{node.name}'") from None
-        elif isinstance(node, Jet):
+                kind = "constant" if v[0] < 0 else "jet variable"
+                raise EvaluationError(f"unbound {kind} '{_name(v)}'") from None
+            for _ in range(abs(e)):
+                if e > 0:
+                    num = num * x
+                else:
+                    den = x if den is None else den * x
+        if den is not None:
             try:
-                out = point.values[node.var]
-            except KeyError:
-                raise EvaluationError(f"unbound jet variable '{node.var.name}'") from None
-        elif isinstance(node, (Sum, Prod)):
-            add = isinstance(node, Sum)
-            out = Fraction(0) if add else Fraction(1)
-            for part in node.terms if add else node.factors:
-                value = walk(part)
-                if isinstance(value, np.ndarray) and isinstance(out, Fraction):
-                    out = float(out)
-                elif isinstance(out, np.ndarray) and isinstance(value, Fraction):
-                    value = float(value)
-                out = out + value if add else out * value
-        else:
-            base = walk(node.base)
-            try:
-                out = pow_exact(base, node.exponent)
+                num = num / den
             except ZeroDivisionError:
-                if isinstance(base, np.ndarray):
-                    raise
+                zero = next((_name(v) for v, e in m if e < 0 and values[v] == 0), "a denominator")
                 raise EvaluationError(
-                    f"division by zero: base {to_text(node.base)} vanishes at this point"
+                    f"division by zero: {zero} vanishes at this point"
                 ) from None
-        memo[key] = out
-        return out
-
-    return walk(e)
+        out = num if i == 0 else out + num
+    return out
 
 
-def evaluate(
-    e: Expression, point: JetPoint, constants: Mapping[str, Number] | None = None
-) -> float | np.ndarray:
-    """Evaluate to an IEEE double (exact subtrees folded first), or to an
-    array of them where :func:`evaluate_exact` gives an array."""
-    value = evaluate_exact(e, point, constants)
-    return value if isinstance(value, np.ndarray) else float(value)
-
-
-def pow_exact(x, exponent: int):
-    """``x ** exponent`` as Python floats compute it, elementwise when ``x``
-    is an array: numpy's ``power`` (like its ``exp``) may differ from the C
-    library in the last bit.  A zero base with a negative exponent raises
-    ``ZeroDivisionError`` and an overflow ``OverflowError``, as on floats."""
-    if isinstance(x, np.ndarray):
-        return np.array([v**exponent for v in x.ravel().tolist()]).reshape(x.shape)
-    return x**exponent
+def value_at(
+    q: RationalFunction,
+    jets: Mapping[JetVariable, Number],
+    constants: Mapping[str, Number] | None = None,
+):
+    """N/D at a point, by :func:`polynomial_value`: exact for exact
+    inputs, else a float, or an array of them where inputs are arrays."""
+    values = point(jets, constants)
+    if not all(isinstance(x, (int, Fraction)) for x in values.values()):
+        values = {v: float(x) if isinstance(x, (int, Fraction)) else x for v, x in values.items()}
+    num = polynomial_value(q.num, values)
+    if q.den == ONE:
+        return num
+    den = polynomial_value(q.den, values)
+    try:
+        return num / den
+    except ZeroDivisionError:
+        raise EvaluationError("division by zero: D vanishes at this point") from None
 
 
 # --------------------------------------------------------------------------
@@ -471,72 +348,40 @@ def pow_exact(x, exponent: int):
 # --------------------------------------------------------------------------
 
 
-def to_text(e: Expression) -> str:
-    """Readable infix rendering; negative powers render as quotients."""
-    return _render(e, parent_prec=0)
+def _factors(m: Monomial, sign: int) -> list[str]:
+    """The factors v^e of m with sign * e > 0, as text."""
+    powers = ((_name(v), sign * e) for v, e in m if sign * e > 0)
+    return [name if e == 1 else f"{name}^{e}" for name, e in powers]
 
 
-def _render(e: Expression, parent_prec: int) -> str:
-    # precedence: sum=1, product/quotient=2, power=3, atom=4
-    if isinstance(e, Const):
-        s = str(e.value)
-        prec = 2 if e.value < 0 else 4
-        return _wrap(s, prec, parent_prec)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Jet):
-        return e.var.name
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            s = "1 / " + _render_pow(e.base, -e.exponent)
-            return _wrap(s, 2, parent_prec)
-        return _wrap(_render_pow(e.base, e.exponent), 3, parent_prec)
-    if isinstance(e, Prod):
-        return _wrap(_render_prod(e), 2, parent_prec)
-    parts = [_render(e.terms[0], 1)]
-    for t in e.terms[1:]:
-        coeff, rest = _split_coefficient(t)
-        if coeff < 0:
-            flipped = (
-                Const(-coeff)
-                if rest is None
-                else make_prod((Const(-coeff), rest))
-            )
-            parts.append(" - " + _render(flipped, 2))
-        else:
-            parts.append(" + " + _render(t, 2))
-    return _wrap("".join(parts), 1, parent_prec)
+def _polynomial_text(p: Polynomial) -> str:
+    """Terms in :func:`canonical_order`; negative exponents print as
+    quotients."""
+    if not p:
+        return "0"
+    parts = []
+    for m in canonical_order(p):
+        c = p[m]
+        num, den = _factors(m, 1), _factors(m, -1)
+        text = " * ".join(([str(abs(c))] if abs(c) != 1 or not num else []) + num)
+        if den:
+            text += " / " + (den[0] if len(den) == 1 else "(" + " * ".join(den) + ")")
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(text)
+    return "".join(parts)
 
 
-def _render_pow(base: Expression, exponent: int) -> str:
-    if exponent == 1:
-        return _render(base, 3)
-    return f"{_render(base, 4)}^{exponent}"
-
-
-def _render_prod(e: Prod) -> str:
-    num, den = [], []
-    for f in e.factors:
-        if isinstance(f, Pow) and f.exponent < 0:
-            den.append(_render_pow(f.base, -f.exponent))
-        else:
-            num.append(_render(f, 3))
-    if num and num[0] == "-1" and len(num) > 1:
-        num = num[1:]
-        sign = "-"
-    else:
-        sign = ""
-    text = sign + (" * ".join(num) if num else "1")
-    if den:
-        dtext = " * ".join(den)
-        if len(den) > 1:
-            dtext = f"({dtext})"
-        text += f" / {dtext}"
-    return text
-
-
-def _wrap(s: str, prec: int, parent_prec: int) -> str:
-    return f"({s})" if prec < parent_prec else s
+def to_text(q: RationalFunction) -> str:
+    """N, or N / (D); the text parses back to the same N/D."""
+    num = _polynomial_text(q.num)
+    if q.den == ONE:
+        return num
+    if len(q.num) > 1:
+        num = f"({num})"
+    return f"{num} / ({_polynomial_text(q.den)})"
 
 
 # --------------------------------------------------------------------------
@@ -580,6 +425,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _variable(v: tuple) -> RationalFunction:
+    return RationalFunction({((v, 1),): 1}, ONE)
+
+
 class _Parser:
     """Recursive-descent parser for the Q-expression grammar.
 
@@ -611,6 +460,10 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def at_op(self, ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "OP" and tok.text in ops
+
     def expect_op(self, op: str) -> _Token:
         tok = self.peek()
         if tok.kind != "OP" or tok.text != op:
@@ -623,92 +476,88 @@ class _Parser:
     def _describe(tok: _Token) -> str:
         return "end of input" if tok.kind == "EOF" else repr(tok.text)
 
-    def parse(self) -> Expression:
+    def parse(self) -> RationalFunction:
         e = self.parse_expr()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ExprSyntaxError(
                 f"unexpected trailing input {self._describe(tok)}", tok.offset
             )
-        return canonical(e)
+        return e
 
-    def parse_expr(self) -> Expression:
-        terms = [self.parse_term()]
-        while self.peek().kind == "OP" and self.peek().text in "+-":
+    def parse_expr(self) -> RationalFunction:
+        result = self.parse_term()
+        while self.at_op("+-"):
             op = self.advance().text
-            term = self.parse_term()
-            terms.append(term if op == "+" else negate(term))
-        return make_sum(terms)
-
-    def parse_term(self) -> Expression:
-        result = self.parse_unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.parse_unary()
-            if op == "*":
-                result = make_prod((result, rhs))
-            else:
-                if is_zero(rhs):
-                    raise ExprSyntaxError(
-                        "division by constant zero", self.tokens[self.pos - 1].offset
-                    )
-                result = quotient(result, rhs)
+            result = _sum(result, self.parse_term(), 1 if op == "+" else -1)
         return result
 
-    def parse_unary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            self.advance()
+    def parse_term(self) -> RationalFunction:
+        result = self.parse_unary()
+        while self.at_op("*/"):
+            op = self.advance()
+            rhs = self.parse_unary()
+            if op.text == "*":
+                result = _product(result, rhs)
+            elif not rhs.num:
+                raise ExprSyntaxError("division by constant zero", op.offset)
+            else:
+                result = _quotient(result, rhs)
+        return result
+
+    def parse_unary(self) -> RationalFunction:
+        if self.at_op("+-"):
+            sign = self.advance().text
             inner = self.parse_unary()
-            return inner if tok.text == "+" else negate(inner)
+            return inner if sign == "+" else _sum(RationalFunction({}, ONE), inner, -1)
         return self.parse_power()
 
-    def parse_power(self) -> Expression:
+    def parse_power(self) -> RationalFunction:
         base = self.parse_atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
+        if not self.at_op("^"):
+            return base
+        caret = self.advance()
+        sign = 1
+        if self.at_op("-"):
             self.advance()
-            sign = 1
-            if self.peek().kind == "OP" and self.peek().text == "-":
-                self.advance()
-                sign = -1
-            tok = self.peek()
-            if tok.kind != "NUMBER":
-                raise ExprSyntaxError(
-                    f"expected integer exponent, found {self._describe(tok)}",
-                    tok.offset,
-                )
-            value = _number_value(tok.text)
-            if value.denominator != 1:
-                raise ExprSyntaxError(
-                    f"non-integer exponent {tok.text!r}", tok.offset
-                )
-            self.advance()
-            return make_pow(base, sign * int(value))
-        return base
+            sign = -1
+        tok = self.peek()
+        if tok.kind != "NUMBER":
+            raise ExprSyntaxError(
+                f"expected integer exponent, found {self._describe(tok)}", tok.offset
+            )
+        value = _number_value(tok.text)
+        if not isinstance(value, int):
+            raise ExprSyntaxError(f"non-integer exponent {tok.text!r}", tok.offset)
+        self.advance()
+        if not base.num and sign * value <= 0:
+            raise ExprSyntaxError("zero base with nonpositive exponent", caret.offset)
+        return _power(base, sign * value)
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> RationalFunction:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Const(_number_value(tok.text))
+            value = _number_value(tok.text)
+            return RationalFunction({(): value} if value else {}, ONE)
         if tok.kind == "IDENT":
             self.advance()
-            if self.peek().kind == "OP" and self.peek().text == "(":
+            if self.at_op("("):
                 return self.parse_call(tok)
             if tok.text == "R":
-                return Jet(JetVariable())
+                return _variable(R)
             jet = _JET_NAME_RE.fullmatch(tok.text)
             if jet:
-                axes = tuple("xyz".index(ch) for ch in jet.group(1))
+                axes = tuple(AXIS_LETTERS.index(ch) for ch in jet.group(1))
                 if max(axes) >= self.dimension:
                     raise ExprSyntaxError(
                         f"jet variable '{tok.text}' exceeds dimension "
                         f"{self.dimension}",
                         tok.offset,
                     )
-                return Jet(JetVariable(axes))
-            return Sym(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
+                return _variable(JetVariable(axes))
+            return _variable(_symbol(tok.text))
+        if self.at_op("("):
             self.advance()
             inner = self.parse_expr()
             self.expect_op(")")
@@ -717,7 +566,7 @@ class _Parser:
             f"expected an operand, found {self._describe(tok)}", tok.offset
         )
 
-    def parse_call(self, name_tok: _Token) -> Expression:
+    def parse_call(self, name_tok: _Token) -> RationalFunction:
         name = name_tok.text
         if name not in _DERIVATIVE_OPS and name not in ("lap", "lap2"):
             raise ExprSyntaxError(
@@ -733,24 +582,26 @@ class _Parser:
                     f"derivative '{name}' exceeds dimension {self.dimension}",
                     name_tok.offset,
                 )
-            return total_derivative(arg, axis)
+            return _derivative(arg, axis)
         if name == "lap":
-            return laplacian_expr(arg, self.dimension)
-        return laplacian_expr(laplacian_expr(arg, self.dimension), self.dimension)
+            return _laplacian(arg, self.dimension)
+        return _laplacian(_laplacian(arg, self.dimension), self.dimension)
 
 
-def _number_value(text: str) -> Fraction:
-    """Exact rational value of a numeric literal (decimals and exponents)."""
-    if "." in text or "e" in text or "E" in text:
-        return Fraction(Decimal(text))
-    return Fraction(int(text))
+def _number_value(text: str) -> int | Fraction:
+    """Exact rational value of a numeric literal (decimals and exponents);
+    an int where it is one."""
+    value = Fraction(Decimal(text)) if "." in text or "e" in text or "E" in text else int(text)
+    return value.numerator if value.denominator == 1 else value
 
 
-def parse_q_expression(text: str, dimension: int = 1) -> Expression:
-    """Parse a candidate quantum-potential expression.
+def parse_q_expression(text: str, dimension: int = 1) -> RationalFunction:
+    """Parse a candidate quantum-potential expression to N/D.
 
     ``lap(R)`` expands over the given dimension (sum of second derivatives
     along each axis).  Raises :class:`ExprSyntaxError` with a byte offset on
-    malformed input, unknown function identifiers, or non-integer exponents.
+    malformed input, unknown function identifiers, non-integer exponents,
+    a division by an expression that is identically 0 (at the ``/``) and a
+    zero base with a nonpositive exponent (at the ``^``).
     """
     return _Parser(text, dimension).parse()

@@ -81,8 +81,17 @@ class TestVerifyEl:
         assert main(["verify-el", "--q", q, "--out", str(out)]) == 0
         report = read_json(out / "residual_report.json")
         assert report["verdict"] == "fails"
-        assert report["residual"] == "(-1/500000000000000) * C * R * R_x"
+        assert report["residual"] == "-1/500000000000000 * C * R * R_x"
         assert capsys.readouterr().out.startswith("verify-el: fails (N has 1 terms; ")
+
+    def test_overflowing_terms_still_give_a_report(self, tmp_path):
+        # R_x^20000 overflows on every trial with |R_x| > 1, where the term
+        # is inf - inf; such trials are never the worst
+        out = tmp_path / "out"
+        assert main(["verify-el", "--q", "C * dx(R)^20000", "--out", str(out)]) == 0
+        report = read_json(out / "residual_report.json")
+        assert report["verdict"] == "fails" and report["numerator_terms"] == 2
+        assert 0.0 <= report["max_abs_residual"] < float("inf")
 
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         rc = main(["verify-el", "--q", "sin(R)", "--out", str(tmp_path / "o")])
@@ -104,6 +113,41 @@ class TestVerifyEl:
         out.mkdir()
         assert main([*argv, "--out", str(out)]) == 1
         assert out.is_dir() and list(out.iterdir()) == []
+
+    def test_failed_rerun_leaves_no_earlier_pass(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["verify-el", "--q", "R^0", "--out", str(out)]) == 0
+        assert read_json(out / "residual_report.json")["verdict"] == "passes"
+        assert main(["verify-el", "--q", "0^-1", "--out", str(out)]) == 1
+        assert "byte offset 1" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
+
+    def test_rerun_deletes_only_what_the_manifest_lists(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["verify-el", "--q", "C * dx(R)", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        assert main(["verify-el", "--q", "sin(R)", "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Set and dict order never reaches the printed N/D or a float sum
+        of the witness: two interpreters with different string hashes
+        write the same bytes."""
+        q = "A * dx(R)^2 / (R + dz(R)) + B * dy(R) * lap(R) / R"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        reports = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / hash_seed
+            argv = ["verify-el", "--q", q, "--dim", "3", "--trials", "50", "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "qpotlab.cli", *argv], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "residual_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["verdict"] == "fails"
 
     def test_control_character_in_q_gives_a_json_manifest(self, tmp_path):
         # the tokenizer reads U+001F as white space; the manifest records it
