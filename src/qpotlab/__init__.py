@@ -10,11 +10,11 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
   candidate is a stationary point of the density-weighted Euler-Lagrange
   expression;
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
-- ``grid``/``qpotential`` — uniform grid functions, Laplacian series
-  sum c_n lap^n (the grid's boundary picks the Fourier or sine
-  transform), and evaluation of the potential hierarchy as one such
-  series, projected onto its convergence band |k| <= m c / hbar, with
-  floor regularization;
+- ``grid``/``qpotential`` — uniform grid functions, a symbol applied or
+  taken as a quadratic form on the grid's own transform (the boundary
+  picks the Fourier or sine transform), and the potential hierarchy as
+  one symbol sum A_2n (-k^2)^n, projected onto its convergence band
+  |k| <= m c / hbar, with floor regularization;
 - ``spectra`` — box and hydrogen stationary states (hydrogen as its
   reduced radial field on a Dirichlet grid), perturbative energy shifts
   with an independent cross-check path, and a nonperturbative modified
@@ -70,7 +70,7 @@ from .grid import (  # noqa: F401
     gradient,
     inner,
     integrate,
-    laplacian_symbol,
+    quadratic_form,
     read_gridfunction,
     series_operator,
     write_gridfunction,
@@ -83,6 +83,7 @@ from .qpotential import (  # noqa: F401
     complete_q_operator,
     electron_params,
     expectation_operator,
+    hierarchy_symbol,
     load_spec,
     natural_params,
     params_by_name,

@@ -60,6 +60,7 @@ from .grid import (
 )
 from .qpotential import (
     complete_q_operator,
+    hierarchy_symbol,
     params_by_name,
     scale_ratio,
     spec_from_config,
@@ -168,17 +169,11 @@ def _scenario_box(
     if all(t.order in (0, 2, 4) for t in spec.terms):
         zero_v = GridFunction(state.R0.grid, np.zeros(points))
         pairs = solve_modified_eigenproblem(zero_v, spec, params, count)
-        c2 = params.hbar**2 / (2.0 * params.mass)
-        rows = []
-        for i, (energy, _) in enumerate(pairs, start=1):
-            k = i * np.pi / L
-            linear = float(c2 * k**2)
-            predicted = linear + sum(
-                box_shift_closed_form(L, i, t.order, params, spec)
-                for t in spec.terms
-                if t.order != 2
-            )
-            rows.append((i, linear, energy, predicted))
+        k = np.arange(1, count + 1) * np.pi / L
+        linear = params.hbar**2 / (2.0 * params.mass) * k**2
+        predicted = linear + hierarchy_symbol(spec.without_order(2), params, k)
+        energies = [energy for energy, _ in pairs]
+        rows = list(zip(range(1, count + 1), linear, energies, predicted))
         serialize.write_csv(
             outdir / "eigenvalues.csv",
             ("tau", "E_linear", "E_modified", "E_linear_plus_shifts"),

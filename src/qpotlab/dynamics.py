@@ -32,17 +32,15 @@ The kinetic step is one rule on both grids (:data:`SPLIT_STEP`, the label
 a run reports): the exact exponential exp(-i hbar k^2 dt / 2m) on the
 grid's own transform modes, the Fourier modes on periodic grids and the
 sine (DST-I) modes on Dirichlet grids, where psi is zeroed at both ends
-before the first step.  Everything else follows the same grid rule (the
-real-input Fourier transform on periodic grids, the sine transform on
-Dirichlet ones): W and the energy's non-kinetic terms, projected onto the
-band |k| <= m c / hbar where the hierarchy converges
-(:func:`qpotential.complete_q_operator`,
-:func:`qpotential.expectation_operator`), and the gradient of the guidance
-velocity and of the kinetic energy.  The energy of a run's frames is the
-map that :func:`energy_operator` builds once per run.  W's quotient terms
-are zeroed where |psi| falls below the amplitude floor.  States with nodes
-are out of scope: R = |psi| has a kink at a node, and the W built from it
-does not reproduce the signed field's dynamics.
+before the first step.  W and the energy take the same transforms, and
+both read the hierarchy's one symbol sigma, projected onto the band |k| <=
+m c / hbar where it converges (:func:`qpotential.hierarchy_symbol`): W
+applies it (:func:`qpotential.complete_q_operator`), and the energy is a
+quadratic form on one forward transform of a frame (:func:`energy_operator`,
+built once per run).  The kinetic c2 k^2 is never projected.  W's quotient
+terms are zeroed where |psi| falls below the amplitude floor.  States with
+nodes are out of scope: R = |psi| has a kink at a node, and the W built
+from it does not reproduce the signed field's dynamics.
 
 :func:`evolve` returns every stored frame, as views of the rows of one
 (frames, points) block, and its ``on_frame`` callback also receives each
@@ -73,12 +71,14 @@ from .grid import (
     fft_scale,
     gradient,
     integrate,
+    quadratic_form,
 )
 from .qpotential import (
     PhysicalParams,
     QuantumPotentialSpec,
     complete_q_operator,
-    expectation_operator,
+    hierarchy_symbol,
+    require_resolved,
     validate_order2,
 )
 
@@ -168,7 +168,7 @@ class EvolutionResult:
 class _KineticStep:
     """Full-dt kinetic propagator exp(-i hbar k^2 dt / 2m) on the grid's
     transform modes: the complex Fourier modes on periodic grids, the DST-I
-    sine modes of :meth:`Grid.series_symbol` on Dirichlet ones.  The
+    sine modes (:attr:`Grid.modes`) on Dirichlet ones.  The
     Dirichlet step transforms the real and imaginary parts of psi as the
     two rows of one :class:`grid.SineTransform`, whose buffers the step
     owns: one transform call each way, with the bits of the complex DST-I
@@ -178,13 +178,12 @@ class _KineticStep:
         c2 = params.hbar**2 / (2.0 * params.mass)
         self.periodic = grid.boundary == PERIODIC
         if self.periodic:
-            symbol = c2 * grid.wavenumbers**2
+            k = grid.wavenumbers
             self.inverse = fft_scale(grid.n)
         else:
-            # c2 k^2 on the sine modes
-            symbol = grid.series_symbol({1: -c2})
+            k = grid.modes
             self.sine = SineTransform(2, grid.n - 2)
-        self.phase = np.exp(-1j * (symbol / params.hbar) * dt)
+        self.phase = np.exp(-1j * (c2 * k**2 / params.hbar) * dt)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         if self.periodic:
@@ -360,21 +359,25 @@ def energy_operator(
     """The map from psi values on ``g`` to the conserved energy: kinetic +
     potential + non-kinetic family terms.
 
-    The kinetic integrand hbar^2/2m |grad psi|^2 carries both the amplitude
-    and phase gradients (the order-2 term); every other term adds its
-    split-form expectation A_{2n} <lap^p R, lap^q R>, p + q = n (order 0
-    gives A0 * norm).  Those terms' operators are resolved once, here
-    (:func:`qpotential.expectation_operator`), so one map serves every
-    frame of a run."""
-    c2 = params.hbar**2 / (2.0 * params.mass)
-    family = expectation_operator(g, params, spec.without_order(2))
+    One :func:`grid.quadratic_form` of the rows Re psi, Im psi and R =
+    |psi| takes one forward transform per frame: c2 k^2 on the first two
+    is the kinetic energy hbar^2/2m integral |grad psi|^2 (the order-2
+    term, amplitude and phase gradients alike), and the
+    :func:`qpotential.hierarchy_symbol` of the spec without its order 2 on
+    R is every other term (order 0 gives A0 * norm).  The potential term
+    is the grid quadrature of V |psi|^2.  Both symbols are resolved once,
+    here, so one map serves every frame of a run."""
+    rest = spec.without_order(2)
+    require_resolved(g, rest)
+    k = g.modes
+    kinetic = params.hbar**2 / (2.0 * params.mass) * k**2
+    family = hierarchy_symbol(rest, params, k)
+    form = quadratic_form(g, np.stack((kinetic, kinetic, family)))
 
     def energy(values: np.ndarray) -> float:
-        dpsi = _complex_gradient(g, values)
-        dens = np.abs(values) ** 2
-        total = integrate(GridFunction(g, c2 * np.abs(dpsi) ** 2 + V.values * dens))
-        total += family(np.abs(values))
-        return float(total)
+        amplitude = np.abs(values)
+        forms = form(np.stack((values.real, values.imag, amplitude)))
+        return float(np.sum(forms) + integrate(GridFunction(g, V.values * amplitude**2)))
 
     return energy
 

@@ -3,27 +3,24 @@
 Every grid is uniform and one-dimensional: equally spaced points,
 Dirichlet (both endpoints stored) or periodic (right endpoint omitted).
 A :class:`Grid` holds its points and boundary and nothing else; its
-wavenumbers and symbols are computed afresh on every call.
+wavenumbers are computed afresh on every call.
 Radial s-state problems need no grid of their own: for u = r*R the 3-D
 Laplacian is lap^n R = d^{2n}u/dr^{2n} / r and R^2 4 pi r^2 dr = (sqrt(4 pi)
 u)^2 dr, so they are the Dirichlet problem for sqrt(4 pi) r R on [0, r_max]
 with the wall node at r = 0.
 
-The grid's boundary picks the derivative backend, and nothing else can:
-the real-input Fourier transform (``rfft``/``irfft``) on periodic grids
-and the sine (DST-I) transform on Dirichlet grids (exact mode actions for
-fields vanishing at the walls).  The gradient is the real-input Fourier
-derivative on periodic grids and the sine-series derivative on Dirichlet
-ones.  Every transform is ``numpy.fft``: the DST-I is
-:class:`SineTransform`, the real FFT of the odd extension, and every
-normalisation is :func:`fft_scale`, as pocketfft computes it.  A Laplacian
-series sum c_n lap^n (a power is one term) costs one transform pair with
-the symbol sum c_n (-k^2)^n; :func:`series_operator` is its one entry: it
-resolves the symbol once and returns the map from field values to the
-series, which a caller applies to as many fields as it likes.
-A series can be band-limited: the symbol is zero at every mode with |k|
-above the band edge (the projection P onto |k| <= band, applied on both
-sides of the series).
+The grid's boundary picks the transform, and nothing else can: the
+real-input Fourier transform (``rfft``/``irfft``) on periodic grids and
+the sine (DST-I) transform on Dirichlet grids (exact mode actions for
+fields vanishing at the walls).  A symbol is given as its values at the
+transform's wavenumbers, :attr:`Grid.modes`; the grid forms none.
+:func:`series_operator` applies one to a field, and :func:`quadratic_form`
+is the integral of a field times its series, by Parseval's identity.  The
+gradient is the real-input Fourier derivative on periodic grids and the
+sine-series derivative on Dirichlet ones.  Every transform is
+``numpy.fft``: the DST-I is :class:`SineTransform`, the real FFT of the
+odd extension, and every normalisation is :func:`fft_scale`, as
+pocketfft computes it.
 """
 
 from __future__ import annotations
@@ -110,21 +107,15 @@ class Grid:
         """Angular FFT wavenumbers 2 pi fftfreq(n, h)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
-    def series_symbol(
-        self, unit: Mapping[int, float], band: float = math.inf
-    ) -> np.ndarray:
-        """:func:`laplacian_symbol` of ``unit``, summed in item order and
-        zero above ``band``, at this grid's transform wavenumbers.  On
-        periodic grids these are the n // 2 + 1 non-negative-frequency
-        entries of :attr:`wavenumbers` that a real-input FFT returns (the
-        symbol is even in k, so they are the full symbol's first half, bit
-        for bit); on Dirichlet ones the DST-I sine modes.
-        """
+    @property
+    def modes(self) -> np.ndarray:
+        """Wavenumbers of the grid's own transform: on periodic grids the
+        n // 2 + 1 entries of :attr:`wavenumbers` that a real-input FFT
+        returns (a symbol even in k loses nothing there), on Dirichlet ones
+        the DST-I sine modes j pi / L, j = 1..n - 2."""
         if self.boundary == PERIODIC:
-            k = self.wavenumbers[: self.n // 2 + 1]
-        else:
-            k = np.arange(1, self.n - 1) * np.pi / self.length
-        return np.where(np.abs(k) <= band, laplacian_symbol(unit, k), 0.0)
+            return self.wavenumbers[: self.n // 2 + 1]
+        return np.arange(1, self.n - 1) * np.pi / self.length
 
     def same_as(self, other: "Grid") -> bool:
         return (
@@ -170,34 +161,12 @@ class GridFunction:
 # --------------------------------------------------------------------------
 
 
-def laplacian_symbol(coeffs: Mapping[int, float], k):
-    """Fourier/sine symbol of sum_n c_n lap^n: sum_n c_n (-k^2)^n."""
-    mk2 = -(k**2)
-    return sum(c * mk2**n for n, c in coeffs.items())
-
-
-def series_operator(
-    g: Grid, coeffs: Mapping[int, float], band: float = math.inf
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from field values on ``g`` to sum_n c_n lap^n of them, for a
-    mapping {power n >= 1: c_n}, projected onto the modes with |k| <=
-    ``band``; its scale and symbol, and on Dirichlet grids its transform
-    buffers, are resolved once, here, so the map is for one thread at a
-    time.
-
-    The grid picks the backend: the real-input Fourier transform on
-    periodic grids and the sine transform on Dirichlet grids (valid for
-    fields vanishing at the walls).  Either costs one transform pair with
-    the whole band-limited symbol, whatever the highest power (the largest
-    c_n is factored out, so one term gives exactly c lap^n f).
-    """
-    if not coeffs or min(coeffs) < 1:
-        raise GridError(f"powers must be >= 1, got {sorted(coeffs)}")
-    top = max(coeffs)
-    if g.n < 2 * top + 1:
-        raise GridError(f"grid with {g.n} points is under-resolved for order {2 * top}")
-    scale = max(coeffs.values(), key=abs) or 1.0
-    symbol = g.series_symbol({n: c / scale for n, c in coeffs.items()}, band)
+def series_operator(g: Grid, symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from field values on ``g`` to the series whose ``symbol`` is
+    given at :attr:`Grid.modes`, by one transform pair (on Dirichlet grids
+    the interior values, the walls set to zero).  Its transform buffers
+    are allocated once, here, so the map is for one thread at a time."""
+    symbol = _at_modes(g, symbol)
     if g.boundary == PERIODIC:
         inverse = fft_scale(g.n)
 
@@ -206,7 +175,6 @@ def series_operator(
             coef *= symbol
             out = np.fft.irfft(coef, g.n, norm="forward")
             out *= inverse
-            out *= scale
             return out
 
         return fourier
@@ -218,10 +186,47 @@ def series_operator(
         coef *= symbol
         out = np.zeros(g.n)
         sine(coef, sine.ortho, out=out[1:-1])
-        out[1:-1] *= scale
         return out
 
     return sine_series
+
+
+def quadratic_form(g: Grid, symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from field values on ``g``, of shape (..., n), to sum_j w_j
+    symbol_j |f_j|^2 along the last axis: f is the grid's forward transform
+    at :attr:`Grid.modes`, where ``symbol`` is given (one row, or one per
+    row of the values), and the weights w make it Parseval's identity under
+    the grid's quadrature, the integral of the field times the series of
+    the symbol.  On periodic grids w is h/n times 1, 2, ..., 2, 1 on the
+    ``rfft`` half spectrum (the last weight is 1 only when n is even); on
+    Dirichlet grids, for fields vanishing at the walls, it is h on the
+    orthonormal DST-I of the interior values."""
+    symbol = _at_modes(g, symbol)
+    if g.boundary == DIRICHLET:
+        weighted = g.spacing * symbol
+
+        def sine_series(values: np.ndarray) -> np.ndarray:
+            sine = SineTransform(*values.shape[:-1], g.n - 2)
+            return np.sum(weighted * sine(values[..., 1:-1], sine.ortho) ** 2, axis=-1)
+
+        return sine_series
+    j = np.arange(g.n // 2 + 1)
+    weights = np.where((j == 0) | (2 * j == g.n), 1.0, 2.0) * (g.spacing * fft_scale(g.n))
+    weighted = weights * symbol
+
+    def fourier(values: np.ndarray) -> np.ndarray:
+        coef = np.fft.rfft(values)
+        return np.sum(weighted * (coef.real**2 + coef.imag**2), axis=-1)
+
+    return fourier
+
+
+def _at_modes(g: Grid, symbol: np.ndarray) -> np.ndarray:
+    """``symbol`` as an array whose last axis runs over :attr:`Grid.modes`."""
+    symbol = np.asarray(symbol, dtype=np.float64)
+    if symbol.shape[-1:] != g.modes.shape:
+        raise GridError(f"a symbol on this grid has {g.modes.size} modes, got shape {symbol.shape}")
+    return symbol
 
 
 def fft_scale(n: int, ortho: bool = False) -> float:

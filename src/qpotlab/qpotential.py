@@ -10,18 +10,18 @@ gives the rest energy eps0.  A :class:`QuantumPotentialSpec` selects which
 orders are present and with which coefficients (exact-rational dimensionless
 a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
 
-The orders >= 2 act as one operator, the Laplacian series sum A_2n lap^n
-with symbol sum A_2n (-k^2)^n.  Each use has one builder, which resolves
-the coefficients and the band-limited symbol once per grid and spec and
-returns a map on field values: :func:`complete_q_operator` is Q, and
-:func:`expectation_operator` is the one split-form energy sum, shared by
-the energy functional and the perturbative shifts.  For the relativistic
-coefficients that symbol is the series of eps0 (sqrt(1 + x) - 1) in x =
-(hbar k / m c)^2, which converges only for x <= 1, so both project the
-series onto the band |k| <= m c / hbar (:func:`band_edge`): the symbol is
-zero above it, at no extra cost.  Division by R diverges at nodes, so the
-quotient is zeroed where |R| falls below ``regularization_floor * max|R|``.
-The order-0 term is R/R = 1 identically and is never floored.
+The hierarchy is one operator with one symbol, sigma(k) = sum A_2n
+(-k^2)^n, which :func:`hierarchy_symbol` builds and nothing else does.  For
+the relativistic coefficients sigma is the series of eps0 sqrt(1 + x) in
+x = (hbar k / m c)^2, which converges only for x <= 1, so every order >= 2
+of sigma is zero above the band edge |k| = m c / hbar (:func:`band_edge`);
+order 0 is never projected.  On a grid, sigma is read at the transform
+modes: :func:`complete_q_operator` applies it to R and divides by R (Q),
+and :func:`expectation_operator` is <R, sigma R>, a quadratic form of R's
+power spectrum; both refuse a grid too coarse for the spec's top order
+(:func:`require_resolved`).  Division by R diverges at nodes, so the quotient is
+zeroed where |R| falls below ``regularization_floor * max|R|``.  The
+order-0 term is R/R = 1 identically and is never floored.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import serialize
 from .coeffs import a2n
-from .grid import Grid, GridFunction, integrate, series_operator
+from .grid import Grid, GridError, quadratic_form, series_operator
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 7.2973525693e-3
@@ -229,9 +229,36 @@ def validate_order2(spec: QuantumPotentialSpec, params: PhysicalParams) -> None:
 
 def band_edge(params: PhysicalParams) -> float:
     """m c / hbar, the wavenumber where the hierarchy's series in x =
-    (hbar k / m c)^2 stops converging: the band edge of every series that
-    :func:`complete_q_operator` and :func:`expectation_operator` build."""
+    (hbar k / m c)^2 stops converging: :func:`hierarchy_symbol` is zero
+    above it in every order >= 2."""
     return params.mass * params.c / params.hbar
+
+
+def hierarchy_symbol(
+    spec: QuantumPotentialSpec, params: PhysicalParams, k: np.ndarray
+) -> np.ndarray:
+    """sigma(k) = sum A_2n (-k^2)^n over the spec's terms at wavenumbers k,
+    summed in order (zero for an empty spec): each term of order >= 2 is
+    zero at |k| above :func:`band_edge`, and the order-0 constant is never
+    projected.  The kinetic c2 k^2 is not the spec's: whatever steps or
+    solves with the kinetic operator adds it."""
+    k = np.asarray(k, dtype=np.float64)
+    mk2 = -(k**2)
+    inside = np.abs(k) <= band_edge(params)
+    total = np.zeros(k.shape)
+    for t in spec.terms:
+        n, A = t.order // 2, dimensional_coefficient(t, params)
+        term = A * mk2**n
+        total = total + (np.where(inside, term, 0.0) if n else term)
+    return total
+
+
+def require_resolved(grid: Grid, spec: QuantumPotentialSpec) -> None:
+    """Refuse a grid with fewer than 2n + 1 points for the spec's top order
+    2n: it cannot hold the 2n-th derivative that order applies."""
+    top = spec.truncation_order
+    if grid.n < top + 1:
+        raise GridError(f"grid with {grid.n} points is under-resolved for order {top}")
 
 
 def complete_q_operator(
@@ -240,23 +267,29 @@ def complete_q_operator(
     spec: QuantumPotentialSpec,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The map from R values on ``grid`` to the pointwise sum of every term
-    in the spec (zero for an empty spec): one Laplacian series sum A_2n
-    lap^n R, projected onto the band |k| <= m c / hbar (see
-    :func:`grid.series_operator`), floored and divided by R once, plus the
-    unfloored order-0 constant.
-
-    The coefficients, the order-0 constant, the band-limited symbol and the
-    floor are resolved once, here, so a caller that evaluates Q many times
-    on one grid (the evolution's W) builds the map once and applies it."""
-    coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
+    in the spec (zero for an empty spec): the orders >= 2 as one series
+    with the :func:`hierarchy_symbol`, applied by
+    :func:`grid.series_operator`, floored and divided by R once, plus the
+    unfloored order-0 constant.  The largest coefficient is factored out of
+    the symbol and multiplies the series, so one term gives exactly A_2n
+    lap^n R.  Everything but the field is resolved once, here, so a caller
+    that evaluates Q many times on one grid (the evolution's W) builds the
+    map once."""
+    require_resolved(grid, spec)
+    coeffs = {t.order: dimensional_coefficient(t, params) for t in spec.terms}
     constant = coeffs.pop(0, 0.0)
     if not coeffs:
         return lambda r: np.zeros(grid.n) + constant
-    series = series_operator(grid, coeffs, band_edge(params))
+    scale = max(coeffs.values(), key=abs) or 1.0
+    unit = QuantumPotentialSpec(
+        tuple(QTerm.dimensional(order, A / scale) for order, A in coeffs.items())
+    )
+    series = series_operator(grid, hierarchy_symbol(unit, params, grid.modes))
     floor = spec.regularization_floor
 
     def q_values(r: np.ndarray) -> np.ndarray:
         D = series(r)
+        D *= scale
         absr = np.abs(r)
         mask = absr <= floor * float(np.max(absr))
         out = np.zeros(grid.n)
@@ -272,33 +305,14 @@ def expectation_operator(
     params: PhysicalParams,
     spec: QuantumPotentialSpec,
 ) -> Callable[[np.ndarray], float]:
-    """The map from R values on ``grid`` to sum_2n A_2n <lap^p P R, lap^q P
-    R>, p = ceil(n/2), q = n - p, with P the projection of
-    :func:`complete_q_operator`: the Hermitian split form of sum A_2n <R, P
-    lap^n R> (equal by parts for fields vanishing at the boundary, better
-    behaved near the hydrogen cusp).
-
-    The coefficients and one band-limited operator per Laplacian power are
-    resolved once, here, so a caller that evaluates the sum on many fields
-    of one grid (the energy of every stored frame) builds the map once and
-    applies it; each application takes each power of R once."""
-    band = band_edge(params)
-    splits = []
-    for t in spec.terms:
-        n = t.order // 2
-        p = (n + 1) // 2
-        splits.append((dimensional_coefficient(t, params), p, n - p))
-    needed = {k for _, p, q in splits for k in (p, q) if k}
-    powers = {k: series_operator(grid, {k: 1.0}, band) for k in sorted(needed)}
-
-    def value(r: np.ndarray) -> float:
-        lap = {0: r, **{k: op(r) for k, op in powers.items()}}
-        total = 0.0
-        for coefficient, p, q in splits:
-            total += coefficient * integrate(GridFunction(grid, lap[p] * lap[q]))
-        return total
-
-    return value
+    """The map from R values on ``grid`` to <R, sigma R> = sum A_2n <R, P
+    lap^n R>, with sigma and its band projection P from
+    :func:`hierarchy_symbol`: the :func:`grid.quadratic_form` of sigma, one
+    forward transform of R.  sigma and the weights are resolved once, here,
+    so the map serves every field of the grid."""
+    require_resolved(grid, spec)
+    form = quadratic_form(grid, hierarchy_symbol(spec, params, grid.modes))
+    return lambda r: float(form(r))
 
 
 # --------------------------------------------------------------------------

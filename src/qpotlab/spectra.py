@@ -7,26 +7,26 @@ order-2n term reduces to the real integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
-evaluated by the map of :func:`qpotential.expectation_operator` in the
-Hermitian split form, projected onto the band |k| <= m c / hbar like every
-evaluation of the hierarchy.  Hydrogen is the same 1-D Dirichlet problem
-as the box: its field is the reduced radial function sqrt(4 pi) r R on
-[0, r_max], whose second derivative is sqrt(4 pi) r lap R and whose
-square integrates to the 3-D norm.  Box modes diagonalize every
-Laplacian power, so the box closed forms (band-limited the same way) and
-the spectral eigenvalues are ``grid.laplacian_symbol`` at k = tau pi / L;
-the hydrogen closed forms are the textbook shifts and their share inside
-the band.  The order-4 shift is the kinetic relativistic correction;
-:func:`relativistic_reference_shift` recomputes it through a deliberately separate code path (its own
-transform pair on the shared DST-I, band cut and quadrature) as a
-cross-check oracle.
+which :func:`qpotential.expectation_operator` evaluates as the quadratic
+form of the term's symbol, from :func:`qpotential.hierarchy_symbol` like
+every evaluation of the hierarchy, on the power spectrum of R0.  Hydrogen
+is the same 1-D Dirichlet problem as the box: its field is the reduced
+radial function sqrt(4 pi) r R on [0, r_max], whose second derivative is
+sqrt(4 pi) r lap R and whose square integrates to the 3-D norm.  Box modes
+diagonalize the hierarchy, so the box closed forms are that symbol at k =
+tau pi / L, and the levels of the linear eigenproblem with V = 0 are the
+symbol plus the kinetic c2 k^2; the hydrogen closed forms are the textbook
+shifts and their share inside the band.  The order-4 shift is the kinetic
+relativistic correction; :func:`relativistic_reference_shift` recomputes
+it through a deliberately separate code path (its own transform pair on
+the shared DST-I, band cut and quadrature) as a cross-check oracle.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
-including the order-4 operator nonperturbatively, on the same band-projected
-operator: in the sine basis it is diagonal plus V.  With V = 0 the levels
-are the symbol itself; otherwise each unperturbed level is tracked from its
-sine mode by shift-invert iteration whose solves are preconditioned MINRES
-on DST-I products, so no matrix larger than the block of the lowest sine
+including the order-4 operator nonperturbatively, on the same symbol: in
+the sine basis it is diagonal plus V.  With V = 0 the levels are the
+diagonal itself; otherwise each unperturbed level is tracked from its sine
+mode by shift-invert iteration whose solves are preconditioned MINRES on
+DST-I products, so no matrix larger than the block of the lowest sine
 modes is formed and no full spectrum is computed.
 """
 
@@ -39,22 +39,15 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    DIRICHLET,
-    Grid,
-    GridError,
-    GridFunction,
-    SineTransform,
-    laplacian_symbol,
-)
+from .grid import DIRICHLET, Grid, GridError, GridFunction, SineTransform
 from .qpotential import (
     FINE_STRUCTURE,
     PhysicalParams,
     QuantumPotentialSpec,
     QTerm,
     band_edge,
-    dimensional_coefficient,
     expectation_operator,
+    hierarchy_symbol,
     validate_order2,
 )
 
@@ -168,7 +161,8 @@ def perturbative_shift(
     params: PhysicalParams,
     spec: QuantumPotentialSpec | None = None,
 ) -> float:
-    """First-order shift from the order-``order`` term, Hermitian split form.
+    """First-order shift from the order-``order`` term: the quadratic form
+    of its symbol on the state.
 
     The coefficient comes from the spec's matching term when given, else
     from the relativistic coefficient family.
@@ -224,25 +218,20 @@ def box_shift_closed_form(
     params: PhysicalParams,
     spec: QuantumPotentialSpec | None = None,
 ) -> float:
-    """Exact first-order shift for a box mode.
+    """Exact first-order shift for a box mode: the term's
+    :func:`qpotential.hierarchy_symbol` at k = tau pi / L.
 
     The sine mode is an exact eigenfunction of every Laplacian power
-    (lap^n R0 = (-k^2)^n R0, k = tau pi / L), so the order-2n shift is
-    A_2n (-k^2)^n with the term's dimensional coefficient.  For the
-    relativistic family this equals a_2n eps0 (pc/eps0)^2n — the matching
-    term of the energy expansion with pc = tau pi hbar c / L.  Like the
-    map of :func:`qpotential.expectation_operator`, it is zero for an
-    order >= 2 and a mode above the band edge k = m c / hbar, where that
-    expansion diverges; the order-0 term is no Laplacian power and is
-    never projected.
+    (lap^n R0 = (-k^2)^n R0), so the order-2n shift is A_2n (-k^2)^n with
+    the term's dimensional coefficient.  For the relativistic family this
+    equals a_2n eps0 (pc/eps0)^2n — the matching term of the energy
+    expansion with pc = tau pi hbar c / L — inside the band, and zero for
+    an order >= 2 above it, where that expansion diverges.
     """
     if tau < 1:
         raise ValueError(f"mode index tau must be >= 1, got {tau}")
-    A = dimensional_coefficient(_shift_term(order, spec), params)
-    k = tau * math.pi / L
-    if order and k > band_edge(params):
-        return 0.0
-    return float(laplacian_symbol({order // 2: A}, k))
+    term = QuantumPotentialSpec((_shift_term(order, spec),))
+    return float(hierarchy_symbol(term, params, tau * math.pi / L))
 
 
 def hydrogen_shift_closed_form(n: int, params: PhysicalParams) -> float:
@@ -296,19 +285,6 @@ _MAX_TRACKING_ITERATIONS = 30
 # inner solve, carries the accuracy.
 _INNER_RTOL = 1e-2
 _MAX_INNER_ITERATIONS = 200
-
-
-def _operator_coefficients(
-    spec: QuantumPotentialSpec, params: PhysicalParams
-) -> dict[int, float]:
-    """{n: c_n} of the operator sum c_n lap^n, c_1 = -hbar^2/2m; validates
-    the order cap and that any order-2 term matches c_1 exactly."""
-    validate_order2(spec, params)
-    top = spec.truncation_order
-    if top > 4:
-        raise ValueError(f"the eigensolver caps at order 4; spec has order {top}")
-    coeffs = {t.order // 2: dimensional_coefficient(t, params) for t in spec.terms}
-    return {0: 0.0, 2: 0.0, **coeffs, 1: -params.hbar**2 / (2.0 * params.mass)}
 
 
 def _minres(
@@ -451,12 +427,12 @@ def solve_modified_eigenproblem(
     well defined is the continuation of each unperturbed level, so the
     solver returns modes tau = 1..count.
 
-    The operator is projected onto the band like every evaluation of the
-    hierarchy: on the interior nodes it is H = S diag(d) S + diag(V), with S
-    the orthonormal DST-I and d the symbol at the sine modes k_j = j pi / L,
-    in which the orders 0 and 2 act at every mode and order 4 only at
-    k <= m c / hbar (as in :func:`box_shift_closed_form`).  With V
-    identically zero the sine modes diagonalize H and the levels are d.
+    On the interior nodes the operator is H = S diag(d) S + diag(V), with S
+    the orthonormal DST-I and d = sigma + c2 k^2 at the sine modes k_j = j
+    pi / L: sigma from :func:`qpotential.hierarchy_symbol` for the spec's
+    orders 0 and 4 (its order 2 is the kinetic c2 k^2, which acts at every
+    mode).  With V identically zero the sine modes diagonalize H and the
+    levels are d.
     Otherwise each level is tracked from its sine mode by shift-invert
     (Rayleigh-quotient) iteration with inexact preconditioned MINRES solves,
     to a residual of 64 eps (max|d| + max|V|); the eigenvector is accepted
@@ -473,12 +449,14 @@ def solve_modified_eigenproblem(
     m = g.n - 2
     if count < 1 or count > m:
         raise ValueError(f"count must be in [1, {m}], got {count}")
-    coeffs = _operator_coefficients(spec, params)
-    k = np.arange(1, m + 1) * np.pi / g.length
-    above_band = {n: c for n, c in coeffs.items() if n <= 1}  # orders 0, 2
-    d = np.where(
-        k > band_edge(params), laplacian_symbol(above_band, k), laplacian_symbol(coeffs, k)
-    )
+    validate_order2(spec, params)
+    if spec.truncation_order > 4:
+        raise ValueError(
+            f"the eigensolver caps at order 4; spec has order {spec.truncation_order}"
+        )
+    k = g.modes
+    d = hierarchy_symbol(spec.without_order(2), params, k)
+    d += params.hbar**2 / (2.0 * params.mass) * k**2
     if not np.any(V.values):
         x = g.points - g.points[0]
         modes = [np.sin(tau * np.pi * x / g.length) for tau in range(1, count + 1)]

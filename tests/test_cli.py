@@ -247,6 +247,19 @@ class TestQpot:
         assert str(field) in err and detail in err
         assert "Traceback" not in err
 
+    def test_under_resolved_grid_refused(self, tmp_path, capsys):
+        # 16 points hold derivatives up to order 15, so order 16 is refused
+        field = tmp_path / "field.csv"
+        g = Grid.uniform(0.0, 1.0, 16)
+        write_gridfunction(field, GridFunction(g, np.sin(np.pi * g.points)), units="electron")
+        spec_path = tmp_path / "spec.cfg"
+        spec_path.write_text("units = electron\nmax_order = 16\n")
+        out = tmp_path / "q"
+        rc = main(["qpot", "--spec", str(spec_path), "--input", str(field), "--out", str(out)])
+        assert rc == 1
+        assert "16 points is under-resolved for order 16" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_evolve_frame_input_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

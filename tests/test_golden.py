@@ -104,7 +104,13 @@ def trajectory_endpoints(boundary):
 # artifact after frame 0 was re-pinned when the Dirichlet kinetic step
 # moved from Crank-Nicolson to the sine modes: E0 kept its bits, the
 # relative energy drift fell from 1.2e-14 to 4.0e-15 and the norm drift
-# from 1.2e-14 to 4.0e-15.
+# from 1.2e-14 to 4.0e-15.  Both series.csv were re-pinned when the energy
+# became one quadratic form of the hierarchy's symbol on the grid's
+# transform: 4 periodic and 6 Dirichlet energies moved by at most 1.7e-10
+# eV (3.4e-16 relative, one to three ulps), the Dirichlet E0 by one ulp,
+# and the relative energy drift read 2.12e-15 on both sides (periodic) and
+# 4.02e-15 -> 4.47e-15 (Dirichlet); every frame and evolve_summary.json
+# kept its bytes.
 EVOLVE_HASHES = {
     "periodic": {
         "evolve_summary.json": "9f00a6556eed0192147fc53ff64e85e99c79aee51b2a2ec258e23fb298aaa425",
@@ -130,7 +136,7 @@ EVOLVE_HASHES = {
         "frame_000036.csv.json": "59a19d8f7d381baed6027d0bec7320ec4b0d0fb392f90e00e0aaa4088991c29d",
         "frame_000040.csv": "70107b18dd2aa666dc5fcbf2c2b23d4cd61eaeb0cc1acee6220b851a33a546bc",
         "frame_000040.csv.json": "f3864f3e1f307c0bca6140aad9c4f6300eb18829117babc0a2b215241f0d1101",
-        "series.csv": "5757d81dd75bc9e6fab554c7e8975df4b4d58c744adda29daf61ab8a7d6a3405",
+        "series.csv": "312d31f1e507000d3e8ec38180630263ec96b9afe3bc87df4e3121678711968f",
     },
     "dirichlet": {
         "evolve_summary.json": "e1c895e5bff160fbed157838a86863363a9e3513ec9d6885d7bad293d496ba5c",
@@ -156,7 +162,7 @@ EVOLVE_HASHES = {
         "frame_000036.csv.json": "95a25f5385c69d46e05c05abc4cea764cc7bbabf90496ebf20f9c085d723aced",
         "frame_000040.csv": "fceac77f9c9994b51af0ab648c1ab578693a49081c777994d216ef1090b02b13",
         "frame_000040.csv.json": "0e1be2289e4c9bde6840799f79e75ec3083de538d9781f5786e09cc3b653fd1b",
-        "series.csv": "9d6a2379048b4e563293183d4fd6c57bdcb97f086f108cbe702e963cc0600c98",
+        "series.csv": "8e018281385f92cd10a73ac347e82272c0273c26112db87c4b69ec4524dcb1ec",
     },
 }
 
@@ -296,16 +302,23 @@ QPOT_HASHES = {
     },
 }
 
+# box_shifts.json and hydrogen_shifts.json were re-pinned when the shifts
+# became the quadratic form of the term's symbol: each delta_E moved by one
+# to three ulps (box order 0: 510998.95000000001 -> 510998.95000000013,
+# order 4: -0.0013835516005020134 -> -0.0013835516005020136; hydrogen:
+# -0.00088962014725293146 -> -0.00088962014725293157 and
+# -0.00014516440481173454 -> -0.00014516440481173452), and every closed
+# form and eigenvalues.csv kept its bytes.
 BACKEND_HASHES = {
     "box": {
-        "box_shifts.json": "8bfb20c7c73a1b2fb37f97525853a26020bdaf77a25873d387c413715f0e099d",
+        "box_shifts.json": "b362fe8c9b51bbdad6a70130b4eb33901e8b31c7f607e3a456e8861a6926a01d",
         "eigenvalues.csv": "9bc7e0f680523836869f34e2724e9296fda722ebf86b14e1ac3c9c360a19f48e",
     },
     # the reduced radial field on [0, 40 a]: 2048 radii give relative
     # errors 1.77e-2 / 1.36e-2 (1s / 2s) against the textbook shifts and
     # 2.9e-3 / 2.2e-3 against their band-projected values
     "hydrogen": {
-        "hydrogen_shifts.json": "9a9dabf7eded49d1243a675fcc67d1b7ac5293b03c57f76a81b1e96dc57a2517",
+        "hydrogen_shifts.json": "01070741aff9039d8396836d1081673ebb19e00c0b7c489eb6a0f7352c2aefb2",
     },
 }
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qpotlab.coeffs import a2n
-from qpotlab.grid import PERIODIC, Grid, GridFunction, inner, series_operator
+from qpotlab.dynamics import energy_operator
+from qpotlab.grid import PERIODIC, Grid, GridError, GridFunction, inner, series_operator
 from qpotlab.qpotential import (
     FINE_STRUCTURE,
     PhysicalParams,
@@ -17,6 +18,7 @@ from qpotlab.qpotential import (
     dimensional_coefficient,
     electron_params,
     expectation_operator,
+    hierarchy_symbol,
     load_spec,
     natural_params,
     params_by_name,
@@ -259,6 +261,22 @@ class TestEvalOnGrid:
         # the rest energy is not
         assert q[0] == q[-1] == self.params.rest_energy
 
+    @pytest.mark.parametrize("boundary", [PERIODIC, "dirichlet"])
+    def test_one_term_is_exactly_A_times_the_power(self, boundary):
+        # the largest coefficient is factored out of the symbol, so a
+        # one-term spec is A times the unit power, bit for bit
+        g = Grid.uniform(0.0, 1.0, 65 if boundary == "dirichlet" else 64, boundary)
+        R = np.exp(np.cos(2.0 * np.pi * g.points)) * np.sin(np.pi * g.points)
+        k = g.modes
+        unit = np.where(np.abs(k) <= band_edge(self.params), (-(k**2)) ** 2, 0.0)
+        power = series_operator(g, unit)(R)
+        spec = QuantumPotentialSpec((QTerm.dimensional(4, -0.3),))
+        got = q_values(GridFunction(g, R), self.params, spec)
+        want = np.zeros(g.n)
+        mask = np.abs(R) <= 1e-8 * np.max(np.abs(R))
+        np.divide(-0.3 * power, R, out=want, where=~mask)
+        assert np.array_equal(got, want + 0.0)
+
 
 class TestCompleteQOperator:
     """The builder that evolve calls once per run: one operator applied to
@@ -297,8 +315,7 @@ class TestCompleteQOperator:
 
 
 def expectation(R, params, spec):
-    """The split-form energy sum of ``spec`` on the grid function R, by a
-    fresh build."""
+    """<R, sigma R> of ``spec`` on the grid function R, by a fresh build."""
     return expectation_operator(R.grid, params, spec)(R.values)
 
 
@@ -311,13 +328,15 @@ class TestExpectation:
         g = Grid.uniform(0.0, self.L, 129)
         self.R = GridFunction(g, np.sin(3.0 * np.pi * g.points / self.L)).normalized()
 
-    def test_split_form_matches_direct_form(self):
+    def test_quadratic_form_matches_direct_form(self):
         spec = QuantumPotentialSpec.relativistic(8)
         got = expectation(self.R, self.params, spec)
         g, band = self.R.grid, band_edge(self.params)
+        k = g.modes
 
         def lap(n):
-            return GridFunction(g, series_operator(g, {n: 1.0}, band)(self.R.values))
+            symbol = np.where(np.abs(k) <= band, (-(k**2)) ** n, 0.0)
+            return GridFunction(g, series_operator(g, symbol)(self.R.values))
 
         direct = sum(
             dimensional_coefficient(t, self.params)
@@ -367,6 +386,79 @@ class TestExpectation:
         # slope, 502.6, by 43
         assert abs(want - 2.0 * params.rest_energy * inner(R, eta)) > 10.0
         assert slope == pytest.approx(want, rel=1e-10)
+
+
+class TestHierarchySymbol:
+    """sigma(k) = sum A_2n (-k^2)^n, every order >= 2 zero above m c / hbar."""
+
+    params = natural_params(c=2.0)  # the band edge m c / hbar is 2
+    K = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 40.0])
+
+    def test_sums_the_terms_in_order_and_projects_orders_from_2(self):
+        spec = QuantumPotentialSpec.relativistic(6)
+        k = np.concatenate((np.linspace(0.0, 2.0, 101), [2.5, 40.0]))
+        sigma = hierarchy_symbol(spec, self.params, k)
+        A = {t.order: dimensional_coefficient(t, self.params) for t in spec.terms}
+        mk2 = -(k**2)
+        inside = np.abs(k) <= 2.0
+        terms = [np.where(inside, A[2 * n] * mk2**n, 0.0) for n in (1, 2, 3)]
+        # the terms are summed from order 0 up, bit for bit
+        assert np.array_equal(sigma, ((A[0] + terms[0]) + terms[1]) + terms[2])
+        # from the top down some bits differ, so the order is the symbol's own
+        assert not np.array_equal(sigma, ((terms[2] + terms[1]) + terms[0]) + A[0])
+        # the band edge itself is inside; order 0 is never projected, so
+        # above the band sigma is the rest energy
+        assert inside[100] and not np.array_equal(sigma[100], self.params.rest_energy)
+        assert np.array_equal(sigma[~inside], np.full(2, self.params.rest_energy))
+
+    def test_relativistic_series_converges_to_the_square_root(self):
+        # inside the band the truncations approach eps0 sqrt(1 + x), x =
+        # (hbar k / m c)^2, each within its first omitted term |a_2N+2| x^N+1
+        k = np.array([0.5, 1.0, 1.5])
+        x = (k / 2.0) ** 2
+        eps0 = self.params.rest_energy
+        exact = eps0 * np.sqrt(1.0 + x)
+        for top in (2, 4, 6, 8):
+            sigma = hierarchy_symbol(QuantumPotentialSpec.relativistic(top), self.params, k)
+            tail = abs(float(a2n(top // 2 + 1))) * eps0 * x ** (top // 2 + 1)
+            assert np.all(np.abs(sigma - exact) <= tail * (1.0 + 1e-12))
+
+    def test_scalar_and_empty(self):
+        spec = QuantumPotentialSpec.relativistic(4)
+        assert float(hierarchy_symbol(spec, self.params, 1.0)) == (
+            hierarchy_symbol(spec, self.params, self.K)[2]
+        )
+        empty = QuantumPotentialSpec(())
+        assert np.array_equal(hierarchy_symbol(empty, self.params, self.K), np.zeros(6))
+
+
+class TestResolution:
+    """Every builder that reads the symbol on a grid refuses a grid with
+    fewer than 2n + 1 points for the spec's top order 2n."""
+
+    params = natural_params()
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, "dirichlet"])
+    def test_min_points_for_the_top_order(self, boundary):
+        g = Grid.uniform(0.0, 1.0, 16, boundary)
+        V = GridFunction(g, np.zeros(g.n))
+        for top, refused in ((14, False), (16, True)):
+            spec = QuantumPotentialSpec((QTerm.relativistic(0), QTerm.relativistic(top)))
+            for build in (
+                lambda: complete_q_operator(g, self.params, spec),
+                lambda: expectation_operator(g, self.params, spec),
+                lambda: energy_operator(g, V, spec, self.params),
+            ):
+                if refused:
+                    with pytest.raises(GridError, match="16 points is under-resolved for order 16"):
+                        build()
+                else:
+                    build()
+
+    @pytest.mark.parametrize("order", [-2, 3])
+    def test_terms_have_even_nonnegative_orders(self, order):
+        with pytest.raises(ValueError, match="even and >= 0"):
+            QTerm.dimensional(order, 1.0)
 
 
 class TestScaleRatios:

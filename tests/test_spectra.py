@@ -8,14 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpotlab.grid import (
-    DIRICHLET,
-    PERIODIC,
-    Grid,
-    GridError,
-    GridFunction,
-    laplacian_symbol,
-)
+from qpotlab.grid import DIRICHLET, PERIODIC, Grid, GridError, GridFunction
 from qpotlab.qpotential import (
     FINE_STRUCTURE,
     QTerm,
@@ -23,10 +16,10 @@ from qpotlab.qpotential import (
     band_edge,
     dimensional_coefficient,
     electron_params,
+    hierarchy_symbol,
     natural_params,
     proton_params,
 )
-from qpotlab import spectra
 from qpotlab.spectra import (
     StationaryState,
     bohr_radius,
@@ -180,7 +173,7 @@ class TestPerturbativeShift:
             # the unprojected symbol A4 k^4 is the mode's shift without the
             # band; the quadrature keeps only roundoff leaked into lower modes
             A4 = dimensional_coefficient(QTerm.relativistic(4), proton)
-            unprojected = laplacian_symbol({2: A4}, tau * math.pi / 1e-5)
+            unprojected = A4 * (tau * math.pi / 1e-5) ** 4
             assert closed == 0.0 and abs(de) < 1e-12 * abs(unprojected)
 
     def test_order6_box_matches_closed_form(self):
@@ -258,6 +251,34 @@ class TestClosedForms:
         assert 1.0 - hydrogen_band_fraction(n) == pytest.approx(
             {1: 1.48650e-2, 2: 1.14350e-2}[n], abs=1e-7
         )
+
+
+class TestOneSymbol:
+    """The closed forms, the V = 0 levels and the symbol are one number."""
+
+    # (params, L, tau): an atomic box mode inside the band, and a nuclear
+    # one above it (lambda k = 1.32), where the order-4 term is projected out
+    MODES = {
+        "inside": (ELECTRON, 1.0, 1),
+        "above": (proton_params(), 1e-5, 2),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_closed_forms_levels_and_symbol_agree_bit_for_bit(self, mode):
+        params, L, tau = self.MODES[mode]
+        k = tau * math.pi / L
+        assert (k <= band_edge(params)) == (mode == "inside")
+        spec = QuantumPotentialSpec.relativistic(4)
+        rest = spec.without_order(2)  # order 2 is the kinetic c2 k^2
+        symbol = float(hierarchy_symbol(rest, params, k))
+        closed = sum(box_shift_closed_form(L, tau, t.order, params, spec) for t in rest.terms)
+        g = Grid.uniform(0.0, L, 129)
+        levels = solve_modified_eigenproblem(GridFunction(g, np.zeros(g.n)), spec, params, tau)
+        level, c2k2 = levels[-1][0], params.hbar**2 / (2.0 * params.mass) * k**2
+        assert closed == symbol
+        assert level == symbol + c2k2
+        # the subtraction rounds back to the symbol at these two modes
+        assert level - c2k2 == symbol
 
 
 class TestReferencePath:
@@ -427,15 +448,13 @@ class TestEigenproblem:
 
 
 def greedy_oracle(V, spec, params, count):
+    # the oracle for the linear algebra, not for the symbol: its diagonal
+    # is the one symbol plus the kinetic c2 k^2
     g = V.grid
     m = g.n - 2
-    coeffs = spectra._operator_coefficients(spec, params)
     k = np.arange(1, m + 1) * np.pi / g.length
-    d = np.where(
-        k > band_edge(params),
-        laplacian_symbol({n: c for n, c in coeffs.items() if n <= 1}, k),
-        laplacian_symbol(coeffs, k),
-    )
+    c2 = params.hbar**2 / (2.0 * params.mass)
+    d = hierarchy_symbol(spec.without_order(2), params, k) + c2 * k**2
     j = np.arange(1, m + 1)
     S = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(j, j) / (m + 1))
     evals, evecs = np.linalg.eigh(S @ np.diag(d) @ S + np.diag(V.values[1:-1]))
