@@ -129,11 +129,13 @@ def _scenario_coefficients(
 def _scenario_box(
     cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
-    spec, params = spec_from_config(cfg)
+    spec, params = spec_from_config(cfg, floored=False)
     L = serialize.get(cfg, "L", float, 1.0)
     tau = serialize.get(cfg, "tau", int, 1)
     points = serialize.get(cfg, "points", int, 513)
-    count = serialize.get(cfg, "count", int, 5)
+    # the V = 0 levels are solved for orders 0, 2 and 4 only
+    levels = all(t.order in (0, 2, 4) for t in spec.terms)
+    count = serialize.get(cfg, "count", int, 5) if levels else None
     cfg.reject_unread()
     validate_order2(spec, params)
     state = box_eigenstate(L, tau, points, params)
@@ -166,7 +168,7 @@ def _scenario_box(
         "shifts": shifts,
     }
     outputs = ["box_shifts.json"]
-    if all(t.order in (0, 2, 4) for t in spec.terms):
+    if levels:
         zero_v = GridFunction(state.R0.grid, np.zeros(points))
         pairs = solve_modified_eigenproblem(zero_v, spec, params, count)
         k = np.arange(1, count + 1) * np.pi / L
@@ -192,9 +194,14 @@ def _scenario_box(
 def _scenario_hydrogen(
     cfg: serialize.RecordingConfig, outdir: Path, seed: int
 ) -> list[str]:
-    spec, params = spec_from_config(cfg)
+    spec, params = spec_from_config(cfg, floored=False)
     radial_points = serialize.get(cfg, "radial_points", int, 4096)
     cfg.reject_unread()
+    if set(spec.orders) - {0, 2} != {4}:
+        raise serialize.ConfigError(
+            "hydrogen computes the order-4 shift and no other, so the spec needs "
+            f"order 4 and none above it; it has orders {', '.join(map(str, spec.orders))}"
+        )
     validate_order2(spec, params)
     grid = hydrogen_default_grid(params, points=radial_points)
     states = []

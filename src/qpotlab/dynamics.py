@@ -29,15 +29,16 @@ Rotations by a real W and the unitary kinetic step conserve the norm to
 roundoff.
 
 The kinetic step is one rule on both grids (:data:`SPLIT_STEP`, the label
-a run reports): the exact exponential exp(-i hbar k^2 dt / 2m) on the
-grid's own transform modes, the Fourier modes on periodic grids and the
-sine (DST-I) modes on Dirichlet grids, where psi is zeroed at both ends
-before the first step.  W and the energy take the same transforms, and
-both read the hierarchy's one symbol sigma, projected onto the band |k| <=
-m c / hbar where it converges (:func:`qpotential.hierarchy_symbol`): W
-applies it (:func:`qpotential.complete_q_operator`), and the energy is a
-quadratic form on one forward transform of a frame (:func:`energy_operator`,
-built once per run).  The kinetic c2 k^2 is never projected.  W's quotient
+a run reports): the :func:`grid.series_operator` of the exact exponential
+exp(-i hbar k^2 dt / 2m) at the grid's own transform modes, the Fourier
+modes on periodic grids and the sine (DST-I) modes on Dirichlet grids,
+where psi is zeroed at both ends before the first step.  W and the
+energy take the same transforms, and both read the hierarchy's one symbol
+sigma, projected onto the band |k| <= m c / hbar where it converges
+(:func:`qpotential.hierarchy_symbol`): W applies it
+(:func:`qpotential.complete_q_operator`), and the energy is a quadratic
+form on one forward transform of a frame (:func:`energy_operator`, built
+once per run).  The kinetic c2 k^2 is never projected.  W's quotient
 terms are zeroed where |psi| falls below the amplitude floor.  States with
 nodes are out of scope: R = |psi| has a kink at a node, and the W built
 from it does not reproduce the signed field's dynamics.
@@ -67,11 +68,10 @@ from .grid import (
     Grid,
     GridError,
     GridFunction,
-    SineTransform,
-    fft_scale,
     gradient,
     integrate,
     quadratic_form,
+    series_operator,
 )
 from .qpotential import (
     PhysicalParams,
@@ -165,48 +165,6 @@ class EvolutionResult:
     dt: float
 
 
-class _KineticStep:
-    """Full-dt kinetic propagator exp(-i hbar k^2 dt / 2m) on the grid's
-    transform modes: the complex Fourier modes on periodic grids, the DST-I
-    sine modes (:attr:`Grid.modes`) on Dirichlet ones.  The
-    Dirichlet step transforms the real and imaginary parts of psi as the
-    two rows of one :class:`grid.SineTransform`, whose buffers the step
-    owns: one transform call each way, with the bits of the complex DST-I
-    pair (README, numerics)."""
-
-    def __init__(self, grid: Grid, params: PhysicalParams, dt: float):
-        c2 = params.hbar**2 / (2.0 * params.mass)
-        self.periodic = grid.boundary == PERIODIC
-        if self.periodic:
-            k = grid.wavenumbers
-            self.inverse = fft_scale(grid.n)
-        else:
-            k = grid.modes
-            self.sine = SineTransform(2, grid.n - 2)
-        self.phase = np.exp(-1j * (c2 * k**2 / params.hbar) * dt)
-
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        if self.periodic:
-            coef = np.fft.fft(psi)
-            coef *= self.phase
-            out = np.fft.ifft(coef, norm="forward", out=coef)
-            out *= self.inverse
-            return out
-        sine = self.sine
-        coef = np.empty(psi.size - 2, np.complex128)
-        sine(_parts(psi[1:-1]), out=_parts(coef))
-        coef *= self.phase
-        out = np.zeros_like(psi)
-        sine(_parts(coef), sine.inverse, out=_parts(out[1:-1]))
-        return out
-
-
-def _parts(z: np.ndarray) -> np.ndarray:
-    """The real and imaginary parts of a contiguous complex vector, as the
-    two rows of a (2, size) real view of it."""
-    return z.view(np.float64).reshape(-1, 2).T
-
-
 def _phase_rotation(potential: np.ndarray, scale: float) -> np.ndarray:
     """exp(-1j * potential * scale), bit for bit, as cos + i sin of one real
     phase written into the real and imaginary views of one complex buffer.
@@ -254,8 +212,9 @@ def evolve(
     validate_order2(spec, params)
     # W: every term of the spec but the kinetic order 2, built once
     extra = complete_q_operator(g, params, spec.without_order(2))
-    kinetic = _KineticStep(g, params, cfg.dt)
     hbar = params.hbar
+    c2 = hbar**2 / (2.0 * params.mass)
+    kinetic = series_operator(g, np.exp(-1j * (c2 * g.modes**2 / hbar) * cfg.dt))
 
     psi = psi0.values.copy()
     if g.boundary == DIRICHLET:

@@ -157,12 +157,17 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def power(p: Polynomial, exponent: int) -> Polynomial:
+    """p^exponent by repeated squaring, about 2 log2(exponent) products."""
     if exponent and len(p) == 1:  # a monomial
         ((m, c),) = p.items()
         return {tuple((v, e * exponent) for v, e in m): c**exponent}
     out = ONE
-    for _ in range(exponent):
-        out = multiply(out, p)
+    while exponent:
+        if exponent & 1:
+            out = multiply(out, p)
+        exponent >>= 1
+        if exponent:
+            p = multiply(p, p)
     return out
 
 

@@ -10,17 +10,21 @@ u)^2 dr, so they are the Dirichlet problem for sqrt(4 pi) r R on [0, r_max]
 with the wall node at r = 0.
 
 The grid's boundary picks the transform, and nothing else can: the
-real-input Fourier transform (``rfft``/``irfft``) on periodic grids and
-the sine (DST-I) transform on Dirichlet grids (exact mode actions for
-fields vanishing at the walls).  A symbol is given as its values at the
-transform's wavenumbers, :attr:`Grid.modes`; the grid forms none.
-:func:`series_operator` applies one to a field, and :func:`quadratic_form`
-is the integral of a field times its series, by Parseval's identity.  The
-gradient is the real-input Fourier derivative on periodic grids and the
-sine-series derivative on Dirichlet ones.  Every transform is
-``numpy.fft``: the DST-I is :class:`SineTransform`, the real FFT of the
-odd extension, and every normalisation is :func:`fft_scale`, as
-pocketfft computes it.
+Fourier transform on periodic grids and the sine (DST-I) transform on
+Dirichlet grids (exact mode actions for fields vanishing at the walls).
+A symbol is given as its values at the transform's wavenumbers,
+:attr:`Grid.modes`; the grid forms none.  :func:`series_operator` applies
+an even one, real or complex (the evolution's kinetic exponential), to a
+real or complex field: ``rfft``/``irfft`` for real data and ``fft``/``ifft``
+for complex data on periodic grids; on Dirichlet grids the DST-I of the
+real row, or of the real and imaginary rows, forward unnormalised and
+back times 1/N.  :func:`quadratic_form` is the integral of a field times
+its series, by Parseval's identity.  The gradient is the real-input
+Fourier derivative on periodic grids and the sine-series derivative on
+Dirichlet ones.  Every transform is ``numpy.fft``, called from this
+module only: the DST-I is :class:`SineTransform`, the real FFT of the odd
+extension, and every normalisation is :func:`fft_scale`, as pocketfft
+computes it.
 """
 
 from __future__ import annotations
@@ -162,33 +166,51 @@ class GridFunction:
 
 
 def series_operator(g: Grid, symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from field values on ``g`` to the series whose ``symbol`` is
-    given at :attr:`Grid.modes`, by one transform pair (on Dirichlet grids
-    the interior values, the walls set to zero).  Its transform buffers
-    are allocated once, here, so the map is for one thread at a time."""
+    """The map from field values on ``g`` to the series whose even
+    ``symbol``, real or complex, is given at :attr:`Grid.modes`, by one
+    transform pair (on Dirichlet grids the interior values, the walls set
+    to zero), complex when the field or the symbol is: the data type picks
+    the transform, as numpy's ``rfft``/``fft`` split does.  Its transform
+    buffers are allocated once, here, so the map is for one thread at a
+    time."""
     symbol = _at_modes(g, symbol)
     if g.boundary == PERIODIC:
         inverse = fft_scale(g.n)
+        j = np.arange(g.n)
+        full = symbol[..., np.minimum(j, g.n - j)]  # mirrored onto the full spectrum
 
         def fourier(values: np.ndarray) -> np.ndarray:
-            coef = np.fft.rfft(values)
-            coef *= symbol
-            out = np.fft.irfft(coef, g.n, norm="forward")
+            if np.iscomplexobj(symbol) or np.iscomplexobj(values):
+                coef = np.fft.fft(values)
+                coef *= full
+                out = np.fft.ifft(coef, norm="forward", out=coef)
+            else:
+                coef = np.fft.rfft(values)
+                coef *= symbol
+                out = np.fft.irfft(coef, g.n, norm="forward")
             out *= inverse
             return out
 
         return fourier
 
-    sine = SineTransform(g.n - 2)
+    sine = SineTransform(2, g.n - 2)
 
     def sine_series(values: np.ndarray) -> np.ndarray:
-        coef = sine(values[1:-1], sine.ortho)
+        kind = np.result_type(values, symbol)
+        coef = np.empty(g.n - 2, kind)
+        sine(_parts(np.ascontiguousarray(values[1:-1], kind)), out=_parts(coef))
         coef *= symbol
-        out = np.zeros(g.n)
-        sine(coef, sine.ortho, out=out[1:-1])
+        out = np.zeros(g.n, kind)
+        sine(_parts(coef), sine.inverse, out=_parts(out[1:-1]))
         return out
 
     return sine_series
+
+
+def _parts(z: np.ndarray) -> np.ndarray:
+    """A contiguous vector as the rows of a real view of it: the one row of
+    a real vector, the real and imaginary parts of a complex one."""
+    return z.view(np.float64).reshape(z.size, -1).T
 
 
 def quadratic_form(g: Grid, symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,8 +244,9 @@ def quadratic_form(g: Grid, symbol: np.ndarray) -> Callable[[np.ndarray], np.nda
 
 
 def _at_modes(g: Grid, symbol: np.ndarray) -> np.ndarray:
-    """``symbol`` as an array whose last axis runs over :attr:`Grid.modes`."""
-    symbol = np.asarray(symbol, dtype=np.float64)
+    """``symbol`` as a float or complex array whose last axis runs over
+    :attr:`Grid.modes`."""
+    symbol = np.asarray(symbol, dtype=complex if np.iscomplexobj(symbol) else float)
     if symbol.shape[-1:] != g.modes.shape:
         raise GridError(f"a symbol on this grid has {g.modes.size} modes, got shape {symbol.shape}")
     return symbol
@@ -266,14 +289,16 @@ class SineTransform:
     def __call__(
         self, x: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``scale`` times the DST-I of ``x`` (any strides), in ``out`` if
-        given.  Entries 0 and m + 1 of the extension stay zero."""
+        """``scale`` times the DST-I of ``x`` (any strides, at most the rows
+        of ``shape``), in ``out`` if given.  Entries 0 and m + 1 of the
+        extension stay zero."""
         m = x.shape[-1]
-        ext = self._extension
+        rows = tuple(slice(r) for r in x.shape[:-1])
+        ext, spectrum = self._extension[rows], self._spectrum[rows]
         ext[..., 1 : m + 1] = x
         np.negative(x[..., ::-1], out=ext[..., m + 2 :])
-        np.fft.rfft(ext, axis=-1, out=self._spectrum)
-        return np.multiply(self._spectrum.imag[..., 1 : m + 1], -scale, out=out)
+        np.fft.rfft(ext, axis=-1, out=spectrum)
+        return np.multiply(spectrum.imag[..., 1 : m + 1], -scale, out=out)
 
 
 def gradient(f: GridFunction) -> GridFunction:

@@ -381,19 +381,22 @@ def _order(token: str, key: str) -> int:
         ) from None
 
 
-def spec_from_config(cfg: Mapping[str, str]) -> tuple[QuantumPotentialSpec, PhysicalParams]:
+def spec_from_config(
+    cfg: Mapping[str, str], *, floored: bool = True
+) -> tuple[QuantumPotentialSpec, PhysicalParams]:
     """Build (spec, params) from parsed key-value configuration.
 
     Keys: ``units`` (electron|proton|natural, default electron), ``c``
-    (natural units only), ``floor``, and either ``source = relativistic``
-    with ``max_order`` or an explicit ``orders`` list, or ``source =
-    explicit`` with per-order coefficients ``a_<order> = <fraction>`` /
-    ``A_<order> = <float>``.  Only the keys that apply are read.
+    (natural units only), ``floor`` (if ``floored``: only Q and W divide by
+    R), and either ``source = relativistic`` with ``max_order`` or an
+    explicit ``orders`` list, or ``source = explicit`` with per-order
+    coefficients ``a_<order> = <fraction>`` / ``A_<order> = <float>``.
+    Only the keys that apply are read.
     """
     units = serialize.get(cfg, "units", str, "electron")
     cval = serialize.get(cfg, "c", float, 1.0) if units == "natural" else 1.0
     params = params_by_name(units, cval)
-    floor = serialize.get(cfg, "floor", float, 1e-8)
+    floor = serialize.get(cfg, "floor", float, 1e-8) if floored else 1e-8
     source = serialize.get(cfg, "source", str, "relativistic")
     if source == "relativistic":
         orders = serialize.get(cfg, "orders", str, None)

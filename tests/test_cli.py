@@ -4,6 +4,7 @@ import ast
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -750,6 +751,39 @@ class TestUnreadKeys:
         )
         self.assert_rejected(rc, out, capsys, "points")
 
+    @pytest.mark.parametrize("problem", ["box", "hydrogen"])
+    def test_spectra_read_no_floor(self, tmp_path, capsys, problem):
+        # the shifts never divide by R, so the amplitude floor changes nothing
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("floor = 0.5\n")
+        out = tmp_path / "out"
+        rc = main(["spectra", "--problem", problem, "--spec", str(spec), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, "does not read key(s): floor")
+
+    def test_box_reads_count_only_for_the_levels(self, tmp_path, capsys):
+        # above order 4 no V = 0 levels are solved, so count changes nothing
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("orders = 0,2,4,6\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["spectra", "--problem", "box", "--spec", str(spec), "--count", "5",
+             "--out", str(out)]
+        )
+        self.assert_rejected(rc, out, capsys, "does not read key(s): count")
+
+    @pytest.mark.parametrize(
+        "line, orders", [("orders = 0,2", "0, 2"), ("max_order = 8", "0, 2, 4, 6, 8")]
+    )
+    def test_hydrogen_refuses_orders_it_does_not_compute(self, tmp_path, capsys, line, orders):
+        # hydrogen computes the order-4 shift only: without order 4 in the
+        # spec it would report the relativistic one, and it would drop
+        # every order above 4
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = main(["spectra", "--problem", "hydrogen", "--spec", str(spec), "--out", str(out)])
+        self.assert_rejected(rc, out, capsys, f"it has orders {orders}")
+
     def test_rejected_run_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args))
@@ -817,6 +851,28 @@ class TestManifestConfig:
         m = self.evolve(tmp_path, "e", "initial = eigenmode\n")
         assert m["config"]["tau"] == "1"
         assert "k0" not in m["config"]
+
+    def test_spectra_record_only_the_keys_they_use(self, tmp_path):
+        box, hydrogen = tmp_path / "box", tmp_path / "hydrogen"
+        assert main(["spectra", "--problem", "box", "--points", "65", "--out", str(box)]) == 0
+        assert main(
+            ["spectra", "--problem", "hydrogen", "--radial-points", "2048", "--out", str(hydrogen)]
+        ) == 0
+        assert read_json(box / "manifest.json")["config"] == {
+            "L": "1",
+            "count": "5",
+            "max_order": "4",
+            "points": "65",
+            "source": "relativistic",
+            "tau": "1",
+            "units": "electron",
+        }
+        assert read_json(hydrogen / "manifest.json")["config"] == {
+            "max_order": "4",
+            "radial_points": "2048",
+            "source": "relativistic",
+            "units": "electron",
+        }
 
     def test_qpot_records_input_not_spec_path(self, tmp_path):
         spec_path = tmp_path / "spec.cfg"
@@ -991,6 +1047,15 @@ class TestColdImport:
         naming = [p.name for p in sorted(package.rglob("*.py"))
                   if "scipy" in p.read_text(encoding="utf-8")]
         assert naming == []
+
+    def test_only_grid_names_numpys_fft(self):
+        # the grid's boundary picks the transform: no other module calls
+        # numpy's FFT or takes its normalisation
+        package = Path(cli.__file__).resolve().parent
+        fft = re.compile(r"\b(np|numpy)\.fft\b|\bfft_scale\b")
+        naming = [p.name for p in sorted(package.rglob("*.py"))
+                  if fft.search(p.read_text(encoding="utf-8"))]
+        assert naming == ["grid.py"]
 
     def test_imports_only_numpy_beyond_the_standard_library(self):
         """Every import statement of every module, top-level or not, names

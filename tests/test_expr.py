@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qpotlab import expr
 from qpotlab.elcheck import euler_lagrange
 from qpotlab.expr import (
     ONE,
@@ -74,6 +75,24 @@ class TestCanonicalForm:
     def test_pow_of_pow(self):
         assert parse("(R^2)^3") == parse("R^6")
         assert parse("((R + R_x)^-2)^3") == parse("1 / (R + R_x)^6")
+
+    def test_power_by_repeated_squaring(self, monkeypatch):
+        # about 2 log2(64) products where 64 repeated ones would do, with
+        # the same exact polynomial
+        base = {((R, 1),): 1, ((R_x, 1),): 2}
+        want = ONE
+        for _ in range(64):
+            want = expr.multiply(want, base)
+        calls = []
+        multiply = expr.multiply
+
+        def counted(p, q):
+            calls.append(1)
+            return multiply(p, q)
+
+        monkeypatch.setattr(expr, "multiply", counted)
+        assert expr.power(base, 64) == want
+        assert len(calls) <= 2 * 6
 
     def test_zero_base_negative_exponent_rejected(self):
         with pytest.raises(ExprSyntaxError, match="zero base with nonpositive exponent") as err:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from qpotlab import dynamics
 from qpotlab.grid import (
     DIRICHLET,
     PERIODIC,
@@ -27,7 +26,6 @@ from qpotlab.grid import (
     series_operator,
     write_gridfunction,
 )
-from qpotlab.qpotential import electron_params
 
 
 def read_json(path):
@@ -250,8 +248,8 @@ class TestLaplacianSeries:
         else:
             k = np.arange(1, g.n - 1) * np.pi / g.length
             want = np.zeros(g.n)
-            coef = scipy.fft.dst(v[1:-1], type=1, norm="ortho")
-            want[1:-1] = scipy.fft.idst(-(k**2) * coef, type=1, norm="ortho")
+            coef = scipy.fft.dst(v[1:-1], type=1)
+            want[1:-1] = scipy.fft.idst(-(k**2) * coef, type=1)
         assert np.array_equal(series_operator(g, -(g.modes**2))(v), want)
 
 
@@ -311,8 +309,8 @@ class TestGradient:
             want = scipy.fft.irfft(scipy.fft.rfft(f.values) * sym, g.n)
         else:
             want = np.zeros(g.n)
-            coef = scipy.fft.dst(f.values[1:-1], type=1, norm="ortho")
-            want[1:-1] = scipy.fft.idst(coef * sym, type=1, norm="ortho")
+            coef = scipy.fft.dst(f.values[1:-1], type=1)
+            want[1:-1] = scipy.fft.idst(coef * sym, type=1)
         assert np.array_equal(first, want)
 
     @pytest.mark.parametrize("n", [64, 65])
@@ -441,19 +439,6 @@ class TestNumpyTransformsMatchScipy:
         y = x[::-1].copy()
         assert same_bits(sine(y), scipy.fft.dst(y, type=1))
 
-    @pytest.mark.parametrize("m", SIZES)
-    def test_two_row_complex_pair(self, m):
-        # the real and imaginary parts of a complex vector as the two rows of
-        # one transform give the bits of scipy's DST-I along its (re, im) pairs
-        rng = np.random.default_rng(m)
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sine = SineTransform(2, m)
-        got = np.empty_like(z)
-        sine(dynamics._parts(z), sine.inverse, out=dynamics._parts(got))
-        pairs = z.view(np.float64).reshape(-1, 2)
-        want = scipy.fft.idst(pairs, type=1, axis=0).view(np.complex128)[:, 0]
-        assert same_bits(got, want)
-
     @pytest.mark.parametrize("n", SIZES)
     def test_real_and_complex_fft_pairs(self, n):
         rng = np.random.default_rng(n)
@@ -480,37 +465,43 @@ class TestNumpyTransformsMatchScipy:
             want_gradient = scipy.fft.irfft(1j * k[: n // 2 + 1] * scipy.fft.rfft(v), n)
         else:
             want_series = np.zeros(n)
-            coef = scipy.fft.dst(v[1:-1], type=1, norm="ortho")
-            want_series[1:-1] = scipy.fft.idst(coef * sym, type=1, norm="ortho")
             coef = scipy.fft.dst(v[1:-1], type=1)
+            want_series[1:-1] = scipy.fft.idst(coef * sym, type=1)
             coef *= np.arange(1, n - 1) * (np.pi / (g.length * (n - 1)))
             want_gradient = 0.5 * scipy.fft.dct(np.pad(coef, 1), type=1)
         assert same_bits(series_operator(g, sym)(v), want_series)
         assert same_bits(gradient(f).values, want_gradient)
 
-    @pytest.mark.parametrize("n", [16, 2731, 4096])
+    @pytest.mark.parametrize("size", [size for size in SIZES if size >= 16])
     @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
-    def test_kinetic_step(self, n, boundary):
+    def test_complex_series(self, size, boundary):
+        # complex fields and symbols: on periodic grids the complex FFT pair
+        # with the even symbol mirrored onto the full spectrum, on Dirichlet
+        # ones (size interior points) the DST-I pair along the (re, im) pairs
+        n = size if boundary == PERIODIC else size + 2
         g = Grid.uniform(0.0, 1.0, n, boundary)
-        params = electron_params()
-        step = dynamics._KineticStep(g, params, 1e-6)
-        psi = dynamics.WaveField.gaussian(g, 0.45, 0.05, 40.0).values
-        c2 = params.hbar**2 / (2.0 * params.mass)
-        if boundary == PERIODIC:
-            phase = np.exp(-1j * (c2 * g.wavenumbers**2 / params.hbar) * 1e-6)
-            want = scipy.fft.ifft(scipy.fft.fft(psi) * phase)
-        else:
-            psi[[0, -1]] = 0.0
-            symbol = (c2 * np.arange(1, n - 1) ** 2 * (np.pi / g.length) ** 2)[:, None]
-            phase = np.exp(-1j * (symbol / params.hbar) * 1e-6)
-            pairs = psi[1:-1].view(np.float64).reshape(-1, 2)
-            coef = scipy.fft.dst(pairs, type=1, axis=0).view(np.complex128) * phase
-            want = np.zeros_like(psi)
-            want[1:-1] = scipy.fft.idst(
-                coef.view(np.float64), type=1, axis=0
-            ).view(np.complex128)[:, 0]
-        for _ in range(2):  # the step's buffers are reused
-            assert same_bits(step(psi), want)
+        rng = np.random.default_rng(size)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        unit = (g.modes / g.modes[-1]) ** 2
+        for sym in (np.exp(-3j * unit), unit - 0.5 * unit**2):
+            if boundary == PERIODIC:
+                j = np.arange(n)
+                want = scipy.fft.ifft(scipy.fft.fft(z) * sym[np.minimum(j, n - j)])
+            else:
+                z[[0, -1]] = 0.0
+                pairs = z[1:-1].view(np.float64).reshape(-1, 2)
+                coef = scipy.fft.dst(pairs, type=1, axis=0).view(np.complex128)[:, 0] * sym
+                want = np.zeros_like(z)
+                want[1:-1] = scipy.fft.idst(
+                    coef.view(np.float64).reshape(-1, 2), type=1, axis=0
+                ).view(np.complex128)[:, 0]
+            apply = series_operator(g, sym)
+            for _ in range(2):  # the map's buffers are reused
+                assert same_bits(apply(z), want)
+            # a real field under a complex symbol is the complex field with
+            # a zero imaginary part
+            if np.iscomplexobj(sym):
+                assert same_bits(apply(z.real), apply(z.real + 0j))
 
 
 class TestQuadrature:
