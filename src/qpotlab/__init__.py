@@ -12,13 +12,14 @@ of the relativistic energy sqrt((pc)^2 + eps0^2).  The package provides:
 - ``coeffs`` — the exact coefficient family and the truncated energy series;
 - ``grid``/``qpotential`` — uniform grid functions, a symbol applied or
   taken as a quadratic form on the grid's own transform (the boundary
-  picks the Fourier or sine transform), and the potential hierarchy as
+  picks the Fourier or sine transform), potential terms (each an even
+  order and one coefficient), and the hierarchy of a spec's terms as
   one symbol sum A_2n (-k^2)^n, projected onto its convergence band
   |k| <= m c / hbar, with floor regularization;
 - ``spectra`` — box and hydrogen stationary states (hydrogen as its
-  reduced radial field on a Dirichlet grid), perturbative energy shifts
-  with an independent cross-check path, and a nonperturbative modified
-  eigensolver;
+  reduced radial field on a Dirichlet grid), the perturbative energy
+  shift of one term with an independent cross-check path for order 4,
+  and a nonperturbative modified eigensolver;
 - ``dynamics`` — integration of the modified (nonlinear) wave equation
   for node-free states, split-step with the exact kinetic exponential on
   the grid's Fourier or sine modes, plus guidance-velocity trajectories;

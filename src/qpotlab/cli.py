@@ -145,8 +145,8 @@ def _scenario_box(
     for t in spec.terms:
         if t.order == 2:
             continue  # the kinetic term is E0 itself
-        de = perturbative_shift(state, t.order, params, spec)
-        closed = box_shift_closed_form(L, tau, t.order, params, spec)
+        de = perturbative_shift(state, t, params)
+        closed = box_shift_closed_form(L, tau, t, params)
         # a relative gap to a zero closed form (a term projected out above
         # the band edge) is undefined: written as null
         gap = abs(de - closed) / abs(closed) if closed != 0 else None
@@ -207,7 +207,7 @@ def _scenario_hydrogen(
     states = []
     for n in (1, 2):
         state = hydrogen_radial_state(n, params, grid)
-        res = compare_shifts(state, params, spec)
+        res = compare_shifts(state, spec.term(4), params)
         analytic = hydrogen_shift_closed_form(n, params)
         projected = analytic * hydrogen_band_fraction(n)
         states.append(

@@ -56,6 +56,7 @@ array is built.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -142,12 +143,12 @@ class EvolutionConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.store_every < 1:
-            raise ValueError("store_every must be >= 1")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        for name in ("steps", "store_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

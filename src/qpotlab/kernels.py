@@ -14,6 +14,7 @@ mask frozen seeds.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -101,6 +102,8 @@ def advect_seeds(
         raise ValueError("need at least two velocity frames")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
+    if periodic and not 0.0 < length < math.inf:
+        raise ValueError(f"periodic advection needs a positive finite length, got {length!r}")
     dt_frames = np.broadcast_to(np.asarray(dt_frames, np.float64), (nframes - 1,))
 
     def row(f):

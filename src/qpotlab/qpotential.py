@@ -6,9 +6,12 @@ The order-2n member of the family is
 
 with eps0 = m c^2.  For n = 1 with the relativistic coefficient a_2 = 1/2
 this is exactly the Bohmian quantum potential -(hbar^2/2m) lap(R)/R; n = 0
-gives the rest energy eps0.  A :class:`QuantumPotentialSpec` selects which
-orders are present and with which coefficients (exact-rational dimensionless
-a_{2n}, or explicit dimensional A_{2n} multiplying lap^n R / R directly).
+gives the rest energy eps0.  A :class:`QTerm` is one member: an even order
+and one coefficient, either the exact-rational dimensionless a_{2n} or an
+explicit dimensional A_{2n} multiplying lap^n R / R directly
+(:func:`dimensional_coefficient` turns a_{2n} into A_{2n}).  A
+:class:`QuantumPotentialSpec` is a set of terms of distinct orders; asking
+it for an order it lacks raises KeyError naming the orders it has.
 
 The hierarchy is one operator with one symbol, sigma(k) = sum A_2n
 (-k^2)^n, which :func:`hierarchy_symbol` builds and nothing else does.  For
@@ -57,8 +60,10 @@ class PhysicalParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0 or self.c <= 0:
-            raise ValueError("hbar, mass and c must all be positive")
+        for name in ("hbar", "mass", "c"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def rest_energy(self) -> float:
@@ -110,18 +115,17 @@ def params_by_name(name: str, c: float = 1.0) -> PhysicalParams:
 
 @dataclass(frozen=True)
 class QTerm:
-    """One term of the potential family.
+    """One term of the potential family: an even order and one coefficient.
 
     Exactly one of ``a`` (dimensionless exact rational, combined with the
     (-1)^n eps0 (hbar/mc)^(2n) prefactor) or ``A`` (explicit dimensional
-    coefficient of lap^n R / R) is set.  ``source`` records which choice was
-    made; relativistic-sourced coefficients must equal a2n(n) exactly.
+    coefficient of lap^n R / R) is set; ``a`` is held as a Fraction and
+    ``A`` as a float.
     """
 
     order: int
     a: Fraction | None = None
     A: float | None = None
-    source: str = "explicit"
 
     def __post_init__(self):
         if self.order < 0 or self.order % 2 != 0:
@@ -130,23 +134,13 @@ class QTerm:
             raise ValueError("exactly one of a (rational) or A (dimensional) required")
         if self.a is not None:
             object.__setattr__(self, "a", Fraction(self.a))
-        if self.source == "relativistic" and self.a != a2n(self.order // 2):
-            raise ValueError(
-                f"relativistic-sourced a_{self.order} must equal "
-                f"{a2n(self.order // 2)}, got {self.a}"
-            )
+        else:
+            object.__setattr__(self, "A", float(self.A))
 
     @classmethod
     def relativistic(cls, order: int) -> "QTerm":
-        return cls(order=order, a=a2n(order // 2), source="relativistic")
-
-    @classmethod
-    def rational(cls, order: int, a: Fraction) -> "QTerm":
-        return cls(order=order, a=Fraction(a), source="explicit")
-
-    @classmethod
-    def dimensional(cls, order: int, A: float) -> "QTerm":
-        return cls(order=order, A=float(A), source="explicit")
+        """The order-``order`` term with the relativistic a_2n."""
+        return cls(order=order, a=a2n(order // 2))
 
 
 @dataclass(frozen=True)
@@ -180,9 +174,6 @@ class QuantumPotentialSpec:
     def orders(self) -> tuple[int, ...]:
         return tuple(t.order for t in self.terms)
 
-    def has_order(self, order: int) -> bool:
-        return any(t.order == order for t in self.terms)
-
     def term(self, order: int) -> QTerm:
         for t in self.terms:
             if t.order == order:
@@ -211,7 +202,7 @@ def validate_order2(spec: QuantumPotentialSpec, params: PhysicalParams) -> None:
     the assembled eigenproblem apply it as such, so any other coefficient
     would be silently ignored.
     """
-    if not spec.has_order(2):
+    if 2 not in spec.orders:
         return
     c2 = params.hbar**2 / (2.0 * params.mass)
     A2 = dimensional_coefficient(spec.term(2), params)
@@ -282,7 +273,7 @@ def complete_q_operator(
         return lambda r: np.zeros(grid.n) + constant
     scale = max(coeffs.values(), key=abs) or 1.0
     unit = QuantumPotentialSpec(
-        tuple(QTerm.dimensional(order, A / scale) for order, A in coeffs.items())
+        tuple(QTerm(order, A=A / scale) for order, A in coeffs.items())
     )
     series = series_operator(grid, hierarchy_symbol(unit, params, grid.modes))
     floor = spec.regularization_floor
@@ -422,10 +413,10 @@ def spec_from_config(
                 raise serialize.ConfigError(
                     f"key '{key}': expected a fraction, got {text!r}"
                 ) from None
-            terms.append(QTerm.rational(order, a))
+            terms.append(QTerm(order, a=a))
         elif key.startswith("A_"):
             order = _order(key[2:], key)
-            terms.append(QTerm.dimensional(order, serialize.get(cfg, key, float)))
+            terms.append(QTerm(order, A=serialize.get(cfg, key, float)))
     if not terms:
         raise serialize.ConfigError(
             "explicit spec needs at least one a_<order> or A_<order> key"

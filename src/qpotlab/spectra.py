@@ -2,8 +2,9 @@
 
 Base eigenstates (particle in a box; the hydrogen 1s and 2s states, l = 0,
 at the physical fine-structure constant ``qpotential.FINE_STRUCTURE``)
-have a spatially constant phase, so first-order perturbation theory for an
-order-2n term reduces to the real integral
+have a spatially constant phase, so first-order perturbation theory for one
+term (a :class:`qpotential.QTerm`: an order 2n and its coefficient, the
+only thing the shift functions take) reduces to the real integral
 
     dE = A_{2n} * integral( R0 * lap^n R0 ) dmu,
 
@@ -19,7 +20,8 @@ symbol plus the kinetic c2 k^2; the hydrogen closed forms are the textbook
 shifts and their share inside the band.  The order-4 shift is the kinetic
 relativistic correction; :func:`relativistic_reference_shift` recomputes
 it through a deliberately separate code path (its own transform pair on
-the shared DST-I, band cut and quadrature) as a cross-check oracle.
+the shared DST-I, band cut and quadrature) as a cross-check oracle, which
+:func:`compare_shifts` sets beside an order-4 term's shift.
 
 :func:`solve_modified_eigenproblem` solves the linear stationary equation
 including the order-4 operator nonperturbatively, on the same symbol: in
@@ -146,29 +148,13 @@ def hydrogen_radial_state(
 # --------------------------------------------------------------------------
 
 
-def _shift_term(order: int, spec: QuantumPotentialSpec | None) -> QTerm:
-    """The spec's order-``order`` term, else the relativistic one."""
-    if order < 0 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 0, got {order}")
-    if spec is not None and spec.has_order(order):
-        return spec.term(order)
-    return QTerm.relativistic(order)
-
-
 def perturbative_shift(
-    state: StationaryState,
-    order: int,
-    params: PhysicalParams,
-    spec: QuantumPotentialSpec | None = None,
+    state: StationaryState, term: QTerm, params: PhysicalParams
 ) -> float:
-    """First-order shift from the order-``order`` term: the quadratic form
-    of its symbol on the state.
-
-    The coefficient comes from the spec's matching term when given, else
-    from the relativistic coefficient family.
-    """
-    term = QuantumPotentialSpec((_shift_term(order, spec),))
-    return expectation_operator(state.R0.grid, params, term)(state.R0.values)
+    """First-order shift from one term: the quadratic form of its symbol
+    on the state."""
+    spec = QuantumPotentialSpec((term,))
+    return expectation_operator(state.R0.grid, params, spec)(state.R0.values)
 
 
 def relativistic_reference_shift(state: StationaryState, params: PhysicalParams) -> float:
@@ -200,25 +186,21 @@ def _reference_laplacian(f: GridFunction, band: float) -> np.ndarray:
 
 
 def compare_shifts(
-    state: StationaryState,
-    params: PhysicalParams,
-    spec: QuantumPotentialSpec | None = None,
+    state: StationaryState, term: QTerm, params: PhysicalParams
 ) -> ShiftResult:
-    """Order-4 shift through both code paths, with their relative gap."""
-    de = perturbative_shift(state, 4, params, spec)
+    """The order-4 ``term``'s shift and the relativistic reference shift,
+    with their relative gap; the reference is the order-4 correction, so a
+    term of any other order raises ValueError."""
+    if term.order != 4:
+        raise ValueError(f"the reference shift is order 4; the term is order {term.order}")
+    de = perturbative_shift(state, term, params)
     ref = relativistic_reference_shift(state, params)
     gap = abs(de - ref) / abs(ref) if ref != 0 else math.inf
     return ShiftResult(state.label, de, ref, gap)
 
 
-def box_shift_closed_form(
-    L: float,
-    tau: int,
-    order: int,
-    params: PhysicalParams,
-    spec: QuantumPotentialSpec | None = None,
-) -> float:
-    """Exact first-order shift for a box mode: the term's
+def box_shift_closed_form(L: float, tau: int, term: QTerm, params: PhysicalParams) -> float:
+    """Exact first-order shift of one term for a box mode: its
     :func:`qpotential.hierarchy_symbol` at k = tau pi / L.
 
     The sine mode is an exact eigenfunction of every Laplacian power
@@ -230,8 +212,8 @@ def box_shift_closed_form(
     """
     if tau < 1:
         raise ValueError(f"mode index tau must be >= 1, got {tau}")
-    term = QuantumPotentialSpec((_shift_term(order, spec),))
-    return float(hierarchy_symbol(term, params, tau * math.pi / L))
+    spec = QuantumPotentialSpec((term,))
+    return float(hierarchy_symbol(spec, params, tau * math.pi / L))
 
 
 def hydrogen_shift_closed_form(n: int, params: PhysicalParams) -> float:

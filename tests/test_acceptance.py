@@ -131,8 +131,8 @@ class TestAcceptance:
         closed form to 1e-10 relative."""
         t0 = time.perf_counter()
         st = box_eigenstate(1.0, 1, 513, ELECTRON)
-        closed = box_shift_closed_form(1.0, 1, 4, ELECTRON)
-        de = perturbative_shift(st, 4, ELECTRON)
+        closed = box_shift_closed_form(1.0, 1, QTerm.relativistic(4), ELECTRON)
+        de = perturbative_shift(st, QTerm.relativistic(4), ELECTRON)
         rel_quad = abs(de - closed) / abs(closed)
 
         spec24 = QuantumPotentialSpec(
@@ -162,12 +162,12 @@ class TestAcceptance:
         ok = True
         for n in (1, 2):
             st = hydrogen_radial_state(n, ELECTRON)
-            de = perturbative_shift(st, 4, ELECTRON)
+            de = perturbative_shift(st, QTerm.relativistic(4), ELECTRON)
             exact = hydrogen_shift_closed_form(n, ELECTRON)
             rel = abs(de - exact) / abs(exact)
             projected = exact * hydrogen_band_fraction(n)
             rel_proj = abs(de - projected) / abs(projected)
-            gap = compare_shifts(st, ELECTRON).relative_gap
+            gap = compare_shifts(st, QTerm.relativistic(4), ELECTRON).relative_gap
             ok = ok and rel <= 2e-2 and rel_proj <= 2e-4 and gap <= 1e-6
             details.append(f"{n}s rel {rel:.2e} proj {rel_proj:.2e} gap {gap:.2e}")
         elapsed = time.perf_counter() - t0

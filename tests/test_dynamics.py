@@ -164,6 +164,20 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("dt", {"dt": math.nan, "steps": 1}),
+            ("dt", {"dt": math.inf, "steps": 1}),
+            ("steps", {"dt": 1e-6, "steps": math.nan}),
+            ("store_every", {"dt": 1e-6, "steps": 1, "store_every": math.inf}),
+        ],
+    )
+    def test_non_finite_refused_by_name(self, field, kwargs):
+        # refused here, not after a step that blames the step size
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EvolutionConfig(**kwargs)
+
 
 class TestEvolveLinear:
     def test_plane_wave_exact_phase(self):
@@ -247,7 +261,7 @@ class TestEvolveValidation:
 
         g = periodic_grid(64)
         psi0, _ = plane_wave(g, 1)
-        bad = QuantumPotentialSpec((QTerm.rational(2, Fraction(1, 3)),))
+        bad = QuantumPotentialSpec((QTerm(2, a=Fraction(1, 3)),))
         with pytest.raises(ValueError, match="kinetic"):
             evolve(
                 psi0, zero_potential(g), bad, ELECTRON,
@@ -632,10 +646,11 @@ class TestSplitFormOracle:
         states = [box_eigenstate(1.0, tau, 4097, ELECTRON) for tau in (1, 2, 3)]
         radial = hydrogen_default_grid(ELECTRON, 8192)
         states += [hydrogen_radial_state(m, ELECTRON, radial) for m in (1, 2)]
-        term = QuantumPotentialSpec((QTerm.relativistic(order),))
+        term = QTerm.relativistic(order)
+        spec = QuantumPotentialSpec((term,))
         for state in states:
-            got = perturbative_shift(state, order, ELECTRON)
-            want = split_form(state.R0.grid, ELECTRON, term, state.R0.values)
+            got = perturbative_shift(state, term, ELECTRON)
+            want = split_form(state.R0.grid, ELECTRON, spec, state.R0.values)
             assert abs(got - want) <= 2e-14 * abs(want), state.label
 
 

@@ -73,6 +73,15 @@ class TestAdvectSeeds:
         )
         assert paths[-1][0] == pytest.approx(0.2 + 0.5 * (v0 + v1), abs=1e-6)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_periodic_needs_a_length(self, length):
+        # the default length 0.0 would wrap every position to NaN
+        vframes = constant_velocity_frames(3, 16, 0.5)
+        with pytest.raises(ValueError, match="length"):
+            kernels.advect_seeds(
+                vframes, 0.0, 1.0 / 16, 0.1, np.array([0.5]), periodic=True, length=length
+            )
+
     def test_validation(self):
         vframes = constant_velocity_frames(1, 16, 0.0)
         with pytest.raises(ValueError, match="two velocity frames"):

@@ -36,6 +36,7 @@ from qpotlab.spectra import (
 )
 
 ELECTRON = electron_params()
+REL4 = QTerm.relativistic(4)
 # A uniform potential: nonzero, so the eigensolver takes its tracking path.
 OFFSET = 3.7
 
@@ -138,7 +139,7 @@ class TestHydrogenStates:
 class TestPerturbativeShift:
     def test_order0_is_constant_coefficient(self):
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
-        assert perturbative_shift(st, 0, ELECTRON) == pytest.approx(
+        assert perturbative_shift(st, QTerm.relativistic(0), ELECTRON) == pytest.approx(
             ELECTRON.rest_energy
         )
 
@@ -146,12 +147,13 @@ class TestPerturbativeShift:
         st = box_eigenstate(1.0, 1, 513, ELECTRON)
         # the order-2 term is the kinetic operator itself, so its expectation
         # on a box mode is the unperturbed energy
-        assert perturbative_shift(st, 2, ELECTRON) == pytest.approx(st.E0, rel=1e-10)
+        de = perturbative_shift(st, QTerm.relativistic(2), ELECTRON)
+        assert de == pytest.approx(st.E0, rel=1e-10)
 
     def test_order4_box_matches_closed_form(self):
         st = box_eigenstate(1.0, 1, 513, ELECTRON)
-        de = perturbative_shift(st, 4, ELECTRON)
-        closed = box_shift_closed_form(1.0, 1, 4, ELECTRON)
+        de = perturbative_shift(st, REL4, ELECTRON)
+        closed = box_shift_closed_form(1.0, 1, REL4, ELECTRON)
         assert abs(de - closed) / abs(closed) < 1e-12
         assert de == pytest.approx(-0.0013835516005, rel=1e-9)
 
@@ -162,37 +164,40 @@ class TestPerturbativeShift:
         # order-4 shift; the order-0 term is no Laplacian power and stays
         proton = proton_params()
         st = box_eigenstate(1e-5, tau, 513, proton)
-        rest = box_shift_closed_form(1e-5, tau, 0, proton)
+        rest = box_shift_closed_form(1e-5, tau, QTerm.relativistic(0), proton)
         assert rest == proton.rest_energy
-        assert perturbative_shift(st, 0, proton) == pytest.approx(rest, rel=1e-12)
-        de = perturbative_shift(st, 4, proton)
-        closed = box_shift_closed_form(1e-5, tau, 4, proton)
+        de = perturbative_shift(st, QTerm.relativistic(0), proton)
+        assert de == pytest.approx(rest, rel=1e-12)
+        de = perturbative_shift(st, REL4, proton)
+        closed = box_shift_closed_form(1e-5, tau, REL4, proton)
         if inside:
             assert closed < 0 and abs(de - closed) / abs(closed) < 1e-10
         else:
             # the unprojected symbol A4 k^4 is the mode's shift without the
             # band; the quadrature keeps only roundoff leaked into lower modes
-            A4 = dimensional_coefficient(QTerm.relativistic(4), proton)
+            A4 = dimensional_coefficient(REL4, proton)
             unprojected = A4 * (tau * math.pi / 1e-5) ** 4
             assert closed == 0.0 and abs(de) < 1e-12 * abs(unprojected)
 
     def test_order6_box_matches_closed_form(self):
         st = box_eigenstate(1.0, 2, 513, ELECTRON)
-        de = perturbative_shift(st, 6, ELECTRON)
-        closed = box_shift_closed_form(1.0, 2, 6, ELECTRON)
+        de = perturbative_shift(st, QTerm.relativistic(6), ELECTRON)
+        closed = box_shift_closed_form(1.0, 2, QTerm.relativistic(6), ELECTRON)
         assert abs(de - closed) / abs(closed) < 1e-10
 
-    def test_spec_coefficient_override(self):
+    def test_dimensional_term_is_A_times_the_unit_form(self):
+        # <R0, P lap^2 R0> is the relativistic shift over its A4; a term of
+        # any other A4 shifts by A4 times it
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
-        spec = QuantumPotentialSpec((QTerm.dimensional(4, -2.0),))
-        de = perturbative_shift(st, 4, ELECTRON, spec)
-        k = math.pi
-        assert de == pytest.approx(-2.0 * k**4, rel=1e-10)
+        unit = perturbative_shift(st, REL4, ELECTRON) / dimensional_coefficient(REL4, ELECTRON)
+        de = perturbative_shift(st, QTerm(4, A=-2.0), ELECTRON)
+        assert abs(de - -2.0 * unit) <= 1e-14 * abs(de)
+        assert de == pytest.approx(-2.0 * math.pi**4, rel=1e-10)
 
     def test_odd_order_rejected(self):
         st = box_eigenstate(1.0, 1, 129, ELECTRON)
         with pytest.raises(ValueError):
-            perturbative_shift(st, 3, ELECTRON)
+            perturbative_shift(st, QTerm.relativistic(3), ELECTRON)
 
 
 class TestClosedForms:
@@ -201,21 +206,28 @@ class TestClosedForms:
         pc = math.pi * ELECTRON.hbar * ELECTRON.c
         eps0 = ELECTRON.rest_energy
         expected = float(Fraction(-1, 8)) * eps0 * (pc / eps0) ** 4
-        assert box_shift_closed_form(1.0, 1, 4, ELECTRON) == pytest.approx(
+        assert box_shift_closed_form(1.0, 1, REL4, ELECTRON) == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_box_order2_is_nonrelativistic_energy(self):
         st = box_eigenstate(1.0, 1, 129, ELECTRON)
-        assert box_shift_closed_form(1.0, 1, 2, ELECTRON) == pytest.approx(
+        assert box_shift_closed_form(1.0, 1, QTerm.relativistic(2), ELECTRON) == pytest.approx(
             st.E0, rel=1e-14
         )
 
+    def test_box_dimensional_term_is_its_symbol(self):
+        # A k^4 at k = 3 pi, bit for bit the symbol of the one-term spec
+        term, k = QTerm(4, A=-2.5), 3.0 * math.pi
+        closed = box_shift_closed_form(1.0, 3, term, ELECTRON)
+        assert closed == float(hierarchy_symbol(QuantumPotentialSpec((term,)), ELECTRON, k))
+        assert closed == pytest.approx(-2.5 * k**4, rel=1e-15)
+
     def test_box_validation(self):
         with pytest.raises(ValueError):
-            box_shift_closed_form(1.0, 0, 4, ELECTRON)
+            box_shift_closed_form(1.0, 0, REL4, ELECTRON)
         with pytest.raises(ValueError):
-            box_shift_closed_form(1.0, 1, 3, ELECTRON)
+            box_shift_closed_form(1.0, 1, QTerm.relativistic(3), ELECTRON)
 
     def test_hydrogen_prefactors(self):
         eps0 = ELECTRON.rest_energy
@@ -271,7 +283,7 @@ class TestOneSymbol:
         spec = QuantumPotentialSpec.relativistic(4)
         rest = spec.without_order(2)  # order 2 is the kinetic c2 k^2
         symbol = float(hierarchy_symbol(rest, params, k))
-        closed = sum(box_shift_closed_form(L, tau, t.order, params, spec) for t in rest.terms)
+        closed = sum(box_shift_closed_form(L, tau, t, params) for t in rest.terms)
         g = Grid.uniform(0.0, L, 129)
         levels = solve_modified_eigenproblem(GridFunction(g, np.zeros(g.n)), spec, params, tau)
         level, c2k2 = levels[-1][0], params.hbar**2 / (2.0 * params.mass) * k**2
@@ -284,14 +296,14 @@ class TestOneSymbol:
 class TestReferencePath:
     def test_box_two_paths_agree(self):
         st = box_eigenstate(1.0, 1, 513, ELECTRON)
-        res = compare_shifts(st, ELECTRON)
+        res = compare_shifts(st, REL4, ELECTRON)
         assert res.relative_gap < 1e-8
         assert res.delta_E < 0
 
     def test_hydrogen_two_paths_agree(self):
         for n in (1, 2):
             st = hydrogen_radial_state(n, ELECTRON)
-            res = compare_shifts(st, ELECTRON)
+            res = compare_shifts(st, REL4, ELECTRON)
             assert res.relative_gap < 1e-8
 
     def test_hydrogen_shift_near_analytic(self):
@@ -299,7 +311,7 @@ class TestReferencePath:
         # <p^4> inside the band
         for n in (1, 2):
             st = hydrogen_radial_state(n, ELECTRON)
-            de = perturbative_shift(st, 4, ELECTRON)
+            de = perturbative_shift(st, REL4, ELECTRON)
             exact = hydrogen_shift_closed_form(n, ELECTRON) * hydrogen_band_fraction(n)
             assert abs(de - exact) / abs(exact) < 5e-3
 
@@ -310,7 +322,7 @@ class TestReferencePath:
         # 1.1e-5 at 8192; the bounds sit just above the last two
         g = hydrogen_default_grid(ELECTRON, points=radii)
         for n in (1, 2):
-            de = perturbative_shift(hydrogen_radial_state(n, ELECTRON, g), 4, ELECTRON)
+            de = perturbative_shift(hydrogen_radial_state(n, ELECTRON, g), REL4, ELECTRON)
             exact = hydrogen_shift_closed_form(n, ELECTRON) * hydrogen_band_fraction(n)
             assert abs(de - exact) / abs(exact) < bound
 
@@ -318,9 +330,23 @@ class TestReferencePath:
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
         assert relativistic_reference_shift(st, ELECTRON) < 0
 
+    @pytest.mark.parametrize("order", [0, 6])
+    def test_only_order4_terms_compare(self, order):
+        # the reference path is the order-4 correction
+        st = box_eigenstate(1.0, 1, 129, ELECTRON)
+        with pytest.raises(ValueError, match=f"term is order {order}"):
+            compare_shifts(st, QTerm.relativistic(order), ELECTRON)
+
+    def test_spec_without_order4_has_no_order4_term(self):
+        # the hydrogen scenario compares spec.term(4); a spec of orders 0 and
+        # 2 must not fall back to the relativistic order-4 shift
+        spec = QuantumPotentialSpec.relativistic(2)
+        with pytest.raises(KeyError, match=r"no order-4 term \(orders: \(0, 2\)\)"):
+            spec.term(4)
+
     def test_shift_result_serializes(self):
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
-        d = asdict(compare_shifts(st, ELECTRON))
+        d = asdict(compare_shifts(st, REL4, ELECTRON))
         assert set(d) == {"state", "delta_E", "delta_E_reference", "relative_gap"}
 
 
@@ -360,7 +386,7 @@ class TestEigenproblem:
         pairs = solve_modified_eigenproblem(self.V0, self.spec24, ELECTRON, 1)
         st = box_eigenstate(1.0, 1, 257, ELECTRON)
         shift = pairs[0][0] - st.E0
-        closed = box_shift_closed_form(1.0, 1, 4, ELECTRON)
+        closed = box_shift_closed_form(1.0, 1, REL4, ELECTRON)
         assert abs(shift - closed) / abs(closed) < 1e-10
 
     def test_order0_offsets_every_level(self):
@@ -382,7 +408,7 @@ class TestEigenproblem:
         assert free[0][0] - depth < pairs[0][0]
 
     def test_order2_coefficient_conflict(self):
-        bad = QuantumPotentialSpec((QTerm.rational(2, Fraction(1, 3)),))
+        bad = QuantumPotentialSpec((QTerm(2, a=Fraction(1, 3)),))
         with pytest.raises(ValueError, match="kinetic"):
             solve_modified_eigenproblem(self.V0, bad, ELECTRON, 1)
 
